@@ -370,17 +370,29 @@ def claim_order_parameter(quick: bool, seed: int) -> ClaimResult:
 
 def _importance_sampled_m(P: DAPolynomial, T: float, seed: int,
                           n: int = 2_000_000) -> tuple[float, float]:
-    """Order parameter by plain importance sampling from a wide Gaussian."""
+    """Order parameter by plain importance sampling from a wide Gaussian.
+
+    Draws in chunks of 100k rows from one generator (the same numbers as one
+    draw of n rows, in a fraction of the memory) and keeps streaming
+    log-sum-exp sums: each is stored relative to the largest log-weight seen
+    so far and rescaled when that maximum grows.
+    """
+    chunk = 100_000
     sigma = 1.3 * max(1.0, T ** 0.25)
     rng = np.random.default_rng(seed)
-    X = rng.normal(scale=sigma, size=(n, P.tag.dimension))
-    V = th.potential_batch(P, X)
-    logw = -V / T + np.sum(X * X, axis=1) / (2.0 * sigma ** 2)
-    logw -= logw.max()
-    w = np.exp(logw)
-    m = float(np.sum(w * X[:, 1] ** 2) / np.sum(w * np.sum(X[:, 1:] ** 2, axis=1)))
-    ess = float(np.sum(w) ** 2 / np.sum(w * w))
-    return m, ess
+    top = -np.inf
+    sums = np.zeros(4)              # sum w, sum w x1^2, sum w |Im x|^2, sum w^2
+    for start in range(0, n, chunk):
+        X = rng.normal(scale=sigma, size=(min(chunk, n - start), P.tag.dimension))
+        logw = -th.potential_batch(P, X) / T + np.sum(X * X, axis=1) / (2.0 * sigma ** 2)
+        new_top = max(top, float(logw.max()))
+        shift = np.exp(top - new_top)
+        sums *= [shift, shift, shift, shift * shift]
+        top = new_top
+        w = np.exp(logw - top)
+        sums += [np.sum(w), np.sum(w * X[:, 1] ** 2),
+                 np.sum(w * np.sum(X[:, 1:] ** 2, axis=1)), np.sum(w * w)]
+    return float(sums[1] / sums[2]), float(sums[0] ** 2 / sums[3])
 
 
 def claim_entropy_scaling(quick: bool, seed: int) -> ClaimResult:

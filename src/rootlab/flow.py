@@ -2,12 +2,15 @@
 
 The flow x' = -grad ||P(x)||^2 is integrated with an embedded
 Dormand-Prince 5(4) pair; the potential is enforced to be non-increasing
-along accepted steps.  On top of the integrator: multistart attractor
-search with Newton polishing, collapse-time measurement from a fixed
-geodesic start angle, the log-log scaling fit of collapse time against
-perturbation size, basin decomposition of the initial sphere, restricted
-potential scans, and a retract check that every started trajectory is
-captured by an attractor.
+along accepted steps.  ``integrate`` follows one trajectory and keeps its
+samples; ``integrate_ensemble`` steps a whole start set in lockstep with
+the same guards, one batched value-and-gradient call per stage, and is
+what multistart attractor search and the retract check run on.  On top of
+the integrators: multistart attractor search with Newton polishing,
+collapse-time measurement from a fixed geodesic start angle, the log-log
+scaling fit of collapse time against perturbation size, basin
+decomposition of the initial sphere, restricted potential scans, and a
+retract check that every started trajectory is captured by an attractor.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .poly import (
     jacobian_coords,
     newton_polish,
     potential_coords,
+    value_gradient_batch,
     value_gradient_fn,
 )
 
@@ -109,10 +114,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     """
     cfg = cfg or FlowConfig()
     y = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
-    att = None
-    if attractors:
-        att = np.stack([a.coords if isinstance(a, AlgebraElement) else np.asarray(a)
-                        for a in attractors])
+    att = _attractor_coords(attractors)
 
     val_grad = value_gradient_fn(P)
 
@@ -134,7 +136,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     idx = _capture_index(y, att, cfg.stop_radius)
     if gnorm < cfg.stop_grad or idx is not None:
         terminal = Terminal("converged", idx, "stopped at start")
-    h = _initial_step(y, f, cfg)
+    h = float(_initial_step(np.linalg.norm(y), gnorm))
     n_stages = 7
     k = np.zeros((n_stages, y.size))
     steps = 0
@@ -233,6 +235,13 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     return Trajectory(np.asarray(times), np.stack(points), np.asarray(pots), terminal)
 
 
+def _attractor_coords(attractors) -> np.ndarray | None:
+    if not attractors:
+        return None
+    return np.stack([a.coords if isinstance(a, AlgebraElement) else np.asarray(a)
+                     for a in attractors])
+
+
 def _capture_index(y: np.ndarray, att: np.ndarray | None, radius: float):
     if att is None:
         return None
@@ -241,12 +250,166 @@ def _capture_index(y: np.ndarray, att: np.ndarray | None, radius: float):
     return i if d2[i] < radius * radius else None
 
 
-def _initial_step(y: np.ndarray, f: np.ndarray, cfg: FlowConfig) -> float:
-    scale = cfg.abs_tol + cfg.rel_tol * float(np.max(np.abs(y)))
-    fn = float(np.linalg.norm(f))
-    if fn == 0.0:
-        return 1e-6
-    return max(1e-10, min(0.01 * (1.0 + float(np.linalg.norm(y))) / fn, 0.1))
+def _capture_rows(Y: np.ndarray, att: np.ndarray | None, radius: float) -> np.ndarray:
+    """Index of the attractor capturing each row of Y, -1 where none does."""
+    if att is None:
+        return np.full(Y.shape[0], -1)
+    d2 = np.sum((Y[:, None, :] - att[None, :, :]) ** 2, axis=-1)
+    i = np.argmin(d2, axis=1)
+    return np.where(d2[np.arange(Y.shape[0]), i] < radius * radius, i, -1)
+
+
+def _initial_step(y_norm, f_norm):
+    """First trial step from |y| and |f|; scalars or per-row arrays."""
+    f_norm = np.asarray(f_norm, dtype=float)
+    with np.errstate(divide="ignore"):
+        h = np.clip(0.01 * (1.0 + y_norm) / f_norm, 1e-10, 0.1)
+    return np.where(f_norm == 0.0, 1e-6, h)
+
+
+_TERMINAL_KINDS = ("converged", "max_time", "stalled")
+_CONVERGED, _MAX_TIME, _STALLED = range(3)
+
+
+@dataclass(frozen=True)
+class EnsembleResult:
+    """Outcome of ``integrate_ensemble``, one entry per start row."""
+
+    points: np.ndarray             # (n, d) final states
+    kinds: np.ndarray              # terminal kind per row, as in Terminal.kind
+    attractor_index: np.ndarray    # capturing attractor, -1 where none
+    steps: np.ndarray              # step attempts, accepted and rejected
+    times: np.ndarray              # final flow times
+    max_radius: np.ndarray         # largest |x| over the start and accepted states
+    max_rise: np.ndarray           # largest V - V(start) over accepted states
+
+
+def integrate_ensemble(P: DAPolynomial, X0, cfg: FlowConfig | None = None,
+                       attractors=None) -> EnsembleResult:
+    """Integrate the gradient flow from every row of X0 in lockstep.
+
+    Each row follows ``integrate`` step for step: the same Dormand-Prince
+    pair, error control, two-rate stability limiter, Lyapunov and plateau
+    guards and stop tests, all with per-row state.  One batched
+    value-and-gradient call evaluates a stage for every row still running,
+    and a row leaves the batch at its terminal state.  ``integrate`` stays
+    the path for a single trajectory whose samples are wanted.
+    """
+    cfg = cfg or FlowConfig()
+    Y = np.array(X0, dtype=float)
+    n, dim = Y.shape
+    att = _attractor_coords(attractors)
+    pv, G = value_gradient_batch(P, Y)
+    V = np.einsum("ij,ij->i", pv, pv)
+    out = SimpleNamespace(
+        points=Y.copy(), kinds=np.zeros(n, dtype=int), index=np.full(n, -1),
+        steps=np.zeros(n, dtype=int), times=np.zeros(n),
+        radius=np.linalg.norm(Y, axis=1), rise=np.zeros(n))
+    live = SimpleNamespace(
+        row=np.arange(n), y=Y, f=-G, t=np.zeros(n), v=V, v0=V,
+        slack=tol.LYAPUNOV_SLACK_REL * np.maximum(V, 1.0e-300),
+        gnorm=np.linalg.norm(G, axis=1), steps=np.zeros(n, dtype=int),
+        lyapunov_fails=np.zeros(n, dtype=int), plateau=np.zeros(n, dtype=int),
+        v_plateau_start=V.copy(), just_rejected=np.zeros(n, dtype=bool),
+        h_limit=np.full(n, np.inf), since_reject=np.zeros(n, dtype=int),
+        radius=out.radius.copy(), rise=np.zeros(n))
+    live.h = _initial_step(np.linalg.norm(Y, axis=1), live.gnorm)
+
+    def finish(kind: np.ndarray, index: np.ndarray) -> None:
+        # record the rows with a terminal kind and drop them from the batch
+        done = kind >= 0
+        if not np.any(done):
+            return
+        r = live.row[done]
+        out.points[r] = live.y[done]
+        out.kinds[r] = kind[done]
+        out.index[r] = index[done]
+        out.steps[r] = live.steps[done]
+        out.times[r] = live.t[done]
+        out.radius[r] = live.radius[done]
+        out.rise[r] = live.rise[done]
+        for name, arr in vars(live).items():
+            setattr(live, name, arr[~done])
+
+    index = _capture_rows(Y, att, cfg.stop_radius)
+    finish(np.where((live.gnorm < cfg.stop_grad) | (index >= 0), _CONVERGED, -1), index)
+    while live.row.size:
+        m = live.row.size
+        finish(np.where((live.steps >= cfg.max_steps) | (live.t >= cfg.max_time),
+                        _MAX_TIME, -1), np.full(m, -1))
+        m = live.row.size
+        if m == 0:
+            break
+        y, h = live.y, np.minimum(live.h, cfg.max_time - live.t)
+        km = np.empty((7, m, dim))
+        km[0] = live.f
+        flat = km.reshape(7, m * dim)
+        for i in range(1, 6):
+            yi = y + h[:, None] * (_DP_A[i] @ flat[:i]).reshape(m, dim)
+            km[i] = -value_gradient_batch(P, yi)[1]
+        y5 = y + h[:, None] * (_DP_A[6] @ flat[:6]).reshape(m, dim)
+        pv5, g5 = value_gradient_batch(P, y5)
+        km[6] = -g5
+        y4 = y + h[:, None] * (_DP_B4 @ flat).reshape(m, dim)
+        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        err_norm = np.sqrt(np.mean(((y5 - y4) / sc) ** 2, axis=1))
+        live.steps += 1
+        v_new = np.einsum("ij,ij->i", pv5, pv5)
+        accurate = err_norm <= 1.0
+        lyapunov = accurate & (v_new > live.v + live.slack)
+        ok = accurate & ~lyapunov
+        rejected = ~accurate
+        kind = np.full(m, -1)
+        index = np.full(m, -1)
+
+        # accuracy says fine but the Lyapunov property failed: halve h
+        live.lyapunov_fails = np.where(lyapunov, live.lyapunov_fails + 1,
+                                       np.where(ok, 0, live.lyapunov_fails))
+        h = np.where(lyapunov, 0.5 * h, h)
+        kind[lyapunov & ((h < 1e-14 * np.maximum(1.0, live.t))
+                         | (live.lyapunov_fails > 60))] = _STALLED
+
+        # accepted steps: plateau guard as in integrate, then the stop tests
+        slow = ok & (live.v - v_new < 0.25 * h * live.gnorm * live.gnorm)
+        live.v_plateau_start = np.where(slow & (live.plateau == 0), live.v,
+                                        live.v_plateau_start)
+        live.plateau = np.where(slow, live.plateau + 1, np.where(ok, 0, live.plateau))
+        live.t = np.where(ok, live.t + h, live.t)
+        live.y = np.where(ok[:, None], y5, y)
+        live.f = np.where(ok[:, None], km[6], live.f)
+        live.v = np.where(ok, v_new, live.v)
+        live.gnorm = np.where(ok, np.linalg.norm(km[6], axis=1), live.gnorm)
+        live.radius = np.where(ok, np.maximum(live.radius, np.linalg.norm(y5, axis=1)),
+                               live.radius)
+        live.rise = np.where(ok, np.maximum(live.rise, v_new - live.v0), live.rise)
+        captured = ok & ((idx := _capture_rows(y5, att, cfg.stop_radius)) >= 0)
+        index[captured] = idx[captured]
+        small = ok & (live.gnorm < cfg.stop_grad)
+        long_plateau = ok & ~captured & ~small & (live.plateau >= 25)
+        flat_out = long_plateau & (live.v_plateau_start - v_new
+                                   <= 0.01 * live.v_plateau_start)
+        live.plateau = np.where(long_plateau, 0, live.plateau)
+        kind[captured | small | flat_out] = _CONVERGED
+
+        # step size: grow after an accepted step, shrink after a rejected one
+        scale = 0.9 * np.where(err_norm == 0.0, 1.0, err_norm) ** -0.2
+        grow = np.where(err_norm > 0, scale, 5.0)
+        grow = np.where(live.just_rejected, np.minimum(grow, 1.0), grow)
+        live.since_reject = np.where(ok, live.since_reject + 1,
+                                     np.where(rejected, 0, live.since_reject))
+        live.h_limit = np.where(
+            ok, live.h_limit * np.where(live.since_reject > 40, 1.05, 1.002),
+            np.where(rejected, 0.9 * h, live.h_limit))
+        h = np.where(ok, np.minimum(h * np.minimum(5.0, np.maximum(0.2, grow)),
+                                    live.h_limit), h)
+        shrink = np.fmax(0.2, scale)        # NaN error norms shrink by 0.2
+        h = np.where(rejected, h * shrink, h)
+        kind[rejected & (h < 1e-16)] = _STALLED
+        live.just_rejected = np.where(ok, False, live.just_rejected | lyapunov | rejected)
+        live.h = h
+        finish(kind, index)
+    return EnsembleResult(out.points, np.array(_TERMINAL_KINDS)[out.kinds], out.index,
+                          out.steps, out.times, out.radius, out.rise)
 
 
 def attractors_from_starts(P: DAPolynomial, starts,
@@ -257,12 +420,12 @@ def attractors_from_starts(P: DAPolynomial, starts,
     default gradient stop is loose; the residual and full-rank filters on
     the polished points carry the actual guarantee.
     """
+    if len(starts) == 0:
+        return []
     cfg = cfg or FlowConfig(stop_grad=1e-4, max_time=1e4)
     found: list[np.ndarray] = []
-    for s in starts:
-        s = np.asarray(s, dtype=float)
-        traj = integrate(P, s, cfg)
-        res = newton_polish(P, traj.final_point)
+    for x in integrate_ensemble(P, starts, cfg).points:
+        res = newton_polish(P, x)
         if not res.converged or res.residual >= tol.NEWTON_RESIDUAL:
             continue
         rk = numerical_rank(jacobian_coords(P, res.point))
@@ -494,20 +657,14 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
     """
     X = np.array(starts, dtype=float)
     n = X.shape[0]
-    att = np.stack([a.coords if isinstance(a, AlgebraElement) else np.asarray(a)
-                    for a in attractors])
+    att = _attractor_coords(attractors)
     labels = np.full(n, -1, dtype=int)
     active = np.ones(n, dtype=bool)
 
     def check_capture() -> None:
         idx = np.flatnonzero(active)
-        if idx.size == 0:
-            return
-        d2 = np.sum((X[idx, None, :] - att[None, :, :]) ** 2, axis=-1)
-        nearest = np.argmin(d2, axis=1)
-        hit = d2[np.arange(idx.size), nearest] < capture_radius ** 2
-        labels[idx[hit]] = nearest[hit]
-        active[idx[hit]] = False
+        labels[idx] = _capture_rows(X[idx], att, capture_radius)
+        active[idx[labels[idx] >= 0]] = False
 
     check_capture()
     t = 0.0
@@ -606,40 +763,31 @@ def retract_check(D: Deformation, eps: float, n_samples: int,
     rng = np.random.default_rng(seed)
     if eps == 0.0:
         sphere = _first_sphere(D)
-        starts = [s.coords for s in sample_stratum(sphere, n_samples, rng)]
+        starts = np.stack([s.coords for s in sample_stratum(sphere, n_samples, rng)])
         # already minima: verify nothing moves
-        max_disp = 0.0
-        for s in starts:
-            traj = integrate(P, s, cfg or FlowConfig(max_time=10.0))
-            max_disp = max(max_disp, float(np.linalg.norm(traj.final_point - s)))
-        return RetractReport(len(starts), len(starts), 0, max_disp, True)
+        ens = integrate_ensemble(P, starts, cfg or FlowConfig(max_time=10.0))
+        max_disp = float(np.max(np.linalg.norm(ens.points - starts, axis=1)))
+        return RetractReport(n_samples, n_samples, 0, max_disp, True)
     attractors = find_attractors(P, 16, seed)
     cfg = cfg or FlowConfig(max_time=max(1e4, 200.0 / eps ** 2))
     sphere = _first_sphere(D)
     axis = _axis_from_attractors(attractors, sphere)
-    starts = [s.coords for s in sample_stratum(sphere, n_samples, rng)]
+    starts = np.stack([s.coords for s in sample_stratum(sphere, n_samples, rng)])
+    unit = starts / np.maximum(np.linalg.norm(starts, axis=1, keepdims=True), 1e-300)
+    in_band = np.abs(unit @ axis) <= EQUATOR_BAND
     if off_manifold > 0:
-        starts.extend(rng.normal(scale=2.0, size=(off_manifold, P.tag.dimension)))
+        starts = np.vstack([starts, rng.normal(scale=2.0,
+                                               size=(off_manifold, P.tag.dimension))])
+        in_band = np.concatenate([in_band, np.zeros(off_manifold, dtype=bool)])
+    ens = integrate_ensemble(P, starts, cfg, attractors=attractors)
     bound = 10.0 * (1.0 + max(a.norm() for a in attractors))
-    captured = 0
-    excluded = 0
-    max_increase = 0.0
-    for i, s in enumerate(starts):
-        in_band = False
-        if i < n_samples:
-            unit = s / max(np.linalg.norm(s), 1e-300)
-            in_band = abs(float(np.dot(unit, axis))) <= EQUATOR_BAND
-        traj = integrate(P, s, cfg, attractors=attractors)
-        if float(np.max(np.linalg.norm(traj.points, axis=1))) > bound:
-            raise RuntimeError("diverging trajectory: coercivity violated")
-        increase = float(np.max(traj.potentials - traj.potentials[0]))
-        max_increase = max(max_increase, increase)
-        if traj.terminal.kind == "converged" and traj.terminal.attractor_index is not None:
-            captured += 1
-        elif in_band:
-            excluded += 1
-    total = len(starts)
-    return RetractReport(total, captured, excluded, max_increase,
+    if np.any(ens.max_radius > bound):
+        raise RuntimeError("diverging trajectory: coercivity violated")
+    hit = ens.attractor_index >= 0          # a capture is a converged terminal
+    captured = int(np.sum(hit))
+    excluded = int(np.sum(~hit & in_band))
+    total = starts.shape[0]
+    return RetractReport(total, captured, excluded, float(np.max(ens.max_rise)),
                          captured + excluded == total)
 
 

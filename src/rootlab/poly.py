@@ -19,6 +19,8 @@ from . import tolerances as tol
 from .algebra import (
     AlgebraElement,
     AlgebraTag,
+    _flat_left,
+    _flat_right,
     element,
     left_matrix,
     left_matrix_fast,
@@ -196,26 +198,40 @@ def gradient_coords(P: DAPolynomial, x: np.ndarray) -> np.ndarray:
 
 def gradient_coords_batch(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
     """Potential gradient at a batch of points, shape (n, d) -> (n, d)."""
-    from .algebra import structure_tensor
+    return value_gradient_batch(P, X)[1]
+
+
+def value_gradient_batch(P: DAPolynomial, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(X) and grad V(X) at a batch of raw points, (n, d) -> two (n, d) arrays.
+
+    The recursion of ``value_gradient_fn`` transposed for row vectors, so
+    every step is one stacked matmul over the batch.  With R = right_matrix(x)
+    and L = left_matrix, x^k = x^(k-1) x reads xpow <- xpow R^T and the power
+    derivative J_k^T <- J_k^T R^T + L(x^(k-1))^T; both transposes are read
+    off the flat structure tables.  Agrees with evaluate_coords /
+    gradient_coords to rounding.
+    """
     dim = P.tag.dimension
     X = np.asarray(X, dtype=float)
-    v = evaluate_coords(P, X)
-    mats = P.left_mats()
     n = X.shape[0]
-    J = np.broadcast_to(mats[1], (n, dim, dim)).copy() if P.degree >= 1 else \
-        np.zeros((n, dim, dim))
+    rows = P.coeff_rows()
+    mats = P.left_mats()
+    if P.degree == 0:
+        return np.broadcast_to(rows[0], X.shape).copy(), np.zeros_like(X)
+    v = rows[0] + X @ mats[1].T
+    JT = mats[1].T                  # J^T = sum_k J_k^T M_k^T, stacked from k = 2
     if P.degree >= 2:
-        M = structure_tensor(dim)
-        Rx = np.einsum("nj,ijk->nki", X, M)
-        Jk = np.broadcast_to(np.eye(dim), (n, dim, dim)).copy()
+        flat_left = _flat_left(dim)
+        rxT = (X @ _flat_right(dim)).reshape(n, dim, dim)
+        JkT = rxT + (X @ flat_left).reshape(n, dim, dim)   # derivative of x^2
         xpow = X
         for k in range(2, P.degree + 1):
-            Lp = np.einsum("ni,ijk->nkj", xpow, M)
-            Jk = Rx @ Jk + Lp
-            J = J + np.matmul(mats[k], Jk)
-            if k < P.degree:
-                xpow = np.einsum("nki,ni->nk", Rx, xpow)
-    return 2.0 * np.einsum("nkj,nk->nj", J, v)
+            if k > 2:
+                JkT = JkT @ rxT + (xpow @ flat_left).reshape(n, dim, dim)
+            xpow = (xpow[:, None, :] @ rxT)[:, 0]
+            v = v + xpow @ mats[k].T
+            JT = JT + (JkT.reshape(n * dim, dim) @ mats[k].T).reshape(n, dim, dim)
+    return v, 2.0 * (JT @ v[:, :, None])[:, :, 0]
 
 
 def gradient_potential(P: DAPolynomial, x: AlgebraElement) -> np.ndarray:

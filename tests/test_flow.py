@@ -19,7 +19,15 @@ from rootlab.flow import (
     retract_check,
     scaling_fit,
 )
-from rootlab.poly import DAPolynomial, Deformation, potential
+from rootlab import tolerances as tol
+from rootlab.manifolds import numerical_rank
+from rootlab.poly import (
+    DAPolynomial,
+    Deformation,
+    jacobian_coords,
+    newton_polish,
+    potential,
+)
 
 BETA = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -211,6 +219,76 @@ def test_ensemble_labels_agree_with_adaptive_integrator():
     for i, s in enumerate(starts):
         traj = integrate(P, s, FlowConfig(max_time=1e4), attractors=att)
         assert traj.terminal.attractor_index == labels[i]
+
+
+def _sphere_and_gaussian_starts(D, seed):
+    from rootlab.manifolds import central_root_set, sample_stratum
+    rng = np.random.default_rng(seed)
+    sphere = central_root_set(D.base).strata[0]
+    on_sphere = np.stack([s.coords for s in sample_stratum(sphere, 12, rng)])
+    return np.vstack([on_sphere, rng.normal(scale=1.5, size=(4, 4))])
+
+
+@pytest.mark.parametrize("with_attractors", [True, False])
+def test_integrate_ensemble_matches_integrate(monkeypatch, with_attractors):
+    D = benchmark()
+    P = D.at(0.3)
+    starts = _sphere_and_gaussian_starts(D, 12)
+    if with_attractors:
+        att, cfg = find_attractors(P, 12, seed=12), FlowConfig(max_time=1e4)
+    else:
+        att, cfg = None, FlowConfig(stop_grad=1e-4, max_time=1e4)
+    ens = fl.integrate_ensemble(P, starts, cfg, attractors=att)
+
+    # integrate makes one value-gradient call at the start and 6 per attempt
+    calls = []
+    closure = fl.value_gradient_fn
+
+    def counting(P):
+        fn = closure(P)
+
+        def counted(x):
+            calls.append(1)
+            return fn(x)
+        return counted
+
+    monkeypatch.setattr(fl, "value_gradient_fn", counting)
+    for i, s in enumerate(starts):
+        calls.clear()
+        traj = integrate(P, s, cfg, attractors=att)
+        idx = traj.terminal.attractor_index
+        assert ens.kinds[i] == traj.terminal.kind
+        assert ens.attractor_index[i] == (-1 if idx is None else idx)
+        assert ens.steps[i] == (len(calls) - 1) // 6
+        assert ens.times[i] == pytest.approx(traj.final_time, rel=1e-8)
+        assert np.max(np.abs(ens.points[i] - traj.final_point)) < 1e-8
+        radius = np.max(np.linalg.norm(traj.points, axis=1))
+        assert abs(ens.max_radius[i] - radius) < 1e-8
+        rise = np.max(traj.potentials - traj.potentials[0])
+        assert abs(ens.max_rise[i] - rise) < 1e-12
+    if with_attractors:
+        assert set(ens.attractor_index) == {0, 1}
+
+
+def test_attractors_from_starts_matches_per_start_loop():
+    D = benchmark()
+    P = D.at(0.3)
+    starts = _sphere_and_gaussian_starts(D, 13)
+    cfg = FlowConfig(stop_grad=1e-4, max_time=1e4)
+    ref = []
+    for s in starts:
+        res = newton_polish(P, integrate(P, s, cfg).final_point)
+        if not res.converged or res.residual >= tol.NEWTON_RESIDUAL:
+            continue
+        if numerical_rank(jacobian_coords(P, res.point)).rank < P.tag.dimension:
+            continue
+        if all(np.linalg.norm(res.point - q) > tol.ATTRACTOR_DEDUP for q in ref):
+            ref.append(res.point)
+    ref.sort(key=lambda p: tuple(np.round(p, 9)))
+    got = fl.attractors_from_starts(P, starts)
+    assert len(got) == len(ref) == 2
+    for a, r in zip(got, ref):
+        assert np.max(np.abs(a.coords - r)) < 1e-12
 
 
 def test_retract_check_captures_everything():

@@ -8,6 +8,7 @@ from rootlab.algebra import (
     COMPLEX,
     OCTONIONS,
     QUATERNIONS,
+    REALS,
     basis_element,
     element,
     random_element,
@@ -163,15 +164,24 @@ def poly_canonical_direction(tag=QUATERNIONS):
 
 
 def test_value_gradient_closure_consistency():
+    # the single-point closure and the batched kernel against the reference
+    # evaluate_coords / gradient_coords, over every algebra and degrees 1-4
     rng = np.random.default_rng(4)
-    for tag in (QUATERNIONS, OCTONIONS):
-        P = DAPolynomial(tag, tuple(random_element(tag, rng) for _ in range(5)))
-        fn = value_gradient_fn(P)
-        for _ in range(25):
-            x = rng.normal(size=tag.dimension)
-            v, g = fn(x)
-            assert np.allclose(v, pl.evaluate_coords(P, x), atol=1e-11)
-            assert np.allclose(g, pl.gradient_coords(P, x), atol=1e-10)
+    for tag in (REALS, COMPLEX, QUATERNIONS, OCTONIONS):
+        for degree in range(1, 5):
+            P = DAPolynomial(tag, tuple(random_element(tag, rng)
+                                        for _ in range(degree + 1)))
+            X = rng.normal(size=(25, tag.dimension))
+            ref_v = pl.evaluate_coords(P, X)
+            ref_g = np.stack([pl.gradient_coords(P, x) for x in X])
+            fn = value_gradient_fn(P)
+            closure = [fn(x) for x in X]
+            batch_v, batch_g = pl.value_gradient_batch(P, X)
+            for v, g in ((np.stack([c[0] for c in closure]),
+                          np.stack([c[1] for c in closure])), (batch_v, batch_g)):
+                assert np.allclose(v, ref_v, rtol=1e-12, atol=1e-11)
+                assert np.allclose(g, ref_g, rtol=1e-12, atol=1e-10)
+            assert np.array_equal(pl.gradient_coords_batch(P, X), batch_g)
 
 
 def test_right_divide_central_examples():
