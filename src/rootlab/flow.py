@@ -1,11 +1,13 @@
 """Gradient flow on the potential landscape and collapse measurements.
 
-The flow x' = -grad ||P(x)||^2 is integrated with an embedded
-Dormand-Prince 5(4) pair; the potential is enforced to be non-increasing
-along accepted steps.  ``integrate`` follows one trajectory and keeps its
-samples; ``integrate_ensemble`` steps a whole start set in lockstep with
-the same guards, one batched value-and-gradient call per stage, and is
-what multistart attractor search and the retract check run on.  On top of
+The flow x' = -grad ||P(x)||^2 is integrated with the potential enforced
+to be non-increasing along accepted steps.  ``integrate`` follows one
+trajectory and keeps its samples; it is the linearly implicit W-method
+ROS34PW2, whose step is set by accuracy alone, not by the fast radial decay
+onto the root set, and collapse times run on it.  ``integrate_ensemble``
+steps a whole start set in lockstep with an embedded Dormand-Prince 5(4)
+pair, one batched value-and-gradient call per stage; multistart attractor
+search and the retract check run on it.  On top of
 the integrators: multistart attractor search with Newton polishing,
 collapse-time measurement from a fixed geodesic start angle, the log-log
 scaling fit of collapse time against perturbation size, basin
@@ -71,12 +73,26 @@ class Terminal:
     detail: str = ""
 
 
+@dataclass(frozen=True)
+class StepStats:
+    """Deterministic effort counters of one ``integrate`` run."""
+
+    accepted: int                  # accepted steps
+    rejected: int                  # steps rejected by the error test
+    lyapunov_rejections: int       # accurate steps rejected for raising V
+    rhs_evals: int                 # value-and-gradient evaluations
+    factorizations: int            # W-matrix factorizations (SVDs of J)
+    h_min: float                   # smallest and largest accepted step
+    h_max: float
+
+
 @dataclass
 class Trajectory:
     times: np.ndarray
     points: np.ndarray             # (n, d)
     potentials: np.ndarray
     terminal: Terminal
+    stats: StepStats | None = None
 
     @property
     def final_point(self) -> np.ndarray:
@@ -87,8 +103,7 @@ class Trajectory:
         return float(self.times[-1])
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau; row 6 of _DP_A is the 5th-order solution
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -98,29 +113,51 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+
+# ROS34PW2 (Rang & Angermann, BIT 45, 2005): L-stable, stiffly accurate
+# W-method of order 3 for any W, embedded order 2.  Transformed form of
+# Hairer & Wanner, Solving ODEs II (IV.7.25), with no Jacobian products:
+#   W u_i = h g f(y + sum_j a_ij u_j) + g sum_j c_ij u_j,  W = I - h g f'
+_W_G = 0.43586652150845900
+_W_ALPHA = np.array([[0.0, 0.0, 0.0, 0.0],
+                     [0.87173304301691801, 0.0, 0.0, 0.0],
+                     [0.84457060015369423, -0.11299064236484185, 0.0, 0.0],
+                     [0.0, 0.0, 1.0, 0.0]])
+_W_GAMMA = np.array([[_W_G, 0.0, 0.0, 0.0],
+                     [-0.87173304301691801, _W_G, 0.0, 0.0],
+                     [-0.90338057013044082, 0.054180672388095326, _W_G, 0.0],
+                     [0.24212380706095346, -1.2232505839045147, 0.54526025533510214,
+                      _W_G]])
+_W_B = np.array([0.24212380706095346, -1.2232505839045147, 1.5452602553351020, _W_G])
+_W_BHAT = np.array([0.37810903145819369, -0.096042292212423178, 0.5,
+                    0.21793326075422950])
+_W_N = _W_GAMMA / _W_G - np.eye(4)            # strictly lower, so N^4 = 0
+_W_GINV = (np.eye(4) - _W_N + _W_N @ _W_N - _W_N @ _W_N @ _W_N) / _W_G
+_W_A = _W_ALPHA @ _W_GINV
+_W_C = np.eye(4) / _W_G - _W_GINV
+_W_M = _W_B @ _W_GINV
+_W_E = (_W_B - _W_BHAT) @ _W_GINV
 
 
 def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
               attractors=None) -> Trajectory:
-    """Integrate the gradient flow from x0.
+    """Integrate the gradient flow from x0 with the ROS34PW2 W-method.
 
-    Stops when the gradient norm drops below ``cfg.stop_grad``, when the
-    state enters ``cfg.stop_radius`` of one of the supplied attractors, or
-    at ``cfg.max_time``.  Accepted steps keep the potential non-increasing
-    (up to a relative slack); repeated failures report a stalled terminal.
+    W = I + h g 2 J^T J, with J the Jacobian of P at the step's start, is
+    inverted through one SVD of J per start.  Stops when the gradient norm
+    drops below ``cfg.stop_grad``, at the crossing into ``cfg.stop_radius``
+    of one of the supplied attractors (located on the step's Hermite
+    interpolant), or at ``cfg.max_time``.  Accepted steps keep the potential
+    non-increasing (up to a relative slack); repeated failures report a
+    stalled terminal.
     """
     cfg = cfg or FlowConfig()
     y = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
     att = _attractor_coords(attractors)
 
     val_grad = value_gradient_fn(P)
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        return -val_grad(v)[1]
-
     t = 0.0
     pv, g = val_grad(y)
     f = -g
@@ -137,16 +174,15 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     if gnorm < cfg.stop_grad or idx is not None:
         terminal = Terminal("converged", idx, "stopped at start")
     h = float(_initial_step(np.linalg.norm(y), gnorm))
-    n_stages = 7
-    k = np.zeros((n_stages, y.size))
-    steps = 0
-    accepted = 0
+    u = np.zeros((4, y.size))
+    gn_eig = None                   # eigenvalues of 2 J^T J at y, kept over retries
+    steps = accepted = lyapunov_rejections = factorizations = 0
+    n_rhs = 1
     lyapunov_fails = 0
     plateau = 0
     v_plateau_start = v0
     just_rejected = False
-    h_limit = np.inf                # stability limiter learned from rejections
-    since_reject = 0
+    h_min, h_max = math.inf, 0.0
     while terminal is None:
         if steps >= cfg.max_steps:
             terminal = Terminal("max_time", None, "step budget exhausted")
@@ -155,22 +191,27 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
             terminal = Terminal("max_time", None, "")
             break
         h = min(h, cfg.max_time - t)
-        k[0] = f
-        for i in range(1, n_stages - 1):
-            yi = y + h * (_DP_A[i] @ k[:i])
-            k[i] = rhs(yi)
-        y5 = y + h * (_DP_A[6] @ k[:6])       # 5th-order solution (FSAL pair)
-        pv_new, g_new = val_grad(y5)
-        k[6] = -g_new
-        y4 = y + h * (_DP_B4 @ k)
-        err = y5 - y4
-        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err_norm = float(np.sqrt(np.mean((err / sc) ** 2)))
+        if gn_eig is None:
+            _, sv, vt = np.linalg.svd(jacobian_coords(P, y))
+            gn_eig = 2.0 * sv * sv      # 2 J^T J = vt.T diag(gn_eig) vt
+            factorizations += 1
+        w_inv = (vt.T / (1.0 + (h * _W_G) * gn_eig)) @ vt
+        u[0] = w_inv @ ((h * _W_G) * f)
+        for i in range(1, 4):
+            gi = val_grad(y + _W_A[i, :i] @ u[:i])[1]
+            u[i] = w_inv @ (_W_G * (_W_C[i, :i] @ u[:i]) - (h * _W_G) * gi)
+        n_rhs += 3
+        y_new = y + _W_M @ u
+        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = float(np.sqrt(np.mean((_W_E @ u / sc) ** 2)))
         steps += 1
         if err_norm <= 1.0:
+            pv_new, g_new = val_grad(y_new)
+            n_rhs += 1
             v_new = float(pv_new @ pv_new)
             if v_new > v_prev + slack:
                 # accuracy says fine but the Lyapunov property failed: shrink
+                lyapunov_rejections += 1
                 lyapunov_fails += 1
                 h *= 0.5
                 just_rejected = True
@@ -180,26 +221,38 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
                     break
                 continue
             lyapunov_fails = 0
-            # plateau guard: along the flow dV/dt = -|grad V|^2, so accepted
-            # steps that stop delivering a fraction of h |g|^2 while V no
-            # longer moves have hit the integrator's accuracy floor
-            if v_prev - v_new < 0.25 * h * gnorm * gnorm:
+            # plateau guard: on a convex quadratic, a step scaling each
+            # Hessian eigendirection by R (exact flow: 0 < R < 1; this
+            # method: R >= -0.131) drops V by at least (1 + R) / 2 of the
+            # first-order drop f.dy; steps giving under a quarter of it
+            # while V no longer moves are at the accuracy floor
+            if v_prev - v_new < 0.25 * float(f @ (y_new - y)):
                 if plateau == 0:
                     v_plateau_start = v_prev
                 plateau += 1
             else:
                 plateau = 0
-            t += h
-            y = y5
-            f = k[6]                           # FSAL: stage 7 is rhs(y5)
-            v_prev = v_new
             accepted += 1
+            h_min, h_max = min(h_min, h), max(h_max, h)
+            dt = h
+            idx = _capture_index(y_new, att, cfg.stop_radius)
+            if idx is not None:
+                theta, y_new = _hermite_crossing(y, f, y_new, -g_new, h, att[idx],
+                                                 cfg.stop_radius)
+                dt = theta * h
+                pv_new, g_new = val_grad(y_new)
+                n_rhs += 1
+                v_new = float(pv_new @ pv_new)
+            t += dt
+            y = y_new
+            f = -g_new
+            v_prev = v_new
+            gn_eig = None
             if accepted % cfg.record_every == 0:
                 times.append(t)
                 points.append(y.copy())
                 pots.append(v_new)
             gnorm = float(np.linalg.norm(f))
-            idx = _capture_index(y, att, cfg.stop_radius)
             if idx is not None:
                 terminal = Terminal("converged", idx, "captured")
                 break
@@ -211,19 +264,13 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
                     terminal = Terminal("converged", None, "potential plateau")
                     break
                 plateau = 0
-            grow = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
+            grow = 0.9 * err_norm ** (-1 / 3) if err_norm > 0 else 5.0
             if just_rejected:
                 grow = min(grow, 1.0)
                 just_rejected = False
-            # two-rate limiter recovery: crawl near a live stability bound,
-            # recover quickly once the stiff transient has passed
-            since_reject += 1
-            h_limit *= 1.05 if since_reject > 40 else 1.002
-            h = min(h * min(5.0, max(0.2, grow)), h_limit)
+            h *= min(5.0, max(0.2, grow))
         else:
-            h_limit = 0.9 * h
-            since_reject = 0
-            h *= max(0.2, 0.9 * err_norm ** -0.2)
+            h *= max(0.2, 0.9 * err_norm ** (-1 / 3))
             just_rejected = True
             if h < 1e-16:
                 terminal = Terminal("stalled", None, "step underflow")
@@ -232,7 +279,11 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
         times.append(t)
         points.append(y.copy())
         pots.append(v_prev)
-    return Trajectory(np.asarray(times), np.stack(points), np.asarray(pots), terminal)
+    stats = StepStats(accepted, steps - accepted - lyapunov_rejections,
+                      lyapunov_rejections, n_rhs, factorizations,
+                      h_min if accepted else 0.0, h_max)
+    return Trajectory(np.asarray(times), np.stack(points), np.asarray(pots), terminal,
+                      stats)
 
 
 def _attractor_coords(attractors) -> np.ndarray | None:
@@ -248,6 +299,32 @@ def _capture_index(y: np.ndarray, att: np.ndarray | None, radius: float):
     d2 = np.sum((att - y) ** 2, axis=1)
     i = int(np.argmin(d2))
     return i if d2[i] < radius * radius else None
+
+
+def _hermite_crossing(y0, f0, y1, f1, h: float, a: np.ndarray, radius: float):
+    """Where a step's cubic Hermite interpolant first enters the ball.
+
+    The step goes from y0 (outside the ball of ``radius`` about ``a``) to
+    y1 (inside) in time h, with flow f0 and f1 at its ends.  Returns the
+    fraction theta of the step at the first crossing and the point there.
+    """
+    c = (y0 - a, h * f0, 3.0 * (y1 - y0) - h * (2.0 * f0 + f1),
+         2.0 * (y0 - y1) + h * (f0 + f1))    # H(theta) - a, powers of theta
+
+    def offset(theta):
+        return ((c[3] * theta + c[2]) * theta + c[1]) * theta + c[0]
+
+    def inside(theta):
+        return np.sum(offset(theta) ** 2, axis=-1) < radius ** 2
+    grid = np.linspace(0.0, 1.0, 33)
+    flags = inside(grid[:, None])
+    flags[-1] = True                                   # y1 is inside
+    k = int(np.argmax(flags))
+    lo, hi = grid[max(k - 1, 0)], grid[k]
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if inside(mid) else (mid, hi)
+    return hi, offset(hi) + a
 
 
 def _capture_rows(Y: np.ndarray, att: np.ndarray | None, radius: float) -> np.ndarray:
@@ -288,12 +365,12 @@ def integrate_ensemble(P: DAPolynomial, X0, cfg: FlowConfig | None = None,
                        attractors=None) -> EnsembleResult:
     """Integrate the gradient flow from every row of X0 in lockstep.
 
-    Each row follows ``integrate`` step for step: the same Dormand-Prince
-    pair, error control, two-rate stability limiter, Lyapunov and plateau
-    guards and stop tests, all with per-row state.  One batched
-    value-and-gradient call evaluates a stage for every row still running,
-    and a row leaves the batch at its terminal state.  ``integrate`` stays
-    the path for a single trajectory whose samples are wanted.
+    Each row takes Dormand-Prince 5(4) steps with error control, a two-rate
+    stability limiter, Lyapunov and plateau guards and the stop tests of
+    ``integrate``, all with per-row state.  One batched value-and-gradient
+    call evaluates a stage for every row still running, and a row leaves
+    the batch at its terminal state.  ``integrate`` stays the path for a
+    single trajectory whose samples are wanted.
     """
     cfg = cfg or FlowConfig()
     Y = np.array(X0, dtype=float)
@@ -369,7 +446,8 @@ def integrate_ensemble(P: DAPolynomial, X0, cfg: FlowConfig | None = None,
         kind[lyapunov & ((h < 1e-14 * np.maximum(1.0, live.t))
                          | (live.lyapunov_fails > 60))] = _STALLED
 
-        # accepted steps: plateau guard as in integrate, then the stop tests
+        # accepted steps: plateau guard (steps that stop delivering a
+        # quarter of h |g|^2 while V no longer moves), then the stop tests
         slow = ok & (live.v - v_new < 0.25 * h * live.gnorm * live.gnorm)
         live.v_plateau_start = np.where(slow & (live.plateau == 0), live.v,
                                         live.v_plateau_start)
@@ -519,6 +597,7 @@ class CollapseSample:
     censored: bool
     attractor: AlgebraElement | None
     start: np.ndarray
+    stats: StepStats
 
 
 def collapse_time(D: Deformation, eps: float, cfg: FlowConfig | None = None,
@@ -527,8 +606,10 @@ def collapse_time(D: Deformation, eps: float, cfg: FlowConfig | None = None,
 
     The attracting axis is located as the restricted-potential minimizer
     over stratum samples; the start sits at angle phi0 from it along a
-    deterministic transverse direction.  Collapse time is the first
-    integration time within ``cfg.stop_radius`` of the nearest attractor.
+    deterministic transverse direction.  Collapse time is the time at which
+    the trajectory crosses into ``cfg.stop_radius`` of an attractor, located
+    on the capturing step's interpolant, so it does not depend on where the
+    steps fall.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -552,7 +633,7 @@ def collapse_time(D: Deformation, eps: float, cfg: FlowConfig | None = None,
     censored = traj.terminal.kind != "converged"
     idx = traj.terminal.attractor_index
     att = attractors[idx] if idx is not None else None
-    return CollapseSample(eps, traj.final_time, censored, att, x0)
+    return CollapseSample(eps, traj.final_time, censored, att, x0, traj.stats)
 
 
 @dataclass(frozen=True)
@@ -563,16 +644,21 @@ class CollapseMeasurement:
     fit_slope: float
     fit_intercept: float
     r_squared: float
+    steps: np.ndarray              # accepted integrator steps per epsilon
+    rhs_evals: np.ndarray          # value-and-gradient evaluations per epsilon
 
 
-def _collapse_worker(payload) -> tuple[float, float, bool]:
+def _collapse_row(s: CollapseSample) -> tuple[float, float, bool, int, int]:
+    return s.epsilon, s.time, s.censored, s.stats.accepted, s.stats.rhs_evals
+
+
+def _collapse_worker(payload) -> tuple[float, float, bool, int, int]:
     dim, base_rows, dir_rows, eps, seed, cfg_fields = payload
     tag = AlgebraTag(dim)
     D = Deformation(DAPolynomial.from_coords(tag, base_rows),
                     DAPolynomial.from_coords(tag, dir_rows))
     cfg = FlowConfig(**cfg_fields) if cfg_fields else None
-    s = collapse_time(D, eps, cfg, seed)
-    return s.epsilon, s.time, s.censored
+    return _collapse_row(collapse_time(D, eps, cfg, seed))
 
 
 def measure_collapse(D: Deformation, epsilons, cfg: FlowConfig | None = None,
@@ -597,17 +683,15 @@ def measure_collapse(D: Deformation, epsilons, cfg: FlowConfig | None = None,
                     for e in eps]          # ascending eps: slowest job first
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_collapse_worker, payloads))
-        by_eps = {r[0]: r for r in rows}
-        times = np.array([by_eps[float(e)][1] for e in eps])
-        censored = np.array([by_eps[float(e)][2] for e in eps])
     else:
-        samples = [collapse_time(D, e, cfg, seed) for e in eps]
-        times = np.array([s.time for s in samples])
-        censored = np.array([s.censored for s in samples])
+        rows = [_collapse_row(collapse_time(D, e, cfg, seed)) for e in eps]
+    by_eps = {r[0]: r for r in rows}
+    _, times, censored, steps, rhs = (np.array(col) for col in
+                                      zip(*(by_eps[float(e)] for e in eps)))
     if np.any(censored):
         warnings.warn("censored collapse measurements excluded from fit")
     slope, intercept, r2 = scaling_fit(eps[~censored], times[~censored])
-    return CollapseMeasurement(eps, times, censored, slope, intercept, r2)
+    return CollapseMeasurement(eps, times, censored, slope, intercept, r2, steps, rhs)
 
 
 def scaling_fit(epsilons, times) -> tuple[float, float, float]:

@@ -2,6 +2,7 @@
 
 import json
 
+import dp_oracle
 import numpy as np
 import pytest
 
@@ -150,6 +151,83 @@ def test_collapse_time_insensitive_to_tolerances():
     assert tight.time == pytest.approx(loose.time, rel=1e-3)
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.05])
+def test_collapse_time_matches_dormand_prince_oracle(eps):
+    D = benchmark()
+    got = collapse_time(D, eps, seed=3)
+    assert not got.censored
+    assert got.time == pytest.approx(dp_oracle.located_collapse_time(D, eps, 3),
+                                     rel=1e-5)
+
+
+def test_collapse_integrator_is_not_stability_bound():
+    # at c08-quick's smallest eps an explicit pair needs about 45k steps,
+    # held at h ~ 0.4 by the fast radial decay
+    s = collapse_time(benchmark(), 0.01, seed=1)
+    assert not s.censored
+    assert s.stats.accepted <= 6000
+    assert s.stats.h_max > 2.0             # explicit pair: h <= 0.4
+
+
+def _counting(value_gradient_fn, calls):
+    """A value_gradient_fn whose closures append to ``calls`` on each call."""
+    def factory(P):
+        fn = value_gradient_fn(P)
+
+        def counted(x):
+            calls.append(1)
+            return fn(x)
+        return counted
+    return factory
+
+
+def test_integrate_counters_count(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fl, "value_gradient_fn", _counting(fl.value_gradient_fn, calls))
+    P = canonical()
+    traj = integrate(P, element(QUATERNIONS, [0.5, -0.8, 1.1, 0.3]),
+                     FlowConfig(max_time=1e3))
+    st = traj.stats
+    assert st.rhs_evals == len(calls)
+    assert traj.terminal.detail == "gradient below threshold"
+    assert st.factorizations == st.accepted          # one per step start
+    # one call at the start, three stages per attempt, one per accurate step
+    attempts = st.accepted + st.rejected + st.lyapunov_rejections
+    assert st.rhs_evals == 1 + 3 * attempts + st.accepted + st.lyapunov_rejections
+    assert traj.times.size == st.accepted + 1
+    assert 0.0 < st.h_min <= st.h_max
+
+
+def test_hermite_crossing_exact_on_cubic_paths():
+    # a cubic path is its own Hermite interpolant, so the located crossing
+    # of |y(s)| = r is exact whatever the step
+    def y(s):
+        return np.array([2.0 - s ** 3 / 4.0, 0.1 * s])
+
+    def f(s):
+        return np.array([-3.0 * s ** 2 / 4.0, 0.1])
+
+    for h in (0.4, 0.7, 1.0):
+        theta, point = fl._hermite_crossing(y(1.0), f(1.0), y(1.0 + h), f(1.0 + h),
+                                            h, np.zeros(2), 1.5)
+        s_cross = 1.0 + theta * h
+        assert np.linalg.norm(y(s_cross)) == pytest.approx(1.5, rel=1e-12)
+        assert np.allclose(point, y(s_cross), rtol=1e-12)
+
+
+def test_measure_collapse_pool_matches_serial():
+    D = benchmark()
+    eps = np.geomspace(0.02, 0.2, 4)
+    serial = measure_collapse(D, eps, seed=5, workers=1)
+    pooled = measure_collapse(D, eps, seed=5, workers=2)
+    assert np.array_equal(serial.times, pooled.times)
+    assert np.array_equal(serial.censored, pooled.censored)
+    assert np.array_equal(serial.steps, pooled.steps)
+    assert np.array_equal(serial.rhs_evals, pooled.rhs_evals)
+    assert serial.fit_slope == pooled.fit_slope
+    assert serial.r_squared == pooled.r_squared
+
+
 def test_scaling_fit_synthetic():
     eps = np.geomspace(0.01, 0.1, 5)
     slope, intercept, r2 = scaling_fit(eps, 3.0 / eps ** 2)
@@ -240,22 +318,14 @@ def test_integrate_ensemble_matches_integrate(monkeypatch, with_attractors):
         att, cfg = None, FlowConfig(stop_grad=1e-4, max_time=1e4)
     ens = fl.integrate_ensemble(P, starts, cfg, attractors=att)
 
-    # integrate makes one value-gradient call at the start and 6 per attempt
+    # the Dormand-Prince oracle makes one value-gradient call at the start
+    # and 6 per attempt
     calls = []
-    closure = fl.value_gradient_fn
-
-    def counting(P):
-        fn = closure(P)
-
-        def counted(x):
-            calls.append(1)
-            return fn(x)
-        return counted
-
-    monkeypatch.setattr(fl, "value_gradient_fn", counting)
+    monkeypatch.setattr(dp_oracle, "value_gradient_fn",
+                        _counting(dp_oracle.value_gradient_fn, calls))
     for i, s in enumerate(starts):
         calls.clear()
-        traj = integrate(P, s, cfg, attractors=att)
+        traj = dp_oracle.integrate(P, s, cfg, attractors=att)
         idx = traj.terminal.attractor_index
         assert ens.kinds[i] == traj.terminal.kind
         assert ens.attractor_index[i] == (-1 if idx is None else idx)
@@ -277,7 +347,7 @@ def test_attractors_from_starts_matches_per_start_loop():
     cfg = FlowConfig(stop_grad=1e-4, max_time=1e4)
     ref = []
     for s in starts:
-        res = newton_polish(P, integrate(P, s, cfg).final_point)
+        res = newton_polish(P, dp_oracle.integrate(P, s, cfg).final_point)
         if not res.converged or res.residual >= tol.NEWTON_RESIDUAL:
             continue
         if numerical_rank(jacobian_coords(P, res.point)).rank < P.tag.dimension:
