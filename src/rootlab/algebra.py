@@ -42,10 +42,6 @@ class AlgebraTag:
                 f"dimension must be one of {_DIMENSIONS}, got {self.dimension}"
             )
 
-    @property
-    def imaginary_dimension(self) -> int:
-        return self.dimension - 1
-
     def __str__(self) -> str:
         return _TAG_NAMES[self.dimension]
 
@@ -122,12 +118,12 @@ def _flat_right(dim: int) -> np.ndarray:
     return m
 
 
-def left_matrix_fast(dim: int, z: np.ndarray) -> np.ndarray:
-    return (z @ _flat_left(dim)).reshape(dim, dim).T
-
-
-def right_matrix_fast(dim: int, z: np.ndarray) -> np.ndarray:
-    return (z @ _flat_right(dim)).reshape(dim, dim).T
+@lru_cache(maxsize=None)
+def _flat_right_plus_left(dim: int) -> np.ndarray:
+    # x @ _flat_right_plus_left gives (right_matrix(x) + left_matrix(x)).T flattened
+    m = _flat_right(dim) + _flat_left(dim)
+    m.flags.writeable = False
+    return m
 
 
 def left_matrix(dim: int, z: np.ndarray) -> np.ndarray:
@@ -254,14 +250,6 @@ def random_unit(tag: AlgebraTag, rng: np.random.Generator) -> AlgebraElement:
     return AlgebraElement(tag, v / np.linalg.norm(v))
 
 
-def random_unit_imaginary(tag: AlgebraTag, rng: np.random.Generator) -> AlgebraElement:
-    if tag.dimension < 2:
-        raise ValueError("reals have no imaginary directions")
-    v = np.zeros(tag.dimension)
-    v[1:] = rng.normal(size=tag.dimension - 1)
-    return AlgebraElement(tag, v / np.linalg.norm(v))
-
-
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Algebra product; bilinear, norm-multiplicative, associative for d <= 4."""
     x._check_tag(y)
@@ -323,14 +311,6 @@ class LinearMap:
         if x.tag != self.tag:
             raise ValueError(f"algebra mismatch: {self.tag} vs {x.tag}")
         return AlgebraElement(self.tag, self.matrix @ x.coords)
-
-    def apply_coords(self, coords: np.ndarray) -> np.ndarray:
-        return coords @ self.matrix.T
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        if other.tag != self.tag:
-            raise ValueError("algebra mismatch in composition")
-        return LinearMap(self.tag, self.matrix @ other.matrix)
 
     def unit_residual(self) -> float:
         e0 = np.zeros(self.tag.dimension)

@@ -4,7 +4,8 @@ Every subcommand reads a flat JSON config (flags override file values),
 runs one experiment, and writes CSV/JSON artifacts atomically into the
 output directory.  Outputs embed the effective config and are
 byte-identical for identical config and seed.  ``claims`` runs the full
-acceptance battery and exits nonzero when any claim fails.
+acceptance battery and exits nonzero when any claim fails; its wall-clock
+times go to ``timings.json``, the one artifact outside that contract.
 
 Range syntax for sweeps: ``lo:hi:logN`` (geometric) or ``lo:hi:linN``.
 Polynomials are JSON arrays of coordinate arrays indexed by exponent,
@@ -204,9 +205,12 @@ def cmd_breathe(args) -> int:
                                 float(cfg["dt"]))
     rep = dyn.detect_boundaries(tr)
     out = out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    dyn.trace_to_csv(tr, out / "breathe-trace.csv.tmp")
-    _finalize_csv_with_config(out / "breathe-trace.csv", cfg)
+    rows = [
+        f"{tr.times[i]:.12g},{tr.a[i]:.12g},{tr.b[i]:.12g},{tr.delta[i]:.12g},"
+        f"{tr.r_inner[i]:.12g},{tr.r_outer[i]:.12g},{tr.gap[i]:.12g},{int(tr.valid[i])}"
+        for i in range(tr.times.size)
+    ]
+    write_csv(out / "breathe-trace.csv", cfg, "t,a,b,delta,r_inner,r_outer,gap,valid", rows)
     payload = {
         "delta_crossings": [
             {"t": e.t_c, "kind": e.kind, "delta_dot": e.delta_dot}
@@ -219,13 +223,6 @@ def cmd_breathe(args) -> int:
     write_json(out / "breathe-boundaries.json", cfg, payload)
     print(json.dumps(payload, indent=2))
     return 0
-
-
-def _finalize_csv_with_config(path: Path, cfg: dict) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    body = tmp.read_text()
-    tmp.unlink()
-    atomic_write(path, "# config: " + json.dumps(cfg, sort_keys=True) + "\n" + body)
 
 
 def cmd_spectra(args) -> int:
@@ -407,8 +404,12 @@ def cmd_claims(args) -> int:
     quick = bool(cfg.get("quick"))
     only = cfg["only"].split(",") if cfg.get("only") else None
     results = cl.run_claims(quick=quick, seed=int(cfg["seed"]), only=only)
-    payload = {r.claim_id: r.as_dict() for r in results}
-    write_json(out_dir(args) / "claims.json", cfg, payload)
+    out = out_dir(args)
+    write_json(out / "claims.json", cfg, {r.claim_id: r.as_dict() for r in results})
+    # wall-clock times vary run to run, so they stay out of claims.json
+    write_json(out / "timings.json", cfg, {r.claim_id: {
+        "seconds": round(r.seconds, 3), "budget_seconds": r.budget_seconds,
+        "headroom": round(1.0 - r.seconds / r.budget_seconds, 3)} for r in results})
     n_fail = 0
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

@@ -399,23 +399,3 @@ def spectral_peaks(result: PsdResult, f1: float,
         entries.append(PeakEntry(label, float(f), float(result.freqs[i]), p, db,
                                  bool(db >= PEAK_DB)))
     return SpectralPeakReport(tuple(entries), floor)
-
-
-def trace_to_csv(trace: BreathingTrace, path) -> None:
-    rows = ["t,a,b,delta,r_inner,r_outer,gap,valid"]
-    for i in range(trace.times.size):
-        rows.append(
-            f"{trace.times[i]:.12g},{trace.a[i]:.12g},{trace.b[i]:.12g},"
-            f"{trace.delta[i]:.12g},{trace.r_inner[i]:.12g},"
-            f"{trace.r_outer[i]:.12g},{trace.gap[i]:.12g},{int(trace.valid[i])}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-
-
-def psd_to_csv(result: PsdResult, path) -> None:
-    rows = ["freq_hz,power"]
-    for f, p in zip(result.freqs, result.power):
-        rows.append(f"{f:.12g},{p:.12g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")

@@ -17,7 +17,6 @@ retract check that every started trajectory is captured by an attractor.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import warnings
@@ -873,26 +872,3 @@ def retract_check(D: Deformation, eps: float, n_samples: int,
     total = starts.shape[0]
     return RetractReport(total, captured, excluded, float(np.max(ens.max_rise)),
                          captured + excluded == total)
-
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    d = traj.points.shape[1]
-    header = "t," + ",".join(f"x{i}" for i in range(d)) + ",V"
-    rows = [header]
-    for t, x, v in zip(traj.times, traj.points, traj.potentials):
-        rows.append(f"{t:.12g}," + ",".join(f"{c:.12g}" for c in x) + f",{v:.12g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-
-
-def measurement_to_json(m: CollapseMeasurement, path) -> None:
-    payload = {
-        "epsilons": [float(e) for e in m.epsilons],
-        "times": [float(t) for t in m.times],
-        "slope": m.fit_slope,
-        "intercept": m.fit_intercept,
-        "r2": m.r_squared,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

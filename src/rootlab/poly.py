@@ -2,10 +2,13 @@
 
 A polynomial is a coefficient list indexed by exponent, evaluated as
 ``P(x) = sum_k a_k x^k`` with powers bracketed left-to-right (well defined
-by power-associativity).  On top of evaluation the module provides the
-potential ``V(x) = ||P(x)||^2`` with its exact gradient and Jacobian, right
-division by central monic quadratics, localization of isolated roots into
-the coefficient subalgebra, and Newton polishing of approximate roots.
+by power-associativity).  One batched kernel computes P, and on request the
+gradient of the potential ``V(x) = ||P(x)||^2`` and the exact Jacobian, at
+any leading batch shape, a single point included; the public value,
+potential, gradient and Jacobian functions are thin entries into it.  On
+top of evaluation the module provides right division by central monic
+quadratics, localization of isolated roots into the coefficient
+subalgebra, and Newton polishing of approximate roots.
 """
 
 from __future__ import annotations
@@ -21,27 +24,25 @@ from .algebra import (
     AlgebraTag,
     _flat_left,
     _flat_right,
+    _flat_right_plus_left,
     element,
-    left_matrix,
-    left_matrix_fast,
     multiply,
     multiply_coords,
     real_element,
-    right_matrix,
-    right_matrix_fast,
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DAPolynomial:
     """Left-coefficient polynomial over a tagged algebra (index = exponent)."""
 
     tag: AlgebraTag
     coefficients: tuple[AlgebraElement, ...]
 
-    _coeff_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _left_mats: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _fast_eval: object = field(default=None, repr=False, compare=False)
+    # read-only tables of the kernel: coefficient rows and the stacked
+    # matrices of v -> a_k v, transposed to act on row vectors
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _left_T: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coeffs = tuple(self.coefficients)
@@ -54,7 +55,15 @@ class DAPolynomial:
         last = len(coeffs) - 1
         while last > 0 and coeffs[last].is_zero():
             last -= 1
-        object.__setattr__(self, "coefficients", coeffs[: last + 1])
+        coeffs = coeffs[: last + 1]
+        dim = self.tag.dimension
+        rows = np.stack([c.coords for c in coeffs])
+        left_T = (rows @ _flat_left(dim)).reshape(-1, dim, dim)
+        rows.flags.writeable = False
+        left_T.flags.writeable = False
+        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_left_T", left_T)
 
     @classmethod
     def from_coords(cls, tag: AlgebraTag, rows) -> "DAPolynomial":
@@ -91,20 +100,6 @@ class DAPolynomial:
             g = math.gcd(g, k)
         return g
 
-    def coeff_rows(self) -> np.ndarray:
-        if self._coeff_rows is None:
-            rows = np.stack([c.coords for c in self.coefficients])
-            object.__setattr__(self, "_coeff_rows", rows)
-        return self._coeff_rows
-
-    def left_mats(self) -> np.ndarray:
-        # stacked matrices of v -> a_k v, one slice per coefficient
-        if self._left_mats is None:
-            dim = self.tag.dimension
-            mats = np.stack([left_matrix(dim, c.coords) for c in self.coefficients])
-            object.__setattr__(self, "_left_mats", mats)
-        return self._left_mats
-
     def max_coeff_norm(self) -> float:
         return float(max(np.linalg.norm(c.coords) for c in self.coefficients))
 
@@ -122,21 +117,60 @@ class DAPolynomial:
         return f"DAPolynomial({self.tag}, degree={self.degree})"
 
 
-def evaluate_coords(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
-    """P at a batch of raw coordinate points (leading axes broadcast)."""
-    dim = P.tag.dimension
+def _kernel(P: DAPolynomial, X: np.ndarray, grad: bool = False, jac: bool = False):
+    """P(X), and on request grad V(X) and J(X), at raw points of shape (..., d).
+
+    The one evaluation path of the module.  Powers are bracketed left to
+    right, x^k = x^(k-1) x, so with R = right_matrix(x) and L = left_matrix
+    the recursion for row vectors is xpow <- xpow R^T for the power and
+    J_k^T <- J_k^T R^T + L(x^(k-1))^T for its derivative (J_1 = I,
+    J_2 = R + L); the transposes are read off the flat structure tables, and
+    P = sum_k a_k x^k, J = sum_k L(a_k) J_k.  Every step is one matmul over
+    the batch, whose leading axes are flattened to one.  Returns
+    (P, grad V or None, J or None); J of a polynomial of degree <= 1 is a
+    read-only view.
+    """
     X = np.asarray(X, dtype=float)
-    rows = P.coeff_rows()
-    mats = P.left_mats()
-    out = np.broadcast_to(rows[0], X.shape).copy()
-    if P.degree == 0:
-        return out
-    xpow = X
-    out = out + xpow @ mats[1].T
-    for k in range(2, P.degree + 1):
-        xpow = multiply_coords(dim, xpow, X)
-        out = out + xpow @ mats[k].T
-    return out
+    shape = X.shape
+    if X.ndim > 2:
+        X = X.reshape(-1, shape[-1])
+    dim = P.tag.dimension
+    mat = X.shape + (dim,)              # (..., d, d)
+    rows, left_T = P._rows, P._left_T
+    deg = len(rows) - 1
+    deriv = grad or jac
+    if deg == 0:
+        v = np.broadcast_to(rows[0], X.shape).copy()
+        JT = np.zeros((dim, dim))
+    else:
+        v = rows[0] + X @ left_T[1]
+        JT = left_T[1]                  # J^T = sum_k J_k^T L(a_k)^T
+    if deg >= 2:
+        rxT = (X @ _flat_right(dim)).reshape(mat)
+        xpow = X
+        for k in range(2, deg + 1):
+            if deriv and k == 2:        # x^2 has derivative R(x) + L(x)
+                JkT = (X @ _flat_right_plus_left(dim)).reshape(mat)
+            elif deriv:
+                JkT = JkT @ rxT + (xpow @ _flat_left(dim)).reshape(mat)
+            xpow = (xpow[..., None, :] @ rxT)[..., 0, :]
+            v = v + xpow @ left_T[k]
+            if deriv:
+                JT = JT + (JkT.reshape(-1, dim) @ left_T[k]).reshape(mat)
+    g = 2.0 * (JT @ v[..., None])[..., 0] if grad else None
+    J = None
+    if jac:
+        J = (JT if JT.ndim == len(mat) else np.broadcast_to(JT, mat)).swapaxes(-1, -2)
+    if len(shape) > 2:
+        v = v.reshape(shape)
+        g = None if g is None else g.reshape(shape)
+        J = None if J is None else J.reshape(shape + (dim,))
+    return v, g, J
+
+
+def evaluate_coords(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
+    """P at raw coordinate points, shape (..., d) -> (..., d)."""
+    return _kernel(P, X)[0]
 
 
 def evaluate(P: DAPolynomial, x: AlgebraElement) -> AlgebraElement:
@@ -148,7 +182,7 @@ def evaluate(P: DAPolynomial, x: AlgebraElement) -> AlgebraElement:
 
 def potential_coords(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
     v = evaluate_coords(P, X)
-    return np.sum(v * v, axis=-1)
+    return np.einsum("...k,...k->...", v, v)
 
 
 def potential(P: DAPolynomial, x: AlgebraElement) -> float:
@@ -158,29 +192,9 @@ def potential(P: DAPolynomial, x: AlgebraElement) -> float:
     return float(potential_coords(P, x.coords))
 
 
-def jacobian_coords(P: DAPolynomial, x: np.ndarray) -> np.ndarray:
-    """Exact derivative of y -> P(y) at x as a d x d real matrix.
-
-    Columns are directional derivatives along the basis; powers are
-    differentiated by the product rule over the fixed left bracketing.
-    """
-    dim = P.tag.dimension
-    x = np.asarray(x, dtype=float)
-    mats = P.left_mats()
-    J = np.zeros((dim, dim))
-    if P.degree == 0:
-        return J
-    Jk = np.eye(dim)          # derivative of x^1
-    J = J + mats[1] @ Jk
-    if P.degree >= 2:
-        Rx = right_matrix(dim, x)
-        xpow = x               # x^(k-1) while building J_k
-        for k in range(2, P.degree + 1):
-            Jk = Rx @ Jk + left_matrix(dim, xpow)
-            J = J + mats[k] @ Jk
-            if k < P.degree:
-                xpow = multiply_coords(dim, xpow, x)
-    return J
+def jacobian_coords(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
+    """Exact derivative of y -> P(y): shape (..., d) -> (..., d, d)."""
+    return _kernel(P, X, jac=True)[2]
 
 
 def jacobian(P: DAPolynomial, x: AlgebraElement) -> np.ndarray:
@@ -189,97 +203,26 @@ def jacobian(P: DAPolynomial, x: AlgebraElement) -> np.ndarray:
     return jacobian_coords(P, x.coords)
 
 
-def gradient_coords(P: DAPolynomial, x: np.ndarray) -> np.ndarray:
-    """Gradient of the potential at raw coordinates: 2 J^T P(x)."""
-    v = evaluate_coords(P, x)
-    J = jacobian_coords(P, x)
-    return 2.0 * (J.T @ v)
-
-
 def gradient_coords_batch(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
-    """Potential gradient at a batch of points, shape (n, d) -> (n, d)."""
-    return value_gradient_batch(P, X)[1]
+    """Potential gradient 2 J^T P(x) at raw points, shape (..., d) -> (..., d)."""
+    return _kernel(P, X, grad=True)[1]
 
 
 def value_gradient_batch(P: DAPolynomial, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P(X) and grad V(X) at a batch of raw points, (n, d) -> two (n, d) arrays.
-
-    The recursion of ``value_gradient_fn`` transposed for row vectors, so
-    every step is one stacked matmul over the batch.  With R = right_matrix(x)
-    and L = left_matrix, x^k = x^(k-1) x reads xpow <- xpow R^T and the power
-    derivative J_k^T <- J_k^T R^T + L(x^(k-1))^T; both transposes are read
-    off the flat structure tables.  Agrees with evaluate_coords /
-    gradient_coords to rounding.
-    """
-    dim = P.tag.dimension
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    rows = P.coeff_rows()
-    mats = P.left_mats()
-    if P.degree == 0:
-        return np.broadcast_to(rows[0], X.shape).copy(), np.zeros_like(X)
-    v = rows[0] + X @ mats[1].T
-    JT = mats[1].T                  # J^T = sum_k J_k^T M_k^T, stacked from k = 2
-    if P.degree >= 2:
-        flat_left = _flat_left(dim)
-        rxT = (X @ _flat_right(dim)).reshape(n, dim, dim)
-        JkT = rxT + (X @ flat_left).reshape(n, dim, dim)   # derivative of x^2
-        xpow = X
-        for k in range(2, P.degree + 1):
-            if k > 2:
-                JkT = JkT @ rxT + (xpow @ flat_left).reshape(n, dim, dim)
-            xpow = (xpow[:, None, :] @ rxT)[:, 0]
-            v = v + xpow @ mats[k].T
-            JT = JT + (JkT.reshape(n * dim, dim) @ mats[k].T).reshape(n, dim, dim)
-    return v, 2.0 * (JT @ v[:, :, None])[:, :, 0]
+    """P(X) and grad V(X) at raw points, shape (..., d) -> two (..., d) arrays."""
+    return _kernel(P, X, grad=True)[:2]
 
 
 def gradient_potential(P: DAPolynomial, x: AlgebraElement) -> np.ndarray:
     if x.tag != P.tag:
         raise ValueError(f"algebra mismatch: {P.tag} vs {x.tag}")
-    return gradient_coords(P, x.coords)
+    return _kernel(P, x.coords, grad=True)[1]
 
 
 def value_gradient_fn(P: DAPolynomial):
-    """Compiled x -> (P(x), grad V(x)) for single raw points.
-
-    Binds the coefficient matrices once; the per-call work is a handful of
-    small BLAS products.  Agrees with evaluate_coords / gradient_coords to
-    rounding and exists purely for integrator hot loops.
-    """
-    if P._fast_eval is not None:
-        return P._fast_eval
-    dim = P.tag.dimension
-    rows = P.coeff_rows()
-    mats = P.left_mats()
-    deg = P.degree
-    a0 = rows[0].copy()
-    zero_grad = np.zeros(dim)
-
-    if deg == 0:
-        def fn0(x: np.ndarray):
-            return a0, zero_grad
-        object.__setattr__(P, "_fast_eval", fn0)
-        return fn0
-
-    # left bracketing means x^k = x^(k-1) x, i.e. right-multiplication by x
+    """x -> (P(x), grad V(x)) at single raw points, for integrator hot loops."""
     def fn(x: np.ndarray):
-        v = a0 + mats[1] @ x
-        J = mats[1]
-        if deg >= 2:
-            rx = right_matrix_fast(dim, x)
-            Jk = rx + left_matrix_fast(dim, x)     # derivative of x^2
-            xpow = rx @ x
-            v = v + mats[2] @ xpow
-            J = J + mats[2] @ Jk
-            for k in range(3, deg + 1):
-                Jk = rx @ Jk + left_matrix_fast(dim, xpow)
-                xpow = rx @ xpow
-                v = v + mats[k] @ xpow
-                J = J + mats[k] @ Jk
-        return v, 2.0 * (J.T @ v)
-
-    object.__setattr__(P, "_fast_eval", fn)
+        return _kernel(P, x, True)[:2]
     return fn
 
 
@@ -301,9 +244,6 @@ class CentralQuadratic:
     @property
     def discriminant(self) -> float:
         return self.trace * self.trace - 4.0 * self.normterm
-
-    def as_polynomial(self, tag: AlgebraTag) -> DAPolynomial:
-        return DAPolynomial.from_real(tag, [self.normterm, -self.trace, 1.0])
 
 
 def right_divide_central(
@@ -339,10 +279,6 @@ class LocalizationResult:
     is_spherical: bool
     remainder_a: AlgebraElement
     remainder_b: AlgebraElement
-
-    @property
-    def found_point(self) -> bool:
-        return self.point is not None
 
 
 def localize_isolated_root(P: DAPolynomial, x0: AlgebraElement,
@@ -410,31 +346,30 @@ def newton_polish(P: DAPolynomial, x0, target: float = tol.NEWTON_RESIDUAL,
     """Newton on the d-dimensional real system P(x) = 0.
 
     Uses least-squares steps so sphere points (singular Jacobian) are
-    polished onto the root set instead of diverging.
+    polished onto the root set instead of diverging.  ``iterations`` counts
+    the steps taken.
     """
     x = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
-    residual = float(np.linalg.norm(evaluate_coords(P, x)))
-    for it in range(max_iter):
-        if residual < target:
-            return PolishResult(x, residual, True, it)
-        J = jacobian_coords(P, x)
-        v = evaluate_coords(P, x)
+    v, _, J = _kernel(P, x, jac=True)
+    residual = float(np.linalg.norm(v))
+    it = 0
+    while it < max_iter and residual >= target:
         step, *_ = np.linalg.lstsq(J, -v, rcond=None)
         if not np.all(np.isfinite(step)):
             break
-        x_new = x + step
-        r_new = float(np.linalg.norm(evaluate_coords(P, x_new)))
-        # damp if the full step overshoots
-        shrink = 0
-        while r_new > residual and shrink < 20:
-            step *= 0.5
+        # halve the step up to 20 times while it overshoots
+        for _ in range(21):
             x_new = x + step
-            r_new = float(np.linalg.norm(evaluate_coords(P, x_new)))
-            shrink += 1
+            v_new, _, J_new = _kernel(P, x_new, jac=True)
+            r_new = float(np.linalg.norm(v_new))
+            if r_new <= residual:
+                break
+            step *= 0.5
         if r_new >= residual and residual < 1e-12:
             break
-        x, residual = x_new, r_new
-    return PolishResult(x, residual, residual < target, max_iter)
+        x, v, J, residual = x_new, v_new, J_new, r_new
+        it += 1
+    return PolishResult(x, residual, residual < target, it)
 
 
 @dataclass(frozen=True)

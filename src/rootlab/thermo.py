@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .manifolds import central_root_set, sample_stratum
-from .poly import DAPolynomial, Deformation, evaluate_coords
+from .poly import DAPolynomial, Deformation, potential_coords
 
 
 class SamplerDiagnosticError(RuntimeError):
@@ -137,7 +137,7 @@ def sample_gibbs(P: DAPolynomial, cfg: GibbsConfig,
     init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.chains + 1)[-1])
     scale = cfg.proposal_scale or float(np.sqrt(T))
     x = _initial_points(P, cfg.chains, init_rng, max(1.0, scale))
-    v = potential_batch(P, x)
+    v = potential_coords(P, x)
 
     n_burn = int(cfg.burn_in * cfg.steps)
     n_keep = cfg.steps - n_burn
@@ -157,7 +157,7 @@ def sample_gibbs(P: DAPolynomial, cfg: GibbsConfig,
         for local in range(nb):
             step = block_start + local
             proposal = x + scale * normals[local]
-            v_prop = potential_batch(P, proposal)
+            v_prop = potential_coords(P, proposal)
             accept = metropolis_accept(v_prop - v, T, uniforms[local])
             x[accept] = proposal[accept]
             v[accept] = v_prop[accept]
@@ -210,11 +210,6 @@ def sample_gibbs(P: DAPolynomial, cfg: GibbsConfig,
         second_moments=second,
     )
     return GibbsResult(stats, kept_x, kept_v, scale, cfg)
-
-
-def potential_batch(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
-    v = evaluate_coords(P, X)
-    return np.einsum("...k,...k->...", v, v)
 
 
 def order_parameter(samples: np.ndarray, axis: AlgebraElement) -> float:
@@ -392,14 +387,3 @@ def phase_diagram(D: Deformation, eps_grid, T_grid,
                                        float("nan"), float("nan"), float("nan"),
                                        float("nan"), f"diagnostic: {exc}"))
     return PhaseDiagram(tuple(cells))
-
-
-def phase_diagram_to_csv(diagram: PhaseDiagram, path) -> None:
-    rows = ["epsilon,T,m,m_stderr,mean_V,var_V,acceptance,flag"]
-    for c in diagram.cells:
-        rows.append(
-            f"{c.epsilon:.12g},{c.temperature:.12g},{c.m:.12g},{c.m_stderr:.12g},"
-            f"{c.mean_V:.12g},{c.var_V:.12g},{c.acceptance:.12g},{c.flag}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")

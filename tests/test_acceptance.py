@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from rootlab import claims as cl
-from rootlab import thermo as th
+from rootlab import poly as pl
 from rootlab.algebra import QUATERNIONS
 from rootlab.poly import DAPolynomial
 
@@ -65,7 +65,7 @@ def _quadrature_m(P, T, nodes):
     wrho = 0.5 * half * w * rho
     X0, X1, R = np.meshgrid(x, x, rho, indexing="ij")
     weight = wx[:, None, None] * wx[None, :, None] * wrho[None, None, :]
-    V = th.potential_batch(P, np.stack([X0, X1, R, np.zeros_like(R)], axis=-1))
+    V = pl.potential_coords(P, np.stack([X0, X1, R, np.zeros_like(R)], axis=-1))
     g = weight * np.exp(-(V - V.min()) / T)
     return float(np.sum(g * X1 ** 2) / np.sum(g * (X1 ** 2 + R ** 2)))
 

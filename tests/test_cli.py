@@ -47,14 +47,42 @@ def test_inflate_artifact(tmp_path):
     assert data["config"]["seed"] == 1
 
 
+H_CENTRAL = "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]"
+GIBBS = ("--chains", "4", "--steps", "600", "--seed", "5")
+# every artifact-writing subcommand (thermo in both modes), fast settings
+ARTIFACT_RUNS = [
+    ("algebra-check", "--algebra", "O", "--n", "2000", "--seed", "2"),
+    ("inflate", "--algebra", "O",
+     "--poly", "[[1,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[1,0,0,0,0,0,0,0]]", "--seed", "7"),
+    ("symmetry", "--poly", "[[1,0],[0,0],[0,0],[1,0],[0,0],[0,0],[1,0]]"),
+    ("breathe", "--a", '{"offset": 5.0, "components": [[0.5, 0.1, 0]]}',
+     "--b", '{"offset": 4.0}', "--t1", "10", "--dt", "0.05"),
+    ("spectra", "--a", '{"offset": 5.0, "components": [[0.4, 0.244140625, 0]]}',
+     "--b", '{"offset": 4.0}', "--n", "512", "--dt", "0.05"),
+    ("localize", "--algebra", "H", "--poly", "[[1,0,0,0],[0,1,0,0],[1,0,0,0]]",
+     "--starts", "6", "--seed", "3"),
+    ("collapse", "--eps", "0.05:0.5:log4", "--seed", "2"),
+    ("basins", "--eps", "0.08", "--samples", "40", "--seed", "1"),
+    ("thermo", "--poly", H_CENTRAL, "--temperature", "0.05", *GIBBS),
+    ("thermo", "--poly", H_CENTRAL, "--entropy-ladder", "0.002:0.02:log2", *GIBBS),
+    ("phase-diagram", "--eps-grid", "0:1:lin2", "--t-grid", "0.05:1:log2", *GIBBS),
+    ("claims", "--quick", "--only", "c02,c06", "--seed", "1"),
+]
+
+
 def test_outputs_byte_identical_for_same_seed(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
-        r = run_cli("inflate", "--algebra", "O",
-                    "--poly", "[[1,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0],[1,0,0,0,0,0,0,0]]",
-                    "--seed", "7", outdir=d)
-        assert r.returncode == 0
-    assert (a / "inflate.json").read_bytes() == (b / "inflate.json").read_bytes()
+        for args in ARTIFACT_RUNS:
+            r = run_cli(*args, outdir=d)
+            assert r.returncode == 0, (args, r.stderr)
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert len(names) == 16
+    # wall-clock times are the one artifact outside the contract
+    names.remove("timings.json")
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_seed_required_for_sampling_commands(tmp_path):
@@ -159,7 +187,13 @@ def test_claims_single_quick(tmp_path):
     assert r.returncode == 0
     data = json.loads((tmp_path / "claims.json").read_text())
     assert data["c02"]["pass"] and data["c06"]["pass"]
+    assert "seconds" not in data["c02"]
     assert "[PASS] c02" in r.stdout
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    entry = timings["c06"]
+    assert entry["budget_seconds"] == data["c06"]["budget_seconds"]
+    assert entry["headroom"] == pytest.approx(
+        1.0 - entry["seconds"] / entry["budget_seconds"], abs=2e-3)
 
 
 def test_config_file_with_flag_override(tmp_path):

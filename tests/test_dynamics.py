@@ -228,21 +228,3 @@ def test_spectral_peaks_two_tone_intermodulation():
     rep = spectral_peaks(psd(tr.r_inner, dt), f1, f2)
     assert rep.entry("f1+f2").is_peak
     assert rep.entry("f1+f2").db_above_floor >= 10.0
-
-
-def test_trace_csv_schema(tmp_path):
-    tr = simulate_breathing(2, lambda t: 5.0, lambda t: 4.0, (0, 1), 0.1)
-    path = tmp_path / "trace.csv"
-    dyn.trace_to_csv(tr, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,a,b,delta,r_inner,r_outer,gap,valid"
-    assert len(lines) == 1 + tr.times.size
-
-
-def test_psd_csv_schema(tmp_path):
-    r = psd(np.sin(np.arange(64) * 0.3), 0.1)
-    path = tmp_path / "psd.csv"
-    dyn.psd_to_csv(r, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "freq_hz,power"
-    assert len(lines) == 1 + r.freqs.size

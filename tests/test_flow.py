@@ -1,7 +1,5 @@
 """Gradient-flow integration, attractors, collapse scaling, basins."""
 
-import json
-
 import dp_oracle
 import numpy as np
 import pytest
@@ -374,22 +372,3 @@ def test_retract_check_static_at_zero():
     rep = retract_check(D, 0.0, 30, seed=10)
     assert rep.all_captured
     assert rep.max_potential_increase < 1e-6   # displacement, not potential
-
-
-def test_trajectory_csv_and_measurement_json(tmp_path):
-    P = canonical()
-    traj = integrate(P, element(QUATERNIONS, [0.4, 0.2, -0.3, 0.1]),
-                     FlowConfig(max_time=50.0))
-    path = tmp_path / "traj.csv"
-    fl.trajectory_to_csv(traj, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,x0,x1,x2,x3,V"
-    assert len(lines) == 1 + traj.times.size
-
-    D = benchmark()
-    m = measure_collapse(D, np.geomspace(0.05, 0.5, 4), seed=11)
-    jpath = tmp_path / "m.json"
-    fl.measurement_to_json(m, jpath)
-    data = json.loads(jpath.read_text())
-    assert set(data) == {"epsilons", "times", "slope", "intercept", "r2"}
-    assert len(data["times"]) == 4

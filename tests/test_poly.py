@@ -1,9 +1,13 @@
 """Polynomial evaluation, potential derivatives, division, localization."""
 
+import dataclasses
+
 import numpy as np
+import poly_oracle
 import pytest
 
 from rootlab import poly as pl
+from rootlab import tolerances as tol
 from rootlab.algebra import (
     COMPLEX,
     OCTONIONS,
@@ -131,7 +135,7 @@ def test_gradient_examples_and_finite_differences():
         Q = DAPolynomial(QUATERNIONS, tuple(random_element(QUATERNIONS, rng)
                                             for _ in range(3)))
         x = random_element(QUATERNIONS, rng)
-        g = pl.gradient_coords(Q, x.coords)
+        g = pl.gradient_coords_batch(Q, x.coords)
         h = 1e-5
         fd = np.zeros(4)
         for m in range(4):
@@ -151,7 +155,7 @@ def test_tangential_gradient_matches_restricted_potential():
     for phi in (0.3, 1.0, np.pi / 2, 2.2):
         q = np.array([0.0, np.cos(phi), np.sin(phi), 0.0])
         that = np.array([0.0, -np.sin(phi), np.cos(phi), 0.0])
-        g = pl.gradient_coords(P, q)
+        g = pl.gradient_coords_batch(P, q)
         tangential = float(np.dot(g, that))
         assert tangential == pytest.approx(2 * eps ** 2 * np.sin(phi), rel=1e-9)
 
@@ -164,24 +168,64 @@ def poly_canonical_direction(tag=QUATERNIONS):
 
 
 def test_value_gradient_closure_consistency():
-    # the single-point closure and the batched kernel against the reference
-    # evaluate_coords / gradient_coords, over every algebra and degrees 1-4
+    # every value, gradient and Jacobian entry against the reference
+    # evaluation and product-rule Jacobian, over every algebra, degrees 0-4
+    # and input shapes (d,), (1, d), (n, d) and (a, b, d)
     rng = np.random.default_rng(4)
     for tag in (REALS, COMPLEX, QUATERNIONS, OCTONIONS):
-        for degree in range(1, 5):
+        d = tag.dimension
+        for degree in range(0, 5):
             P = DAPolynomial(tag, tuple(random_element(tag, rng)
                                         for _ in range(degree + 1)))
-            X = rng.normal(size=(25, tag.dimension))
-            ref_v = pl.evaluate_coords(P, X)
-            ref_g = np.stack([pl.gradient_coords(P, x) for x in X])
             fn = value_gradient_fn(P)
-            closure = [fn(x) for x in X]
-            batch_v, batch_g = pl.value_gradient_batch(P, X)
-            for v, g in ((np.stack([c[0] for c in closure]),
-                          np.stack([c[1] for c in closure])), (batch_v, batch_g)):
-                assert np.allclose(v, ref_v, rtol=1e-12, atol=1e-11)
-                assert np.allclose(g, ref_g, rtol=1e-12, atol=1e-10)
-            assert np.array_equal(pl.gradient_coords_batch(P, X), batch_g)
+            for shape in ((d,), (1, d), (25, d), (3, 4, d)):
+                X = rng.normal(size=shape)
+                flat = X.reshape(-1, d)
+                ref_v = poly_oracle.evaluate_coords(P, X)
+                ref_g = np.stack([poly_oracle.gradient_coords(P, x)
+                                  for x in flat]).reshape(shape)
+                ref_J = np.stack([poly_oracle.jacobian_coords(P, x)
+                                  for x in flat]).reshape(shape + (d,))
+                batch_v, batch_g = pl.value_gradient_batch(P, X)
+                fn_v, fn_g = fn(X)
+                for v in (pl.evaluate_coords(P, X), batch_v, fn_v):
+                    assert v.shape == shape
+                    assert np.allclose(v, ref_v, rtol=1e-12, atol=1e-11)
+                for g in (pl.gradient_coords_batch(P, X), batch_g, fn_g):
+                    assert g.shape == shape
+                    assert np.allclose(g, ref_g, rtol=1e-12, atol=1e-10)
+                J = pl.jacobian_coords(P, X)
+                assert J.shape == shape + (d,)
+                assert np.allclose(J, ref_J, rtol=1e-12, atol=1e-10)
+                assert np.allclose(pl.potential_coords(P, X),
+                                   np.sum(ref_v * ref_v, axis=-1), rtol=1e-12, atol=1e-11)
+            x = random_element(tag, rng)
+            assert np.allclose(evaluate(P, x).coords,
+                               poly_oracle.evaluate_coords(P, x.coords),
+                               rtol=1e-12, atol=1e-11)
+            assert np.allclose(gradient_potential(P, x),
+                               poly_oracle.gradient_coords(P, x.coords),
+                               rtol=1e-12, atol=1e-10)
+            assert np.allclose(jacobian(P, x), poly_oracle.jacobian_coords(P, x.coords),
+                               rtol=1e-12, atol=1e-10)
+
+
+def test_polynomial_is_frozen():
+    P = poly_canonical()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.tag = COMPLEX
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.coefficients = P.coefficients[:2]
+    before = dict(vars(P))
+    tables = [np.array(a) for a in (P._rows, P._left_T)]
+    fn = value_gradient_fn(P)
+    fn(np.array([0.1, 0.2, -0.3, 0.4]))
+    fn(np.ones((3, 4)))
+    assert vars(P).keys() == before.keys()
+    assert all(vars(P)[k] is before[k] for k in before)
+    for table, copy in zip((P._rows, P._left_T), tables):
+        assert not table.flags.writeable
+        assert np.array_equal(table, copy)
 
 
 def test_right_divide_central_examples():
@@ -278,6 +322,17 @@ def test_newton_polish_converges():
     res = newton_polish(P, rough)
     assert res.converged and res.residual < 1e-14
     assert np.allclose(res.point, [0, BETA, 0, 0], atol=1e-10)
+
+
+def test_newton_polish_counts_steps_taken():
+    P = poly_xx_plus_1(QUATERNIONS)
+    i = basis_element(QUATERNIONS, 1)
+    assert potential(P, i) == 0.0
+    # an exact root can never reach residual < 0: the loop leaves early
+    res = newton_polish(P, i, target=0.0)
+    assert res.iterations == 0 and res.residual == 0.0
+    res = newton_polish(P, np.array([0.01, 1.02, -0.015, 0.01]))
+    assert res.converged and 0 < res.iterations < tol.NEWTON_MAX_ITER
 
 
 def test_degenerate_constant_polynomial():

@@ -14,7 +14,6 @@ from rootlab.thermo import (
     order_parameter,
     order_parameter_series,
     phase_diagram,
-    phase_diagram_to_csv,
     sample_gibbs,
 )
 
@@ -180,7 +179,7 @@ def test_config_validation():
         GibbsConfig(1.0, steps=5)
 
 
-def test_phase_diagram_sweep_and_csv(tmp_path):
+def test_phase_diagram_sweep():
     D = benchmark()
     template = GibbsConfig(0.05, chains=6, steps=4000)
     diagram = phase_diagram(D, [0.0, 1.0], [0.02, 2.0], template, seed=17)
@@ -190,8 +189,3 @@ def test_phase_diagram_sweep_and_csv(tmp_path):
     assert low_ord.m > low_sym.m + 0.3           # m grows with eps at low T
     hot = diagram.cell(1.0, 2.0)
     assert hot.m < low_ord.m                     # m falls with T at fixed eps
-    path = tmp_path / "phase.csv"
-    phase_diagram_to_csv(diagram, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "epsilon,T,m,m_stderr,mean_V,var_V,acceptance,flag"
-    assert len(lines) == 5
