@@ -286,6 +286,37 @@ def associator(x: AlgebraElement, y: AlgebraElement, z: AlgebraElement) -> Algeb
     return multiply(multiply(x, y), z) - multiply(x, multiply(y, z))
 
 
+def law_residuals(tag: AlgebraTag, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
+    """Worst law residuals over the rows of x and y, each of shape (n, d).
+
+    ``norm_mult`` is relative to |x| |y|; ``alternativity`` (x(xy) = (xx)y,
+    (yx)x = y(xx)) and ``power_assoc`` (x^8 left-folded against balanced) to
+    1 + |(xx)y| and 1 + |x^8|.
+    """
+    d = tag.dimension
+    xy = multiply_coords(d, x, y)
+    nx = np.linalg.norm(x, axis=1)
+    ny = np.linalg.norm(y, axis=1)
+    rel = np.abs(np.linalg.norm(xy, axis=1) - nx * ny) / (nx * ny)
+    lhs1 = multiply_coords(d, x, xy)
+    rhs1 = multiply_coords(d, multiply_coords(d, x, x), y)
+    yx = multiply_coords(d, y, x)
+    lhs2 = multiply_coords(d, yx, x)
+    rhs2 = multiply_coords(d, y, multiply_coords(d, x, x))
+    scale = 1.0 + np.linalg.norm(rhs1, axis=1)
+    alt = max(float(np.max(np.linalg.norm(lhs1 - rhs1, axis=1) / scale)),
+              float(np.max(np.linalg.norm(lhs2 - rhs2, axis=1) / scale)))
+    p2 = multiply_coords(d, x, x)
+    p4b = multiply_coords(d, p2, p2)
+    p8b = multiply_coords(d, p4b, p4b)
+    left = x
+    for _ in range(7):
+        left = multiply_coords(d, left, x)
+    rel_pow = np.linalg.norm(left - p8b, axis=1) / (1.0 + np.linalg.norm(p8b, axis=1))
+    return {"norm_mult": float(np.max(rel)), "alternativity": alt,
+            "power_assoc": float(np.max(rel_pow))}
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """Real-linear map on a tagged algebra, stored as a d x d matrix."""

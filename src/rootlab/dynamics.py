@@ -198,13 +198,8 @@ def detect_boundaries(trace: BreathingTrace) -> BoundaryReport:
         events.append(CrossingEvent(t_c, kind, ddot))
 
     d = trace.delta
-    for i in range(d.size - 1):
-        if d[i] == 0.0:
-            note(float(times[i]))
-        elif d[i] * d[i + 1] < 0.0:
-            note(_bisect_zero(delta_fn, float(times[i]), float(times[i + 1])))
-    if d[-1] == 0.0:
-        note(float(times[-1]))
+    for t_c in _grid_zeros(delta_fn, d, times):
+        note(t_c)
     # sign-preserving touches: refine interior local minima of |delta|
     absd = np.abs(d)
     for i in range(1, d.size - 1):

@@ -7,12 +7,15 @@ ROS34PW2, whose step is set by accuracy alone, not by the fast radial decay
 onto the root set, and collapse times run on it.  ``integrate_ensemble``
 steps a whole start set in lockstep with an embedded Dormand-Prince 5(4)
 pair, one batched value-and-gradient call per stage; multistart attractor
-search and the retract check run on it.  On top of
-the integrators: multistart attractor search with Newton polishing,
-collapse-time measurement from a fixed geodesic start angle, the log-log
-scaling fit of collapse time against perturbation size, basin
-decomposition of the initial sphere, restricted potential scans, and a
-retract check that every started trajectory is captured by an attractor.
+search and the retract check run on it.  Attractors are isolated full-rank
+roots, Newton-polished in one place: multistart search gets its candidates
+from the flow, while for a deformation family P_eps = B + eps Dir (collapse
+times, basins, the retract check) Newton starts from the restricted-
+potential extrema on the base sphere.  On top of these: collapse-time
+measurement from a fixed geodesic start angle, the log-log scaling fit of
+collapse time against perturbation size, basin decomposition of the initial
+sphere, restricted potential scans, and a retract check that every started
+trajectory is captured by an attractor.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -489,6 +492,21 @@ def integrate_ensemble(P: DAPolynomial, X0, cfg: FlowConfig | None = None,
                           out.steps, out.times, out.radius, out.rise)
 
 
+def _polished_attractors(P: DAPolynomial, points) -> list[AlgebraElement]:
+    """Newton-polish candidate points; keep clean, full-rank, distinct roots, sorted."""
+    found: list[np.ndarray] = []
+    for x in points:
+        res = newton_polish(P, np.asarray(x, dtype=float))
+        if not res.converged or res.residual >= tol.NEWTON_RESIDUAL:
+            continue
+        if numerical_rank(jacobian_coords(P, res.point)).rank < P.tag.dimension:
+            continue
+        if all(np.linalg.norm(res.point - q) > tol.ATTRACTOR_DEDUP for q in found):
+            found.append(res.point)
+    found.sort(key=lambda p: tuple(np.round(p, 9)))
+    return [AlgebraElement(P.tag, p) for p in found]
+
+
 def attractors_from_starts(P: DAPolynomial, starts,
                            cfg: FlowConfig | None = None) -> list[AlgebraElement]:
     """Flow each start to rest, Newton-polish, keep clean isolated roots.
@@ -500,55 +518,32 @@ def attractors_from_starts(P: DAPolynomial, starts,
     if len(starts) == 0:
         return []
     cfg = cfg or FlowConfig(stop_grad=1e-4, max_time=1e4)
-    found: list[np.ndarray] = []
-    for x in integrate_ensemble(P, starts, cfg).points:
-        res = newton_polish(P, x)
-        if not res.converged or res.residual >= tol.NEWTON_RESIDUAL:
-            continue
-        rk = numerical_rank(jacobian_coords(P, res.point))
-        if rk.rank < P.tag.dimension:
-            continue
-        if all(np.linalg.norm(res.point - q) > tol.ATTRACTOR_DEDUP for q in found):
-            found.append(res.point)
-    found.sort(key=lambda p: tuple(np.round(p, 9)))
-    return [AlgebraElement(P.tag, p) for p in found]
+    return _polished_attractors(P, integrate_ensemble(P, starts, cfg).points)
 
 
 def find_attractors(P: DAPolynomial, n_starts: int = 32, seed: int = 0,
-                    cfg: FlowConfig | None = None,
-                    start_scale: float = 1.5) -> list[AlgebraElement]:
+                    cfg: FlowConfig | None = None) -> list[AlgebraElement]:
     """Multistart gradient flow + Newton polish; deduplicated isolated roots.
 
     Central polynomials legitimately return an empty list: their minima
     form spheres, which the full-rank filter rejects.
     """
     rng = np.random.default_rng(seed)
-    starts = rng.normal(scale=start_scale, size=(n_starts, P.tag.dimension))
+    starts = rng.normal(scale=1.5, size=(n_starts, P.tag.dimension))
     return attractors_from_starts(P, starts, cfg)
 
 
 def _newton_attractors(P: DAPolynomial, D: Deformation, seed: int) -> list[AlgebraElement]:
-    # Cheap attractor location for stiff small-epsilon flows: Newton from
+    # A deformation family's attractors without a flow: Newton from the
     # restricted-potential extrema on the base sphere plus Gaussian starts.
     rng = np.random.default_rng(seed)
-    sphere = _first_sphere(D)
-    samples = sample_stratum(sphere, 128, rng)
+    samples = sample_stratum(_first_sphere(D), 128, rng)
     vals = [float(potential_coords(D.direction, s.coords)) for s in samples]
     order = np.argsort(vals)
     guesses = [samples[order[0]].coords, -samples[order[0]].coords,
                samples[order[-1]].coords, -samples[order[-1]].coords]
     guesses.extend(rng.normal(scale=1.5, size=(16, P.tag.dimension)))
-    found: list[np.ndarray] = []
-    for g in guesses:
-        res = newton_polish(P, np.asarray(g, dtype=float))
-        if not res.converged or res.residual >= tol.NEWTON_RESIDUAL:
-            continue
-        if numerical_rank(jacobian_coords(P, res.point)).rank < P.tag.dimension:
-            continue
-        if all(np.linalg.norm(res.point - q) > tol.ATTRACTOR_DEDUP for q in found):
-            found.append(res.point)
-    found.sort(key=lambda p: tuple(np.round(p, 9)))
-    return [AlgebraElement(P.tag, p) for p in found]
+    return _polished_attractors(P, guesses)
 
 
 def _first_sphere(D: Deformation) -> Sphere:
@@ -558,11 +553,10 @@ def _first_sphere(D: Deformation) -> Sphere:
     raise ValueError("deformation base has no sphere stratum")
 
 
-def _attracting_axis(D: Deformation, rng: np.random.Generator,
-                     n_probe: int = 256) -> tuple[Sphere, np.ndarray]:
+def _attracting_axis(D: Deformation, rng: np.random.Generator) -> tuple[Sphere, np.ndarray]:
     """Unit imaginary direction of the restricted-potential minimizer."""
     sphere = _first_sphere(D)
-    samples = sample_stratum(sphere, n_probe, rng)
+    samples = sample_stratum(sphere, 256, rng)
     vals = [float(potential_coords(D.direction, s.coords)) for s in samples]
     u = samples[int(np.argmin(vals))].coords.copy()
     u[0] = 0.0
@@ -600,11 +594,11 @@ class CollapseSample:
 
 
 def collapse_time(D: Deformation, eps: float, cfg: FlowConfig | None = None,
-                  seed: int = 0, phi0: float = math.pi / 3) -> CollapseSample:
-    """Time for a sphere start at geodesic angle phi0 to reach an attractor.
+                  seed: int = 0) -> CollapseSample:
+    """Time for a sphere start at geodesic angle pi/3 to reach an attractor.
 
     The attracting axis is located as the restricted-potential minimizer
-    over stratum samples; the start sits at angle phi0 from it along a
+    over stratum samples; the start sits at angle pi/3 from it along a
     deterministic transverse direction.  Collapse time is the time at which
     the trajectory crosses into ``cfg.stop_radius`` of an attractor, located
     on the capturing step's interpolant, so it does not depend on where the
@@ -624,7 +618,7 @@ def collapse_time(D: Deformation, eps: float, cfg: FlowConfig | None = None,
     w /= np.linalg.norm(w)
     x0 = np.zeros(P.tag.dimension)
     x0[0] = sphere.re
-    x0 += sphere.radius * (math.cos(phi0) * u_min + math.sin(phi0) * w)
+    x0 += sphere.radius * (math.cos(math.pi / 3) * u_min + math.sin(math.pi / 3) * w)
     attractors = _newton_attractors(P, D, seed)
     if not attractors:
         raise RuntimeError(f"no attractors found at eps={eps}")
@@ -652,16 +646,15 @@ def _collapse_row(s: CollapseSample) -> tuple[float, float, bool, int, int]:
 
 
 def _collapse_worker(payload) -> tuple[float, float, bool, int, int]:
-    dim, base_rows, dir_rows, eps, seed, cfg_fields = payload
+    dim, base_rows, dir_rows, eps, seed = payload
     tag = AlgebraTag(dim)
     D = Deformation(DAPolynomial.from_coords(tag, base_rows),
                     DAPolynomial.from_coords(tag, dir_rows))
-    cfg = FlowConfig(**cfg_fields) if cfg_fields else None
-    return _collapse_row(collapse_time(D, eps, cfg, seed))
+    return _collapse_row(collapse_time(D, eps, seed=seed))
 
 
-def measure_collapse(D: Deformation, epsilons, cfg: FlowConfig | None = None,
-                     seed: int = 0, workers: int | None = None) -> CollapseMeasurement:
+def measure_collapse(D: Deformation, epsilons, seed: int = 0,
+                     workers: int | None = None) -> CollapseMeasurement:
     """Collapse times over an epsilon list plus the log-log fit.
 
     The per-epsilon runs are independent and deterministic given the seed,
@@ -673,17 +666,14 @@ def measure_collapse(D: Deformation, epsilons, cfg: FlowConfig | None = None,
         raise ValueError("epsilons must be positive")
     if workers is None:
         workers = min(eps.size, os.cpu_count() or 1)
-    cfg_fields = None
-    if cfg is not None:
-        cfg_fields = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     if workers > 1:
         payloads = [(D.base.tag.dimension, D.base.to_coords(),
-                     D.direction.to_coords(), float(e), seed, cfg_fields)
+                     D.direction.to_coords(), float(e), seed)
                     for e in eps]          # ascending eps: slowest job first
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_collapse_worker, payloads))
     else:
-        rows = [_collapse_row(collapse_time(D, e, cfg, seed)) for e in eps]
+        rows = [_collapse_row(collapse_time(D, e, seed=seed)) for e in eps]
     by_eps = {r[0]: r for r in rows}
     _, times, censored, steps, rhs = (np.array(col) for col in
                                       zip(*(by_eps[float(e)] for e in eps)))
@@ -728,16 +718,16 @@ EQUATOR_BAND = 0.05
 
 
 def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
-                    capture_radius: float = 0.05, h: float = 0.25,
                     max_time: float = 1e5) -> tuple[np.ndarray, np.ndarray]:
     """Capture labels for a batch of starts, integrated in lockstep.
 
-    Fixed-step classical Runge-Kutta on the whole ensemble; a row freezes
-    as soon as it enters the capture radius of an attractor.  Labels agree
-    with per-trajectory adaptive integration (checked in tests) at a small
-    fraction of the cost.  Returns (labels, final points); -1 marks rows
-    still free at max_time.
+    Fixed-step (h = 0.25) classical Runge-Kutta on the whole ensemble; a
+    row freezes as soon as it enters an attractor's default ``FlowConfig``
+    stop radius.  Labels agree with per-trajectory adaptive integration
+    (checked in tests) at a small fraction of the cost.  Returns (labels,
+    final points); -1 marks rows still free at max_time.
     """
+    h = 0.25
     X = np.array(starts, dtype=float)
     n = X.shape[0]
     att = _attractor_coords(attractors)
@@ -746,7 +736,7 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
 
     def check_capture() -> None:
         idx = np.flatnonzero(active)
-        labels[idx] = _capture_rows(X[idx], att, capture_radius)
+        labels[idx] = _capture_rows(X[idx], att, FlowConfig.stop_radius)
         active[idx[labels[idx] >= 0]] = False
 
     check_capture()
@@ -763,24 +753,27 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
     return labels, X
 
 
-def basin_decomposition(D: Deformation, eps: float, n_samples: int,
-                        seed: int = 0, cfg: FlowConfig | None = None) -> BasinReport:
-    """Label sphere starts by the attractor that captures them."""
-    P = D.at(eps)
-    attractors = find_attractors(P, 16, seed)
+def _sphere_starts(D: Deformation, P: DAPolynomial, n_samples: int, seed: int,
+                   rng: np.random.Generator):
+    """Attractors of P = D.at(eps), their axis, base-sphere starts, equator-band mask."""
+    attractors = _newton_attractors(P, D, seed)
     if not attractors:
-        raise RuntimeError("basin decomposition needs a nonempty attractor list")
-    cfg = cfg or FlowConfig(max_time=max(1e4, 400.0 / eps ** 2))
-    rng = np.random.default_rng(seed)
+        raise RuntimeError("no isolated attractors found")
     sphere = _first_sphere(D)
     axis = _axis_from_attractors(attractors, sphere)
-    starts = sample_stratum(sphere, n_samples, rng)
-    X0 = np.stack([s.coords for s in starts])
+    X0 = np.stack([s.coords for s in sample_stratum(sphere, n_samples, rng)])
     unit = X0 / np.maximum(np.linalg.norm(X0, axis=1, keepdims=True), 1e-300)
-    band = np.abs(unit @ axis) <= EQUATOR_BAND
+    return attractors, axis, X0, np.abs(unit @ axis) <= EQUATOR_BAND
+
+
+def basin_decomposition(D: Deformation, eps: float, n_samples: int,
+                        seed: int = 0) -> BasinReport:
+    """Label sphere starts by the attractor that captures them."""
+    P = D.at(eps)
+    attractors, axis, X0, band = _sphere_starts(D, P, n_samples, seed,
+                                                np.random.default_rng(seed))
     labels, finals = ensemble_labels(P, X0, attractors,
-                                     capture_radius=cfg.stop_radius,
-                                     max_time=cfg.max_time)
+                                     max_time=max(1e4, 400.0 / eps ** 2))
     captured = labels >= 0
     max_res = 0.0
     if np.any(captured):
@@ -834,8 +827,7 @@ class RetractReport:
 
 
 def retract_check(D: Deformation, eps: float, n_samples: int,
-                  seed: int = 0, cfg: FlowConfig | None = None,
-                  off_manifold: int = 0) -> RetractReport:
+                  seed: int = 0, off_manifold: int = 0) -> RetractReport:
     """Every non-separatrix start must be captured by some attractor.
 
     Also records the worst potential increase seen along any trajectory
@@ -848,21 +840,16 @@ def retract_check(D: Deformation, eps: float, n_samples: int,
         sphere = _first_sphere(D)
         starts = np.stack([s.coords for s in sample_stratum(sphere, n_samples, rng)])
         # already minima: verify nothing moves
-        ens = integrate_ensemble(P, starts, cfg or FlowConfig(max_time=10.0))
+        ens = integrate_ensemble(P, starts, FlowConfig(max_time=10.0))
         max_disp = float(np.max(np.linalg.norm(ens.points - starts, axis=1)))
         return RetractReport(n_samples, n_samples, 0, max_disp, True)
-    attractors = find_attractors(P, 16, seed)
-    cfg = cfg or FlowConfig(max_time=max(1e4, 200.0 / eps ** 2))
-    sphere = _first_sphere(D)
-    axis = _axis_from_attractors(attractors, sphere)
-    starts = np.stack([s.coords for s in sample_stratum(sphere, n_samples, rng)])
-    unit = starts / np.maximum(np.linalg.norm(starts, axis=1, keepdims=True), 1e-300)
-    in_band = np.abs(unit @ axis) <= EQUATOR_BAND
+    attractors, _, starts, in_band = _sphere_starts(D, P, n_samples, seed, rng)
     if off_manifold > 0:
         starts = np.vstack([starts, rng.normal(scale=2.0,
                                                size=(off_manifold, P.tag.dimension))])
         in_band = np.concatenate([in_band, np.zeros(off_manifold, dtype=bool)])
-    ens = integrate_ensemble(P, starts, cfg, attractors=attractors)
+    ens = integrate_ensemble(P, starts, FlowConfig(max_time=max(1e4, 200.0 / eps ** 2)),
+                             attractors=attractors)
     bound = 10.0 * (1.0 + max(a.norm() for a in attractors))
     if np.any(ens.max_radius > bound):
         raise RuntimeError("diverging trajectory: coercivity violated")

@@ -336,26 +336,17 @@ def hausdorff_dimension_scan(D: Deformation, epsilons,
             starts.extend(p.coords for p in sample_stratum(s, per, rng))
         starts.extend(rng.normal(scale=1.5, size=(16, P.tag.dimension)))
         roots = _flow.attractors_from_starts(P, starts)
-        flagged = False
-        note = ""
         if not roots:
-            note = "no isolated roots found"
-            rows.append(DimensionScanRow(eps, P.tag.dimension - 2, 0, True, note))
+            rows.append(DimensionScanRow(eps, P.tag.dimension - 2, 0, True,
+                                         "no isolated roots found"))
             continue
+        # every root found has full rank; only near-threshold spectra flag
+        flagged = any(numerical_rank(jacobian_coords(P, r.coords)).ambiguous
+                      for r in roots)
         pts = np.stack([r.coords for r in roots])
-        isolated = True
-        for i, r in enumerate(roots):
-            rk = numerical_rank(jacobian_coords(P, r.coords))
-            if rk.ambiguous:
-                flagged = True
-                note = "rank near threshold"
-            if rk.rank < P.tag.dimension:
-                isolated = False
-        if len(roots) > 1:
-            dists = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-            np.fill_diagonal(dists, np.inf)
-            if np.min(dists) <= tol.ISOLATED_SEPARATION:
-                isolated = False
-        dim = 0 if isolated else P.tag.dimension - 2
-        rows.append(DimensionScanRow(eps, dim, len(roots), flagged, note))
+        dists = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+        np.fill_diagonal(dists, np.inf)          # a lone root is isolated
+        dim = 0 if np.min(dists) > tol.ISOLATED_SEPARATION else P.tag.dimension - 2
+        rows.append(DimensionScanRow(eps, dim, len(roots), flagged,
+                                     "rank near threshold" if flagged else ""))
     return rows

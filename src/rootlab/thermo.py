@@ -13,7 +13,7 @@ fluctuation estimator Var(V)/T^2 (cross-checked by mean(V)/T), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,19 +48,6 @@ class GibbsConfig:
             raise ValueError("burn_in fraction must lie in [0.1, 0.9]")
         if self.chains < 1 or self.steps < 10:
             raise ValueError("need at least one chain and a few steps")
-
-    def replace(self, **kw) -> "GibbsConfig":
-        data = {
-            "temperature": self.temperature,
-            "chains": self.chains,
-            "steps": self.steps,
-            "burn_in": self.burn_in,
-            "proposal_scale": self.proposal_scale,
-            "seed": self.seed,
-            "adapt_interval": self.adapt_interval,
-        }
-        data.update(kw)
-        return GibbsConfig(**data)
 
 
 @dataclass(frozen=True)
@@ -319,8 +306,8 @@ def entropy_coefficient(P: DAPolynomial, T_ladder,
     alphas = []
     cross = []
     for i, T in enumerate(temps):
-        cfg = (cfg_template or GibbsConfig(temperature=T)).replace(
-            temperature=T, seed=seed + 101 * i)
+        cfg = replace(cfg_template or GibbsConfig(temperature=T),
+                      temperature=T, seed=seed + 101 * i)
         res = sample_gibbs(P, cfg, keep_samples=False)
         alphas.append(res.stats.var_V / T ** 2)
         cross.append(res.stats.mean_V / T)
@@ -371,8 +358,8 @@ def phase_diagram(D: Deformation, eps_grid, T_grid,
     for i, eps in enumerate(eps_list):
         P = D.at(float(eps))
         for j, T in enumerate(T_list):
-            cfg = (cfg_template or GibbsConfig(temperature=float(T))).replace(
-                temperature=float(T), seed=seed + 7919 * i + 104729 * j)
+            cfg = replace(cfg_template or GibbsConfig(temperature=float(T)),
+                          temperature=float(T), seed=seed + 7919 * i + 104729 * j)
             flag = ""
             try:
                 res = sample_gibbs(P, cfg, axis=axis)

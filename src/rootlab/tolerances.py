@@ -9,10 +9,9 @@ contract.  Values are absolute unless the name says otherwise.
 NORM_MULTIPLICATIVITY_REL = 1e-12
 ALTERNATIVITY_ABS = 1e-12
 POWER_ASSOCIATIVITY_ABS = 1e-12
+ASSOCIATIVITY_ABS = 1e-12
 AUTOMORPHISM_MULT_ABS = 1e-8
 AUTOMORPHISM_ORTHO_ABS = 1e-10
-LEIBNIZ_ABS = 1e-10
-MATRIX_EXP_REL = 1e-12
 
 # root finding and polishing
 ABERTH_RESIDUAL = 1e-13
@@ -23,7 +22,6 @@ STRATUM_POTENTIAL = 1e-18
 CONJUGATE_PAIR_REL = 1e-8
 
 # division and localization
-DIVISION_RECONSTRUCTION_ABS = 1e-12
 SPHERICAL_REMAINDER_REL = 1e-8
 LOCALIZE_ROOT_POTENTIAL = 1e-8
 SUBALGEBRA_RANK_ABS = 1e-10

@@ -96,6 +96,20 @@ def test_find_attractors_benchmark():
     assert np.allclose(pts[1], [0, 1.0, 0, 0], atol=1e-8)
 
 
+@pytest.mark.parametrize("eps", [0.08, 0.3])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_family_locator_matches_flow_search(eps, seed):
+    # collapse times, basins and the retract check locate a family's
+    # attractors by Newton alone; the 16-start flow search is the reference
+    D = benchmark()
+    P = D.at(eps)
+    got = fl._newton_attractors(P, D, seed)
+    ref = find_attractors(P, 16, seed)
+    assert len(got) == len(ref) == 2
+    for a, r in zip(got, ref):
+        assert np.max(np.abs(a.coords - r.coords)) < 1e-9
+
+
 def test_find_attractors_canonical_roots():
     att = find_attractors(canonical(), 16, seed=2)
     assert len(att) == 2
