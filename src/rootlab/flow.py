@@ -50,18 +50,20 @@ from .poly import (
 )
 
 
+STOP_RADIUS = 0.05                 # a trajectory this close to an attractor is captured
+MAX_STEPS = 5_000_000              # step budget of one trajectory or ensemble row
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_time: float = 1e7
     stop_grad: float = 1e-9
-    stop_radius: float = 0.05
-    max_steps: int = 5_000_000
     record_every: int = 1          # archive every k-th accepted sample
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "max_time", "stop_grad", "stop_radius"):
+        for name in ("rel_tol", "abs_tol", "max_time", "stop_grad"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.record_every < 1:
@@ -149,7 +151,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
 
     W = I + h g 2 J^T J, with J the Jacobian of P at the step's start, is
     inverted through one SVD of J per start.  Stops when the gradient norm
-    drops below ``cfg.stop_grad``, at the crossing into ``cfg.stop_radius``
+    drops below ``cfg.stop_grad``, at the crossing into ``STOP_RADIUS``
     of one of the supplied attractors (located on the step's Hermite
     interpolant), or at ``cfg.max_time``.  Accepted steps keep the potential
     non-increasing (up to a relative slack); repeated failures report a
@@ -172,7 +174,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
 
     gnorm = float(np.linalg.norm(f))
     terminal = None
-    idx = _capture_index(y, att, cfg.stop_radius)
+    idx = _capture_index(y, att, STOP_RADIUS)
     if gnorm < cfg.stop_grad or idx is not None:
         terminal = Terminal("converged", idx, "stopped at start")
     h = float(_initial_step(np.linalg.norm(y), gnorm))
@@ -186,7 +188,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     just_rejected = False
     h_min, h_max = math.inf, 0.0
     while terminal is None:
-        if steps >= cfg.max_steps:
+        if steps >= MAX_STEPS:
             terminal = Terminal("max_time", None, "step budget exhausted")
             break
         if t >= cfg.max_time:
@@ -237,10 +239,10 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
             accepted += 1
             h_min, h_max = min(h_min, h), max(h_max, h)
             dt = h
-            idx = _capture_index(y_new, att, cfg.stop_radius)
+            idx = _capture_index(y_new, att, STOP_RADIUS)
             if idx is not None:
                 theta, y_new = _hermite_crossing(y, f, y_new, -g_new, h, att[idx],
-                                                 cfg.stop_radius)
+                                                 STOP_RADIUS)
                 dt = theta * h
                 pv_new, g_new = val_grad(y_new)
                 n_rhs += 1
@@ -410,11 +412,11 @@ def integrate_ensemble(P: DAPolynomial, X0, cfg: FlowConfig | None = None,
         for name, arr in vars(live).items():
             setattr(live, name, arr[~done])
 
-    index = _capture_rows(Y, att, cfg.stop_radius)
+    index = _capture_rows(Y, att, STOP_RADIUS)
     finish(np.where((live.gnorm < cfg.stop_grad) | (index >= 0), _CONVERGED, -1), index)
     while live.row.size:
         m = live.row.size
-        finish(np.where((live.steps >= cfg.max_steps) | (live.t >= cfg.max_time),
+        finish(np.where((live.steps >= MAX_STEPS) | (live.t >= cfg.max_time),
                         _MAX_TIME, -1), np.full(m, -1))
         m = live.row.size
         if m == 0:
@@ -462,7 +464,7 @@ def integrate_ensemble(P: DAPolynomial, X0, cfg: FlowConfig | None = None,
         live.radius = np.where(ok, np.maximum(live.radius, np.linalg.norm(y5, axis=1)),
                                live.radius)
         live.rise = np.where(ok, np.maximum(live.rise, v_new - live.v0), live.rise)
-        captured = ok & ((idx := _capture_rows(y5, att, cfg.stop_radius)) >= 0)
+        captured = ok & ((idx := _capture_rows(y5, att, STOP_RADIUS)) >= 0)
         index[captured] = idx[captured]
         small = ok & (live.gnorm < cfg.stop_grad)
         long_plateau = ok & ~captured & ~small & (live.plateau >= 25)
@@ -600,7 +602,7 @@ def collapse_time(D: Deformation, eps: float, cfg: FlowConfig | None = None,
     The attracting axis is located as the restricted-potential minimizer
     over stratum samples; the start sits at angle pi/3 from it along a
     deterministic transverse direction.  Collapse time is the time at which
-    the trajectory crosses into ``cfg.stop_radius`` of an attractor, located
+    the trajectory crosses into ``STOP_RADIUS`` of an attractor, located
     on the capturing step's interpolant, so it does not depend on where the
     steps fall.
     """
@@ -715,28 +717,35 @@ class BasinReport:
 
 
 EQUATOR_BAND = 0.05
+RK4_STABLE = 2.5                   # cap on h*lam; RK4's real-axis bound is about 2.79
 
 
 def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
                     max_time: float = 1e5) -> tuple[np.ndarray, np.ndarray]:
     """Capture labels for a batch of starts, integrated in lockstep.
 
-    Fixed-step (h = 0.25) classical Runge-Kutta on the whole ensemble; a
-    row freezes as soon as it enters an attractor's default ``FlowConfig``
-    stop radius.  Labels agree with per-trajectory adaptive integration
-    (checked in tests) at a small fraction of the cost.  Returns (labels,
-    final points); -1 marks rows still free at max_time.
+    Fixed-step classical Runge-Kutta on the whole ensemble; a row freezes
+    as soon as it enters ``STOP_RADIUS`` of an attractor.  The step is 0.25,
+    cut to ``RK4_STABLE / lam`` where lam = max 2 sigma_max(J)^2 is the
+    stiffest potential-Hessian eigenvalue at the attractors, so the decay
+    onto them stays inside RK4's real stability interval.  Labels agree
+    with per-trajectory adaptive integration (checked in tests) at a small
+    fraction of the cost.  Returns (labels, final points); -1 marks rows
+    still free at max_time.
     """
-    h = 0.25
     X = np.array(starts, dtype=float)
     n = X.shape[0]
     att = _attractor_coords(attractors)
+    h = 0.25
+    if att is not None:
+        sigma = np.linalg.norm(jacobian_coords(P, att), ord=2, axis=(-2, -1))
+        h = min(h, RK4_STABLE / float(np.max(2.0 * sigma * sigma)))
     labels = np.full(n, -1, dtype=int)
     active = np.ones(n, dtype=bool)
 
     def check_capture() -> None:
         idx = np.flatnonzero(active)
-        labels[idx] = _capture_rows(X[idx], att, FlowConfig.stop_radius)
+        labels[idx] = _capture_rows(X[idx], att, STOP_RADIUS)
         active[idx[labels[idx] >= 0]] = False
 
     check_capture()

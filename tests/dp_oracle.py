@@ -36,7 +36,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     """Integrate the gradient flow from x0.
 
     Stops when the gradient norm drops below ``cfg.stop_grad``, when the
-    state enters ``cfg.stop_radius`` of one of the supplied attractors, or
+    state enters ``STOP_RADIUS`` of one of the supplied attractors, or
     at ``cfg.max_time``.  Accepted steps keep the potential non-increasing
     (up to a relative slack); repeated failures report a stalled terminal.
     """
@@ -61,7 +61,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
 
     gnorm = float(np.linalg.norm(f))
     terminal = None
-    idx = _capture_index(y, att, cfg.stop_radius)
+    idx = _capture_index(y, att, fl.STOP_RADIUS)
     if gnorm < cfg.stop_grad or idx is not None:
         terminal = Terminal("converged", idx, "stopped at start")
     h = float(_initial_step(np.linalg.norm(y), gnorm))
@@ -76,7 +76,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     h_limit = np.inf                # stability limiter learned from rejections
     since_reject = 0
     while terminal is None:
-        if steps >= cfg.max_steps:
+        if steps >= fl.MAX_STEPS:
             terminal = Terminal("max_time", None, "step budget exhausted")
             break
         if t >= cfg.max_time:
@@ -127,7 +127,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
                 points.append(y.copy())
                 pots.append(v_new)
             gnorm = float(np.linalg.norm(f))
-            idx = _capture_index(y, att, cfg.stop_radius)
+            idx = _capture_index(y, att, fl.STOP_RADIUS)
             if idx is not None:
                 terminal = Terminal("converged", idx, "captured")
                 break
@@ -174,7 +174,7 @@ def located_collapse_time(D: Deformation, eps: float, seed: int) -> float:
 
     def run(P, x0, cfg, attractors):
         traj = integrate(P, x0, replace(cfg, record_every=1), attractors)
-        seen.update(P=P, traj=traj, att=attractors, radius=cfg.stop_radius)
+        seen.update(P=P, traj=traj, att=attractors, radius=fl.STOP_RADIUS)
         return traj
 
     flow_integrate, fl.integrate = fl.integrate, run

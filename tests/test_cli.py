@@ -1,5 +1,6 @@
 """Command-line driver: artifacts, determinism, exit codes."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from rootlab import cli
 from rootlab.cli import ConfigError, parse_range, parse_waveform
 
 
@@ -76,6 +78,7 @@ def test_outputs_byte_identical_for_same_seed(tmp_path):
         for args in ARTIFACT_RUNS:
             r = run_cli(*args, outdir=d)
             assert r.returncode == 0, (args, r.stderr)
+    assert {args[0] for args in ARTIFACT_RUNS} == set(cli.COMMANDS)
     names = sorted(p.name for p in a.iterdir())
     assert names == sorted(p.name for p in b.iterdir())
     assert len(names) == 16
@@ -144,6 +147,10 @@ def test_collapse_command(tmp_path):
     assert set(data) >= {"epsilons", "times", "slope", "intercept", "r2", "config"}
     assert len(data["times"]) == 4
     assert -2.3 < data["slope"] < -1.7
+    # the defaults the run used are echoed with the flags
+    assert data["config"] == {"algebra": "H", "base": "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]",
+                              "direction": "[[1,0,0,0],[0,1,0,0]]",
+                              "eps": "0.05:0.5:log4", "seed": 2}
 
 
 def test_thermo_command(tmp_path):
@@ -164,6 +171,19 @@ def test_phase_diagram_command(tmp_path):
     lines = (tmp_path / "phase-diagram.csv").read_text().strip().split("\n")
     assert lines[1] == "epsilon,T,m,m_stderr,mean_V,var_V,acceptance,flag"
     assert len(lines) == 2 + 4
+
+
+def test_phase_diagram_csv_quotes_diagnostic_flag(tmp_path):
+    # at T = 100 and eps = 1 the sampler fails its acceptance diagnostic, and
+    # the cell's flag, which holds a comma, must stay one CSV field
+    r = run_cli("phase-diagram", "--eps-grid", "0:1:lin2", "--t-grid", "100:10000:log2",
+                "--chains", "2", "--steps", "40", "--seed", "1", outdir=tmp_path)
+    assert r.returncode == 0
+    lines = (tmp_path / "phase-diagram.csv").read_text().splitlines()
+    rows = list(csv.reader(lines[1:]))
+    assert len(rows) == 1 + 4
+    assert all(len(row) == 8 for row in rows)
+    assert any(row[-1].startswith("diagnostic:") and "," in row[-1] for row in rows)
 
 
 def test_algebra_check_command(tmp_path):
@@ -209,6 +229,20 @@ def test_config_file_with_flag_override(tmp_path):
     data = json.loads((tmp_path / "inflate.json").read_text())
     assert data["config"]["seed"] == 10       # flag wins
     assert data["config"]["samples"] == 4     # file value kept
+
+
+def test_config_file_supplies_seed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 9}))
+    r = subprocess.run(
+        [sys.executable, "-m", "rootlab.cli", "--out", str(tmp_path),
+         "--config", str(cfg), "inflate", "--algebra", "H",
+         "--poly", "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]"],
+        capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    data = json.loads((tmp_path / "inflate.json").read_text())
+    assert data["config"] == {"algebra": "H", "poly": "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]",
+                              "samples": 32, "seed": 9}
 
 
 def test_bad_inputs_exit_2(tmp_path):

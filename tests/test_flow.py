@@ -296,6 +296,14 @@ def test_hemisphere_examples_and_equator_flag():
     assert np.array_equal(rep.band_mask, equator_like)
 
 
+def test_basins_converge_at_cli_default_eps():
+    # at eps = 0.5 the stiffest Hessian eigenvalue at the attractors is 12.5,
+    # where RK4's old fixed step h = 0.25 is unstable and every row blew up
+    rep = basin_decomposition(benchmark(), 0.5, 100, seed=2)
+    assert rep.unconverged == []
+    assert sum(rep.fractions.values()) == pytest.approx(1.0)
+
+
 def test_ensemble_labels_agree_with_adaptive_integrator():
     D = benchmark()
     eps = 0.2
