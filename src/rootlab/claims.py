@@ -110,7 +110,7 @@ def claim_inflation(quick: bool, seed: int) -> ClaimResult:
     worst_pot = 0.0
     for tag, want in ((QUATERNIONS, 2), (OCTONIONS, 6)):
         P = DAPolynomial.from_real(tag, [1, 0, 1])
-        rs = mf.central_root_set(P)
+        rs = mf.root_set(P)
         dims[str(tag)] = rs.hausdorff_dimension
         stratum = rs.strata[0]
         for s in mf.sample_stratum(stratum, 32, rng):
@@ -129,14 +129,14 @@ def claim_automorphism_invariance(quick: bool, seed: int) -> ClaimResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     P_O = DAPolynomial.from_real(OCTONIONS, [1, 0, 1])
-    sphere_O = mf.central_root_set(P_O).strata[0]
+    sphere_O = mf.root_set(P_O).strata[0]
     for x in mf.sample_stratum(sphere_O, n, rng):
         a = random_element(OCTONIONS, rng)
         b = random_element(OCTONIONS, rng)
         g = automorphism_from_derivation(a, b, float(rng.uniform(0.1, 2.0)))
         worst = max(worst, mf.orbit_invariance_check(P_O, g, x, rng))
     P_H = DAPolynomial.from_real(QUATERNIONS, [1, 0, 1])
-    sphere_H = mf.central_root_set(P_H).strata[0]
+    sphere_H = mf.root_set(P_H).strata[0]
     for x in mf.sample_stratum(sphere_H, n, rng):
         h = random_element(QUATERNIONS, rng)
         while h.norm() < 1e-3:
@@ -156,7 +156,7 @@ def claim_jacobian_rank(quick: bool, seed: int) -> ClaimResult:
     ok = True
     for tag, expect in ((QUATERNIONS, 2), (OCTONIONS, 2)):
         P = DAPolynomial.from_real(tag, [1, 0, 1])
-        sphere = mf.central_root_set(P).strata[0]
+        sphere = mf.root_set(P).strata[0]
         got = set()
         for x in mf.sample_stratum(sphere, 50, rng):
             r = mf.numerical_rank(jacobian_coords(P, x.coords))

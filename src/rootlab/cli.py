@@ -133,7 +133,7 @@ def cmd_algebra_check(cfg: dict, out: Path) -> int:
 
 def cmd_inflate(cfg: dict, out: Path) -> int:
     P = parse_poly(cfg["algebra"], cfg["poly"])
-    rs = mf.central_root_set(P)
+    rs = mf.root_set(P)
     rng = np.random.default_rng(cfg["seed"])
     strata = []
     for s in rs.strata:
@@ -252,6 +252,8 @@ def cmd_basins(cfg: dict, out: Path) -> int:
 def cmd_thermo(cfg: dict, out: Path) -> int:
     P = parse_poly(cfg["algebra"], cfg["poly"])
     if cfg.get("entropy_ladder"):
+        if "temperature" in cfg:
+            raise ConfigError("--temperature and --entropy-ladder exclude each other")
         ladder = parse_range(cfg["entropy_ladder"])
         base = th.GibbsConfig(temperature=float(ladder[0]),
                               chains=cfg["chains"], steps=cfg["steps"])

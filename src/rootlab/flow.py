@@ -9,13 +9,13 @@ steps a whole start set in lockstep with an embedded Dormand-Prince 5(4)
 pair, one batched value-and-gradient call per stage; multistart attractor
 search and the retract check run on it.  Attractors are isolated full-rank
 roots, Newton-polished in one place: multistart search gets its candidates
-from the flow, while for a deformation family P_eps = B + eps Dir (collapse
-times, basins, the retract check) Newton starts from the restricted-
-potential extrema on the base sphere.  On top of these: collapse-time
-measurement from a fixed geodesic start angle, the log-log scaling fit of
-collapse time against perturbation size, basin decomposition of the initial
-sphere, restricted potential scans, and a retract check that every started
-trajectory is captured by an attractor.
+from the flow, while collapse times, basins and the retract check start
+Newton from the isolated points of ``manifolds.root_set``, with no flow and
+no seed.  On top of these: collapse-time measurement from a fixed geodesic
+start angle, the log-log scaling fit of collapse time against perturbation
+size, basin decomposition of the initial sphere, restricted potential
+scans, and a retract check that every started trajectory is captured by an
+attractor.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ import numpy as np
 from . import tolerances as tol
 from .algebra import AlgebraElement, AlgebraTag
 from .manifolds import (
+    IsolatedPoint,
     Sphere,
-    central_root_set,
     numerical_rank,
+    root_set,
     sample_stratum,
 )
 from .poly import (
@@ -535,21 +536,14 @@ def find_attractors(P: DAPolynomial, n_starts: int = 32, seed: int = 0,
     return attractors_from_starts(P, starts, cfg)
 
 
-def _newton_attractors(P: DAPolynomial, D: Deformation, seed: int) -> list[AlgebraElement]:
-    # A deformation family's attractors without a flow: Newton from the
-    # restricted-potential extrema on the base sphere plus Gaussian starts.
-    rng = np.random.default_rng(seed)
-    samples = sample_stratum(_first_sphere(D), 128, rng)
-    vals = [float(potential_coords(D.direction, s.coords)) for s in samples]
-    order = np.argsort(vals)
-    guesses = [samples[order[0]].coords, -samples[order[0]].coords,
-               samples[order[-1]].coords, -samples[order[-1]].coords]
-    guesses.extend(rng.normal(scale=1.5, size=(16, P.tag.dimension)))
-    return _polished_attractors(P, guesses)
+def _located_attractors(P: DAPolynomial) -> list[AlgebraElement]:
+    """Attractors without a flow: the polished isolated points of ``root_set``."""
+    return _polished_attractors(P, [s.point.coords for s in root_set(P).strata
+                                    if isinstance(s, IsolatedPoint)])
 
 
 def _first_sphere(D: Deformation) -> Sphere:
-    for s in central_root_set(D.base).strata:
+    for s in root_set(D.base).strata:
         if isinstance(s, Sphere):
             return s
     raise ValueError("deformation base has no sphere stratum")
@@ -604,7 +598,8 @@ def collapse_time(D: Deformation, eps: float, cfg: FlowConfig | None = None,
     deterministic transverse direction.  Collapse time is the time at which
     the trajectory crosses into ``STOP_RADIUS`` of an attractor, located
     on the capturing step's interpolant, so it does not depend on where the
-    steps fall.
+    steps fall.  A run that no attractor captures is censored, whatever
+    stopped it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -621,14 +616,13 @@ def collapse_time(D: Deformation, eps: float, cfg: FlowConfig | None = None,
     x0 = np.zeros(P.tag.dimension)
     x0[0] = sphere.re
     x0 += sphere.radius * (math.cos(math.pi / 3) * u_min + math.sin(math.pi / 3) * w)
-    attractors = _newton_attractors(P, D, seed)
+    attractors = _located_attractors(P)
     if not attractors:
         raise RuntimeError(f"no attractors found at eps={eps}")
     traj = integrate(P, x0, cfg, attractors=attractors)
-    censored = traj.terminal.kind != "converged"
     idx = traj.terminal.attractor_index
     att = attractors[idx] if idx is not None else None
-    return CollapseSample(eps, traj.final_time, censored, att, x0, traj.stats)
+    return CollapseSample(eps, traj.final_time, att is None, att, x0, traj.stats)
 
 
 @dataclass(frozen=True)
@@ -762,10 +756,10 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
     return labels, X
 
 
-def _sphere_starts(D: Deformation, P: DAPolynomial, n_samples: int, seed: int,
+def _sphere_starts(D: Deformation, P: DAPolynomial, n_samples: int,
                    rng: np.random.Generator):
     """Attractors of P = D.at(eps), their axis, base-sphere starts, equator-band mask."""
-    attractors = _newton_attractors(P, D, seed)
+    attractors = _located_attractors(P)
     if not attractors:
         raise RuntimeError("no isolated attractors found")
     sphere = _first_sphere(D)
@@ -779,7 +773,7 @@ def basin_decomposition(D: Deformation, eps: float, n_samples: int,
                         seed: int = 0) -> BasinReport:
     """Label sphere starts by the attractor that captures them."""
     P = D.at(eps)
-    attractors, axis, X0, band = _sphere_starts(D, P, n_samples, seed,
+    attractors, axis, X0, band = _sphere_starts(D, P, n_samples,
                                                 np.random.default_rng(seed))
     labels, finals = ensemble_labels(P, X0, attractors,
                                      max_time=max(1e4, 400.0 / eps ** 2))
@@ -852,7 +846,7 @@ def retract_check(D: Deformation, eps: float, n_samples: int,
         ens = integrate_ensemble(P, starts, FlowConfig(max_time=10.0))
         max_disp = float(np.max(np.linalg.norm(ens.points - starts, axis=1)))
         return RetractReport(n_samples, n_samples, 0, max_disp, True)
-    attractors, _, starts, in_band = _sphere_starts(D, P, n_samples, seed, rng)
+    attractors, _, starts, in_band = _sphere_starts(D, P, n_samples, rng)
     if off_manifold > 0:
         starts = np.vstack([starts, rng.normal(scale=2.0,
                                                size=(off_manifold, P.tag.dimension))])

@@ -1,10 +1,12 @@
-"""Root sets of central polynomials as strata of points and spheres.
+"""Root sets of polynomials as strata of points and spheres.
 
-A central polynomial over an algebra of dimension d reduces to a real
-auxiliary polynomial: each real auxiliary root is an isolated point on the
-real axis, and each complex-conjugate pair a +- b i opens into the sphere
-{a + b u : u unit imaginary} of dimension d - 2.  The module computes the
-strata (via an Aberth-Ehrlich simultaneous root finder), samples them,
+Every root of a polynomial over an algebra of dimension d lies on the
+sphere {a + b u : u unit imaginary} of a conjugate pair a +- b i of a real
+auxiliary polynomial (a real auxiliary root is a point on the real axis).
+A central polynomial vanishes on all of each sphere, of dimension d - 2;
+any other polynomial has one root on it, found by dividing out the
+sphere's quadratic, unless the quadratic divides it.  The module computes
+the strata (via an Aberth-Ehrlich simultaneous root finder), samples them,
 checks the cyclic symmetry of lacunary complex polynomials and orbit
 invariance under automorphisms, and scans the Hausdorff dimension of a
 deformation family across epsilon = 0.
@@ -24,7 +26,14 @@ from .algebra import (
     AlgebraTag,
     LinearMap,
 )
-from .poly import DAPolynomial, Deformation, jacobian_coords, potential
+from .poly import (
+    CentralQuadratic,
+    DAPolynomial,
+    Deformation,
+    jacobian_coords,
+    potential,
+    remainder_root,
+)
 
 
 class RootFindingError(RuntimeError):
@@ -157,57 +166,49 @@ def _aberth_core(c: np.ndarray, max_sweeps: int, residual_target: float) -> np.n
     return z
 
 
-def complex_roots_real_poly(coeffs) -> list[complex]:
-    """Roots of a real-coefficient polynomial, conjugate-paired.
+def root_set(P: DAPolynomial) -> RootSet:
+    """Strata of P over an algebra of dimension >= 2.
 
-    Roots with relatively tiny imaginary part are snapped to the real
-    axis; the rest are matched into a +- b i pairs and symmetrized.
+    Every root of P lies on the sphere [z] = {Re z + |Im z| u : u unit
+    imaginary} of a root z of a real auxiliary polynomial (Gordon & Motzkin):
+    the real parts of the coefficients when P is central, else the companion
+    C(t) = sum_m t^m sum_{j+k=m} <a_j, a_k>.  Auxiliary roots closer than
+    ``ATTRACTOR_DEDUP`` (relative) merge into their mean: a real root or a
+    sphere of roots of a non-central P is a double root of C.  Roots with
+    |Im z| up to ``CONJUGATE_PAIR_REL`` (relative) count as real, and each
+    upper-half-plane root stands for its conjugate pair.  A central P
+    vanishes at each real z and on each whole sphere; any other P has the
+    one root -A^-1 B on [z] (``remainder_root``), or all of [z] when A
+    vanishes.  Real strata come first, then the others by (Re z, Im z).
     """
-    c = np.asarray(coeffs, dtype=float)
-    roots = aberth_roots(c.astype(complex))
-    if roots.size == 0:
-        return []
-    pair_tol = tol.CONJUGATE_PAIR_REL * (1.0 + np.max(np.abs(roots)))
-    reals = []
-    complexes = []
-    for z in roots:
-        if abs(z.imag) <= pair_tol:
-            reals.append(complex(z.real, 0.0))
-        else:
-            complexes.append(z)
-    upper = sorted((z for z in complexes if z.imag > 0), key=lambda z: (z.real, z.imag))
-    lower = sorted((z for z in complexes if z.imag < 0), key=lambda z: (z.real, -z.imag))
-    if len(upper) != len(lower):
-        raise RootFindingError("conjugate pairing failed for real-coefficient input")
-    paired: list[complex] = []
-    for zu, zl in zip(upper, lower):
-        if abs(zu - zl.conjugate()) > 1e4 * pair_tol:
-            raise RootFindingError("conjugate pairing failed for real-coefficient input")
-        z = 0.5 * (zu + zl.conjugate())
-        paired.extend([z, z.conjugate()])
-    return reals + paired
-
-
-def central_root_set(P: DAPolynomial) -> RootSet:
-    """Strata of a central polynomial over an algebra of dimension >= 2."""
-    if not P.is_central:
-        raise ValueError("central_root_set requires a central polynomial")
     if P.tag.dimension < 2:
         raise ValueError("root strata need an algebra of dimension >= 2")
     if P.is_zero:
         raise ValueError("zero polynomial has no meaningful root set")
-    aux = [c.real for c in P.coefficients]
-    roots = complex_roots_real_poly(aux)
-    strata: list[RootStratum] = []
-    seen: list[complex] = []
-    dedup = 1e-9 * (1.0 + max((abs(z) for z in roots), default=0.0))
+    aux = (P._rows[:, 0] if P.is_central
+           else sum(np.convolve(col, col) for col in P._rows.T))
+    roots = aberth_roots(aux)
+    scale = 1.0 + float(np.max(np.abs(roots), initial=0.0))
+    clusters: list[list[complex]] = []
     for z in roots:
-        if any(abs(z - w) <= dedup for w in seen):
-            continue
-        seen.append(z)
-        if z.imag == 0.0:
+        for c in clusters:
+            if abs(z - c[0]) <= tol.ATTRACTOR_DEDUP * scale:
+                c.append(z)
+                break
+        else:
+            clusters.append([z])
+    zs = [complex(np.mean(c)) for c in clusters]
+    real_tol = tol.CONJUGATE_PAIR_REL * scale
+    upper = sorted((z for z in zs if z.imag > real_tol), key=lambda z: (z.real, z.imag))
+    strata: list[RootStratum] = []
+    for z in [complex(z.real, 0.0) for z in zs if abs(z.imag) <= real_tol] + upper:
+        x = (None if P.is_central
+             else remainder_root(P, CentralQuadratic(2.0 * z.real, abs(z) ** 2)))
+        if x is not None:
+            strata.append(IsolatedPoint(x))
+        elif z.imag == 0.0:
             strata.append(IsolatedReal(z.real, P.tag))
-        elif z.imag > 0.0:
+        else:
             strata.append(Sphere(re=z.real, radius=z.imag, tag=P.tag))
     dim = max((s.dimension for s in strata), default=0)
     return RootSet(tuple(strata), dim)
@@ -317,7 +318,7 @@ def hausdorff_dimension_scan(D: Deformation, epsilons,
     """
     from . import flow as _flow  # deferred: flow builds on this module
 
-    base_set = central_root_set(D.base)
+    base_set = root_set(D.base)
     if not any(isinstance(s, Sphere) for s in base_set.strata):
         raise ValueError("scan expects a base with a non-real stratum")
     rows = []

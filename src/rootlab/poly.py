@@ -271,14 +271,25 @@ def right_divide_central(
     return DAPolynomial(P.tag, tuple(q)), work[1], work[0]
 
 
+def remainder_root(P: DAPolynomial, M: CentralQuadratic) -> AlgebraElement | None:
+    """The one root of P on the sphere of M, or None when M divides P there.
+
+    Divides P = Q M + (A x + B); on the sphere M = 0, so a root solves
+    A x + B = 0 and is -A^-1 B.  A vanishing A (relative to the
+    coefficients of P) leaves no linear equation to solve.
+    """
+    _, A, B = right_divide_central(P, M)
+    if np.linalg.norm(A.coords) < tol.SPHERICAL_REMAINDER_REL * (1.0 + P.max_coeff_norm()):
+        return None
+    return multiply(-1.0 * A.inverse(), B)
+
+
 @dataclass(frozen=True)
 class LocalizationResult:
     """Outcome of dividing out the minimal quadratic of a root."""
 
     point: AlgebraElement | None
     is_spherical: bool
-    remainder_a: AlgebraElement
-    remainder_b: AlgebraElement
 
 
 def localize_isolated_root(P: DAPolynomial, x0: AlgebraElement,
@@ -286,8 +297,8 @@ def localize_isolated_root(P: DAPolynomial, x0: AlgebraElement,
                            ) -> LocalizationResult:
     """Express an (approximate) isolated root through the coefficients of P.
 
-    Builds the minimal central quadratic of x0, divides, and solves the
-    linear remainder: the returned point is -A^-1 B.  A vanishing remainder
+    Builds the minimal central quadratic of x0 and solves the remainder of
+    the division by it (``remainder_root``).  A vanishing remainder
     coefficient A certifies instead that the quadratic divides P, i.e. the
     whole sphere through x0 consists of roots.
     """
@@ -296,13 +307,8 @@ def localize_isolated_root(P: DAPolynomial, x0: AlgebraElement,
     v = potential(P, x0)
     if v >= potential_tol:
         raise ValueError(f"x0 is not an approximate root: potential {v:.3e}")
-    M = CentralQuadratic.from_element(x0)
-    _, A, B = right_divide_central(P, M)
-    threshold = tol.SPHERICAL_REMAINDER_REL * (1.0 + P.max_coeff_norm())
-    if np.linalg.norm(A.coords) < threshold:
-        return LocalizationResult(None, True, A, B)
-    point = multiply(-1.0 * A.inverse(), B)
-    return LocalizationResult(point, False, A, B)
+    point = remainder_root(P, CentralQuadratic.from_element(x0))
+    return LocalizationResult(point, point is None)
 
 
 def coefficient_subalgebra(P: DAPolynomial) -> tuple[int, list[AlgebraElement]]:

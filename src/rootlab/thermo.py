@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import AlgebraElement
-from .manifolds import central_root_set, sample_stratum
+from .manifolds import root_set, sample_stratum
 from .poly import DAPolynomial, Deformation, potential_coords
 
 
@@ -87,18 +87,14 @@ def metropolis_accept(delta_v: np.ndarray, temperature: float,
 
 def _initial_points(P: DAPolynomial, chains: int, rng: np.random.Generator,
                     scale_hint: float) -> np.ndarray:
-    """Mode-seeded starts: strata samples or attractors, plus overdispersed."""
+    """Mode-seeded starts: root-set samples, plus overdispersed."""
     d = P.tag.dimension
     anchors: list[np.ndarray] = []
-    if P.is_central and not P.is_zero and P.degree >= 1:
-        strata = central_root_set(P).strata
+    if P.degree >= 1:
+        strata = root_set(P).strata
         per = max(1, (chains + 1) // 2 // max(len(strata), 1))
         for s in strata:
             anchors.extend(p.coords for p in sample_stratum(s, per, rng))
-    else:
-        from . import flow as _flow
-        attractors = _flow.find_attractors(P, 8, seed=int(rng.integers(2 ** 31)))
-        anchors.extend(a.coords for a in attractors)
     points = np.empty((chains, d))
     for c in range(chains):
         if c % 2 == 0 and anchors:
@@ -197,19 +193,6 @@ def sample_gibbs(P: DAPolynomial, cfg: GibbsConfig,
         second_moments=second,
     )
     return GibbsResult(stats, kept_x, kept_v, scale, cfg)
-
-
-def order_parameter(samples: np.ndarray, axis: AlgebraElement) -> float:
-    """Mean squared axis alignment over flat samples (n, d)."""
-    if abs(axis.real) > 1e-9 or abs(axis.norm() - 1.0) > 1e-9:
-        raise ValueError("axis must be a unit imaginary element")
-    flat = np.asarray(samples, dtype=float).reshape(-1, axis.tag.dimension)
-    imag = flat[:, 1:]
-    proj = imag @ axis.coords[1:]
-    denom = float(np.mean(np.sum(imag * imag, axis=1)))
-    if denom <= 0.0:
-        raise SamplerDiagnosticError("degenerate chain: zero imaginary moment")
-    return float(np.mean(proj ** 2) / denom)
 
 
 def order_parameter_series(kept: np.ndarray, ax: np.ndarray

@@ -49,6 +49,32 @@ def test_inflate_artifact(tmp_path):
     assert data["config"]["seed"] == 1
 
 
+def test_inflate_two_sphere_quartic(tmp_path):
+    # x^4 + 2.1 x^2 + 0.660839: its auxiliary roots are two conjugate pairs
+    # whose real parts are rounding noise
+    r = run_cli("inflate", "--algebra", "H", "--poly",
+                "[[0.660839,0,0,0],[0,0,0,0],[2.1,0,0,0],[0,0,0,0],[1,0,0,0]]",
+                "--seed", "1", outdir=tmp_path)
+    assert r.returncode == 0, r.stderr
+    data = json.loads((tmp_path / "inflate.json").read_text())
+    assert [s["kind"] for s in data["strata"]] == ["sphere", "sphere"]
+    assert all(s["worst_sample_potential"] < 1e-18 for s in data["strata"])
+
+
+def test_inflate_non_central_isolated_points(tmp_path):
+    r = run_cli("inflate", "--algebra", "H",
+                "--poly", "[[1,0,0,0],[0,1,0,0],[1,0,0,0]]", "--seed", "1",
+                outdir=tmp_path)
+    assert r.returncode == 0, r.stderr
+    data = json.loads((tmp_path / "inflate.json").read_text())
+    assert data["hausdorff_dimension"] == 0
+    assert [s["kind"] for s in data["strata"]] == ["isolated-point"] * 2
+    beta = (np.sqrt(5.0) - 1.0) / 2.0
+    got = sorted(s["point"][1] for s in data["strata"])
+    assert np.allclose(got, [-1.0 - beta, beta], atol=1e-12)
+    assert all(s["worst_sample_potential"] < 1e-28 for s in data["strata"])
+
+
 H_CENTRAL = "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]"
 GIBBS = ("--chains", "4", "--steps", "600", "--seed", "5")
 # every artifact-writing subcommand (thermo in both modes), fast settings
@@ -161,6 +187,14 @@ def test_thermo_command(tmp_path):
     data = json.loads((tmp_path / "thermo-stats.json").read_text())
     assert 0.0 <= data["order_parameter"] <= 1.0
     assert data["mean_V"] > 0
+
+
+def test_thermo_rejects_temperature_with_entropy_ladder(tmp_path):
+    r = run_cli("thermo", "--poly", H_CENTRAL, "--temperature", "0.05",
+                "--entropy-ladder", "0.002:0.02:log2", *GIBBS, outdir=tmp_path)
+    assert r.returncode == 2
+    assert "--entropy-ladder" in r.stderr
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
 def test_phase_diagram_command(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rootlab import flow as fl
-from rootlab.algebra import QUATERNIONS, element, real_element
+from rootlab.algebra import OCTONIONS, QUATERNIONS, basis_element, element, real_element
 from rootlab.flow import (
     FlowConfig,
     basin_decomposition,
@@ -33,7 +33,7 @@ BETA = (np.sqrt(5.0) - 1.0) / 2.0
 
 def benchmark(tag=QUATERNIONS):
     base = DAPolynomial.from_real(tag, [1, 0, 1])
-    direction = DAPolynomial.from_coords(tag, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    direction = DAPolynomial(tag, (real_element(tag, 1.0), basis_element(tag, 1)))
     return Deformation(base, direction)
 
 
@@ -100,14 +100,26 @@ def test_find_attractors_benchmark():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_family_locator_matches_flow_search(eps, seed):
     # collapse times, basins and the retract check locate a family's
-    # attractors by Newton alone; the 16-start flow search is the reference
-    D = benchmark()
-    P = D.at(eps)
-    got = fl._newton_attractors(P, D, seed)
+    # attractors from the root set, with no flow and no seed; the 16-start
+    # flow search is the reference
+    P = benchmark().at(eps)
+    got = fl._located_attractors(P)
     ref = find_attractors(P, 16, seed)
     assert len(got) == len(ref) == 2
     for a, r in zip(got, ref):
         assert np.max(np.abs(a.coords - r.coords)) < 1e-9
+
+
+@pytest.mark.parametrize("tag", [QUATERNIONS, OCTONIONS], ids=str)
+def test_family_locator_finds_both_attractors(tag):
+    # x^2 + 1 + eps (i x + 1) vanishes at i and at -(1 + eps) i
+    D = benchmark(tag)
+    for eps in (0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.3, 0.5, 1.0, 2.0, 2.5):
+        att = fl._located_attractors(D.at(eps))
+        assert len(att) == 2, eps
+        want = [-(1.0 + eps) * basis_element(tag, 1), basis_element(tag, 1)]
+        for a, w in zip(att, want):
+            assert a.allclose(w, atol=1e-12), eps
 
 
 def test_find_attractors_canonical_roots():
@@ -170,6 +182,27 @@ def test_collapse_time_matches_dormand_prince_oracle(eps):
     assert not got.censored
     assert got.time == pytest.approx(dp_oracle.located_collapse_time(D, eps, 3),
                                      rel=1e-5)
+
+
+def test_collapse_time_captured_over_octonions():
+    # a start the old seeded Newton locator left with one attractor: the
+    # flow then stopped on the gradient test, uncensored, at t = 242,972
+    D = benchmark(OCTONIONS)
+    s = collapse_time(D, 0.005, seed=3)
+    assert not s.censored and s.attractor is not None
+    assert s.attractor.allclose(basis_element(OCTONIONS, 1), atol=1e-12)
+    assert s.time == pytest.approx(86214, rel=1e-4)
+
+
+def test_collapse_time_censored_without_capture(monkeypatch):
+    # with only the far attractor known the run ends on a stop test
+    # outside every ball, which is a censored sample, not a collapse
+    D = benchmark(OCTONIONS)
+    located = fl._located_attractors
+    monkeypatch.setattr(fl, "_located_attractors",
+                        lambda P: [a for a in located(P) if a.coords[1] < 0])
+    s = collapse_time(D, 0.005, seed=3)
+    assert s.censored and s.attractor is None
 
 
 def test_collapse_integrator_is_not_stability_bound():
@@ -310,8 +343,8 @@ def test_ensemble_labels_agree_with_adaptive_integrator():
     P = D.at(eps)
     att = find_attractors(P, 12, seed=8)
     rng = np.random.default_rng(8)
-    from rootlab.manifolds import central_root_set, sample_stratum
-    sphere = central_root_set(D.base).strata[0]
+    from rootlab.manifolds import root_set, sample_stratum
+    sphere = root_set(D.base).strata[0]
     starts = np.stack([s.coords for s in sample_stratum(sphere, 12, rng)])
     labels, _ = ensemble_labels(P, starts, att, max_time=1e4)
     for i, s in enumerate(starts):
@@ -320,9 +353,9 @@ def test_ensemble_labels_agree_with_adaptive_integrator():
 
 
 def _sphere_and_gaussian_starts(D, seed):
-    from rootlab.manifolds import central_root_set, sample_stratum
+    from rootlab.manifolds import root_set, sample_stratum
     rng = np.random.default_rng(seed)
-    sphere = central_root_set(D.base).strata[0]
+    sphere = root_set(D.base).strata[0]
     on_sphere = np.stack([s.coords for s in sample_stratum(sphere, 12, rng)])
     return np.vstack([on_sphere, rng.normal(scale=1.5, size=(4, 4))])
 

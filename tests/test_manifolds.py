@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rootlab import dynamics as dyn
 from rootlab import manifolds as mf
 from rootlab.algebra import (
     COMPLEX,
@@ -12,20 +13,27 @@ from rootlab.algebra import (
     basis_element,
     conjugation_automorphism,
     random_element,
+    real_element,
 )
 from rootlab.manifolds import (
+    IsolatedPoint,
     IsolatedReal,
     Sphere,
     aberth_roots,
     cd_symmetry_check,
-    central_root_set,
-    complex_roots_real_poly,
     hausdorff_dimension_scan,
     numerical_rank,
     orbit_invariance_check,
+    root_set,
     sample_stratum,
 )
-from rootlab.poly import DAPolynomial, Deformation, jacobian_coords, potential
+from rootlab.poly import (
+    DAPolynomial,
+    Deformation,
+    evaluate_coords,
+    jacobian_coords,
+    potential,
+)
 
 
 def sorted_roots(roots):
@@ -33,11 +41,11 @@ def sorted_roots(roots):
 
 
 def test_aberth_simple_cases():
-    assert sorted_roots(complex_roots_real_poly([1, 0, 1])) == [
+    assert sorted_roots(aberth_roots([1, 0, 1])) == [
         pytest.approx(-1j, abs=1e-12), pytest.approx(1j, abs=1e-12)]
-    assert sorted_roots(complex_roots_real_poly([2, -3, 1])) == [
+    assert sorted_roots(aberth_roots([2, -3, 1])) == [
         pytest.approx(1.0, abs=1e-12), pytest.approx(2.0, abs=1e-12)]
-    got = sorted_roots(complex_roots_real_poly([4, 0, 5, 0, 1]))
+    got = sorted_roots(aberth_roots([4, 0, 5, 0, 1]))
     want = [-2j, -1j, 1j, 2j]
     assert all(abs(g - w) < 1e-11 for g, w in zip(got, sorted_roots(want)))
 
@@ -81,33 +89,78 @@ def test_aberth_roots_at_zero():
     assert any(abs(z - 1.0) < 1e-12 for z in roots)
 
 
-def test_central_root_set_inflation():
+def test_root_set_inflation():
     P = DAPolynomial.from_real(QUATERNIONS, [1, 0, 1])
-    rs = central_root_set(P)
+    rs = root_set(P)
     assert rs.hausdorff_dimension == 2
     (s,) = rs.strata
     assert isinstance(s, Sphere) and s.re == pytest.approx(0.0)
     assert s.radius == pytest.approx(1.0)
 
-    rs_o = central_root_set(DAPolynomial.from_real(OCTONIONS, [1, 0, 1]))
+    rs_o = root_set(DAPolynomial.from_real(OCTONIONS, [1, 0, 1]))
     assert rs_o.hausdorff_dimension == 6
 
-    rs_real = central_root_set(DAPolynomial.from_real(QUATERNIONS, [-1, 0, 1]))
+    rs_real = root_set(DAPolynomial.from_real(QUATERNIONS, [-1, 0, 1]))
     assert rs_real.hausdorff_dimension == 0
     values = sorted(s.value for s in rs_real.strata)
     assert values == [pytest.approx(-1.0), pytest.approx(1.0)]
 
+    # the breathing trinomial x^4 + a x^2 + b: two spheres, whose conjugate
+    # pairs differ in real parts only by rounding
+    a, b = 2.1, 0.660839
+    rs_two = root_set(DAPolynomial.from_real(QUATERNIONS, [b, 0, a, 0, 1]))
+    assert rs_two.hausdorff_dimension == 2
+    assert all(isinstance(s, Sphere) for s in rs_two.strata)
+    r = dyn.radii(a, b)
+    radii = sorted(s.radius for s in rs_two.strata)
+    assert radii == [pytest.approx(r.r_inner, abs=1e-12), pytest.approx(r.r_outer, abs=1e-12)]
 
-def test_central_root_set_rejects_non_central():
-    P = DAPolynomial.from_coords(QUATERNIONS, [[1, 0, 0, 0], [0, 1, 0, 0],
-                                               [1, 0, 0, 0]])
-    with pytest.raises(ValueError):
-        central_root_set(P)
+    # double auxiliary roots, which Aberth splits by about 1e-8, are one
+    # stratum: (x - 1)^2 a real point, not a thin sphere; (x^2 + 1)^2 one sphere
+    (s,) = root_set(DAPolynomial.from_real(QUATERNIONS, [1, -2, 1])).strata
+    assert isinstance(s, IsolatedReal) and s.value == pytest.approx(1.0, abs=1e-9)
+    (s,) = root_set(DAPolynomial.from_real(QUATERNIONS, [1, 0, 2, 0, 1])).strata
+    assert isinstance(s, Sphere) and s.radius == pytest.approx(1.0, abs=1e-9)
+
+
+def test_root_set_isolated_points_of_random_polynomials():
+    # a non-central P has one root on the sphere of each conjugate pair of
+    # its companion polynomial: deg isolated points, each a backward-stable root
+    rng = np.random.default_rng(3)
+    for i in range(50):
+        tag = (QUATERNIONS, OCTONIONS)[i % 2]
+        deg = int(rng.integers(2, 6))
+        P = DAPolynomial(tag, tuple(random_element(tag, rng) for _ in range(deg))
+                         + (real_element(tag, 1.0),))
+        rs = root_set(P)
+        assert len(rs.strata) == deg and rs.hausdorff_dimension == 0
+        for s in rs.strata:
+            assert isinstance(s, IsolatedPoint)
+            x = s.point.coords
+            scale = sum(np.linalg.norm(a) * np.linalg.norm(x) ** k
+                        for k, a in enumerate(P._rows))
+            assert np.linalg.norm(evaluate_coords(P, x)) <= 1e-10 * scale
+
+
+def test_root_set_double_companion_roots():
+    # (x - 2i)(x^2 + 1) vanishes on the unit sphere and at 2i, and
+    # x^2 - (3 + i) x + (2 + i) at the real root 1 and at 2 + i; both put
+    # double roots into the companion, which merge before the division
+    tag = QUATERNIONS
+    P = DAPolynomial.from_coords(tag, [[0, -2, 0, 0], [1, 0, 0, 0],
+                                       [0, -2, 0, 0], [1, 0, 0, 0]])
+    point, sphere = root_set(P).strata
+    assert point.point.allclose(basis_element(tag, 1) * 2.0, atol=1e-10)
+    assert sphere.re == pytest.approx(0.0, abs=1e-9)
+    assert sphere.radius == pytest.approx(1.0, abs=1e-9)
+    P2 = DAPolynomial.from_coords(tag, [[2, 1, 0, 0], [-3, -1, 0, 0], [1, 0, 0, 0]])
+    got = sorted(tuple(s.point.coords) for s in root_set(P2).strata)
+    assert np.allclose(got, [[1, 0, 0, 0], [2, 1, 0, 0]], atol=1e-10)
 
 
 def test_sample_stratum_statistics():
     P = DAPolynomial.from_real(OCTONIONS, [1, 0, 1])
-    (s,) = central_root_set(P).strata
+    (s,) = root_set(P).strata
     n = 4000
     pts = sample_stratum(s, n, 0)
     worst = max(potential(P, p) for p in pts)
@@ -140,14 +193,14 @@ def test_cd_symmetry_examples():
 def test_orbit_invariance_octonion_and_quaternion():
     rng = np.random.default_rng(2)
     P_O = DAPolynomial.from_real(OCTONIONS, [1, 0, 1])
-    (sphere_O,) = central_root_set(P_O).strata
+    (sphere_O,) = root_set(P_O).strata
     g = automorphism_from_derivation(basis_element(OCTONIONS, 1),
                                      basis_element(OCTONIONS, 2), 0.8)
     for x in sample_stratum(sphere_O, 10, rng):
         assert orbit_invariance_check(P_O, g, x, rng) < 1e-12
 
     P_H = DAPolynomial.from_real(QUATERNIONS, [1, 0, 1])
-    (sphere_H,) = central_root_set(P_H).strata
+    (sphere_H,) = root_set(P_H).strata
     for x in sample_stratum(sphere_H, 10, rng):
         h = random_element(QUATERNIONS, rng)
         gq = conjugation_automorphism(h)
@@ -157,7 +210,7 @@ def test_orbit_invariance_octonion_and_quaternion():
 def test_orbit_invariance_identity_map_is_potential():
     from rootlab.algebra import LinearMap
     P = DAPolynomial.from_real(QUATERNIONS, [1, 0, 1])
-    (sphere,) = central_root_set(P).strata
+    (sphere,) = root_set(P).strata
     x = sample_stratum(sphere, 1, 3)[0]
     g = LinearMap.identity(QUATERNIONS)
     assert orbit_invariance_check(P, g, x) == pytest.approx(potential(P, x), abs=1e-18)
@@ -167,7 +220,7 @@ def test_numerical_rank_on_strata_and_isolated():
     rng = np.random.default_rng(4)
     for tag, expect in ((QUATERNIONS, 2), (OCTONIONS, 2)):
         P = DAPolynomial.from_real(tag, [1, 0, 1])
-        (sphere,) = central_root_set(P).strata
+        (sphere,) = root_set(P).strata
         for x in sample_stratum(sphere, 20, rng):
             r = numerical_rank(jacobian_coords(P, x.coords))
             assert r.rank == expect and not r.ambiguous

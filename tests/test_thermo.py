@@ -11,7 +11,6 @@ from rootlab.thermo import (
     SamplerDiagnosticError,
     entropy_coefficient,
     metropolis_accept,
-    order_parameter,
     order_parameter_series,
     phase_diagram,
     sample_gibbs,
@@ -102,17 +101,18 @@ def test_exchangeability_of_off_axis_coordinates():
 
 
 def test_order_parameter_validation():
-    res = sample_gibbs(central(), GibbsConfig(0.05, chains=4, steps=2000, seed=1))
     with pytest.raises(ValueError):
-        order_parameter(res.samples, element(QUATERNIONS, [1, 0, 0, 0]))
+        sample_gibbs(central(), GibbsConfig(0.05, chains=4, steps=2000, seed=1),
+                     axis=element(QUATERNIONS, [1, 0, 0, 0]))
     with pytest.raises(SamplerDiagnosticError):
-        order_parameter(np.zeros((100, 4)), basis_element(QUATERNIONS, 1))
+        order_parameter_series(np.zeros((100, 1, 4)), basis_element(QUATERNIONS, 1).coords)
 
 
 def test_order_parameter_from_flat_samples():
     rng = np.random.default_rng(0)
     samples = rng.normal(size=(20000, 4))
-    m = order_parameter(samples, basis_element(QUATERNIONS, 1))
+    m, _ = order_parameter_series(samples.reshape(-1, 4, 4),
+                                  basis_element(QUATERNIONS, 1).coords)
     assert m == pytest.approx(1 / 3, abs=0.02)
 
 
