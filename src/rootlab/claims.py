@@ -167,10 +167,10 @@ def claim_jacobian_rank(quick: bool, seed: int) -> ClaimResult:
     # isolated roots carry full rank
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
     P_iso = DAPolynomial.from_coords(QUATERNIONS, rows)
-    att = fl.find_attractors(P_iso, 12, seed)
-    got = {mf.numerical_rank(jacobian_coords(P_iso, a.coords)).rank for a in att}
+    iso = [s.point for s in mf.root_set(P_iso).strata if isinstance(s, mf.IsolatedPoint)]
+    got = {mf.numerical_rank(jacobian_coords(P_iso, x.coords)).rank for x in iso}
     ranks["isolated_H"] = sorted(got)
-    ok = ok and got == {4} and len(att) == 2
+    ok = ok and got == {4} and len(iso) == 2
     return ClaimResult(
         "c04", "jacobian rank on spheres vs isolated roots",
         "rank 2 at 50 sphere samples (H and O); full rank 4 at isolated roots",
@@ -410,7 +410,7 @@ def claim_entropy_scaling(quick: bool, seed: int) -> ClaimResult:
 
 def claim_dimension_drop(quick: bool, seed: int) -> ClaimResult:
     D = _benchmark()
-    rows = mf.hausdorff_dimension_scan(D, [0.0, 0.1], seed=seed)
+    rows = mf.hausdorff_dimension_scan(D, [0.0, 0.1])
     dims = {r.epsilon: r.dimension for r in rows}
     flagged = any(r.flagged for r in rows)
     passed = dims == {0.0: 2, 0.1: 0} and not flagged

@@ -496,11 +496,16 @@ def integrate_ensemble(P: DAPolynomial, X0, cfg: FlowConfig | None = None,
 
 
 def _polished_attractors(P: DAPolynomial, points) -> list[AlgebraElement]:
-    """Newton-polish candidate points; keep clean, full-rank, distinct roots, sorted."""
+    """Newton-polish candidate points; keep clean, full-rank, distinct roots, sorted.
+
+    Clean is relative to rounding: |P(x)| < NEWTON_RESIDUAL max(1, sum_k |a_k| |x|^k).
+    """
+    norms = np.linalg.norm(P._rows, axis=1)[::-1]
     found: list[np.ndarray] = []
     for x in points:
         res = newton_polish(P, np.asarray(x, dtype=float))
-        if not res.converged or res.residual >= tol.NEWTON_RESIDUAL:
+        scale = max(1.0, float(np.polyval(norms, np.linalg.norm(res.point))))
+        if not res.residual < tol.NEWTON_RESIDUAL * scale:
             continue
         if numerical_rank(jacobian_coords(P, res.point)).rank < P.tag.dimension:
             continue

@@ -6,10 +6,11 @@ auxiliary polynomial (a real auxiliary root is a point on the real axis).
 A central polynomial vanishes on all of each sphere, of dimension d - 2;
 any other polynomial has one root on it, found by dividing out the
 sphere's quadratic, unless the quadratic divides it.  The module computes
-the strata (via an Aberth-Ehrlich simultaneous root finder), samples them,
-checks the cyclic symmetry of lacunary complex polynomials and orbit
-invariance under automorphisms, and scans the Hausdorff dimension of a
-deformation family across epsilon = 0.
+the strata (via an Aberth-Ehrlich simultaneous root finder whose roots are
+grouped by multiplicity), samples them, checks the cyclic symmetry of
+lacunary complex polynomials and orbit invariance under automorphisms, and
+scans the Hausdorff dimension of a deformation family across epsilon = 0
+by reading the strata at each epsilon; none of it needs a flow or a seed.
 """
 
 from __future__ import annotations
@@ -172,10 +173,10 @@ def root_set(P: DAPolynomial) -> RootSet:
     Every root of P lies on the sphere [z] = {Re z + |Im z| u : u unit
     imaginary} of a root z of a real auxiliary polynomial (Gordon & Motzkin):
     the real parts of the coefficients when P is central, else the companion
-    C(t) = sum_m t^m sum_{j+k=m} <a_j, a_k>.  Auxiliary roots closer than
-    ``ATTRACTOR_DEDUP`` (relative) merge into their mean: a real root or a
-    sphere of roots of a non-central P is a double root of C.  Roots with
-    |Im z| up to ``CONJUGATE_PAIR_REL`` (relative) count as real, and each
+    C(t) = sum_m t^m sum_{j+k=m} <a_j, a_k>.  Its Aberth roots are grouped
+    by multiplicity (``_multiple_root``): a real root or a sphere of roots of
+    a non-central P is (at least) a double root of C.  Roots with |Im z| up
+    to ``CONJUGATE_PAIR_REL`` (relative) count as real, and each
     upper-half-plane root stands for its conjugate pair.  A central P
     vanishes at each real z and on each whole sphere; any other P has the
     one root -A^-1 B on [z] (``remainder_root``), or all of [z] when A
@@ -189,15 +190,13 @@ def root_set(P: DAPolynomial) -> RootSet:
            else sum(np.convolve(col, col) for col in P._rows.T))
     roots = aberth_roots(aux)
     scale = 1.0 + float(np.max(np.abs(roots), initial=0.0))
-    clusters: list[list[complex]] = []
-    for z in roots:
-        for c in clusters:
-            if abs(z - c[0]) <= tol.ATTRACTOR_DEDUP * scale:
-                c.append(z)
-                break
-        else:
-            clusters.append([z])
-    zs = [complex(np.mean(c)) for c in clusters]
+    zs = []
+    free = np.ones(roots.size, dtype=bool)
+    for seed in range(roots.size):
+        if free[seed]:
+            members, z = _multiple_root(aux, roots, free, seed, scale)
+            free[members] = False
+            zs.append(z)
     real_tol = tol.CONJUGATE_PAIR_REL * scale
     upper = sorted((z for z in zs if z.imag > real_tol), key=lambda z: (z.real, z.imag))
     strata: list[RootStratum] = []
@@ -214,11 +213,61 @@ def root_set(P: DAPolynomial) -> RootSet:
     return RootSet(tuple(strata), dim)
 
 
+def _multiple_root(aux: np.ndarray, roots: np.ndarray, free: np.ndarray, seed: int,
+                   scale: float) -> tuple[list[int], complex]:
+    """The largest group of free roots nearest ``roots[seed]`` that is one
+    root, and that root: the group's mean, put on the real axis when m is.
+
+    Aberth splits a k-fold root by about ABERTH_RESIDUAL^(1/k), so groups of
+    k within rho_k = 4 ABERTH_RESIDUAL^(1/k) scale of their mean are the
+    candidates (4 covers the constant).  Newton on aux^(k-1), which has a
+    simple root there, takes the mean to m; the group is one root when aux
+    passes Aberth's backward test at m to order k - 1: |t_j| <= ABERTH_RESIDUAL
+    s_j for j < k (``_taylor``).  Distinct roots spread h leave |t_(k-2)| of
+    order h^2, so near 1 they merge below h ~ 1e-6 and stay apart from 1e-4
+    up; in between, Aberth's roots, and so the strata, are only good to ~h.
+    """
+    idx = np.flatnonzero(free)
+    near = idx[np.argsort(np.abs(roots[idx] - roots[seed]), kind="stable")]
+    rho = 4.0 * tol.ABERTH_RESIDUAL ** (1.0 / np.arange(1, idx.size + 1)) * scale
+    # a group of k needs its k-th nearest root within 2 rho_k of the seed
+    ks = np.flatnonzero(np.abs(roots[near] - roots[seed]) <= 2.0 * rho) + 1
+    for k in ks[ks > 1][::-1]:
+        group = sorted(near[:k])
+        mean = complex(np.mean(roots[group]))
+        if np.max(np.abs(roots[group] - mean)) > rho[k - 1]:
+            continue
+        m = mean
+        for _ in range(4):
+            (t_k1, _), (t_k, _) = _taylor(aux, m, k + 1)[k - 1:]  # t_(k-1), t_k
+            m -= t_k1 / (k * t_k) if t_k else 0.0
+        if all(abs(t) <= tol.ABERTH_RESIDUAL * s for t, s in _taylor(aux, m, k)):
+            real = abs(m.imag) <= tol.CONJUGATE_PAIR_REL * scale
+            return group, complex(mean.real, 0.0) if real else mean
+    return [seed], complex(roots[seed])
+
+
+def _taylor(aux: np.ndarray, m: complex, n: int) -> list[tuple[complex, float]]:
+    """Taylor coefficients t_j, j < n, of aux at m, by repeated synthetic
+    division by (t - m), each with its backward-error scale s_j (the same
+    division of the |c_i| by (t - |m|)).
+    """
+    c = np.asarray(aux, dtype=complex)[::-1].tolist()   # highest power first
+    s = [abs(v) for v in c]
+    out = []
+    for _ in range(n):
+        for i in range(1, len(c)):
+            c[i] += m * c[i - 1]
+            s[i] += abs(m) * s[i - 1]
+        out.append((c.pop(), s.pop()))
+    return out
+
+
 def sample_stratum(stratum: RootStratum, n: int, seed_or_rng) -> list[AlgebraElement]:
     """n points of a stratum; spheres are sampled uniformly."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    rng = _as_rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)       # a Generator passes through
     if isinstance(stratum, IsolatedReal):
         return [stratum.as_element()] * n
     if isinstance(stratum, IsolatedPoint):
@@ -233,12 +282,6 @@ def sample_stratum(stratum: RootStratum, n: int, seed_or_rng) -> list[AlgebraEle
         c[1:] = stratum.radius * row
         out.append(AlgebraElement(stratum.tag, c))
     return out
-
-
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
 
 
 @dataclass(frozen=True)
@@ -304,50 +347,23 @@ class DimensionScanRow:
     dimension: int
     n_roots: int
     flagged: bool
-    note: str
 
 
-def hausdorff_dimension_scan(D: Deformation, epsilons,
-                             seed: int = 0) -> list[DimensionScanRow]:
+def hausdorff_dimension_scan(D: Deformation, epsilons) -> list[DimensionScanRow]:
     """Dimension of the root set along a deformation family.
 
-    epsilon = 0 reads the strata of the central base directly; elsewhere
-    isolated roots are located by multistart gradient flow plus Newton
-    (64 starts on the base strata, 16 Gaussian) and the dimension is 0
-    when every root is isolated with a clean full-rank Jacobian.
+    Each row reads the strata of ``root_set(D.at(epsilon))``, so the
+    dimension is exact at epsilon = 0 and away from it alike.  A row is
+    flagged when the Jacobian rank at one of its isolated points lies near
+    the SVD cutoff, so that the point may not be isolated after all.
     """
-    from . import flow as _flow  # deferred: flow builds on this module
-
-    base_set = root_set(D.base)
-    if not any(isinstance(s, Sphere) for s in base_set.strata):
+    if not any(isinstance(s, Sphere) for s in root_set(D.base).strata):
         raise ValueError("scan expects a base with a non-real stratum")
     rows = []
-    for eps in epsilons:
-        eps = float(eps)
-        if eps == 0.0:
-            rows.append(DimensionScanRow(0.0, base_set.hausdorff_dimension,
-                                         len(base_set.strata), False, "central"))
-            continue
+    for eps in map(float, epsilons):
         P = D.at(eps)
-        rng = np.random.default_rng(seed)
-        starts = []
-        strata = list(base_set.strata)
-        per = max(1, 64 // len(strata))
-        for s in strata:
-            starts.extend(p.coords for p in sample_stratum(s, per, rng))
-        starts.extend(rng.normal(scale=1.5, size=(16, P.tag.dimension)))
-        roots = _flow.attractors_from_starts(P, starts)
-        if not roots:
-            rows.append(DimensionScanRow(eps, P.tag.dimension - 2, 0, True,
-                                         "no isolated roots found"))
-            continue
-        # every root found has full rank; only near-threshold spectra flag
-        flagged = any(numerical_rank(jacobian_coords(P, r.coords)).ambiguous
-                      for r in roots)
-        pts = np.stack([r.coords for r in roots])
-        dists = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-        np.fill_diagonal(dists, np.inf)          # a lone root is isolated
-        dim = 0 if np.min(dists) > tol.ISOLATED_SEPARATION else P.tag.dimension - 2
-        rows.append(DimensionScanRow(eps, dim, len(roots), flagged,
-                                     "rank near threshold" if flagged else ""))
+        rs = root_set(P)
+        flagged = any(numerical_rank(jacobian_coords(P, s.point.coords)).ambiguous
+                      for s in rs.strata if isinstance(s, IsolatedPoint))
+        rows.append(DimensionScanRow(eps, rs.hausdorff_dimension, len(rs.strata), flagged))
     return rows

@@ -173,13 +173,6 @@ def evaluate_coords(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
     return _kernel(P, X)[0]
 
 
-def evaluate(P: DAPolynomial, x: AlgebraElement) -> AlgebraElement:
-    """Value of P at x; tags must match."""
-    if x.tag != P.tag:
-        raise ValueError(f"algebra mismatch: {P.tag} vs {x.tag}")
-    return AlgebraElement(P.tag, evaluate_coords(P, x.coords))
-
-
 def potential_coords(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
     v = evaluate_coords(P, X)
     return np.einsum("...k,...k->...", v, v)
@@ -197,12 +190,6 @@ def jacobian_coords(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
     return _kernel(P, X, jac=True)[2]
 
 
-def jacobian(P: DAPolynomial, x: AlgebraElement) -> np.ndarray:
-    if x.tag != P.tag:
-        raise ValueError(f"algebra mismatch: {P.tag} vs {x.tag}")
-    return jacobian_coords(P, x.coords)
-
-
 def gradient_coords_batch(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
     """Potential gradient 2 J^T P(x) at raw points, shape (..., d) -> (..., d)."""
     return _kernel(P, X, grad=True)[1]
@@ -211,12 +198,6 @@ def gradient_coords_batch(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
 def value_gradient_batch(P: DAPolynomial, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P(X) and grad V(X) at raw points, shape (..., d) -> two (..., d) arrays."""
     return _kernel(P, X, grad=True)[:2]
-
-
-def gradient_potential(P: DAPolynomial, x: AlgebraElement) -> np.ndarray:
-    if x.tag != P.tag:
-        raise ValueError(f"algebra mismatch: {P.tag} vs {x.tag}")
-    return _kernel(P, x.coords, grad=True)[1]
 
 
 def value_gradient_fn(P: DAPolynomial):
@@ -384,7 +365,6 @@ class Deformation:
 
     base: DAPolynomial
     direction: DAPolynomial
-    epsilon: float = 0.0
 
     def __post_init__(self) -> None:
         if self.base.tag != self.direction.tag:
@@ -392,6 +372,5 @@ class Deformation:
         if not self.base.is_central:
             raise ValueError("deformation base must be central")
 
-    def at(self, epsilon: float | None = None) -> DAPolynomial:
-        eps = self.epsilon if epsilon is None else float(epsilon)
-        return self.base.scalar_add(self.direction, eps)
+    def at(self, epsilon: float) -> DAPolynomial:
+        return self.base.scalar_add(self.direction, float(epsilon))

@@ -26,7 +26,6 @@ class SamplerDiagnosticError(RuntimeError):
     """Sampler left its validity envelope (acceptance out of range, ...)."""
 
 
-ACCEPT_WINDOW = (0.2, 0.5)
 ACCEPT_HARD_LIMITS = (0.05, 0.8)
 N_BATCHES = 20
 

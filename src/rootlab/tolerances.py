@@ -29,7 +29,6 @@ SUBALGEBRA_RANK_ABS = 1e-10
 # root-set geometry and classification
 ORBIT_RESIDUAL = 1e-12
 RANK_REL_CUTOFF = 1e-8
-ISOLATED_SEPARATION = 1e-4
 ATTRACTOR_DEDUP = 1e-6
 CD_ROTATION_MATCH = 1e-8
 

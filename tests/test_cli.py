@@ -75,6 +75,19 @@ def test_inflate_non_central_isolated_points(tmp_path):
     assert all(s["worst_sample_potential"] < 1e-28 for s in data["strata"])
 
 
+def test_inflate_triple_real_root(tmp_path):
+    # (x - 1)^3: Aberth splits the triple root by about 5e-5; it is one point
+    r = run_cli("inflate", "--algebra", "H", "--poly",
+                "[[-1,0,0,0],[3,0,0,0],[-3,0,0,0],[1,0,0,0]]", "--seed", "1",
+                outdir=tmp_path)
+    assert r.returncode == 0, r.stderr
+    data = json.loads((tmp_path / "inflate.json").read_text())
+    assert data["hausdorff_dimension"] == 0
+    (stratum,) = data["strata"]
+    assert stratum["kind"] == "isolated-real"
+    assert stratum["value"] == pytest.approx(1.0, abs=1e-6)
+
+
 H_CENTRAL = "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]"
 GIBBS = ("--chains", "4", "--steps", "600", "--seed", "5")
 # every artifact-writing subcommand (thermo in both modes), fast settings

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from rootlab import flow as fl
-from rootlab.algebra import OCTONIONS, QUATERNIONS, basis_element, element, real_element
+from rootlab.algebra import (
+    OCTONIONS,
+    QUATERNIONS,
+    basis_element,
+    element,
+    random_element,
+    real_element,
+)
 from rootlab.flow import (
     FlowConfig,
     basin_decomposition,
@@ -108,6 +115,19 @@ def test_family_locator_matches_flow_search(eps, seed):
     assert len(got) == len(ref) == 2
     for a, r in zip(got, ref):
         assert np.max(np.abs(a.coords - r.coords)) < 1e-9
+
+
+def test_polish_keeps_every_isolated_root():
+    # roots of norm up to about 5 reach |P| only at the rounding scale
+    # sum_k |a_k| |x|^k, far above an absolute 1e-14: every isolated point
+    # of the root set must survive the polish
+    rng = np.random.default_rng(0)
+    for i in range(200):
+        tag = (QUATERNIONS, OCTONIONS)[i % 2]
+        deg = int(rng.integers(2, 6))
+        P = DAPolynomial(tag, tuple(random_element(tag, rng) for _ in range(deg))
+                         + (real_element(tag, 1.0),))
+        assert len(fl._located_attractors(P)) == deg, i
 
 
 @pytest.mark.parametrize("tag", [QUATERNIONS, OCTONIONS], ids=str)
@@ -401,7 +421,9 @@ def test_attractors_from_starts_matches_per_start_loop():
     ref = []
     for s in starts:
         res = newton_polish(P, dp_oracle.integrate(P, s, cfg).final_point)
-        if not res.converged or res.residual >= tol.NEWTON_RESIDUAL:
+        scale = sum(np.linalg.norm(a) * np.linalg.norm(res.point) ** k
+                    for k, a in enumerate(P._rows))
+        if not res.residual < tol.NEWTON_RESIDUAL * max(1.0, scale):
             continue
         if numerical_rank(jacobian_coords(P, res.point)).rank < P.tag.dimension:
             continue

@@ -1,5 +1,10 @@
 """Root strata, sphere sampling, symmetry checks, dimension scans."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -158,6 +163,54 @@ def test_root_set_double_companion_roots():
     assert np.allclose(got, [[1, 0, 0, 0], [2, 1, 0, 0]], atol=1e-10)
 
 
+def _poly(tag, rows):
+    """Polynomial from short coordinate rows, zero-padded to the algebra."""
+    return DAPolynomial.from_coords(tag, [r + [0] * (tag.dimension - len(r)) for r in rows])
+
+
+@pytest.mark.parametrize("tag", [QUATERNIONS, OCTONIONS], ids=str)
+def test_root_set_multiple_companion_roots(tag):
+    # Aberth splits a k-fold auxiliary root by about 1e-13^(1/k); grouping
+    # by multiplicity makes each one stratum
+    for coeffs in ([-1, 3, -3, 1], [1, -4, 6, -4, 1]):          # (x - 1)^3, (x - 1)^4
+        rs = root_set(DAPolynomial.from_real(tag, coeffs))
+        (s,) = rs.strata
+        assert isinstance(s, IsolatedReal) and s.value == pytest.approx(1.0, abs=1e-6)
+        assert rs.hausdorff_dimension == 0
+    # (x^2 + 1)^3, central, and (x - i)(x^2 + 1), whose companion is (t^2 + 1)^3
+    for P in (DAPolynomial.from_real(tag, [1, 0, 3, 0, 3, 0, 1]),
+              _poly(tag, [[0, -1], [1], [0, -1], [1]])):
+        rs = root_set(P)
+        (s,) = rs.strata
+        assert isinstance(s, Sphere)
+        assert s.re == pytest.approx(0.0, abs=1e-6) and s.radius == pytest.approx(1.0, abs=1e-6)
+        assert rs.hausdorff_dimension == tag.dimension - 2
+    # distinct roots 1e-4 apart stay apart, though three of them lie within
+    # the grouping radius; each is as accurate as its conditioning allows
+    rs = root_set(DAPolynomial.from_real(tag, [1.0001, -2.0001, 1]))
+    assert all(isinstance(s, IsolatedReal) for s in rs.strata)
+    assert sorted(s.value for s in rs.strata) == [pytest.approx(1.0, abs=1e-9),
+                                                  pytest.approx(1.0001, abs=1e-9)]
+    # (x - 1)(x - 1.0001)(x - 1.0002)
+    roots = [1.0, 1.0001, 1.0002]
+    rs = root_set(DAPolynomial.from_real(tag, np.polynomial.polynomial.polyfromroots(roots)))
+    assert all(isinstance(s, IsolatedReal) for s in rs.strata)
+    assert sorted(s.value for s in rs.strata) == [pytest.approx(r, abs=1e-7) for r in roots]
+    # (x - 1)((x - 1)^2 + 1e-8): a real point and a sphere of radius 1e-4
+    rs = root_set(DAPolynomial.from_real(tag, [-1 - 1e-8, 3 + 1e-8, -3, 1]))
+    point, sphere = rs.strata
+    assert isinstance(point, IsolatedReal) and point.value == pytest.approx(1.0, abs=1e-7)
+    assert isinstance(sphere, Sphere) and sphere.radius == pytest.approx(1e-4, rel=1e-3)
+    assert rs.hausdorff_dimension == tag.dimension - 2
+    # (x - a)(x - b)(x - c), a = i, b = 1.0001 j, c = 1.0002 k: one root on
+    # each of three spheres 1e-4 apart, so three isolated points
+    a, b, c = (basis_element(tag, k) * r for k, r in ((1, 1.0), (2, 1.0001), (3, 1.0002)))
+    P = DAPolynomial(tag, (-(a * b * c), a * b + a * c + b * c, -(a + b + c), real_element(tag, 1.0)))
+    rs = root_set(P)
+    assert len(rs.strata) == 3 and all(isinstance(s, IsolatedPoint) for s in rs.strata)
+    assert max(np.linalg.norm(evaluate_coords(P, s.point.coords)) for s in rs.strata) < 1e-12
+
+
 def test_sample_stratum_statistics():
     P = DAPolynomial.from_real(OCTONIONS, [1, 0, 1])
     (s,) = root_set(P).strata
@@ -231,7 +284,7 @@ def test_hausdorff_dimension_scan_benchmark():
     base = DAPolynomial.from_real(tag, [1, 0, 1])
     direction = DAPolynomial.from_coords(tag, [[1, 0, 0, 0], [0, 1, 0, 0]])
     D = Deformation(base, direction)
-    rows = hausdorff_dimension_scan(D, [0.0, 0.1], seed=0)
+    rows = hausdorff_dimension_scan(D, [0.0, 0.1])
     dims = {r.epsilon: r.dimension for r in rows}
     assert dims == {0.0: 2, 0.1: 0}
     assert not any(r.flagged for r in rows)
@@ -242,6 +295,28 @@ def test_hausdorff_scan_zero_direction_is_constant():
     base = DAPolynomial.from_real(tag, [1, 0, 1])
     zero_dir = DAPolynomial.from_real(tag, [0.0])
     D = Deformation(base, zero_dir)
-    rows = hausdorff_dimension_scan(D, [0.0, 0.1], seed=0)
-    assert [r.dimension for r in rows] == [2, 2]
-    assert rows[1].flagged   # continuum: no isolated roots found
+    rows = hausdorff_dimension_scan(D, [0.0, 0.1])
+    # the continuum is read exactly at every epsilon: one sphere, no flag
+    assert [(r.dimension, r.n_roots, r.flagged) for r in rows] == [(2, 1, False)] * 2
+
+
+def test_hausdorff_scan_reads_multiple_companion_roots():
+    # (x - eps i)(x^2 + 1) keeps its unit sphere at every eps; at eps = 1 the
+    # point eps i joins the sphere and the companion (t^2 + 1)^3 has a
+    # triple root, which must not split into isolated points
+    tag = QUATERNIONS
+    D = Deformation(DAPolynomial.from_real(tag, [0, 1, 0, 1]),
+                    _poly(tag, [[0, -1], [0], [0, -1]]))
+    rows = hausdorff_dimension_scan(D, [0.0, 0.5, 1.0])
+    assert [(r.dimension, r.n_roots, r.flagged) for r in rows] == [
+        (2, 2, False), (2, 2, False), (2, 1, False)]
+
+
+def test_manifolds_imports_no_flow():
+    # the root oracle stands below the flow: importing it loads no flow module
+    code = "import sys, rootlab.manifolds; print('rootlab.flow' in sys.modules)"
+    src = str(Path(mf.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
