@@ -307,7 +307,8 @@ def claim_basins(quick: bool, seed: int) -> ClaimResult:
         f"captured {frac_captured:.3f}; labels agree {frac_agree:.3f} "
         f"(n = {int(np.sum(keep))})",
         ">= 0.98", passed, budget_seconds=60.0,
-        details={"fractions": rep.fractions, "max_residual": rep.max_residual})
+        details={"fractions": rep.fractions, "max_residual": rep.max_residual,
+                 "max_rise": rep.max_rise})
 
 
 def claim_order_parameter(quick: bool, seed: int) -> ClaimResult:

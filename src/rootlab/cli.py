@@ -244,6 +244,7 @@ def cmd_basins(cfg: dict, out: Path) -> int:
         "attractors": [[float(v) for v in a.coords] for a in rep.attractors],
         "fractions": {str(k): v for k, v in rep.fractions.items()},
         "max_residual": rep.max_residual,
+        "max_rise": rep.max_rise,
         "unconverged": len(rep.unconverged),
     })
     return 0

@@ -324,7 +324,6 @@ def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
 class PolishResult:
     point: np.ndarray
     residual: float
-    converged: bool
     iterations: int
 
 
@@ -334,7 +333,7 @@ def newton_polish(P: DAPolynomial, x0, target: float = tol.NEWTON_RESIDUAL,
 
     Uses least-squares steps so sphere points (singular Jacobian) are
     polished onto the root set instead of diverging.  ``iterations`` counts
-    the steps taken.
+    the steps taken.  Whether the point is clean is the caller's test.
     """
     x = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
     v, _, J = _kernel(P, x, jac=True)
@@ -356,7 +355,7 @@ def newton_polish(P: DAPolynomial, x0, target: float = tol.NEWTON_RESIDUAL,
             break
         x, v, J, residual = x_new, v_new, J_new, r_new
         it += 1
-    return PolishResult(x, residual, residual < target, it)
+    return PolishResult(x, residual, it)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,8 @@ def test_outputs_byte_identical_for_same_seed(tmp_path):
     names.remove("timings.json")
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    # the basin labels carry the deformation-retract evidence: V never rises
+    assert json.loads((a / "basins-summary.json").read_text())["max_rise"] <= 1e-10
 
 
 def test_seed_required_for_sampling_commands(tmp_path):

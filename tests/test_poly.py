@@ -303,12 +303,19 @@ def test_coefficient_subalgebra_dimensions():
     assert np.allclose(G @ G.T, np.eye(dim), atol=1e-10)
 
 
+def _clean(P, res):
+    # the relative residual bound of flow._polished_attractors
+    scale = sum(np.linalg.norm(a) * np.linalg.norm(res.point) ** k
+                for k, a in enumerate(P._rows))
+    return res.residual < tol.NEWTON_RESIDUAL * max(1.0, scale)
+
+
 def test_newton_polish_converges():
     rng = np.random.default_rng(6)
     P = poly_canonical()
     rough = np.array([0.01, BETA + 0.02, -0.015, 0.01])
     res = newton_polish(P, rough)
-    assert res.converged and res.residual < 1e-14
+    assert _clean(P, res) and res.residual < 1e-14
     assert np.allclose(res.point, [0, BETA, 0, 0], atol=1e-10)
 
 
@@ -320,7 +327,7 @@ def test_newton_polish_counts_steps_taken():
     res = newton_polish(P, i, target=0.0)
     assert res.iterations == 0 and res.residual == 0.0
     res = newton_polish(P, np.array([0.01, 1.02, -0.015, 0.01]))
-    assert res.converged and 0 < res.iterations < tol.NEWTON_MAX_ITER
+    assert _clean(P, res) and 0 < res.iterations < tol.NEWTON_MAX_ITER
 
 
 def test_degenerate_constant_polynomial():
