@@ -265,6 +265,10 @@ def cmd_thermo(cfg: dict, out: Path) -> int:
             "alpha_mean_based": [float(a) for a in est.alphas_mean_based],
             "alpha": est.alpha,
             "regime_warning": est.regime_warning,
+            "acceptance": [float(a) for a in est.acceptance],
+            "ess": [float(e) for e in est.ess],
+            "rhat": [float(r) for r in est.rhat],
+            "proposal_scale": [float(c) for c in est.proposal_scale],
         })
         return 0
     if "temperature" not in cfg:

@@ -5,10 +5,13 @@ Sampling is random-walk Metropolis in R^d with isotropic Gaussian
 proposals; the scale is adapted to a target acceptance window during
 burn-in and then frozen.  Chains run as a vectorized ensemble but each
 consumes its own seeded stream, so results are reproducible chain by
-chain.  On top of the sampler: the alignment order parameter along an
-imaginary axis, the entropy-scaling coefficient from the potential
-fluctuation estimator Var(V)/T^2 (cross-checked by mean(V)/T), and
-(epsilon, T) phase-diagram sweeps.
+chain.  One loop, ``sample_gibbs_ladder``, steps any number of cells that
+share one P (each a GibbsConfig with its own T, seed, chains and scale
+adaptation) in lockstep; ``sample_gibbs`` is its one-cell call.  On top of
+the sampler: the alignment order parameter along an imaginary axis, the
+entropy-scaling coefficient from the potential fluctuation estimator
+Var(V)/T^2 (cross-checked by mean(V)/T) with the whole T-ladder in one
+loop, and (epsilon, T) phase-diagram sweeps with one loop per epsilon row.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ class SamplerDiagnosticError(RuntimeError):
 
 ACCEPT_HARD_LIMITS = (0.05, 0.8)
 N_BATCHES = 20
+RNG_BLOCK = 1024    # steps of random draws made per stream at a time
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,10 @@ class GibbsConfig:
             raise ValueError("burn_in fraction must lie in [0.1, 0.9]")
         if self.chains < 1 or self.steps < 10:
             raise ValueError("need at least one chain and a few steps")
+        if self.adapt_interval < 1:
+            raise ValueError("adapt_interval must be at least one step")
+        if self.proposal_scale is not None and not self.proposal_scale > 0:
+            raise ValueError("proposal_scale must be positive (or None for sqrt(T))")
 
 
 @dataclass(frozen=True)
@@ -76,24 +84,24 @@ class GibbsResult:
     config: GibbsConfig
 
 
-def metropolis_accept(delta_v: np.ndarray, temperature: float,
+def metropolis_accept(delta_v: np.ndarray, temperature: float | np.ndarray,
                       u: np.ndarray) -> np.ndarray:
-    """Accept rule u < min(1, exp(-delta_V / T)), vectorized."""
+    """Accept rule u < min(1, exp(-delta_V / T)), vectorized.
+
+    ``temperature`` is one T for every row or an array of per-row T.
+    """
     dv = np.asarray(delta_v, dtype=float)
-    ratio = np.exp(-np.clip(dv / temperature, -700.0, 700.0))
-    return np.asarray(u) < np.minimum(1.0, ratio)
+    ratio = np.exp(-np.maximum(np.minimum(dv / temperature, 700.0), -700.0))
+    return u < np.minimum(1.0, ratio)
 
 
-def _initial_points(P: DAPolynomial, chains: int, rng: np.random.Generator,
+def _initial_points(strata, d: int, chains: int, rng: np.random.Generator,
                     scale_hint: float) -> np.ndarray:
-    """Mode-seeded starts: root-set samples, plus overdispersed."""
-    d = P.tag.dimension
+    """Mode-seeded starts: samples of the root-set strata, plus overdispersed."""
     anchors: list[np.ndarray] = []
-    if P.degree >= 1:
-        strata = root_set(P).strata
-        per = max(1, (chains + 1) // 2 // max(len(strata), 1))
-        for s in strata:
-            anchors.extend(p.coords for p in sample_stratum(s, per, rng))
+    per = max(1, (chains + 1) // 2 // max(len(strata), 1))
+    for s in strata:
+        anchors.extend(p.coords for p in sample_stratum(s, per, rng))
     points = np.empty((chains, d))
     for c in range(chains):
         if c % 2 == 0 and anchors:
@@ -103,87 +111,146 @@ def _initial_points(P: DAPolynomial, chains: int, rng: np.random.Generator,
     return points
 
 
+def _axis_coords(axis: AlgebraElement | None, d: int) -> np.ndarray:
+    """Coordinates of the order-parameter axis (default e_1), validated."""
+    if axis is None:
+        ax = np.zeros(d)
+        ax[1] = 1.0
+        return ax
+    if abs(axis.real) > 1e-9 or abs(axis.norm() - 1.0) > 1e-9:
+        raise ValueError("axis must be a unit imaginary element")
+    return axis.coords.copy()
+
+
 def sample_gibbs(P: DAPolynomial, cfg: GibbsConfig,
                  axis: AlgebraElement | None = None,
                  keep_samples: bool = True) -> GibbsResult:
     """Random-walk Metropolis ensemble for the Gibbs measure of P.
 
-    Returns pooled statistics plus (optionally) the raw kept samples.
-    Raises SamplerDiagnosticError when the frozen proposal scale fails to
-    keep acceptance inside the hard limits.
+    The one-cell call of ``sample_gibbs_ladder``.  Returns pooled
+    statistics plus (optionally) the raw kept samples.  Raises
+    SamplerDiagnosticError when the frozen proposal scale fails to keep
+    acceptance inside the hard limits.
     """
+    (result,) = sample_gibbs_ladder(P, [cfg], axis, keep_samples)
+    if isinstance(result, SamplerDiagnosticError):
+        raise result
+    return result
+
+
+def sample_gibbs_ladder(P: DAPolynomial, cfgs,
+                        axis: AlgebraElement | None = None,
+                        keep_samples: bool = True
+                        ) -> list[GibbsResult | SamplerDiagnosticError]:
+    """Several cells of one P, each a GibbsConfig, as one Metropolis loop.
+
+    The chains of all cells are stacked and step together, so the per-step
+    cost is paid once per ladder instead of once per cell.  Each chain
+    still draws from its own spawned stream and starts where a one-cell run
+    starts; each cell keeps its own T, proposal-scale adaptation and
+    acceptance count.  The cells must share ``steps``, ``burn_in`` and
+    ``adapt_interval``.  Returns one GibbsResult per cell, in order, or the
+    SamplerDiagnosticError of a cell that left its validity envelope; other
+    cells are unaffected.
+
+    A cell of two or more chains gives the same bits as its one-cell run.
+    A one-chain cell batched with other chains need not: the polynomial
+    kernel rounds a one-row batch otherwise than the same row in a wider one.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("need at least one cell")
+    steps, burn_in, interval = cfgs[0].steps, cfgs[0].burn_in, cfgs[0].adapt_interval
+    if any((c.steps, c.burn_in, c.adapt_interval) != (steps, burn_in, interval)
+           for c in cfgs):
+        raise ValueError("cells must share steps, burn_in and adapt_interval")
     d = P.tag.dimension
-    T = cfg.temperature
-    streams = [np.random.default_rng(s)
-               for s in np.random.SeedSequence(cfg.seed).spawn(cfg.chains)]
-    init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.chains + 1)[-1])
-    scale = cfg.proposal_scale or float(np.sqrt(T))
-    x = _initial_points(P, cfg.chains, init_rng, max(1.0, scale))
+    ax = _axis_coords(axis, d)
+    strata = root_set(P).strata if P.degree >= 1 else ()
+    sizes = np.array([c.chains for c in cfgs])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    streams, starts, scales = [], [], []
+    for c in cfgs:
+        seeds = np.random.SeedSequence(c.seed).spawn(c.chains + 1)
+        streams.extend(np.random.default_rng(s) for s in seeds[:-1])
+        scale = (c.proposal_scale if c.proposal_scale is not None
+                 else float(np.sqrt(c.temperature)))
+        starts.append(_initial_points(strata, d, c.chains,
+                                      np.random.default_rng(seeds[-1]), max(1.0, scale)))
+        scales.append(scale)
+    x = np.concatenate(starts)
     v = potential_coords(P, x)
+    temps = np.repeat([c.temperature for c in cfgs], sizes)
+    scale_col = np.repeat(scales, sizes)[:, None]
 
-    n_burn = int(cfg.burn_in * cfg.steps)
-    n_keep = cfg.steps - n_burn
-    kept_x = np.empty((n_keep, cfg.chains, d)) if keep_samples else None
-    kept_v = np.empty((n_keep, cfg.chains))
-    accepted_post = 0
-    block_accepts = 0
-    block_count = 0
+    n_burn = int(burn_in * steps)
+    n_keep = steps - n_burn
+    kept_x = np.empty((n_keep, len(x), d)) if keep_samples else None
+    kept_v = np.empty((n_keep, len(x)))
+    accepts = np.zeros(len(x), dtype=np.int64)   # per chain, since the last reset
 
-    rng_block = 1024
-    for block_start in range(0, cfg.steps, rng_block):
-        nb = min(rng_block, cfg.steps - block_start)
-        # per-chain streams drawn in blocks: identical draws regardless of
-        # blocking, so chain c depends only on its own spawned seed
-        normals = np.stack([g.normal(size=(nb, d)) for g in streams], axis=1)
-        uniforms = np.stack([g.random(size=nb) for g in streams], axis=1)
-        for local in range(nb):
-            step = block_start + local
-            proposal = x + scale * normals[local]
-            v_prop = potential_coords(P, proposal)
-            accept = metropolis_accept(v_prop - v, T, uniforms[local])
-            x[accept] = proposal[accept]
-            v[accept] = v_prop[accept]
-            n_acc = int(np.sum(accept))
-            if step < n_burn:
-                block_accepts += n_acc
-                block_count += cfg.chains
-                if (step + 1) % cfg.adapt_interval == 0:
-                    rate = block_accepts / block_count
-                    scale *= float(np.exp(0.6 * (rate - 0.3)))
-                    block_accepts = 0
-                    block_count = 0
-            else:
-                i = step - n_burn
-                accepted_post += n_acc
-                kept_v[i] = v
-                if keep_samples:
-                    kept_x[i] = x
+    for step in range(steps):
+        local = step % RNG_BLOCK
+        if local == 0:
+            nb = min(RNG_BLOCK, steps - step)
+            # per-chain streams drawn in blocks: identical draws regardless of
+            # blocking, so chain c depends only on its own spawned seed
+            normals = np.stack([g.normal(size=(nb, d)) for g in streams], axis=1)
+            uniforms = np.stack([g.random(size=nb) for g in streams], axis=1)
+        proposal = x + scale_col * normals[local]
+        v_prop = potential_coords(P, proposal)
+        accept = metropolis_accept(v_prop - v, temps, uniforms[local])
+        np.copyto(x, proposal, where=accept[:, None])
+        np.copyto(v, v_prop, where=accept)
+        accepts += accept
+        if step < n_burn:
+            if (step + 1) % interval == 0:
+                rates = np.add.reduceat(accepts, offsets[:-1]) / (interval * sizes)
+                for k, rate in enumerate(rates):
+                    scales[k] *= float(np.exp(0.6 * (float(rate) - 0.3)))
+                scale_col = np.repeat(scales, sizes)[:, None]
+                accepts[:] = 0
+            if step + 1 == n_burn:      # kept-phase counts start from zero
+                accepts[:] = 0
+        else:
+            kept_v[step - n_burn] = v
+            if keep_samples:
+                kept_x[step - n_burn] = x
 
-    acceptance = accepted_post / max(1, n_keep * cfg.chains)
-    if not ACCEPT_HARD_LIMITS[0] <= acceptance <= ACCEPT_HARD_LIMITS[1]:
-        raise SamplerDiagnosticError(
-            f"acceptance {acceptance:.3f} outside {ACCEPT_HARD_LIMITS} after adaptation"
-        )
-    if axis is None:
-        ax = np.zeros(d)
-        ax[1] = 1.0
-    else:
-        if abs(axis.real) > 1e-9 or abs(axis.norm() - 1.0) > 1e-9:
-            raise ValueError("axis must be a unit imaginary element")
-        ax = axis.coords.copy()
+    accepted = np.add.reduceat(accepts, offsets[:-1])
+    results: list[GibbsResult | SamplerDiagnosticError] = []
+    for k, cfg in enumerate(cfgs):
+        acceptance = int(accepted[k]) / max(1, n_keep * cfg.chains)
+        if not ACCEPT_HARD_LIMITS[0] <= acceptance <= ACCEPT_HARD_LIMITS[1]:
+            results.append(SamplerDiagnosticError(
+                f"acceptance {acceptance:.3f} outside {ACCEPT_HARD_LIMITS} after adaptation"))
+            continue
+        # contiguous copies: a strided column slice sums in another order
+        cols = slice(offsets[k], offsets[k + 1])
+        cell_v = np.ascontiguousarray(kept_v[:, cols])
+        cell_x = np.ascontiguousarray(kept_x[:, cols]) if keep_samples else None
+        try:
+            stats = _ensemble_stats(cell_x, cell_v, ax, acceptance)
+        except SamplerDiagnosticError as exc:
+            results.append(exc)
+            continue
+        results.append(GibbsResult(stats, cell_x, cell_v, scales[k], cfg))
+    return results
 
-    pooled = kept_x.reshape(-1, d) if keep_samples else None
-    mean_v = float(np.mean(kept_v))
-    var_v = float(np.var(kept_v))
-    second = (np.mean(pooled ** 2, axis=0) if pooled is not None
-              else np.zeros(d))
-    if keep_samples:
+
+def _ensemble_stats(kept_x: np.ndarray | None, kept_v: np.ndarray,
+                    ax: np.ndarray, acceptance: float) -> EnsembleStats:
+    """Pooled statistics of one cell's kept samples."""
+    d = ax.size
+    if kept_x is not None:
+        second = np.mean(kept_x.reshape(-1, d) ** 2, axis=0)
         m, m_err = order_parameter_series(kept_x, ax)
     else:
+        second = np.zeros(d)
         m, m_err = float("nan"), float("nan")
-    stats = EnsembleStats(
-        mean_V=mean_v,
-        var_V=var_v,
+    return EnsembleStats(
+        mean_V=float(np.mean(kept_v)),
+        var_V=float(np.var(kept_v)),
         order_parameter=min(max(m, 0.0), 1.0) if np.isfinite(m) else 0.0,
         order_parameter_stderr=m_err if np.isfinite(m_err) else 0.0,
         acceptance=acceptance,
@@ -191,7 +258,6 @@ def sample_gibbs(P: DAPolynomial, cfg: GibbsConfig,
         rhat=_split_rhat(kept_v),
         second_moments=second,
     )
-    return GibbsResult(stats, kept_x, kept_v, scale, cfg)
 
 
 def order_parameter_series(kept: np.ndarray, ax: np.ndarray
@@ -270,6 +336,10 @@ class EntropyEstimate:
     alphas_mean_based: np.ndarray  # mean(V)/T cross-check
     alpha: float
     regime_warning: bool
+    acceptance: np.ndarray         # sampler effort per temperature rung
+    ess: np.ndarray
+    rhat: np.ndarray
+    proposal_scale: np.ndarray
 
 
 def entropy_coefficient(P: DAPolynomial, T_ladder,
@@ -280,25 +350,32 @@ def entropy_coefficient(P: DAPolynomial, T_ladder,
     Each quadratically stiff direction contributes T^2/2 to Var(V), so
     Var(V)/T^2 estimates (d - dim of root set)/2.  Per-temperature
     estimates drifting by more than 25% flag that the ladder is not yet in
-    the asymptotic regime.
+    the asymptotic regime.  The whole ladder runs as one
+    ``sample_gibbs_ladder`` loop; the first rung (in T order) that fails its
+    sampler diagnostics raises.
     """
     temps = np.sort(np.asarray(list(T_ladder), dtype=float))
     if np.any(temps <= 0):
         raise ValueError("temperatures must be positive")
-    alphas = []
-    cross = []
-    for i, T in enumerate(temps):
-        cfg = replace(cfg_template or GibbsConfig(temperature=T),
-                      temperature=T, seed=seed + 101 * i)
-        res = sample_gibbs(P, cfg, keep_samples=False)
-        alphas.append(res.stats.var_V / T ** 2)
-        cross.append(res.stats.mean_V / T)
-    alphas = np.asarray(alphas)
-    cross = np.asarray(cross)
+    cfgs = [replace(cfg_template or GibbsConfig(temperature=T),
+                    temperature=T, seed=seed + 101 * i)
+            for i, T in enumerate(temps)]
+    results = sample_gibbs_ladder(P, cfgs, keep_samples=False)
+    for res in results:
+        if isinstance(res, SamplerDiagnosticError):
+            raise res
+    stats = [res.stats for res in results]
+    alphas = np.array([s.var_V / T ** 2 for s, T in zip(stats, temps)])
+    cross = np.array([s.mean_V / T for s, T in zip(stats, temps)])
     mean_alpha = float(np.mean(alphas))
     spread = float(np.max(alphas) - np.min(alphas))
     warning = spread > 0.25 * max(mean_alpha, 1e-300)
-    return EntropyEstimate(temps, alphas, cross, mean_alpha, warning)
+    return EntropyEstimate(
+        temps, alphas, cross, mean_alpha, warning,
+        acceptance=np.array([s.acceptance for s in stats]),
+        ess=np.array([s.ess for s in stats]),
+        rhat=np.array([s.rhat for s in stats]),
+        proposal_scale=np.array([res.proposal_scale for res in results]))
 
 
 @dataclass(frozen=True)
@@ -338,21 +415,18 @@ def phase_diagram(D: Deformation, eps_grid, T_grid,
     if not eps_list or not T_list:
         raise ValueError("grids must be nonempty")
     for i, eps in enumerate(eps_list):
-        P = D.at(float(eps))
-        for j, T in enumerate(T_list):
-            cfg = replace(cfg_template or GibbsConfig(temperature=float(T)),
-                          temperature=float(T), seed=seed + 7919 * i + 104729 * j)
-            flag = ""
-            try:
-                res = sample_gibbs(P, cfg, axis=axis)
-                s = res.stats
-                if s.rhat > 1.2:
-                    flag = "rhat"
-                cells.append(PhaseCell(float(eps), float(T), s.order_parameter,
-                                       s.order_parameter_stderr, s.mean_V,
-                                       s.var_V, s.acceptance, flag))
-            except SamplerDiagnosticError as exc:
+        cfgs = [replace(cfg_template or GibbsConfig(temperature=float(T)),
+                        temperature=float(T), seed=seed + 7919 * i + 104729 * j)
+                for j, T in enumerate(T_list)]
+        row = sample_gibbs_ladder(D.at(float(eps)), cfgs, axis=axis)
+        for T, res in zip(T_list, row):
+            if isinstance(res, SamplerDiagnosticError):
                 cells.append(PhaseCell(float(eps), float(T), float("nan"),
                                        float("nan"), float("nan"), float("nan"),
-                                       float("nan"), f"diagnostic: {exc}"))
+                                       float("nan"), f"diagnostic: {res}"))
+                continue
+            s = res.stats
+            cells.append(PhaseCell(float(eps), float(T), s.order_parameter,
+                                   s.order_parameter_stderr, s.mean_V, s.var_V,
+                                   s.acceptance, "rhat" if s.rhat > 1.2 else ""))
     return PhaseDiagram(tuple(cells))

@@ -1,5 +1,7 @@
 """Gibbs sampling, order parameter, entropy slopes, phase sweeps."""
 
+from dataclasses import astuple, replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from rootlab.thermo import (
     order_parameter_series,
     phase_diagram,
     sample_gibbs,
+    sample_gibbs_ladder,
 )
 
 
@@ -100,7 +103,11 @@ def test_exchangeability_of_off_axis_coordinates():
     assert spread < 4.0 / np.sqrt(res.stats.ess) + 0.05
 
 
-def test_order_parameter_validation():
+def test_order_parameter_validation(monkeypatch):
+    # a bad axis is rejected before the first step: no potential is evaluated
+    def no_potential(*args):
+        raise AssertionError("potential evaluated before the axis check")
+    monkeypatch.setattr(th, "potential_coords", no_potential)
     with pytest.raises(ValueError):
         sample_gibbs(central(), GibbsConfig(0.05, chains=4, steps=2000, seed=1),
                      axis=element(QUATERNIONS, [1, 0, 0, 0]))
@@ -151,6 +158,12 @@ def test_entropy_coefficients():
     assert est_iso.alpha == pytest.approx(2.0, abs=0.2)
     # the mean-based cross-check targets the same slope
     assert np.mean(est_iso.alphas_mean_based) == pytest.approx(2.0, abs=0.25)
+    # per-rung sampler effort
+    for counter in (est.acceptance, est.ess, est.rhat, est.proposal_scale):
+        assert counter.shape == (len(ladder),)
+    assert np.all((est.acceptance >= 0.05) & (est.acceptance <= 0.8))
+    assert np.all(est.ess > 0) and np.all(np.isfinite(est.rhat))
+    assert np.all(est.proposal_scale > 0)
 
 
 def test_estimates_stable_under_doubling():
@@ -177,6 +190,12 @@ def test_config_validation():
         GibbsConfig(1.0, burn_in=0.95)
     with pytest.raises(ValueError):
         GibbsConfig(1.0, steps=5)
+    with pytest.raises(ValueError):
+        GibbsConfig(1.0, adapt_interval=0)
+    for bad_scale in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            GibbsConfig(1.0, proposal_scale=bad_scale)
+    assert GibbsConfig(1.0, proposal_scale=None).proposal_scale is None
 
 
 def test_phase_diagram_sweep():
@@ -189,3 +208,64 @@ def test_phase_diagram_sweep():
     assert low_ord.m > low_sym.m + 0.3           # m grows with eps at low T
     hot = diagram.cell(1.0, 2.0)
     assert hot.m < low_ord.m                     # m falls with T at fixed eps
+
+
+def assert_same_result(got, want):
+    """Bit-for-bit equality of two GibbsResults."""
+    for name in ("mean_V", "var_V", "order_parameter", "order_parameter_stderr",
+                 "acceptance", "ess", "rhat"):
+        assert repr(getattr(got.stats, name)) == repr(getattr(want.stats, name)), name
+    assert np.array_equal(got.stats.second_moments, want.stats.second_moments)
+    for name in ("samples", "v_samples"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
+    assert got.proposal_scale == want.proposal_scale
+    assert got.config == want.config
+
+
+@pytest.mark.parametrize("keep", [True, False])
+def test_ladder_matches_separate_runs(keep):
+    # 1500 steps cross one random-draw block boundary; the scale adapts per cell
+    cfgs = [GibbsConfig(0.01, chains=2, steps=1500, seed=3),
+            GibbsConfig(0.05, chains=3, steps=1500, seed=4),
+            GibbsConfig(0.2, chains=8, steps=1500, seed=5, proposal_scale=0.05)]
+    ladder = sample_gibbs_ladder(central(), cfgs, keep_samples=keep)
+    assert len(ladder) == len(cfgs)
+    for got, cfg in zip(ladder, cfgs):
+        assert_same_result(got, sample_gibbs(central(), cfg, keep_samples=keep))
+
+
+def test_phase_diagram_cells_match_cell_by_cell():
+    # frozen scale 1.0: at T = 1e-4 (and T = 0.5, eps = 1) acceptance falls
+    # below the hard limit, while the row's other cells stay valid
+    D = benchmark()
+    eps_grid, T_grid = [0.0, 1.0], [1e-4, 0.5, 2.0]
+    template = GibbsConfig(0.05, chains=6, steps=2000, burn_in=0.1,
+                           proposal_scale=1.0, adapt_interval=10 ** 6)
+    diagram = phase_diagram(D, eps_grid, T_grid, template, seed=17)
+    for i, eps in enumerate(eps_grid):
+        for j, T in enumerate(T_grid):
+            cfg = replace(template, temperature=T, seed=17 + 7919 * i + 104729 * j)
+            cell = diagram.cell(eps, T)
+            try:
+                s = sample_gibbs(D.at(eps), cfg).stats
+            except SamplerDiagnosticError as exc:
+                assert cell.flag == f"diagnostic: {exc}"
+                assert np.isnan(cell.m)
+                continue
+            want = (eps, T, s.order_parameter, s.order_parameter_stderr,
+                    s.mean_V, s.var_V, s.acceptance, "rhat" if s.rhat > 1.2 else "")
+            assert repr(astuple(cell)) == repr(want)
+    for eps in eps_grid:
+        flags = [diagram.cell(eps, T).flag.startswith("diagnostic") for T in T_grid]
+        assert any(flags) and not all(flags)
+
+
+def test_ladder_cells_must_share_schedule():
+    base = GibbsConfig(0.01, chains=2, steps=200)
+    for other in (replace(base, steps=300), replace(base, burn_in=0.5),
+                  replace(base, adapt_interval=20)):
+        with pytest.raises(ValueError):
+            sample_gibbs_ladder(central(), [base, other])
+    with pytest.raises(ValueError):
+        sample_gibbs_ladder(central(), [])
