@@ -245,11 +245,6 @@ def random_element(tag: AlgebraTag, rng: np.random.Generator,
     return AlgebraElement(tag, rng.normal(scale=scale, size=tag.dimension))
 
 
-def random_unit(tag: AlgebraTag, rng: np.random.Generator) -> AlgebraElement:
-    v = rng.normal(size=tag.dimension)
-    return AlgebraElement(tag, v / np.linalg.norm(v))
-
-
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Algebra product; bilinear, norm-multiplicative, associative for d <= 4."""
     x._check_tag(y)

@@ -204,10 +204,11 @@ def cmd_spectra(cfg: dict, out: Path) -> int:
 def cmd_localize(cfg: dict, out: Path) -> int:
     from .poly import coefficient_subalgebra, localize_isolated_root
     P = parse_poly(cfg["algebra"], cfg["poly"])
-    roots = fl.find_attractors(P, cfg["starts"], cfg["seed"])
+    search = fl.attractors_from_starts(
+        [P], fl.gaussian_starts(P.tag, cfg["starts"], cfg["seed"]))[0]
     dim, _ = coefficient_subalgebra(P)
     entries = []
-    for r in roots:
+    for r in search.attractors:
         loc = localize_isolated_root(P, r)
         entries.append({
             "root": [float(v) for v in r.coords],
@@ -216,7 +217,8 @@ def cmd_localize(cfg: dict, out: Path) -> int:
                           if loc.point is not None else None),
         })
     emit(out / "localize.json", cfg,
-         {"coefficient_subalgebra_dimension": dim, "roots": entries})
+         {"coefficient_subalgebra_dimension": dim, "roots": entries,
+          "flow": search.flow.effort()})
     return 0
 
 

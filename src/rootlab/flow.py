@@ -6,16 +6,19 @@ trajectory and keeps its samples; it is the linearly implicit W-method
 ROS34PW2, whose step is set by accuracy alone, not by the fast radial decay
 onto the root set, and collapse times run on it.  ``integrate_ensemble``
 steps a whole start set in lockstep with an embedded Dormand-Prince 5(4)
-pair, one batched value-and-gradient call per stage; multistart attractor
-search runs on it.  Attractors are isolated full-rank roots, Newton-polished
-in one place: multistart search gets its candidates from the flow, while
-collapse times and basins start Newton from the isolated points of
-``manifolds.root_set``, with no flow and no seed.  On top of these:
-collapse-time measurement from a fixed geodesic start angle, the log-log
-scaling fit of collapse time against perturbation size, basin decomposition
-of the initial sphere, and restricted potential scans.  The basin labels
-also report the largest rise of V along any labelled trajectory, the
-evidence that the flow is a deformation retract onto the attractors.
+pair, one batched value-and-gradient call per stage, under one polynomial
+or under one polynomial per row; multistart attractor search runs on it,
+every polynomial of a search from the same starts in one pass, and reports
+the flow's deterministic effort counters.  Attractors are isolated
+full-rank roots, Newton-polished in one place: multistart search gets its
+candidates from the flow, while collapse times and basins start Newton
+from the isolated points of ``manifolds.root_set``, with no flow and no
+seed.  On top of these: collapse-time measurement from a fixed geodesic
+start angle, the log-log scaling fit of collapse time against perturbation
+size, basin decomposition of the initial sphere, and restricted potential
+scans.  The basin labels also report the largest rise of V along any
+labelled trajectory, the evidence that the flow is a deformation retract
+onto the attractors.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,6 +49,7 @@ from .poly import (
     jacobian_coords,
     newton_polish,
     potential_coords,
+    stack_tables,
     value_gradient_batch,
     value_gradient_fn,
 )
@@ -362,9 +366,21 @@ class EnsembleResult:
     attractor_index: np.ndarray    # capturing attractor, -1 where none
     steps: np.ndarray              # step attempts, accepted and rejected
     times: np.ndarray              # final flow times
+    accepted: np.ndarray           # accepted steps
+    rhs_evals: np.ndarray          # value-and-gradient evaluations, 6 per attempt + 1
+
+    def rows(self, sel) -> "EnsembleResult":
+        """The entries of the rows ``sel`` picks (an index, slice or mask)."""
+        return EnsembleResult(*(getattr(self, f.name)[sel] for f in fields(self)))
+
+    def effort(self) -> dict:
+        """Counters summed over the rows; ``lockstep_steps`` is the loop's length."""
+        return {"lockstep_steps": int(self.steps.max(initial=0)),
+                "steps": int(self.steps.sum()), "accepted": int(self.accepted.sum()),
+                "rhs_evals": int(self.rhs_evals.sum())}
 
 
-def integrate_ensemble(P: DAPolynomial, X0, cfg: FlowConfig | None = None,
+def integrate_ensemble(P, X0, cfg: FlowConfig | None = None,
                        attractors=None) -> EnsembleResult:
     """Integrate the gradient flow from every row of X0 in lockstep.
 
@@ -372,26 +388,39 @@ def integrate_ensemble(P: DAPolynomial, X0, cfg: FlowConfig | None = None,
     stability limiter, Lyapunov and plateau guards and the stop tests of
     ``integrate``, all with per-row state.  One batched value-and-gradient
     call evaluates a stage for every row still running, and a row leaves
-    the batch at its terminal state.  ``integrate`` stays the path for a
-    single trajectory whose samples are wanted.
+    the batch at its terminal state.  P is one ``DAPolynomial`` for every
+    row, or a sequence of them with one per row: their zero-padded
+    coefficient tables (``poly.stack_tables``) ride in the row state, so
+    many polynomials flow in one pass that takes as many steps as its
+    slowest row.  The attractors, if given, are shared by every row.
+    ``integrate`` stays the path for a single trajectory whose samples are
+    wanted.
     """
     cfg = cfg or FlowConfig()
     Y = np.array(X0, dtype=float)
     n, dim = Y.shape
     att = _attractor_coords(attractors)
-    pv, G = value_gradient_batch(P, Y)
+    shared = isinstance(P, DAPolynomial)
+    tables = P if shared else stack_tables(P)
+    if not shared and len(tables[0]) != n:
+        raise ValueError("need one polynomial per start row")
+    pv, G = value_gradient_batch(tables, Y)
     V = np.einsum("ij,ij->i", pv, pv)
     out = SimpleNamespace(
         points=Y.copy(), kinds=np.zeros(n, dtype=int), index=np.full(n, -1),
-        steps=np.zeros(n, dtype=int), times=np.zeros(n))
+        steps=np.zeros(n, dtype=int), times=np.zeros(n),
+        accepted=np.zeros(n, dtype=int))
     live = SimpleNamespace(
         row=np.arange(n), y=Y, f=-G, t=np.zeros(n), v=V,
         slack=tol.LYAPUNOV_SLACK_REL * np.maximum(V, 1.0e-300),
         gnorm=np.linalg.norm(G, axis=1), steps=np.zeros(n, dtype=int),
+        accepted=np.zeros(n, dtype=int),
         lyapunov_fails=np.zeros(n, dtype=int), plateau=np.zeros(n, dtype=int),
         v_plateau_start=V.copy(), just_rejected=np.zeros(n, dtype=bool),
         h_limit=np.full(n, np.inf), since_reject=np.zeros(n, dtype=int))
     live.h = _initial_step(np.linalg.norm(Y, axis=1), live.gnorm)
+    if not shared:                      # per-row tables, compacted with the rows
+        live.rows, live.left_T = tables
 
     def finish(kind: np.ndarray, index: np.ndarray) -> None:
         # record the rows with a terminal kind and drop them from the batch
@@ -404,6 +433,7 @@ def integrate_ensemble(P: DAPolynomial, X0, cfg: FlowConfig | None = None,
         out.index[r] = index[done]
         out.steps[r] = live.steps[done]
         out.times[r] = live.t[done]
+        out.accepted[r] = live.accepted[done]
         for name, arr in vars(live).items():
             setattr(live, name, arr[~done])
 
@@ -417,14 +447,15 @@ def integrate_ensemble(P: DAPolynomial, X0, cfg: FlowConfig | None = None,
         if m == 0:
             break
         y, h = live.y, np.minimum(live.h, cfg.max_time - live.t)
+        tables = P if shared else (live.rows, live.left_T)
         km = np.empty((7, m, dim))
         km[0] = live.f
         flat = km.reshape(7, m * dim)
         for i in range(1, 6):
             yi = y + h[:, None] * (_DP_A[i] @ flat[:i]).reshape(m, dim)
-            km[i] = -value_gradient_batch(P, yi)[1]
+            km[i] = -value_gradient_batch(tables, yi)[1]
         y5 = y + h[:, None] * (_DP_A[6] @ flat[:6]).reshape(m, dim)
-        pv5, g5 = value_gradient_batch(P, y5)
+        pv5, g5 = value_gradient_batch(tables, y5)
         km[6] = -g5
         y4 = y + h[:, None] * (_DP_B4 @ flat).reshape(m, dim)
         sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
@@ -435,6 +466,7 @@ def integrate_ensemble(P: DAPolynomial, X0, cfg: FlowConfig | None = None,
         lyapunov = accurate & (v_new > live.v + live.slack)
         ok = accurate & ~lyapunov
         rejected = ~accurate
+        live.accepted += ok
         kind = np.full(m, -1)
         index = np.full(m, -1)
 
@@ -483,7 +515,7 @@ def integrate_ensemble(P: DAPolynomial, X0, cfg: FlowConfig | None = None,
         live.h = h
         finish(kind, index)
     return EnsembleResult(out.points, np.array(_TERMINAL_KINDS)[out.kinds], out.index,
-                          out.steps, out.times)
+                          out.steps, out.times, out.accepted, 6 * out.steps + 1)
 
 
 def _polished_attractors(P: DAPolynomial, points) -> list[AlgebraElement]:
@@ -506,18 +538,40 @@ def _polished_attractors(P: DAPolynomial, points) -> list[AlgebraElement]:
     return [AlgebraElement(P.tag, p) for p in found]
 
 
-def attractors_from_starts(P: DAPolynomial, starts,
-                           cfg: FlowConfig | None = None) -> list[AlgebraElement]:
+@dataclass(frozen=True)
+class Search:
+    """One polynomial's multistart search: its attractors and its rows' flow."""
+
+    attractors: list[AlgebraElement]
+    flow: EnsembleResult
+
+
+def attractors_from_starts(polys, starts, cfg: FlowConfig | None = None) -> list[Search]:
     """Flow each start to rest, Newton-polish, keep clean isolated roots.
 
-    The flow only needs to deliver each start into a Newton basin, so the
-    default gradient stop is loose; the residual and full-rank filters on
-    the polished points carry the actual guarantee.
+    Every polynomial of ``polys`` (one algebra) flows from the same start
+    set, all of them in one ``integrate_ensemble`` pass; the final points
+    are grouped by polynomial and each group is polished on its own.
+    Returns one ``Search`` per polynomial.  The flow only needs to deliver
+    each start into a Newton basin, so the default gradient stop is loose;
+    the residual and full-rank filters on the polished points carry the
+    actual guarantee.
     """
-    if len(starts) == 0:
-        return []
+    polys = list(polys)
+    starts = np.asarray(starts, dtype=float)
+    s = len(starts)
     cfg = cfg or FlowConfig(stop_grad=1e-4, max_time=1e4)
-    return _polished_attractors(P, integrate_ensemble(P, starts, cfg).points)
+    # one polynomial (or no start) keeps the shared-table path of the kernel
+    per_row = (polys[0] if len(polys) == 1 or s == 0
+               else [P for P in polys for _ in range(s)])
+    ens = integrate_ensemble(per_row, np.tile(starts, (len(polys), 1)), cfg)
+    groups = [ens.rows(slice(i * s, (i + 1) * s)) for i in range(len(polys))]
+    return [Search(_polished_attractors(P, g.points), g) for P, g in zip(polys, groups)]
+
+
+def gaussian_starts(tag: AlgebraTag, n_starts: int, seed: int) -> np.ndarray:
+    """The start set of ``find_attractors``: normal coordinates of scale 1.5."""
+    return np.random.default_rng(seed).normal(scale=1.5, size=(n_starts, tag.dimension))
 
 
 def find_attractors(P: DAPolynomial, n_starts: int = 32, seed: int = 0,
@@ -527,9 +581,8 @@ def find_attractors(P: DAPolynomial, n_starts: int = 32, seed: int = 0,
     Central polynomials legitimately return an empty list: their minima
     form spheres, which the full-rank filter rejects.
     """
-    rng = np.random.default_rng(seed)
-    starts = rng.normal(scale=1.5, size=(n_starts, P.tag.dimension))
-    return attractors_from_starts(P, starts, cfg)
+    return attractors_from_starts([P], gaussian_starts(P.tag, n_starts, seed),
+                                  cfg)[0].attractors
 
 
 def _located_attractors(P: DAPolynomial) -> list[AlgebraElement]:

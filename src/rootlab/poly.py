@@ -4,9 +4,10 @@ A polynomial is a coefficient list indexed by exponent, evaluated as
 ``P(x) = sum_k a_k x^k`` with powers bracketed left-to-right (well defined
 by power-associativity).  One batched kernel computes P, and on request the
 gradient of the potential ``V(x) = ||P(x)||^2`` and the exact Jacobian, at
-any leading batch shape, a single point included; the public value,
-potential, gradient and Jacobian functions are thin entries into it.  On
-top of evaluation the module provides right division by central monic
+any leading batch shape, a single point included, for one polynomial or
+for a stack of them with one per batch row; the public value, potential,
+gradient and Jacobian functions are thin entries into it.  On top of
+evaluation the module provides right division by central monic
 quadratics, localization of isolated roots into the coefficient
 subalgebra, and Newton polishing of approximate roots.
 """
@@ -117,7 +118,29 @@ class DAPolynomial:
         return f"DAPolynomial({self.tag}, degree={self.degree})"
 
 
-def _kernel(P: DAPolynomial, X: np.ndarray, grad: bool = False, jac: bool = False):
+def stack_tables(polys) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient tables of polynomials over one algebra, one per entry.
+
+    Returns the coefficient rows, shape (n, K+1, d), and the matrices of
+    v -> a_k v, transposed, shape (n, K+1, d, d), zero-padded to the largest
+    degree K.  Every public evaluation entry takes this pair in place of a
+    polynomial and evaluates entry i of it at batch row i.
+    """
+    polys = list(polys)
+    tag = polys[0].tag
+    if any(p.tag != tag for p in polys):
+        raise ValueError("stacked polynomials must share an algebra")
+    dim = tag.dimension
+    terms = max(len(p._rows) for p in polys)
+    rows = np.zeros((len(polys), terms, dim))
+    left_T = np.zeros((len(polys), terms, dim, dim))
+    for i, p in enumerate(polys):
+        rows[i, : len(p._rows)] = p._rows
+        left_T[i, : len(p._rows)] = p._left_T
+    return rows, left_T
+
+
+def _kernel(P, X: np.ndarray, grad: bool = False, jac: bool = False):
     """P(X), and on request grad V(X) and J(X), at raw points of shape (..., d).
 
     The one evaluation path of the module.  Powers are bracketed left to
@@ -126,24 +149,30 @@ def _kernel(P: DAPolynomial, X: np.ndarray, grad: bool = False, jac: bool = Fals
     J_k^T <- J_k^T R^T + L(x^(k-1))^T for its derivative (J_1 = I,
     J_2 = R + L); the transposes are read off the flat structure tables, and
     P = sum_k a_k x^k, J = sum_k L(a_k) J_k.  Every step is one matmul over
-    the batch, whose leading axes are flattened to one.  Returns
-    (P, grad V or None, J or None); J of a polynomial of degree <= 1 is a
-    read-only view.
+    the batch, whose leading axes are flattened to one.  P is a
+    ``DAPolynomial`` shared by the whole batch, or a ``stack_tables`` pair
+    with one polynomial per row of an (n, d) batch; only the coefficient
+    products differ between the two, and a zero-padded term adds an exact
+    zero.  Returns (P, grad V or None, J or None); J of a shared polynomial
+    of degree <= 1 is a read-only view.
     """
     X = np.asarray(X, dtype=float)
     shape = X.shape
     if X.ndim > 2:
         X = X.reshape(-1, shape[-1])
-    dim = P.tag.dimension
+    rows, left_T = (P._rows, P._left_T) if isinstance(P, DAPolynomial) else P
+    stacked = rows.ndim == 3
+    if stacked:                         # one table per batch row: term axis first
+        rows, left_T = rows.swapaxes(0, 1), left_T.swapaxes(0, 1)
+    dim = rows.shape[-1]
     mat = X.shape + (dim,)              # (..., d, d)
-    rows, left_T = P._rows, P._left_T
     deg = len(rows) - 1
     deriv = grad or jac
     if deg == 0:
         v = np.broadcast_to(rows[0], X.shape).copy()
         JT = np.zeros((dim, dim))
     else:
-        v = rows[0] + X @ left_T[1]
+        v = rows[0] + ((X[:, None, :] @ left_T[1])[:, 0] if stacked else X @ left_T[1])
         JT = left_T[1]                  # J^T = sum_k J_k^T L(a_k)^T
     if deg >= 2:
         rxT = (X @ _flat_right(dim)).reshape(mat)
@@ -154,9 +183,14 @@ def _kernel(P: DAPolynomial, X: np.ndarray, grad: bool = False, jac: bool = Fals
             elif deriv:
                 JkT = JkT @ rxT + (xpow @ _flat_left(dim)).reshape(mat)
             xpow = (xpow[..., None, :] @ rxT)[..., 0, :]
-            v = v + xpow @ left_T[k]
-            if deriv:
-                JT = JT + (JkT.reshape(-1, dim) @ left_T[k]).reshape(mat)
+            if stacked:
+                v = v + (xpow[:, None, :] @ left_T[k])[:, 0]
+                if deriv:
+                    JT = JT + JkT @ left_T[k]
+            else:
+                v = v + xpow @ left_T[k]
+                if deriv:
+                    JT = JT + (JkT.reshape(-1, dim) @ left_T[k]).reshape(mat)
     g = 2.0 * (JT @ v[..., None])[..., 0] if grad else None
     J = None
     if jac:

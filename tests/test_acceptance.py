@@ -87,7 +87,21 @@ def test_c04_jacobian_rank():
 
 
 def test_c05_localization():
-    _run("c05")
+    details = _run("c05").details
+    search = details["quadratic_search"]
+    assert search["lockstep_steps"] == max(q["lockstep_steps"]
+                                           for q in details["quadratics"])
+    assert search["lockstep_steps"] < search["lockstep_steps_if_separate"]
+
+
+def test_c05_recall_shows_the_known_miss():
+    # at this pool seed the 12-start search on x^2 + ix + 1 finds one of its
+    # two roots; the claim stays red and its recall against root_set says why
+    result = cl.run_claim("c05", quick=False, seed=1966449962)
+    assert not result.passed
+    assert result.details["x^2+ix+1"] == {"found": 1, "expected": 2}
+    recall = result.details["recall"]
+    assert recall["found"] < recall["expected"]
 
 
 def test_c06_breathing_consistency():

@@ -3,6 +3,10 @@
 import importlib
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
+
+from rootlab.algebra import QUATERNIONS
+from rootlab.poly import DAPolynomial
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -21,3 +25,19 @@ def test_perfbench_hooked_names_resolve(monkeypatch):
     flow = importlib.import_module("rootlab.flow")
     params = list(inspect.signature(flow.attractors_from_starts).parameters)
     assert params[1] == "starts"
+
+
+def test_attractor_note_reads_a_real_search(monkeypatch):
+    # the traced run notes every attractor search; a result it cannot read
+    # would crash that run, so the note runs here on real calls
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    flow = importlib.import_module("rootlab.flow")
+    polys = [DAPolynomial.from_coords(QUATERNIONS, [[c, 1, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
+             for c in (1.0, 2.0)]
+    starts = flow.gaussian_starts(QUATERNIONS, 3, 0)
+    rec = SimpleNamespace(notes={})
+    for args, kwargs in (((polys, starts), {}), ((polys,), {"starts": starts})):
+        result = flow.attractors_from_starts(*args, **kwargs)
+        spans._note_attractors(rec, 0, args, kwargs, result)
+        assert rec.notes[0] == {"starts": 3, "found": len(polys)}

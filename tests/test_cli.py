@@ -175,6 +175,10 @@ def test_localize_command(tmp_path):
     data = json.loads((tmp_path / "localize.json").read_text())
     assert data["coefficient_subalgebra_dimension"] == 2
     assert len(data["roots"]) == 2
+    flow = data["flow"]                 # the search's effort, summed over its 10 starts
+    assert flow["rhs_evals"] == 6 * flow["steps"] + 10
+    assert flow["accepted"] <= flow["steps"]
+    assert 0 < flow["lockstep_steps"] <= flow["steps"]
     for entry in data["roots"]:
         assert not entry["spherical"]
         assert max(abs(v) for v in entry["root"][2:]) < 1e-8

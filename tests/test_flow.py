@@ -402,6 +402,8 @@ def test_integrate_ensemble_matches_integrate(monkeypatch, with_attractors):
         assert ens.kinds[i] == traj.terminal.kind
         assert ens.attractor_index[i] == (-1 if idx is None else idx)
         assert ens.steps[i] == (len(calls) - 1) // 6
+        assert ens.rhs_evals[i] == len(calls)
+        assert ens.accepted[i] == traj.times.size - 1     # it records every step
         assert ens.times[i] == pytest.approx(traj.final_time, rel=1e-8)
         assert np.max(np.abs(ens.points[i] - traj.final_point)) < 1e-8
     if with_attractors:
@@ -425,10 +427,54 @@ def test_attractors_from_starts_matches_per_start_loop():
         if all(np.linalg.norm(res.point - q) > tol.ATTRACTOR_DEDUP for q in ref):
             ref.append(res.point)
     ref.sort(key=lambda p: tuple(np.round(p, 9)))
-    got = fl.attractors_from_starts(P, starts)
+    got = fl.attractors_from_starts([P], starts)[0].attractors
     assert len(got) == len(ref) == 2
     for a, r in zip(got, ref):
         assert np.max(np.abs(a.coords - r)) < 1e-12
+
+
+def _cubic():
+    # x^3 + (1 + j) x + (2 + i): three isolated roots
+    return DAPolynomial.from_coords(QUATERNIONS, [[2, 1, 0, 0], [1, 0, 1, 0],
+                                                  [0, 0, 0, 0], [1, 0, 0, 0]])
+
+
+def test_integrate_ensemble_stack_matches_single_calls():
+    # a quadratic and a cubic (zero-padded to degree 3) flow in one stacked
+    # pass; each row behaves as in its own polynomial's call
+    D = benchmark()
+    polys = (D.at(0.3), _cubic())
+    starts = _sphere_and_gaussian_starts(D, 14)
+    n = len(starts)
+    cfg = FlowConfig(stop_grad=1e-4, max_time=1e4)
+    both = fl.integrate_ensemble([P for P in polys for _ in range(n)],
+                                 np.vstack([starts, starts]), cfg)
+    assert np.array_equal(both.rhs_evals, 6 * both.steps + 1)
+    for i, P in enumerate(polys):
+        one = fl.integrate_ensemble(P, starts, cfg)
+        part = both.rows(slice(i * n, (i + 1) * n))
+        assert np.array_equal(part.kinds, one.kinds)
+        assert np.array_equal(part.attractor_index, one.attractor_index)
+        assert np.array_equal(part.steps, one.steps)
+        assert np.array_equal(part.accepted, one.accepted)
+        assert np.max(np.abs(part.points - one.points)) < 1e-12
+        assert np.max(np.abs(part.times - one.times)) <= 1e-12 * np.max(one.times)
+    assert both.effort()["lockstep_steps"] == np.max(both.steps)
+    with pytest.raises(ValueError):
+        fl.integrate_ensemble(list(polys), starts, cfg)
+
+
+def test_attractors_from_starts_stack_matches_find_attractors():
+    polys = [benchmark().at(0.3), canonical(), _cubic()]
+    starts = fl.gaussian_starts(QUATERNIONS, 8, 5)
+    searches = fl.attractors_from_starts(polys, starts)
+    assert len(searches) == len(polys)
+    for P, search in zip(polys, searches):
+        ref = find_attractors(P, 8, 5)
+        assert len(search.attractors) == len(ref) > 0
+        for a, r in zip(search.attractors, ref):
+            assert np.max(np.abs(a.coords - r.coords)) < 1e-12
+        assert search.flow.points.shape == starts.shape
 
 
 def test_flow_captures_starts_and_never_raises_potential():

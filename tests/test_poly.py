@@ -198,6 +198,36 @@ def test_value_gradient_closure_consistency():
                                    np.sum(ref_v * ref_v, axis=-1), rtol=1e-12, atol=1e-11)
 
 
+def test_stacked_kernel_matches_oracle_row_by_row():
+    # one polynomial per batch row, degrees 0-4 mixed in one stack and
+    # zero-padded to degree 4, over every algebra; the shared-table path of
+    # the same polynomials agrees to the same tolerance
+    rng = np.random.default_rng(6)
+    degrees = (0, 4, 1, 2, 3, 2, 0, 4, 1)
+    for tag in (REALS, COMPLEX, QUATERNIONS, OCTONIONS):
+        d = tag.dimension
+        polys = [DAPolynomial(tag, tuple(random_element(tag, rng) for _ in range(k + 1)))
+                 for k in degrees]
+        X = rng.normal(size=(len(polys), d))
+        stack = pl.stack_tables(polys)
+        assert stack[0].shape == (len(polys), 5, d)
+        assert stack[1].shape == (len(polys), 5, d, d)
+        v, g = pl.value_gradient_batch(stack, X)
+        J = pl.jacobian_coords(stack, X)
+        for i, P in enumerate(polys):
+            assert np.allclose(v[i], poly_oracle.evaluate_coords(P, X[i]),
+                               rtol=1e-12, atol=1e-11)
+            assert np.allclose(g[i], poly_oracle.gradient_coords(P, X[i]),
+                               rtol=1e-12, atol=1e-10)
+            assert np.allclose(J[i], poly_oracle.jacobian_coords(P, X[i]),
+                               rtol=1e-12, atol=1e-10)
+            shared_v, shared_g = pl.value_gradient_batch(P, X[i:i + 1])
+            assert np.allclose(v[i], shared_v[0], rtol=1e-14, atol=1e-14)
+            assert np.allclose(g[i], shared_g[0], rtol=1e-14, atol=1e-13)
+    with pytest.raises(ValueError):
+        pl.stack_tables([poly_xx_plus_1(QUATERNIONS), poly_xx_plus_1(COMPLEX)])
+
+
 def test_polynomial_is_frozen():
     P = poly_canonical()
     with pytest.raises(dataclasses.FrozenInstanceError):
