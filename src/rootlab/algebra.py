@@ -251,18 +251,6 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(x.tag, multiply_coords(x.tag.dimension, x.coords, y.coords))
 
 
-def conjugate(x: AlgebraElement) -> AlgebraElement:
-    return x.conjugate()
-
-
-def norm(x: AlgebraElement) -> float:
-    return x.norm()
-
-
-def inverse(x: AlgebraElement) -> AlgebraElement:
-    return x.inverse()
-
-
 def power(x: AlgebraElement, k: int) -> AlgebraElement:
     """k-th power with left-to-right bracketing ((x x) x) ...; k >= 0."""
     if k < 0 or int(k) != k:
@@ -329,10 +317,6 @@ class LinearMap:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def identity(cls, tag: AlgebraTag) -> "LinearMap":
-        return cls(tag, np.eye(tag.dimension))
-
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         if x.tag != self.tag:
             raise ValueError(f"algebra mismatch: {self.tag} vs {x.tag}")
@@ -362,14 +346,13 @@ class LinearMap:
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
         return worst
 
-    def is_automorphism(self, rng: np.random.Generator | None = None,
-                        n_pairs: int = 32) -> bool:
+    def is_automorphism(self, rng: np.random.Generator | None = None) -> bool:
         if rng is None:
             rng = np.random.default_rng(0)
         return (
             self.unit_residual() <= tol.AUTOMORPHISM_ORTHO_ABS
             and self.orthogonality_residual() <= tol.AUTOMORPHISM_ORTHO_ABS
-            and self.multiplicativity_residual(rng, n_pairs) <= tol.AUTOMORPHISM_MULT_ABS
+            and self.multiplicativity_residual(rng) <= tol.AUTOMORPHISM_MULT_ABS
         )
 
 

@@ -216,9 +216,9 @@ def detect_boundaries(trace: BreathingTrace) -> BoundaryReport:
     return BoundaryReport(tuple(events), tuple(a_zeros), tuple(b_zeros), v_tol)
 
 
-def _bisect_zero(f, lo: float, hi: float, max_iter: int = 200) -> float:
+def _bisect_zero(f, lo: float, hi: float) -> float:
     flo = f(lo)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if abs(fm) < tol.CROSSING_DELTA_ABS or (hi - lo) < 1e-15 * max(1.0, abs(mid)):
@@ -230,8 +230,8 @@ def _bisect_zero(f, lo: float, hi: float, max_iter: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
-def _ternary_min(f, lo: float, hi: float, iters: int = 200) -> float:
-    for _ in range(iters):
+def _ternary_min(f, lo: float, hi: float) -> float:
+    for _ in range(200):
         if (hi - lo) < 1e-14 * max(1.0, abs(lo) + abs(hi)):
             break
         m1 = lo + (hi - lo) / 3.0

@@ -13,12 +13,14 @@ the flow's deterministic effort counters.  Attractors are isolated
 full-rank roots, Newton-polished in one place: multistart search gets its
 candidates from the flow, while collapse times and basins start Newton
 from the isolated points of ``manifolds.root_set``, with no flow and no
-seed.  On top of these: collapse-time measurement from a fixed geodesic
-start angle, the log-log scaling fit of collapse time against perturbation
-size, basin decomposition of the initial sphere, and restricted potential
-scans.  The basin labels also report the largest rise of V along any
-labelled trajectory, the evidence that the flow is a deformation retract
-onto the attractors.
+seed.  Collapse times and basins read one frame of a deformation family,
+built in one place: those attractors, the base sphere and the axis of the
+attractor the sphere collapses onto.  On top of these: collapse-time
+measurement from a start exactly pi/3 from that axis, the log-log scaling
+fit of collapse time against perturbation size, basin decomposition of the
+initial sphere, and restricted potential scans.  The basin labels also
+report the largest rise of V along any labelled trajectory, the evidence
+that the flow is a deformation retract onto the attractors.
 """
 
 from __future__ import annotations
@@ -574,15 +576,14 @@ def gaussian_starts(tag: AlgebraTag, n_starts: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).normal(scale=1.5, size=(n_starts, tag.dimension))
 
 
-def find_attractors(P: DAPolynomial, n_starts: int = 32, seed: int = 0,
-                    cfg: FlowConfig | None = None) -> list[AlgebraElement]:
+def find_attractors(P: DAPolynomial, n_starts: int = 32,
+                    seed: int = 0) -> list[AlgebraElement]:
     """Multistart gradient flow + Newton polish; deduplicated isolated roots.
 
     Central polynomials legitimately return an empty list: their minima
     form spheres, which the full-rank filter rejects.
     """
-    return attractors_from_starts([P], gaussian_starts(P.tag, n_starts, seed),
-                                  cfg)[0].attractors
+    return attractors_from_starts([P], gaussian_starts(P.tag, n_starts, seed))[0].attractors
 
 
 def _located_attractors(P: DAPolynomial) -> list[AlgebraElement]:
@@ -598,24 +599,19 @@ def _first_sphere(D: Deformation) -> Sphere:
     raise ValueError("deformation base has no sphere stratum")
 
 
-def _attracting_axis(D: Deformation, rng: np.random.Generator) -> tuple[Sphere, np.ndarray]:
-    """Unit imaginary direction of the restricted-potential minimizer."""
-    sphere = _first_sphere(D)
-    samples = sample_stratum(sphere, 256, rng)
-    vals = [float(potential_coords(D.direction, s.coords)) for s in samples]
-    u = samples[int(np.argmin(vals))].coords.copy()
-    u[0] = 0.0
-    u /= np.linalg.norm(u)
-    return sphere, u
+def _family_frame(D: Deformation, P: DAPolynomial
+                  ) -> tuple[list[AlgebraElement], Sphere, np.ndarray]:
+    """The frame of P = D.at(eps) that collapse times and basins share.
 
-
-def _axis_from_attractors(attractors, sphere: Sphere) -> np.ndarray:
-    """Imaginary direction of the attractor the sphere collapses onto.
-
-    The attractor closest to the original sphere pins the separatrix
-    orientation exactly, unlike a sampled restricted-potential minimizer.
+    Returns the located attractors, the base sphere and the unit imaginary
+    axis of the attractor the sphere collapses onto: the one whose distance
+    from the sphere's center is closest to its radius.
     """
-    center = np.zeros(attractors[0].tag.dimension)
+    attractors = _located_attractors(P)
+    if not attractors:
+        raise RuntimeError("no isolated attractors found")
+    sphere = _first_sphere(D)
+    center = np.zeros(P.tag.dimension)
     center[0] = sphere.re
     best = min(attractors,
                key=lambda a: abs(float(np.linalg.norm(a.coords - center))
@@ -625,7 +621,7 @@ def _axis_from_attractors(attractors, sphere: Sphere) -> np.ndarray:
     n = np.linalg.norm(u)
     if n == 0.0:
         raise RuntimeError("attractor has no imaginary part; no axis defined")
-    return u / n
+    return attractors, sphere, u / n
 
 
 @dataclass(frozen=True)
@@ -642,32 +638,28 @@ def collapse_time(D: Deformation, eps: float, cfg: FlowConfig | None = None,
                   seed: int = 0) -> CollapseSample:
     """Time for a sphere start at geodesic angle pi/3 to reach an attractor.
 
-    The attracting axis is located as the restricted-potential minimizer
-    over stratum samples; the start sits at angle pi/3 from it along a
-    deterministic transverse direction.  Collapse time is the time at which
-    the trajectory crosses into ``STOP_RADIUS`` of an attractor, located
-    on the capturing step's interpolant, so it does not depend on where the
-    steps fall.  A run that no attractor captures is censored, whatever
-    stopped it.
+    The start sits on the base sphere exactly pi/3 from the axis of the
+    family frame (the axis the basin labels use, read from the located
+    attractors), along a transverse imaginary direction drawn from the
+    seed.  Collapse time is the time at which the trajectory crosses into
+    ``STOP_RADIUS`` of an attractor, located on the capturing step's
+    interpolant, so it does not depend on where the steps fall.  A run that
+    no attractor captures is censored, whatever stopped it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     cfg = cfg or FlowConfig(max_time=5e7, record_every=64)
     P = D.at(eps)
-    rng = np.random.default_rng(seed)
-    sphere, u_min = _attracting_axis(D, rng)
+    attractors, sphere, axis = _family_frame(D, P)
     # transverse unit imaginary direction, deterministic given the seed
-    w = np.zeros_like(u_min)
-    w[1:] = rng.normal(size=w.size - 1)
-    w -= np.dot(w, u_min) * u_min
+    w = np.zeros_like(axis)
+    w[1:] = np.random.default_rng(seed).normal(size=w.size - 1)
+    w -= np.dot(w, axis) * axis
     w[0] = 0.0
     w /= np.linalg.norm(w)
     x0 = np.zeros(P.tag.dimension)
     x0[0] = sphere.re
-    x0 += sphere.radius * (math.cos(math.pi / 3) * u_min + math.sin(math.pi / 3) * w)
-    attractors = _located_attractors(P)
-    if not attractors:
-        raise RuntimeError(f"no attractors found at eps={eps}")
+    x0 += sphere.radius * (math.cos(math.pi / 3) * axis + math.sin(math.pi / 3) * w)
     traj = integrate(P, x0, cfg, attractors=attractors)
     idx = traj.terminal.attractor_index
     att = attractors[idx] if idx is not None else None
@@ -813,11 +805,7 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
 def _sphere_starts(D: Deformation, P: DAPolynomial, n_samples: int,
                    rng: np.random.Generator):
     """Attractors of P = D.at(eps), their axis, base-sphere starts, equator-band mask."""
-    attractors = _located_attractors(P)
-    if not attractors:
-        raise RuntimeError("no isolated attractors found")
-    sphere = _first_sphere(D)
-    axis = _axis_from_attractors(attractors, sphere)
+    attractors, sphere, axis = _family_frame(D, P)
     X0 = np.stack([s.coords for s in sample_stratum(sphere, n_samples, rng)])
     unit = X0 / np.maximum(np.linalg.norm(X0, axis=1, keepdims=True), 1e-300)
     return attractors, axis, X0, np.abs(unit @ axis) <= EQUATOR_BAND

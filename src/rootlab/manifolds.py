@@ -99,8 +99,7 @@ class RootSet:
     hausdorff_dimension: int
 
 
-def aberth_roots(coeffs, max_sweeps: int = tol.ABERTH_MAX_SWEEPS,
-                 residual_target: float = tol.ABERTH_RESIDUAL) -> np.ndarray:
+def aberth_roots(coeffs) -> np.ndarray:
     """All roots of a complex-coefficient polynomial, simultaneous iteration.
 
     Coefficients are indexed by exponent.  Starts from a perturbed circle,
@@ -122,7 +121,7 @@ def aberth_roots(coeffs, max_sweeps: int = tol.ABERTH_MAX_SWEEPS,
     m = core.size - 1
     roots = np.zeros(n, dtype=complex)
     if m > 0:
-        roots[n_zero:] = _aberth_core(core, max_sweeps, residual_target)
+        roots[n_zero:] = _aberth_core(core, tol.ABERTH_MAX_SWEEPS, tol.ABERTH_RESIDUAL)
     return roots
 
 
@@ -329,13 +328,12 @@ class RankResult:
     ambiguous: bool
 
 
-def numerical_rank(matrix: np.ndarray,
-                   rel_cutoff: float = tol.RANK_REL_CUTOFF) -> RankResult:
+def numerical_rank(matrix: np.ndarray) -> RankResult:
     """Rank by SVD with a relative cutoff; flags near-threshold spectra."""
     s = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return RankResult(0, False)
-    cut = rel_cutoff * s[0]
+    cut = tol.RANK_REL_CUTOFF * s[0]
     rank = int(np.sum(s > cut))
     ambiguous = bool(np.any((s > 0.1 * cut) & (s < 10.0 * cut)))
     return RankResult(rank, ambiguous)

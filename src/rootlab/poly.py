@@ -307,9 +307,7 @@ class LocalizationResult:
     is_spherical: bool
 
 
-def localize_isolated_root(P: DAPolynomial, x0: AlgebraElement,
-                           potential_tol: float = tol.LOCALIZE_ROOT_POTENTIAL
-                           ) -> LocalizationResult:
+def localize_isolated_root(P: DAPolynomial, x0: AlgebraElement) -> LocalizationResult:
     """Express an (approximate) isolated root through the coefficients of P.
 
     Builds the minimal central quadratic of x0 and solves the remainder of
@@ -320,7 +318,7 @@ def localize_isolated_root(P: DAPolynomial, x0: AlgebraElement,
     if x0.tag != P.tag:
         raise ValueError(f"algebra mismatch: {P.tag} vs {x0.tag}")
     v = potential(P, x0)
-    if v >= potential_tol:
+    if v >= tol.LOCALIZE_ROOT_POTENTIAL:
         raise ValueError(f"x0 is not an approximate root: potential {v:.3e}")
     point = remainder_root(P, CentralQuadratic.from_element(x0))
     return LocalizationResult(point, point is None)
@@ -361,8 +359,7 @@ class PolishResult:
     iterations: int
 
 
-def newton_polish(P: DAPolynomial, x0, target: float = tol.NEWTON_RESIDUAL,
-                  max_iter: int = tol.NEWTON_MAX_ITER) -> PolishResult:
+def newton_polish(P: DAPolynomial, x0, target: float = tol.NEWTON_RESIDUAL) -> PolishResult:
     """Newton on the d-dimensional real system P(x) = 0.
 
     Uses least-squares steps so sphere points (singular Jacobian) are
@@ -373,7 +370,7 @@ def newton_polish(P: DAPolynomial, x0, target: float = tol.NEWTON_RESIDUAL,
     v, _, J = _kernel(P, x, jac=True)
     residual = float(np.linalg.norm(v))
     it = 0
-    while it < max_iter and residual >= target:
+    while it < tol.NEWTON_MAX_ITER and residual >= target:
         step, *_ = np.linalg.lstsq(J, -v, rcond=None)
         if not np.all(np.isfinite(step)):
             break

@@ -6,7 +6,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from rootlab.algebra import QUATERNIONS
-from rootlab.poly import DAPolynomial
+from rootlab.poly import DAPolynomial, Deformation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,3 +41,20 @@ def test_attractor_note_reads_a_real_search(monkeypatch):
         result = flow.attractors_from_starts(*args, **kwargs)
         spans._note_attractors(rec, 0, args, kwargs, result)
         assert rec.notes[0] == {"starts": 3, "found": len(polys)}
+
+
+def test_collapse_and_trajectory_notes_read_real_results(monkeypatch):
+    # the traced collapse run notes every collapse_time and integrate call
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    flow = importlib.import_module("rootlab.flow")
+    base = DAPolynomial.from_coords(QUATERNIONS, [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
+    D = Deformation(base, DAPolynomial.from_coords(QUATERNIONS, [[1, 0, 0, 0],
+                                                                 [0, 1, 0, 0]]))
+    rec = SimpleNamespace(notes={})
+    sample = flow.collapse_time(D, 0.1)
+    spans._note_collapse(rec, 0, (D, 0.1), {}, sample)
+    assert rec.notes[0] == {"eps": 0.1}
+    traj = flow.integrate(D.at(0.1), sample.start, attractors=[sample.attractor])
+    spans._note_trajectory(rec, 1, (D.at(0.1), sample.start), {}, traj)
+    assert rec.notes[1] == {"final_time": traj.final_time, "converged": True}

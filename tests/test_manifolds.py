@@ -265,7 +265,7 @@ def test_orbit_invariance_identity_map_is_potential():
     P = DAPolynomial.from_real(QUATERNIONS, [1, 0, 1])
     (sphere,) = root_set(P).strata
     x = sample_stratum(sphere, 1, 3)[0]
-    g = LinearMap.identity(QUATERNIONS)
+    g = LinearMap(QUATERNIONS, np.eye(4))
     assert orbit_invariance_check(P, g, x) == pytest.approx(potential(P, x), abs=1e-18)
 
 
