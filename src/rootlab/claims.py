@@ -10,7 +10,7 @@ shrinks the Monte Carlo budgets while keeping every verdict green.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -329,26 +329,49 @@ def claim_basins(quick: bool, seed: int) -> ClaimResult:
                  "max_rise": rep.max_rise})
 
 
+def _sampler_effort(stats, proposal_scale) -> dict:
+    """A cell's acceptance, ESS, R-hat and adapted scale for claim details.
+
+    ``stats`` is a cell's EnsembleStats, or an EntropyEstimate for one list
+    per ladder rung.
+    """
+    return {"acceptance": np.round(stats.acceptance, 4).tolist(),
+            "ess": np.round(stats.ess, 1).tolist(), "rhat": np.round(stats.rhat, 4).tolist(),
+            "proposal_scale": np.round(proposal_scale, 6).tolist()}
+
+
+def _without_samples(res) -> th.GibbsResult:
+    """A sampler cell's result with its samples dropped; a diagnostic error raises."""
+    if isinstance(res, th.SamplerDiagnosticError):
+        raise res
+    return replace(res, samples=None, v_samples=None)
+
+
 def claim_order_parameter(quick: bool, seed: int) -> ClaimResult:
     scale = 0.5 if quick else 1.0
     steps = int(30000 * scale)
-    results = {}
-    P_H = DAPolynomial.from_real(QUATERNIONS, [1, 0, 1])
-    r = th.sample_gibbs(P_H, th.GibbsConfig(0.01, chains=16, steps=steps, seed=seed))
-    results["H_central"] = r.stats.order_parameter
-    P_O = DAPolynomial.from_real(OCTONIONS, [1, 0, 1])
-    r = th.sample_gibbs(P_O, th.GibbsConfig(0.01, chains=24, steps=steps, seed=seed + 1))
-    results["O_central"] = r.stats.order_parameter
-    P_iso = DAPolynomial.from_coords(QUATERNIONS,
-                                     [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
-    r = th.sample_gibbs(P_iso, th.GibbsConfig(0.01, chains=16,
-                                              steps=int(20000 * scale), seed=seed + 2))
-    results["H_aligned"] = r.stats.order_parameter
     D = _benchmark()
-    r = th.sample_gibbs(D.at(2.5), th.GibbsConfig(2.5, chains=8,
-                                                  steps=int(20000 * scale), seed=seed + 3))
-    results["H_restored"] = r.stats.order_parameter
-    restored_stderr = r.stats.order_parameter_stderr
+    # the three H cells run as one Metropolis loop, O on its own
+    h_cells = {
+        "H_central": (DAPolynomial.from_real(QUATERNIONS, [1, 0, 1]),
+                      th.GibbsConfig(0.01, chains=16, steps=steps, seed=seed)),
+        "H_aligned": (DAPolynomial.from_coords(QUATERNIONS,
+                                               [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]]),
+                      th.GibbsConfig(0.01, chains=16, steps=int(20000 * scale),
+                                     seed=seed + 2)),
+        "H_restored": (D.at(2.5), th.GibbsConfig(2.5, chains=8, steps=int(20000 * scale),
+                                                 seed=seed + 3)),
+    }
+    polys, cfgs = zip(*h_cells.values())
+    # statistics only: the H samples are freed before the larger O run
+    runs = {k: _without_samples(r)
+            for k, r in zip(h_cells, th.sample_gibbs_ladder(polys, cfgs))}
+    P_O = DAPolynomial.from_real(OCTONIONS, [1, 0, 1])
+    runs["O_central"] = th.sample_gibbs(
+        P_O, th.GibbsConfig(0.01, chains=24, steps=steps, seed=seed + 1))
+    results = {k: runs[k].stats.order_parameter
+               for k in ("H_central", "O_central", "H_aligned", "H_restored")}
+    restored_stderr = runs["H_restored"].stats.order_parameter_stderr
     checks = {
         "H_central": abs(results["H_central"] - 1 / 3) <= 0.05,
         "O_central": abs(results["O_central"] - 1 / 7) <= 0.04,
@@ -369,7 +392,10 @@ def claim_order_parameter(quick: bool, seed: int) -> ClaimResult:
                  "H_restored_stderr": round(restored_stderr, 4),
                  "restored_brute_force": round(truth, 4),
                  "restored_brute_force_ess": int(ess),
-                 "failing": [k for k, ok in checks.items() if not ok]})
+                 "failing": [k for k, ok in checks.items() if not ok],
+                 "sampler": {k: _sampler_effort(runs[k].stats, runs[k].proposal_scale)
+                             for k in results},
+                 "lockstep_steps": {"H": max(c.steps for c in cfgs), "O": steps}})
 
 
 def _importance_sampled_m(P: DAPolynomial, T: float, seed: int,
@@ -403,15 +429,21 @@ def claim_entropy_scaling(quick: bool, seed: int) -> ClaimResult:
     scale = 0.5 if quick else 1.0
     ladder = [0.002, 0.005, 0.01, 0.02]
     cfg = th.GibbsConfig(0.01, chains=8, steps=int(15000 * scale))
-    results = {}
+    # both H ladders run as one Metropolis loop, O on its own
     P_Hc = DAPolynomial.from_real(QUATERNIONS, [1, 0, 1])
-    results["H_central"] = th.entropy_coefficient(P_Hc, ladder, cfg, seed=seed).alpha
     P_iso = DAPolynomial.from_coords(QUATERNIONS,
                                      [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
-    results["H_isolated"] = th.entropy_coefficient(P_iso, ladder, cfg, seed=seed + 1).alpha
+    temps, central_cells = th.entropy_cells(ladder, cfg, seed)
+    _, isolated_cells = th.entropy_cells(ladder, cfg, seed + 1)
+    n = len(temps)
+    h = th.sample_gibbs_ladder([P_Hc] * n + [P_iso] * n,
+                               central_cells + isolated_cells, keep_samples=False)
+    estimates = {"H_central": th.entropy_estimate(temps, h[:n]),
+                 "H_isolated": th.entropy_estimate(temps, h[n:])}
     P_Oc = DAPolynomial.from_real(OCTONIONS, [1, 0, 1])
     cfg_o = th.GibbsConfig(0.01, chains=12, steps=int(15000 * scale))
-    results["O_central"] = th.entropy_coefficient(P_Oc, ladder, cfg_o, seed=seed + 2).alpha
+    estimates["O_central"] = th.entropy_coefficient(P_Oc, ladder, cfg_o, seed=seed + 2)
+    results = {k: e.alpha for k, e in estimates.items()}
     checks = {
         "H_central": abs(results["H_central"] - 1.0) <= 0.15,
         "H_isolated": abs(results["H_isolated"] - 2.0) <= 0.2,
@@ -424,7 +456,10 @@ def claim_entropy_scaling(quick: bool, seed: int) -> ClaimResult:
         "1.0 +- 0.2 (O central)",
         "; ".join(f"{k}={v:.3f}" for k, v in results.items()),
         "per-case windows", passed, budget_seconds=600.0,
-        details={k: round(v, 3) for k, v in results.items()})
+        details={**{k: round(v, 3) for k, v in results.items()},
+                 "sampler": {k: _sampler_effort(e, e.proposal_scale)
+                             for k, e in estimates.items()},
+                 "lockstep_steps": {"H": cfg.steps, "O": cfg_o.steps}})
 
 
 def claim_dimension_drop(quick: bool, seed: int) -> ClaimResult:

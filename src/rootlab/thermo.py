@@ -5,24 +5,28 @@ Sampling is random-walk Metropolis in R^d with isotropic Gaussian
 proposals; the scale is adapted to a target acceptance window during
 burn-in and then frozen.  Chains run as a vectorized ensemble but each
 consumes its own seeded stream, so results are reproducible chain by
-chain.  One loop, ``sample_gibbs_ladder``, steps any number of cells that
-share one P (each a GibbsConfig with its own T, seed, chains and scale
-adaptation) in lockstep; ``sample_gibbs`` is its one-cell call.  On top of
-the sampler: the alignment order parameter along an imaginary axis, the
-entropy-scaling coefficient from the potential fluctuation estimator
-Var(V)/T^2 (cross-checked by mean(V)/T) with the whole T-ladder in one
-loop, and (epsilon, T) phase-diagram sweeps with one loop per epsilon row.
+chain.  One loop, ``sample_gibbs_ladder``, steps any number of cells over
+one algebra (each a GibbsConfig with its own T, seed, chains, run length,
+burn-in and scale adaptation, and its own P or one shared P) in lockstep;
+a cell whose steps are done leaves the stack, and ``sample_gibbs`` is the
+one-cell call.  On top of the sampler: the alignment order parameter along
+an imaginary axis, the entropy-scaling coefficient from the potential
+fluctuation estimator Var(V)/T^2 (cross-checked by mean(V)/T), whose
+T-ladder cells (``entropy_cells``) can share a loop with other ladders
+before ``entropy_estimate`` reads them, and (epsilon, T) phase-diagram
+sweeps with the whole grid in one loop.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import AlgebraElement
 from .manifolds import root_set, sample_stratum
-from .poly import DAPolynomial, Deformation, potential_coords
+from .poly import DAPolynomial, Deformation, potential_coords, stack_tables
 
 
 class SamplerDiagnosticError(RuntimeError):
@@ -88,11 +92,12 @@ def metropolis_accept(delta_v: np.ndarray, temperature: float | np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """Accept rule u < min(1, exp(-delta_V / T)), vectorized.
 
-    ``temperature`` is one T for every row or an array of per-row T.
+    ``temperature`` is one T for every row or an array of per-row T.  The
+    exponent is capped at 0, so exp never overflows; a large uphill step
+    underflows to 0 and is rejected (even at u = 0, which a ratio clipped at
+    exp(-700) would accept).
     """
-    dv = np.asarray(delta_v, dtype=float)
-    ratio = np.exp(-np.maximum(np.minimum(dv / temperature, 700.0), -700.0))
-    return u < np.minimum(1.0, ratio)
+    return u < np.exp(np.minimum(-np.asarray(delta_v, dtype=float) / temperature, 0.0))
 
 
 def _initial_points(strata, d: int, chains: int, rng: np.random.Generator,
@@ -138,103 +143,152 @@ def sample_gibbs(P: DAPolynomial, cfg: GibbsConfig,
     return result
 
 
-def sample_gibbs_ladder(P: DAPolynomial, cfgs,
+def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
                         axis: AlgebraElement | None = None,
                         keep_samples: bool = True
                         ) -> list[GibbsResult | SamplerDiagnosticError]:
-    """Several cells of one P, each a GibbsConfig, as one Metropolis loop.
+    """Several cells, each a GibbsConfig, as one Metropolis loop.
 
-    The chains of all cells are stacked and step together, so the per-step
-    cost is paid once per ladder instead of once per cell.  Each chain
-    still draws from its own spawned stream and starts where a one-cell run
-    starts; each cell keeps its own T, proposal-scale adaptation and
-    acceptance count.  The cells must share ``steps``, ``burn_in`` and
-    ``adapt_interval``.  Returns one GibbsResult per cell, in order, or the
-    SamplerDiagnosticError of a cell that left its validity envelope; other
-    cells are unaffected.
+    ``P`` is one DAPolynomial shared by every cell, or a sequence of one per
+    cell over one algebra; cells over different polynomials evaluate
+    through ``poly.stack_tables``.  The chains of all cells are stacked and
+    step together, so the per-step cost is paid once per loop instead of
+    once per cell.  Each chain still draws from its own spawned stream and
+    starts where a one-cell run starts; each cell keeps its own T,
+    proposal-scale adaptation, burn-in, run length and acceptance count.
+    Rows are ordered longest cell first, and a cell whose steps are done
+    leaves the end of the stack.  The cells must share ``adapt_interval``.
+    Returns one GibbsResult per cell, in order, or the SamplerDiagnosticError
+    of a cell that left its validity envelope; other cells are unaffected.
 
-    A cell of two or more chains gives the same bits as its one-cell run.
-    A one-chain cell batched with other chains need not: the polynomial
-    kernel rounds a one-row batch otherwise than the same row in a wider one.
+    A cell of two or more chains gives the same bits as its one-cell run
+    when all cells share P, or when every coefficient is a real multiple of
+    one basis unit (each stacked coefficient product is then one exact
+    term); other stacks agree up to rounding.  A one-chain cell batched with
+    other chains need not: the polynomial kernel rounds a one-row batch
+    otherwise than the same row in a wider one.
     """
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("need at least one cell")
-    steps, burn_in, interval = cfgs[0].steps, cfgs[0].burn_in, cfgs[0].adapt_interval
-    if any((c.steps, c.burn_in, c.adapt_interval) != (steps, burn_in, interval)
-           for c in cfgs):
-        raise ValueError("cells must share steps, burn_in and adapt_interval")
-    d = P.tag.dimension
+    polys = [P] * len(cfgs) if isinstance(P, DAPolynomial) else list(P)
+    if len(polys) != len(cfgs):
+        raise ValueError(f"{len(polys)} polynomials for {len(cfgs)} cells")
+    if any(p.tag != polys[0].tag for p in polys):
+        raise ValueError("cells must share an algebra")
+    interval = cfgs[0].adapt_interval
+    if any(c.adapt_interval != interval for c in cfgs):
+        raise ValueError("cells must share adapt_interval")
+    d = polys[0].tag.dimension
     ax = _axis_coords(axis, d)
-    strata = root_set(P).strata if P.degree >= 1 else ()
-    sizes = np.array([c.chains for c in cfgs])
+    # longest cell first, cells of one (steps, burn-in) schedule adjacent
+    burns = [int(c.burn_in * c.steps) for c in cfgs]
+    order = sorted(range(len(cfgs)), key=lambda k: (-cfgs[k].steps, burns[k]))
+    cells = [cfgs[k] for k in order]
+    sizes = np.array([c.chains for c in cells])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
+    ends = np.array([c.steps for c in cells])
+    n_burn = np.array([burns[k] for k in order])
+    row_burn = np.repeat(n_burn, sizes)
+    strata = {}
     streams, starts, scales = [], [], []
-    for c in cfgs:
+    for k in order:
+        c, p = cfgs[k], polys[k]
+        if id(p) not in strata:
+            strata[id(p)] = root_set(p).strata if p.degree >= 1 else ()
         seeds = np.random.SeedSequence(c.seed).spawn(c.chains + 1)
         streams.extend(np.random.default_rng(s) for s in seeds[:-1])
         scale = (c.proposal_scale if c.proposal_scale is not None
                  else float(np.sqrt(c.temperature)))
-        starts.append(_initial_points(strata, d, c.chains,
+        starts.append(_initial_points(strata[id(p)], d, c.chains,
                                       np.random.default_rng(seeds[-1]), max(1.0, scale)))
         scales.append(scale)
+    scales = np.array(scales)
+    shared = all(p is polys[0] for p in polys)
+    tables = polys[0] if shared else stack_tables(
+        [polys[k] for k in order for _ in range(cfgs[k].chains)])
     x = np.concatenate(starts)
-    v = potential_coords(P, x)
-    temps = np.repeat([c.temperature for c in cfgs], sizes)
+    v = potential_coords(tables, x)
+    temps = np.repeat([c.temperature for c in cells], sizes)
     scale_col = np.repeat(scales, sizes)[:, None]
 
-    n_burn = int(burn_in * steps)
-    n_keep = steps - n_burn
-    kept_x = np.empty((n_keep, len(x), d)) if keep_samples else None
-    kept_v = np.empty((n_keep, len(x)))
+    # cells of one schedule share one kept array: rows [lo, hi), steps [burn, end)
+    groups, group_of = [], []
+    for k in range(len(cells)):
+        if not groups or (groups[-1][2], groups[-1][3]) != (n_burn[k], ends[k]):
+            groups.append([offsets[k], offsets[k], n_burn[k], ends[k]])
+        groups[-1][1] = offsets[k + 1]
+        group_of.append(len(groups) - 1)
+    kept_v = [np.empty((end - burn, hi - lo)) for lo, hi, burn, end in groups]
+    kept_x = [np.empty((end - burn, hi - lo, d)) if keep_samples else None
+              for lo, hi, burn, end in groups]
     accepts = np.zeros(len(x), dtype=np.int64)   # per chain, since the last reset
+    acc = accepts
+    live = len(cells)
+    events = {0} | set(ends.tolist()) | set(n_burn.tolist())
 
-    for step in range(steps):
+    for step in range(int(ends[0])):
+        if step in events:
+            while ends[live - 1] == step:           # finished cells leave the stack
+                live -= 1
+            n = offsets[live]
+            x, v, temps, scale_col, acc = x[:n], v[:n], temps[:n], scale_col[:n], acc[:n]
+            if not shared:
+                tables = (tables[0][:n], tables[1][:n])
+            if step % RNG_BLOCK:
+                normals, uniforms = normals[:, :n], uniforms[:, :n]
+            acc[row_burn[:n] == step] = 0           # kept-phase counts start from zero
+            adapt_until = n_burn[:live].max()
+            # (kept array, live rows it copies, first kept step) of each kept phase
+            writing = [(kept[g], state[lo:hi], burn)
+                       for g, (lo, hi, burn, end) in enumerate(groups) if burn <= step < end
+                       for kept, state in ((kept_v, v), (kept_x, x)) if kept[g] is not None]
         local = step % RNG_BLOCK
         if local == 0:
-            nb = min(RNG_BLOCK, steps - step)
-            # per-chain streams drawn in blocks: identical draws regardless of
-            # blocking, so chain c depends only on its own spawned seed
-            normals = np.stack([g.normal(size=(nb, d)) for g in streams], axis=1)
-            uniforms = np.stack([g.random(size=nb) for g in streams], axis=1)
+            # per-chain streams drawn in blocks of the cell's remaining length:
+            # identical draws regardless of blocking, so chain c depends only
+            # on its own spawned seed
+            nb_row = np.minimum(RNG_BLOCK, np.repeat(ends[:live], sizes[:live]) - step)
+            normals = np.empty((nb_row[0], len(x), d))
+            uniforms = np.empty((nb_row[0], len(x)))
+            for r, nb in enumerate(nb_row):
+                normals[:nb, r] = streams[r].normal(size=(nb, d))
+                uniforms[:nb, r] = streams[r].random(size=nb)
         proposal = x + scale_col * normals[local]
-        v_prop = potential_coords(P, proposal)
+        v_prop = potential_coords(tables, proposal)
         accept = metropolis_accept(v_prop - v, temps, uniforms[local])
         np.copyto(x, proposal, where=accept[:, None])
         np.copyto(v, v_prop, where=accept)
-        accepts += accept
-        if step < n_burn:
-            if (step + 1) % interval == 0:
-                rates = np.add.reduceat(accepts, offsets[:-1]) / (interval * sizes)
-                for k, rate in enumerate(rates):
-                    scales[k] *= float(np.exp(0.6 * (float(rate) - 0.3)))
-                scale_col = np.repeat(scales, sizes)[:, None]
-                accepts[:] = 0
-            if step + 1 == n_burn:      # kept-phase counts start from zero
-                accepts[:] = 0
-        else:
-            kept_v[step - n_burn] = v
-            if keep_samples:
-                kept_x[step - n_burn] = x
+        acc += accept
+        if step < adapt_until and (step + 1) % interval == 0:
+            adapting = step < n_burn[:live]
+            rates = np.add.reduceat(acc, offsets[:live]) / (interval * sizes[:live])
+            scales[:live][adapting] *= np.exp(0.6 * (rates[adapting] - 0.3))
+            scale_col = np.repeat(scales[:live], sizes[:live])[:, None]
+            acc[step < row_burn[:n]] = 0
+        for kept, state, burn in writing:
+            kept[step - burn] = state
 
     accepted = np.add.reduceat(accepts, offsets[:-1])
-    results: list[GibbsResult | SamplerDiagnosticError] = []
-    for k, cfg in enumerate(cfgs):
+    results: list[GibbsResult | SamplerDiagnosticError | None] = [None] * len(cells)
+    for k, cfg in enumerate(cells):
+        n_keep = cfg.steps - int(n_burn[k])
         acceptance = int(accepted[k]) / max(1, n_keep * cfg.chains)
         if not ACCEPT_HARD_LIMITS[0] <= acceptance <= ACCEPT_HARD_LIMITS[1]:
-            results.append(SamplerDiagnosticError(
-                f"acceptance {acceptance:.3f} outside {ACCEPT_HARD_LIMITS} after adaptation"))
+            results[order[k]] = SamplerDiagnosticError(
+                f"acceptance {acceptance:.3f} outside {ACCEPT_HARD_LIMITS} after adaptation")
             continue
+        g = group_of[k]
         # contiguous copies: a strided column slice sums in another order
-        cols = slice(offsets[k], offsets[k + 1])
-        cell_v = np.ascontiguousarray(kept_v[:, cols])
-        cell_x = np.ascontiguousarray(kept_x[:, cols]) if keep_samples else None
+        cols = slice(offsets[k] - groups[g][0], offsets[k + 1] - groups[g][0])
+        cell_v = np.ascontiguousarray(kept_v[g][:, cols])
+        cell_x = np.ascontiguousarray(kept_x[g][:, cols]) if keep_samples else None
         try:
             stats = _ensemble_stats(cell_x, cell_v, ax, acceptance)
         except SamplerDiagnosticError as exc:
-            results.append(exc)
+            results[order[k]] = exc
             continue
-        results.append(GibbsResult(stats, cell_x, cell_v, scales[k], cfg))
+        results[order[k]] = GibbsResult(stats, cell_x, cell_v, float(scales[k]), cfg)
     return results
 
 
@@ -342,25 +396,27 @@ class EntropyEstimate:
     proposal_scale: np.ndarray
 
 
-def entropy_coefficient(P: DAPolynomial, T_ladder,
-                        cfg_template: GibbsConfig | None = None,
-                        seed: int = 0) -> EntropyEstimate:
-    """Low-temperature entropy slope from potential fluctuations.
-
-    Each quadratically stiff direction contributes T^2/2 to Var(V), so
-    Var(V)/T^2 estimates (d - dim of root set)/2.  Per-temperature
-    estimates drifting by more than 25% flag that the ladder is not yet in
-    the asymptotic regime.  The whole ladder runs as one
-    ``sample_gibbs_ladder`` loop; the first rung (in T order) that fails its
-    sampler diagnostics raises.
-    """
+def entropy_cells(T_ladder, cfg_template: GibbsConfig | None = None,
+                  seed: int = 0) -> tuple[np.ndarray, list[GibbsConfig]]:
+    """The sorted T-ladder and one GibbsConfig per rung, for one ladder run."""
     temps = np.sort(np.asarray(list(T_ladder), dtype=float))
     if np.any(temps <= 0):
         raise ValueError("temperatures must be positive")
     cfgs = [replace(cfg_template or GibbsConfig(temperature=T),
                     temperature=T, seed=seed + 101 * i)
             for i, T in enumerate(temps)]
-    results = sample_gibbs_ladder(P, cfgs, keep_samples=False)
+    return temps, cfgs
+
+
+def entropy_estimate(temps: np.ndarray, results) -> EntropyEstimate:
+    """Entropy slope from one ladder's results (``entropy_cells`` order).
+
+    Each quadratically stiff direction contributes T^2/2 to Var(V), so
+    Var(V)/T^2 estimates (d - dim of root set)/2.  Per-temperature
+    estimates drifting by more than 25% flag that the ladder is not yet in
+    the asymptotic regime.  The first rung (in T order) that failed its
+    sampler diagnostics raises.
+    """
     for res in results:
         if isinstance(res, SamplerDiagnosticError):
             raise res
@@ -376,6 +432,14 @@ def entropy_coefficient(P: DAPolynomial, T_ladder,
         ess=np.array([s.ess for s in stats]),
         rhat=np.array([s.rhat for s in stats]),
         proposal_scale=np.array([res.proposal_scale for res in results]))
+
+
+def entropy_coefficient(P: DAPolynomial, T_ladder,
+                        cfg_template: GibbsConfig | None = None,
+                        seed: int = 0) -> EntropyEstimate:
+    """Low-temperature entropy slope of P, its whole T-ladder in one loop."""
+    temps, cfgs = entropy_cells(T_ladder, cfg_template, seed)
+    return entropy_estimate(temps, sample_gibbs_ladder(P, cfgs, keep_samples=False))
 
 
 @dataclass(frozen=True)
@@ -405,28 +469,29 @@ def phase_diagram(D: Deformation, eps_grid, T_grid,
                   cfg_template: GibbsConfig | None = None,
                   axis: AlgebraElement | None = None,
                   seed: int = 0) -> PhaseDiagram:
-    """Order-parameter sweep over an (epsilon, T) grid.
+    """Order-parameter sweep over an (epsilon, T) grid, as one Metropolis loop.
 
     Sampler diagnostics never abort the sweep; they mark the cell flag.
     """
-    cells = []
-    eps_list = list(eps_grid)
-    T_list = list(T_grid)
+    eps_list = [float(e) for e in eps_grid]
+    T_list = [float(T) for T in T_grid]
     if not eps_list or not T_list:
         raise ValueError("grids must be nonempty")
-    for i, eps in enumerate(eps_list):
-        cfgs = [replace(cfg_template or GibbsConfig(temperature=float(T)),
-                        temperature=float(T), seed=seed + 7919 * i + 104729 * j)
-                for j, T in enumerate(T_list)]
-        row = sample_gibbs_ladder(D.at(float(eps)), cfgs, axis=axis)
-        for T, res in zip(T_list, row):
-            if isinstance(res, SamplerDiagnosticError):
-                cells.append(PhaseCell(float(eps), float(T), float("nan"),
-                                       float("nan"), float("nan"), float("nan"),
-                                       float("nan"), f"diagnostic: {res}"))
-                continue
-            s = res.stats
-            cells.append(PhaseCell(float(eps), float(T), s.order_parameter,
-                                   s.order_parameter_stderr, s.mean_V, s.var_V,
-                                   s.acceptance, "rhat" if s.rhat > 1.2 else ""))
+    rows = [D.at(eps) for eps in eps_list]
+    grid = [(i, j) for i in range(len(eps_list)) for j in range(len(T_list))]
+    cfgs = [replace(cfg_template or GibbsConfig(temperature=T_list[j]),
+                    temperature=T_list[j], seed=seed + 7919 * i + 104729 * j)
+            for i, j in grid]
+    results = sample_gibbs_ladder([rows[i] for i, _ in grid], cfgs, axis=axis)
+    cells = []
+    for (i, j), res in zip(grid, results):
+        eps, T = eps_list[i], T_list[j]
+        if isinstance(res, SamplerDiagnosticError):
+            cells.append(PhaseCell(eps, T, float("nan"), float("nan"), float("nan"),
+                                   float("nan"), float("nan"), f"diagnostic: {res}"))
+            continue
+        s = res.stats
+        cells.append(PhaseCell(eps, T, s.order_parameter, s.order_parameter_stderr,
+                               s.mean_V, s.var_V, s.acceptance,
+                               "rhat" if s.rhat > 1.2 else ""))
     return PhaseDiagram(tuple(cells))

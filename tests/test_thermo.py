@@ -1,5 +1,6 @@
 """Gibbs sampling, order parameter, entropy slopes, phase sweeps."""
 
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -50,6 +51,32 @@ def test_metropolis_accept_rule():
 def test_metropolis_accept_overflow_safe():
     out = metropolis_accept(np.array([-1e6, 1e6]), 1e-3, np.array([0.5, 0.5]))
     assert out[0] and not out[1]
+
+
+def test_metropolis_accept_matches_clipped_ratio():
+    # the reference rule clips dV/T to +-700 before exp; capping the exponent
+    # at 0 decides alike except at u == 0 with dV/T past exp's underflow
+    # (~745.13), which the clipped ratio exp(-700) still accepts
+    def clipped(dv, T, u):
+        ratio = np.exp(-np.maximum(np.minimum(dv / T, 700.0), -700.0))
+        return u < np.minimum(1.0, ratio)
+
+    x = np.concatenate([np.linspace(-800.0, 800.0, 16001),
+                        [-745.0, -700.0, 700.0, 745.0, 745.2, np.nan]])
+    rng = np.random.default_rng(0)
+    u = np.concatenate([[0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53], rng.random(60),
+                        np.exp(-x[(x > 0) & (x <= 40)][::50])])      # ties u == ratio
+    dv, uu = np.broadcast_arrays(x[:, None], u[None, :])
+    only_clipped = (uu == 0.0) & (dv > 745.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T in (1.0, np.full(dv.shape, 0.5)):     # one T, and per-row T
+            got = metropolis_accept(dv * T, T, uu)
+            want = clipped(dv * T, T, uu)
+            diff = got != want
+            assert not np.any(diff & ~only_clipped)
+            assert np.all(diff[(uu == 0.0) & (dv >= 746.0)])
+            assert not np.any(got[np.isnan(dv)])
 
 
 def test_gaussian_landscape_moments():
@@ -261,11 +288,37 @@ def test_phase_diagram_cells_match_cell_by_cell():
         assert any(flags) and not all(flags)
 
 
-def test_ladder_cells_must_share_schedule():
+@pytest.mark.parametrize("keep", [True, False])
+def test_ladder_mixes_polynomials_and_run_lengths(keep):
+    # two polynomials, two run lengths (1100 ends inside the second random-draw
+    # block, 1500 past it), three burn-ins, and one cell whose oversized
+    # proposal scale fails the acceptance limit while the others stay valid
+    polys = [central(), canonical(), canonical(), central(), canonical()]
+    cfgs = [GibbsConfig(0.01, chains=2, steps=1500, seed=3),
+            GibbsConfig(0.05, chains=3, steps=1100, burn_in=0.5, seed=4),
+            GibbsConfig(1e-4, chains=4, steps=1100, burn_in=0.1, proposal_scale=100.0,
+                        seed=6),
+            GibbsConfig(0.2, chains=8, steps=1500, seed=5, proposal_scale=0.05),
+            GibbsConfig(0.02, chains=2, steps=1100, burn_in=0.5, seed=7)]
+    ladder = sample_gibbs_ladder(polys, cfgs, keep_samples=keep)
+    assert len(ladder) == len(cfgs)
+    assert [isinstance(r, SamplerDiagnosticError) for r in ladder] == [
+        False, False, True, False, False]
+    for got, P, cfg in zip(ladder, polys, cfgs):
+        (want,) = sample_gibbs_ladder(P, [cfg], keep_samples=keep)
+        if isinstance(want, SamplerDiagnosticError):
+            assert str(got) == str(want)
+        else:
+            assert_same_result(got, want)
+
+
+def test_ladder_rejects_mixed_cells():
     base = GibbsConfig(0.01, chains=2, steps=200)
-    for other in (replace(base, steps=300), replace(base, burn_in=0.5),
-                  replace(base, adapt_interval=20)):
-        with pytest.raises(ValueError):
-            sample_gibbs_ladder(central(), [base, other])
+    with pytest.raises(ValueError):
+        sample_gibbs_ladder(central(), [base, replace(base, adapt_interval=20)])
+    with pytest.raises(ValueError):
+        sample_gibbs_ladder([central(), central(OCTONIONS)], [base, base])
+    with pytest.raises(ValueError):
+        sample_gibbs_ladder([central(), canonical()], [base])
     with pytest.raises(ValueError):
         sample_gibbs_ladder(central(), [])
