@@ -326,7 +326,8 @@ def claim_basins(quick: bool, seed: int) -> ClaimResult:
         f"(n = {int(np.sum(keep))})",
         ">= 0.98", passed, budget_seconds=60.0,
         details={"fractions": rep.fractions, "max_residual": rep.max_residual,
-                 "max_rise": rep.max_rise})
+                 "max_rise": rep.max_rise,
+                 "rk4_step": rep.rk4_step, "rk4_steps": rep.rk4_steps})
 
 
 def _sampler_effort(stats, proposal_scale) -> dict:
@@ -351,8 +352,8 @@ def claim_order_parameter(quick: bool, seed: int) -> ClaimResult:
     scale = 0.5 if quick else 1.0
     steps = int(30000 * scale)
     D = _benchmark()
-    # the three H cells run as one Metropolis loop, O on its own
-    h_cells = {
+    # the three H cells ride in the O cell's Metropolis loop
+    cells = {
         "H_central": (DAPolynomial.from_real(QUATERNIONS, [1, 0, 1]),
                       th.GibbsConfig(0.01, chains=16, steps=steps, seed=seed)),
         "H_aligned": (DAPolynomial.from_coords(QUATERNIONS,
@@ -361,14 +362,13 @@ def claim_order_parameter(quick: bool, seed: int) -> ClaimResult:
                                      seed=seed + 2)),
         "H_restored": (D.at(2.5), th.GibbsConfig(2.5, chains=8, steps=int(20000 * scale),
                                                  seed=seed + 3)),
+        "O_central": (DAPolynomial.from_real(OCTONIONS, [1, 0, 1]),
+                      th.GibbsConfig(0.01, chains=24, steps=steps, seed=seed + 1)),
     }
-    polys, cfgs = zip(*h_cells.values())
-    # statistics only: the H samples are freed before the larger O run
+    polys, cfgs = zip(*cells.values())
+    # statistics only: the samples are dropped as soon as the loop returns
     runs = {k: _without_samples(r)
-            for k, r in zip(h_cells, th.sample_gibbs_ladder(polys, cfgs))}
-    P_O = DAPolynomial.from_real(OCTONIONS, [1, 0, 1])
-    runs["O_central"] = th.sample_gibbs(
-        P_O, th.GibbsConfig(0.01, chains=24, steps=steps, seed=seed + 1))
+            for k, r in zip(cells, th.sample_gibbs_ladder(polys, cfgs))}
     results = {k: runs[k].stats.order_parameter
                for k in ("H_central", "O_central", "H_aligned", "H_restored")}
     restored_stderr = runs["H_restored"].stats.order_parameter_stderr
@@ -395,7 +395,8 @@ def claim_order_parameter(quick: bool, seed: int) -> ClaimResult:
                  "failing": [k for k, ok in checks.items() if not ok],
                  "sampler": {k: _sampler_effort(runs[k].stats, runs[k].proposal_scale)
                              for k in results},
-                 "lockstep_steps": {"H": max(c.steps for c in cfgs), "O": steps}})
+                 "lockstep_steps": {"H": max(c.steps for c in cfgs[:3]), "O": steps,
+                                    "loop": max(c.steps for c in cfgs)}})
 
 
 def _importance_sampled_m(P: DAPolynomial, T: float, seed: int,
@@ -429,20 +430,21 @@ def claim_entropy_scaling(quick: bool, seed: int) -> ClaimResult:
     scale = 0.5 if quick else 1.0
     ladder = [0.002, 0.005, 0.01, 0.02]
     cfg = th.GibbsConfig(0.01, chains=8, steps=int(15000 * scale))
-    # both H ladders run as one Metropolis loop, O on its own
-    P_Hc = DAPolynomial.from_real(QUATERNIONS, [1, 0, 1])
-    P_iso = DAPolynomial.from_coords(QUATERNIONS,
-                                     [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
-    temps, central_cells = th.entropy_cells(ladder, cfg, seed)
-    _, isolated_cells = th.entropy_cells(ladder, cfg, seed + 1)
-    n = len(temps)
-    h = th.sample_gibbs_ladder([P_Hc] * n + [P_iso] * n,
-                               central_cells + isolated_cells, keep_samples=False)
-    estimates = {"H_central": th.entropy_estimate(temps, h[:n]),
-                 "H_isolated": th.entropy_estimate(temps, h[n:])}
-    P_Oc = DAPolynomial.from_real(OCTONIONS, [1, 0, 1])
     cfg_o = th.GibbsConfig(0.01, chains=12, steps=int(15000 * scale))
-    estimates["O_central"] = th.entropy_coefficient(P_Oc, ladder, cfg_o, seed=seed + 2)
+    # the three ladders, two over H and one over O, run as one Metropolis loop
+    ladders = {"H_central": (DAPolynomial.from_real(QUATERNIONS, [1, 0, 1]), cfg, seed),
+               "H_isolated": (DAPolynomial.from_coords(
+                   QUATERNIONS, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]]), cfg, seed + 1),
+               "O_central": (DAPolynomial.from_real(OCTONIONS, [1, 0, 1]), cfg_o, seed + 2)}
+    polys, cells = [], []
+    for P, template, ladder_seed in ladders.values():
+        temps, rungs = th.entropy_cells(ladder, template, ladder_seed)
+        polys += [P] * len(rungs)
+        cells += rungs
+    n = len(temps)
+    runs = th.sample_gibbs_ladder(polys, cells, keep_samples=False)
+    estimates = {k: th.entropy_estimate(temps, runs[i * n:(i + 1) * n])
+                 for i, k in enumerate(ladders)}
     results = {k: e.alpha for k, e in estimates.items()}
     checks = {
         "H_central": abs(results["H_central"] - 1.0) <= 0.15,
@@ -459,7 +461,8 @@ def claim_entropy_scaling(quick: bool, seed: int) -> ClaimResult:
         details={**{k: round(v, 3) for k, v in results.items()},
                  "sampler": {k: _sampler_effort(e, e.proposal_scale)
                              for k, e in estimates.items()},
-                 "lockstep_steps": {"H": cfg.steps, "O": cfg_o.steps}})
+                 "lockstep_steps": {"H": cfg.steps, "O": cfg_o.steps,
+                                    "loop": max(c.steps for c in cells)}})
 
 
 def claim_dimension_drop(quick: bool, seed: int) -> ClaimResult:

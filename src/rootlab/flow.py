@@ -750,6 +750,8 @@ class BasinReport:
     max_residual: float
     unconverged: list[int]
     max_rise: float                # largest V - V(start) along the labelled flow
+    rk4_step: float                # the labelling flow's fixed RK4 step h
+    rk4_steps: int                 # its lockstep RK4 steps
 
 
 EQUATOR_BAND = 0.05
@@ -757,7 +759,8 @@ RK4_STABLE = 2.5                   # cap on h*lam; RK4's real-axis bound is abou
 
 
 def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
-                    max_time: float = 1e5) -> tuple[np.ndarray, np.ndarray, float]:
+                    max_time: float = 1e5
+                    ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
     """Capture labels for a batch of starts, integrated in lockstep.
 
     Fixed-step classical Runge-Kutta on the rows not yet captured; a row
@@ -767,8 +770,9 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
     attractors, so the decay onto them stays inside RK4's real stability
     interval.  Labels agree with per-trajectory adaptive integration
     (checked in tests) at a small fraction of the cost.  Returns (labels,
-    final points, largest V - V(start) at any step of any row); -1 marks
-    rows still free at max_time.
+    final points, largest V - V(start) at any step of any row, the step h,
+    the number of lockstep steps taken); -1 marks rows still free at
+    max_time.
     """
     X = np.array(starts, dtype=float)
     att = _attractor_coords(attractors)
@@ -781,6 +785,7 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
     Y = X[row]
     t = 0.0
     rise = 0.0
+    steps = 0
     while t < max_time and row.size:
         pv, g = value_gradient_batch(P, Y)
         v = np.einsum("ij,ij->i", pv, pv)
@@ -793,13 +798,14 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
         k4 = -gradient_coords_batch(P, Y + h * k3)
         Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
+        steps += 1
         idx = _capture_rows(Y, att, STOP_RADIUS)
         hit = idx >= 0
         labels[row[hit]] = idx[hit]
         X[row[hit]] = Y[hit]
         row, Y, v0 = row[~hit], Y[~hit], v0[~hit]
     X[row] = Y
-    return labels, X, rise
+    return labels, X, rise, h, steps
 
 
 def _sphere_starts(D: Deformation, P: DAPolynomial, n_samples: int,
@@ -822,8 +828,8 @@ def basin_decomposition(D: Deformation, eps: float, n_samples: int,
     P = D.at(eps)
     attractors, axis, X0, band = _sphere_starts(D, P, n_samples,
                                                 np.random.default_rng(seed))
-    labels, finals, max_rise = ensemble_labels(P, X0, attractors,
-                                               max_time=max(1e4, 400.0 / eps ** 2))
+    labels, finals, max_rise, h, steps = ensemble_labels(
+        P, X0, attractors, max_time=max(1e4, 400.0 / eps ** 2))
     captured = labels >= 0
     max_res = 0.0
     if np.any(captured):
@@ -834,7 +840,7 @@ def basin_decomposition(D: Deformation, eps: float, n_samples: int,
         j: float(np.mean(labels == j)) for j in range(len(attractors))
     }
     return BasinReport(X0, labels, attractors, axis, fractions, band,
-                       max_res, unconverged, max_rise)
+                       max_res, unconverged, max_rise, h, steps)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,22 @@ class DAPolynomial:
         return f"DAPolynomial({self.tag}, degree={self.degree})"
 
 
+def embed(P: DAPolynomial, tag: AlgebraTag) -> DAPolynomial:
+    """P over the wider algebra ``tag``: the same coefficients, zero-padded.
+
+    The doubling rule keeps each algebra in the leading coordinates of the
+    next (R in C in H in O), so on those points the embedding is P.
+    """
+    dim = P.tag.dimension
+    if tag.dimension < dim:
+        raise ValueError(f"cannot embed a polynomial over {P.tag} into {tag}")
+    if tag == P.tag:
+        return P
+    rows = np.zeros((len(P._rows), tag.dimension))
+    rows[:, :dim] = P._rows
+    return DAPolynomial.from_coords(tag, rows)
+
+
 def stack_tables(polys) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient tables of polynomials over one algebra, one per entry.
 

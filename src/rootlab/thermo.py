@@ -6,15 +6,16 @@ proposals; the scale is adapted to a target acceptance window during
 burn-in and then frozen.  Chains run as a vectorized ensemble but each
 consumes its own seeded stream, so results are reproducible chain by
 chain.  One loop, ``sample_gibbs_ladder``, steps any number of cells over
-one algebra (each a GibbsConfig with its own T, seed, chains, run length,
-burn-in and scale adaptation, and its own P or one shared P) in lockstep;
-a cell whose steps are done leaves the stack, and ``sample_gibbs`` is the
-one-cell call.  On top of the sampler: the alignment order parameter along
-an imaginary axis, the entropy-scaling coefficient from the potential
-fluctuation estimator Var(V)/T^2 (cross-checked by mean(V)/T), whose
-T-ladder cells (``entropy_cells``) can share a loop with other ladders
-before ``entropy_estimate`` reads them, and (epsilon, T) phase-diagram
-sweeps with the whole grid in one loop.
+nested algebras (each a GibbsConfig with its own T, seed, chains, run
+length, burn-in and scale adaptation, and its own P or one shared P) in
+lockstep, in the widest algebra's coordinates; a cell whose steps are done
+leaves the stack, and ``sample_gibbs`` is the one-cell call.  On top of
+the sampler: the alignment order parameter along an imaginary axis, the
+entropy-scaling coefficient from the potential fluctuation estimator
+Var(V)/T^2 (cross-checked by mean(V)/T), whose T-ladder cells
+(``entropy_cells``) can share a loop with other ladders before
+``entropy_estimate`` reads them, and (epsilon, T) phase-diagram sweeps
+with the whole grid in one loop.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .manifolds import root_set, sample_stratum
-from .poly import DAPolynomial, Deformation, potential_coords, stack_tables
+from .poly import DAPolynomial, Deformation, embed, potential_coords, stack_tables
 
 
 class SamplerDiagnosticError(RuntimeError):
@@ -36,6 +37,7 @@ class SamplerDiagnosticError(RuntimeError):
 ACCEPT_HARD_LIMITS = (0.05, 0.8)
 N_BATCHES = 20
 RNG_BLOCK = 1024    # steps of random draws made per stream at a time
+STATS_CHUNK = 1024  # kept steps per block of the sample statistics
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,8 @@ def _axis_coords(axis: AlgebraElement | None, d: int) -> np.ndarray:
         return ax
     if abs(axis.real) > 1e-9 or abs(axis.norm() - 1.0) > 1e-9:
         raise ValueError("axis must be a unit imaginary element")
+    if axis.tag.dimension != d:
+        raise ValueError(f"axis over {axis.tag}, but the widest cell has dimension {d}")
     return axis.coords.copy()
 
 
@@ -150,23 +154,33 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     """Several cells, each a GibbsConfig, as one Metropolis loop.
 
     ``P`` is one DAPolynomial shared by every cell, or a sequence of one per
-    cell over one algebra; cells over different polynomials evaluate
-    through ``poly.stack_tables``.  The chains of all cells are stacked and
-    step together, so the per-step cost is paid once per loop instead of
-    once per cell.  Each chain still draws from its own spawned stream and
-    starts where a one-cell run starts; each cell keeps its own T,
-    proposal-scale adaptation, burn-in, run length and acceptance count.
-    Rows are ordered longest cell first, and a cell whose steps are done
-    leaves the end of the stack.  The cells must share ``adapt_interval``.
-    Returns one GibbsResult per cell, in order, or the SamplerDiagnosticError
-    of a cell that left its validity envelope; other cells are unaffected.
+    cell; cells over different polynomials evaluate through
+    ``poly.stack_tables``.  The algebras of the cells nest (R in C in H in
+    O), so the loop runs in the widest one's coordinates: a narrower cell's
+    polynomial is ``poly.embed``-ded, and its chains start, draw and store
+    their samples at its own width, with the padded coordinates exactly
+    zero.  The axis is over the widest algebra and must lie in every cell's.
+    The chains of all cells are stacked and step together, so the per-step
+    cost is paid once per loop instead of once per cell.  Each chain still
+    draws from its own spawned stream and starts where a one-cell run
+    starts; each cell keeps its own T, proposal-scale adaptation, burn-in,
+    run length and acceptance count.  Rows are ordered longest cell first,
+    and a cell whose steps are done leaves the end of the stack.  The cells
+    must share ``adapt_interval``.  Returns one GibbsResult per cell, in
+    order, or the SamplerDiagnosticError of a cell that left its validity
+    envelope; other cells are unaffected.  A cell's samples are a view into
+    the kept array it shares with the cells of its schedule and width.
 
     A cell of two or more chains gives the same bits as its one-cell run
     when all cells share P, or when every coefficient is a real multiple of
     one basis unit (each stacked coefficient product is then one exact
-    term); other stacks agree up to rounding.  A one-chain cell batched with
-    other chains need not: the polynomial kernel rounds a one-row batch
-    otherwise than the same row in a wider one.
+    term); other stacks agree up to rounding.  A narrower cell's padded
+    coordinates add exact zeros to every kernel sum, but BLAS may group a
+    sum of 8 terms otherwise than its nonzero terms alone: on OpenBLAS an H
+    cell in an O loop matches its one-cell run bit for bit, and a C cell
+    agrees to rounding (the tests pin both).  A one-chain cell batched with
+    other chains need not match: the polynomial kernel rounds a one-row
+    batch otherwise than the same row in a wider one.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -174,25 +188,31 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     polys = [P] * len(cfgs) if isinstance(P, DAPolynomial) else list(P)
     if len(polys) != len(cfgs):
         raise ValueError(f"{len(polys)} polynomials for {len(cfgs)} cells")
-    if any(p.tag != polys[0].tag for p in polys):
-        raise ValueError("cells must share an algebra")
     interval = cfgs[0].adapt_interval
     if any(c.adapt_interval != interval for c in cfgs):
         raise ValueError("cells must share adapt_interval")
-    d = polys[0].tag.dimension
+    tag = max((p.tag for p in polys), key=lambda t: t.dimension)
+    d = tag.dimension
     ax = _axis_coords(axis, d)
-    # longest cell first, cells of one (steps, burn-in) schedule adjacent
+    for p in polys:
+        if np.any(ax[p.tag.dimension:]):
+            raise ValueError(f"axis lies outside {p.tag}, the algebra of a cell")
+    # longest cell first, cells of one (steps, burn-in) schedule and width adjacent
     burns = [int(c.burn_in * c.steps) for c in cfgs]
-    order = sorted(range(len(cfgs)), key=lambda k: (-cfgs[k].steps, burns[k]))
+    order = sorted(range(len(cfgs)),
+                   key=lambda k: (-cfgs[k].steps, burns[k], -polys[k].tag.dimension))
     cells = [cfgs[k] for k in order]
+    widths = [polys[k].tag.dimension for k in order]
     sizes = np.array([c.chains for c in cells])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     ends = np.array([c.steps for c in cells])
     n_burn = np.array([burns[k] for k in order])
     row_burn = np.repeat(n_burn, sizes)
+    row_width = np.repeat(widths, sizes)
     strata = {}
-    streams, starts, scales = [], [], []
-    for k in order:
+    streams, scales = [], []
+    x = np.zeros((offsets[-1], d))
+    for k, lo, w in zip(order, offsets, widths):
         c, p = cfgs[k], polys[k]
         if id(p) not in strata:
             strata[id(p)] = root_set(p).strata if p.degree >= 1 else ()
@@ -200,28 +220,32 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
         streams.extend(np.random.default_rng(s) for s in seeds[:-1])
         scale = (c.proposal_scale if c.proposal_scale is not None
                  else float(np.sqrt(c.temperature)))
-        starts.append(_initial_points(strata[id(p)], d, c.chains,
-                                      np.random.default_rng(seeds[-1]), max(1.0, scale)))
+        x[lo:lo + c.chains, :w] = _initial_points(
+            strata[id(p)], w, c.chains, np.random.default_rng(seeds[-1]), max(1.0, scale))
         scales.append(scale)
     scales = np.array(scales)
     shared = all(p is polys[0] for p in polys)
-    tables = polys[0] if shared else stack_tables(
-        [polys[k] for k in order for _ in range(cfgs[k].chains)])
-    x = np.concatenate(starts)
+    if shared:
+        tables = polys[0]
+    else:
+        wide = {id(p): embed(p, tag) for p in polys}
+        tables = stack_tables([wide[id(polys[k])] for k in order
+                               for _ in range(cfgs[k].chains)])
     v = potential_coords(tables, x)
     temps = np.repeat([c.temperature for c in cells], sizes)
     scale_col = np.repeat(scales, sizes)[:, None]
 
-    # cells of one schedule share one kept array: rows [lo, hi), steps [burn, end)
+    # cells of one schedule and width share one kept array: rows [lo, hi),
+    # steps [burn, end), the first w coordinates
     groups, group_of = [], []
     for k in range(len(cells)):
-        if not groups or (groups[-1][2], groups[-1][3]) != (n_burn[k], ends[k]):
-            groups.append([offsets[k], offsets[k], n_burn[k], ends[k]])
+        if not groups or groups[-1][2:] != [n_burn[k], ends[k], widths[k]]:
+            groups.append([offsets[k], offsets[k], n_burn[k], ends[k], widths[k]])
         groups[-1][1] = offsets[k + 1]
         group_of.append(len(groups) - 1)
-    kept_v = [np.empty((end - burn, hi - lo)) for lo, hi, burn, end in groups]
-    kept_x = [np.empty((end - burn, hi - lo, d)) if keep_samples else None
-              for lo, hi, burn, end in groups]
+    kept_v = [np.empty((end - burn, hi - lo)) for lo, hi, burn, end, _ in groups]
+    kept_x = [np.empty((end - burn, hi - lo, w)) if keep_samples else None
+              for lo, hi, burn, end, w in groups]
     accepts = np.zeros(len(x), dtype=np.int64)   # per chain, since the last reset
     acc = accepts
     live = len(cells)
@@ -240,19 +264,20 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
             acc[row_burn[:n] == step] = 0           # kept-phase counts start from zero
             adapt_until = n_burn[:live].max()
             # (kept array, live rows it copies, first kept step) of each kept phase
-            writing = [(kept[g], state[lo:hi], burn)
-                       for g, (lo, hi, burn, end) in enumerate(groups) if burn <= step < end
-                       for kept, state in ((kept_v, v), (kept_x, x)) if kept[g] is not None]
+            writing = [(kept[g], state, burn)
+                       for g, (lo, hi, burn, end, w) in enumerate(groups) if burn <= step < end
+                       for kept, state in ((kept_v, v[lo:hi]), (kept_x, x[lo:hi, :w]))
+                       if kept[g] is not None]
         local = step % RNG_BLOCK
         if local == 0:
-            # per-chain streams drawn in blocks of the cell's remaining length:
-            # identical draws regardless of blocking, so chain c depends only
-            # on its own spawned seed
+            # per-chain streams drawn in blocks of the cell's remaining length,
+            # at the cell's width: identical draws regardless of blocking, so
+            # chain c depends only on its own spawned seed
             nb_row = np.minimum(RNG_BLOCK, np.repeat(ends[:live], sizes[:live]) - step)
-            normals = np.empty((nb_row[0], len(x), d))
+            normals = np.zeros((nb_row[0], len(x), d))
             uniforms = np.empty((nb_row[0], len(x)))
             for r, nb in enumerate(nb_row):
-                normals[:nb, r] = streams[r].normal(size=(nb, d))
+                normals[:nb, r, :row_width[r]] = streams[r].normal(size=(nb, row_width[r]))
                 uniforms[:nb, r] = streams[r].random(size=nb)
         proposal = x + scale_col * normals[local]
         v_prop = potential_coords(tables, proposal)
@@ -279,12 +304,12 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
                 f"acceptance {acceptance:.3f} outside {ACCEPT_HARD_LIMITS} after adaptation")
             continue
         g = group_of[k]
-        # contiguous copies: a strided column slice sums in another order
         cols = slice(offsets[k] - groups[g][0], offsets[k + 1] - groups[g][0])
+        # a contiguous V copy: a strided column slice sums in another order
         cell_v = np.ascontiguousarray(kept_v[g][:, cols])
-        cell_x = np.ascontiguousarray(kept_x[g][:, cols]) if keep_samples else None
+        cell_x = kept_x[g][:, cols] if keep_samples else None
         try:
-            stats = _ensemble_stats(cell_x, cell_v, ax, acceptance)
+            stats = _ensemble_stats(cell_x, cell_v, ax[:widths[k]], acceptance)
         except SamplerDiagnosticError as exc:
             results[order[k]] = exc
             continue
@@ -297,7 +322,7 @@ def _ensemble_stats(kept_x: np.ndarray | None, kept_v: np.ndarray,
     """Pooled statistics of one cell's kept samples."""
     d = ax.size
     if kept_x is not None:
-        second = np.mean(kept_x.reshape(-1, d) ** 2, axis=0)
+        second = _second_moments(kept_x)
         m, m_err = order_parameter_series(kept_x, ax)
     else:
         second = np.zeros(d)
@@ -314,6 +339,24 @@ def _ensemble_stats(kept_x: np.ndarray | None, kept_v: np.ndarray,
     )
 
 
+def _second_moments(kept: np.ndarray) -> np.ndarray:
+    """Mean of x^2 per coordinate over all kept samples, in row chunks.
+
+    The bits of ``np.mean(kept.reshape(-1, d) ** 2, axis=0)`` on a
+    contiguous copy, without the copy or a full-size temporary: an axis-0
+    sum adds one row at a time, so each chunk is summed with the running
+    total as its first row.
+    """
+    n, chains, d = kept.shape
+    total = np.zeros(d)
+    for lo in range(0, n, STATS_CHUNK):
+        block = np.empty((1 + min(STATS_CHUNK, n - lo) * chains, d))
+        block[0] = total
+        np.square(kept[lo:lo + STATS_CHUNK], out=block[1:].reshape(-1, chains, d))
+        total = np.add.reduce(block, axis=0)
+    return total / (n * chains)
+
+
 def order_parameter_series(kept: np.ndarray, ax: np.ndarray
                            ) -> tuple[float, float]:
     """Order parameter plus a leave-one-chain-out jackknife standard error.
@@ -325,9 +368,11 @@ def order_parameter_series(kept: np.ndarray, ax: np.ndarray
     N_BATCHES contiguous time blocks as the dropped groups.
     """
     n, chains, d = kept.shape
-    imag = kept[..., 1:]
-    proj2 = (imag @ ax[1:]) ** 2
-    tot2 = np.sum(imag * imag, axis=-1)
+    proj2, tot2 = np.empty((n, chains)), np.empty((n, chains))
+    for lo in range(0, n, STATS_CHUNK):       # row chunks: no full-size temporaries
+        imag = kept[lo:lo + STATS_CHUNK, :, 1:]
+        proj2[lo:lo + STATS_CHUNK] = (imag @ ax[1:]) ** 2
+        tot2[lo:lo + STATS_CHUNK] = np.sum(imag * imag, axis=-1)
     denom = float(np.mean(tot2))
     if denom <= 0.0:
         raise SamplerDiagnosticError("degenerate chain: zero imaginary moment")

@@ -20,6 +20,7 @@ import pytest
 
 from rootlab import claims as cl
 from rootlab import poly as pl
+from rootlab import thermo as th
 from rootlab.algebra import QUATERNIONS
 from rootlab.poly import DAPolynomial
 
@@ -124,6 +125,9 @@ def test_c10_basins():
     # V never rises along the labelled flow, at a second seed as well
     result = _run("c10")
     assert result.details["max_rise"] <= 1e-10, result.details
+    # the labelling flow's effort: about 3,500 lockstep RK4 steps at seed 1
+    assert abs(result.details["rk4_steps"] - 3511) <= 35, result.details
+    assert 0.0 < result.details["rk4_step"] <= 0.25, result.details
     assert cl.run_claim("c10", quick=False, seed=2).details["max_rise"] <= 1e-10
 
 
@@ -148,6 +152,25 @@ def test_c11_quadrature_is_isotropic_at_eps_zero():
 
 def test_c12_entropy_scaling():
     _run("c12")
+
+
+@pytest.mark.parametrize("claim_id", ["c11", "c12"])
+def test_thermo_claims_run_one_metropolis_loop(claim_id, monkeypatch):
+    # every cell of the claim, H and O alike, rides in one ladder call
+    calls = {"sample_gibbs_ladder": 0, "sample_gibbs": 0}
+
+    def counted(name):
+        fn = getattr(th, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(th, name, counted(name))
+    cl.run_claim(claim_id, quick=True, seed=SEED)
+    assert calls == {"sample_gibbs_ladder": 1, "sample_gibbs": 0}
 
 
 def test_c13_hausdorff_discontinuity():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rootlab import cli
+from rootlab import flow as fl
 from rootlab.cli import ConfigError, parse_range, parse_waveform
 
 
@@ -127,6 +128,28 @@ def test_outputs_byte_identical_for_same_seed(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     # the basin labels carry the deformation-retract evidence: V never rises
     assert json.loads((a / "basins-summary.json").read_text())["max_rise"] <= 1e-10
+
+
+def test_basins_summary_gains_only_the_rk4_counters(tmp_path):
+    # the RK4 step and step count are new keys; every other line of the
+    # artifact is the one the report's fields gave before they existed
+    r = run_cli("basins", "--eps", "0.08", "--samples", "40", "--seed", "1",
+                outdir=tmp_path)
+    assert r.returncode == 0, r.stderr
+    text = (tmp_path / "basins-summary.json").read_text()
+    doc = json.loads(text)
+    cfg = doc["config"]
+    rep = fl.basin_decomposition(cli._parse_deformation(cfg), cfg["eps"], cfg["samples"],
+                                 seed=cfg["seed"])
+    assert (doc["rk4_step"], doc["rk4_steps"]) == (rep.rk4_step, rep.rk4_steps)
+    assert rep.rk4_steps > 0
+    old = {"config": cfg,
+           "attractors": [[float(v) for v in a.coords] for a in rep.attractors],
+           "fractions": {str(k): v for k, v in rep.fractions.items()},
+           "max_residual": rep.max_residual, "max_rise": rep.max_rise,
+           "unconverged": len(rep.unconverged)}
+    kept = [line for line in text.splitlines() if not line.startswith('  "rk4_step')]
+    assert kept == json.dumps(old, indent=2, sort_keys=True).splitlines()
 
 
 def test_seed_required_for_sampling_commands(tmp_path):

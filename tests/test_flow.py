@@ -378,7 +378,7 @@ def test_ensemble_labels_agree_with_adaptive_integrator():
     from rootlab.manifolds import root_set, sample_stratum
     sphere = root_set(D.base).strata[0]
     starts = np.stack([s.coords for s in sample_stratum(sphere, 12, rng)])
-    labels, _, _ = ensemble_labels(P, starts, att, max_time=1e4)
+    labels, *_ = ensemble_labels(P, starts, att, max_time=1e4)
     for i, s in enumerate(starts):
         traj = integrate(P, s, FlowConfig(max_time=1e4), attractors=att)
         assert traj.terminal.attractor_index == labels[i]

@@ -388,3 +388,22 @@ def test_deformation_requires_central_base():
     P = D.at(0.5)
     assert P.coefficients[0].allclose(element(tag, [1.5, 0, 0, 0]))
     assert P.coefficients[1].allclose(element(tag, [0, 0.5, 0, 0]))
+
+
+def test_embed_agrees_on_the_subalgebra():
+    # R in C in H in O: the embedded polynomial is P on the leading coordinates
+    rng = np.random.default_rng(4)
+    for tag in (REALS, COMPLEX, QUATERNIONS):
+        P = DAPolynomial(tag, tuple(random_element(tag, rng) for _ in range(4)))
+        wide = pl.embed(P, OCTONIONS)
+        X = rng.normal(size=(20, tag.dimension))
+        Xw = np.zeros((20, 8))
+        Xw[:, : tag.dimension] = X
+        vw = pl.evaluate_coords(wide, Xw)
+        assert np.allclose(vw[:, : tag.dimension], pl.evaluate_coords(P, X),
+                           rtol=1e-13, atol=1e-13)
+        assert np.all(vw[:, tag.dimension:] == 0.0)
+    P = poly_canonical()
+    assert pl.embed(P, QUATERNIONS) is P
+    with pytest.raises(ValueError):
+        pl.embed(poly_xx_plus_1(OCTONIONS), QUATERNIONS)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rootlab import thermo as th
-from rootlab.algebra import OCTONIONS, QUATERNIONS, basis_element, element
+from rootlab.algebra import COMPLEX, OCTONIONS, QUATERNIONS, basis_element, element
 from rootlab.poly import DAPolynomial, Deformation
 from rootlab.thermo import (
     GibbsConfig,
@@ -312,12 +312,89 @@ def test_ladder_mixes_polynomials_and_run_lengths(keep):
             assert_same_result(got, want)
 
 
+@pytest.mark.parametrize("keep", [True, False])
+def test_narrower_cells_in_a_wider_loop_match_solo_runs(keep):
+    # H and C cells ride in an O loop: an H cell on the O cell's (steps,
+    # burn-in) schedule, an H cell that ends early, an H cell whose oversized
+    # proposal scale fails the acceptance limit, and a C cell on its own
+    polys = [central(OCTONIONS), central(), canonical(), central(),
+             DAPolynomial.from_coords(COMPLEX, [[1, 0], [0, 1], [1, 0]])]
+    cfgs = [GibbsConfig(0.01, chains=3, steps=1500, seed=3),
+            GibbsConfig(0.02, chains=2, steps=1500, seed=4),
+            GibbsConfig(0.05, chains=3, steps=1100, burn_in=0.5, seed=5),
+            GibbsConfig(1e-4, chains=4, steps=1100, burn_in=0.1, proposal_scale=100.0,
+                        seed=6),
+            GibbsConfig(0.05, chains=2, steps=1300, seed=7)]
+    ladder = sample_gibbs_ladder(polys, cfgs, keep_samples=keep)
+    assert [isinstance(r, SamplerDiagnosticError) for r in ladder] == [
+        False, False, False, True, False]
+    for got, P, cfg in zip(ladder[:4], polys, cfgs):
+        (want,) = sample_gibbs_ladder(P, [cfg], keep_samples=keep)
+        if isinstance(want, SamplerDiagnosticError):
+            assert str(got) == str(want)
+        else:
+            assert_same_result(got, want)
+            assert got.stats.second_moments.shape == (P.tag.dimension,)
+            if keep:
+                assert got.samples.shape[-1] == P.tag.dimension
+    # a C cell takes the same steps: the 8-term kernel sums of the O loop
+    # round its 2-term ones otherwise, so V agrees to rounding only
+    got, (want,) = ladder[4], sample_gibbs_ladder(polys[4], [cfgs[4]], keep_samples=keep)
+    assert got.stats.acceptance == want.stats.acceptance
+    assert got.proposal_scale == want.proposal_scale
+    assert np.array_equal(got.stats.second_moments, want.stats.second_moments)
+    assert got.stats.order_parameter == want.stats.order_parameter
+    if keep:
+        assert np.array_equal(got.samples, want.samples)
+    assert np.allclose(got.v_samples, want.v_samples, rtol=1e-12, atol=0.0)
+    for name in ("mean_V", "var_V", "ess", "rhat"):
+        assert getattr(got.stats, name) == pytest.approx(getattr(want.stats, name),
+                                                         rel=1e-9), name
+
+
+def _one_shot_stats(kept, ax):
+    """Second moments and order parameter by the unchunked formulas."""
+    kept = np.ascontiguousarray(kept)
+    n, chains, d = kept.shape
+    second = np.mean(kept.reshape(-1, d) ** 2, axis=0)
+    imag = kept[..., 1:]
+    proj2 = (imag @ ax[1:]) ** 2
+    tot2 = np.sum(imag * imag, axis=-1)
+    m = float(np.mean(proj2) / float(np.mean(tot2)))
+    if chains > 1:
+        num, den = proj2.sum(axis=0), tot2.sum(axis=0)
+    else:
+        starts = np.unique(np.linspace(0, n, th.N_BATCHES, endpoint=False, dtype=int))
+        num, den = np.add.reduceat(proj2[:, 0], starts), np.add.reduceat(tot2[:, 0], starts)
+    loo = (num.sum() - num) / (den.sum() - den)
+    g = len(num)
+    return second, m, float(np.sqrt((g - 1) / g * np.sum((loo - loo.mean()) ** 2)))
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_chunked_stats_match_one_shot_formulas(d):
+    # strided column views of a group's kept array, 2500 kept steps: not a
+    # multiple of the chunk, so the last chunk is short
+    assert 2500 % th.STATS_CHUNK
+    rng = np.random.default_rng(d)
+    group = rng.normal(size=(2500, 9, d))
+    ax = np.zeros(d)
+    ax[1:3] = [0.6, 0.8]
+    for cols in (slice(2, 6), slice(4, 5)):         # four chains, and one
+        view = group[:, cols]
+        second, m, err = _one_shot_stats(view, ax)
+        assert np.array_equal(th._second_moments(view), second)
+        assert repr(order_parameter_series(view, ax)) == repr((m, err))
+
+
 def test_ladder_rejects_mixed_cells():
     base = GibbsConfig(0.01, chains=2, steps=200)
     with pytest.raises(ValueError):
         sample_gibbs_ladder(central(), [base, replace(base, adapt_interval=20)])
-    with pytest.raises(ValueError):
-        sample_gibbs_ladder([central(), central(OCTONIONS)], [base, base])
+    # e5 lies outside an H cell's subalgebra of the O loop
+    with pytest.raises(ValueError, match="outside H"):
+        sample_gibbs_ladder([central(), central(OCTONIONS)], [base, base],
+                            axis=basis_element(OCTONIONS, 5))
     with pytest.raises(ValueError):
         sample_gibbs_ladder([central(), canonical()], [base])
     with pytest.raises(ValueError):
