@@ -218,7 +218,7 @@ def cmd_localize(cfg: dict, out: Path) -> int:
         })
     emit(out / "localize.json", cfg,
          {"coefficient_subalgebra_dimension": dim, "roots": entries,
-          "flow": search.flow.effort()})
+          "flow": search.flow.effort(), "newton_iterations": search.newton_iterations})
     return 0
 
 

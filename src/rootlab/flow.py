@@ -7,20 +7,23 @@ ROS34PW2, whose step is set by accuracy alone, not by the fast radial decay
 onto the root set, and collapse times run on it.  ``integrate_ensemble``
 steps a whole start set in lockstep with an embedded Dormand-Prince 5(4)
 pair, one batched value-and-gradient call per stage, under one polynomial
-or under one polynomial per row; multistart attractor search runs on it,
-every polynomial of a search from the same starts in one pass, and reports
-the flow's deterministic effort counters.  Attractors are isolated
-full-rank roots, Newton-polished in one place: multistart search gets its
-candidates from the flow, while collapse times and basins start Newton
-from the isolated points of ``manifolds.root_set``, with no flow and no
-seed.  Collapse times and basins read one frame of a deformation family,
-built in one place: those attractors, the base sphere and the axis of the
-attractor the sphere collapses onto.  On top of these: collapse-time
-measurement from a start exactly pi/3 from that axis, the log-log scaling
-fit of collapse time against perturbation size, basin decomposition of the
-initial sphere, and restricted potential scans.  The basin labels also
-report the largest rise of V along any labelled trajectory, the evidence
-that the flow is a deformation retract onto the attractors.
+or under one polynomial per row, and with one ``FlowConfig`` or one per
+row.  Multistart attractor search runs on it: searches that differ in
+polynomial, start set and stop test share one pass (c05's 12-start search
+on x^2 + ix + 1 and its 5-start quadratic searches, 323 lockstep steps at
+seed 1), and each reports its flow's deterministic effort counters and the
+Newton iterations of its polish.  Attractors are isolated full-rank roots,
+Newton-polished in one place: multistart search gets its candidates from
+the flow, while collapse times and basins start Newton from the isolated
+points of ``manifolds.root_set``, with no flow and no seed.  Collapse
+times and basins read one frame of a deformation family, built in one
+place: those attractors, the base sphere and the axis of the attractor the
+sphere collapses onto.  On top of these: collapse-time measurement from a
+start exactly pi/3 from that axis, the log-log scaling fit of collapse time
+against perturbation size, basin decomposition of the initial sphere, and
+restricted potential scans.  The basin labels also report the largest rise
+of V along any labelled trajectory, the evidence that the flow is a
+deformation retract onto the attractors.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
@@ -382,7 +386,17 @@ class EnsembleResult:
                 "rhs_evals": int(self.rhs_evals.sum())}
 
 
-def integrate_ensemble(P, X0, cfg: FlowConfig | None = None,
+def _row_config(cfg, n: int) -> dict[str, np.ndarray]:
+    """Per-row step-control and stop settings from one config or one per row."""
+    if cfg is None or isinstance(cfg, FlowConfig):
+        cfg = [cfg or FlowConfig()] * n
+    elif len(cfg) != n:
+        raise ValueError("need one FlowConfig per start row")
+    return {name: np.array([getattr(c, name) for c in cfg], dtype=float)
+            for name in ("rel_tol", "abs_tol", "stop_grad", "max_time")}
+
+
+def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = None,
                        attractors=None) -> EnsembleResult:
     """Integrate the gradient flow from every row of X0 in lockstep.
 
@@ -394,11 +408,13 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | None = None,
     row, or a sequence of them with one per row: their zero-padded
     coefficient tables (``poly.stack_tables``) ride in the row state, so
     many polynomials flow in one pass that takes as many steps as its
-    slowest row.  The attractors, if given, are shared by every row.
+    slowest row.  ``cfg`` is one ``FlowConfig`` or a sequence of them with
+    one per row: tolerances, gradient stops and time limits are per-row
+    state too, so searches with different stop tests share a pass.  The
+    attractors, if given, are shared by every row.
     ``integrate`` stays the path for a single trajectory whose samples are
     wanted.
     """
-    cfg = cfg or FlowConfig()
     Y = np.array(X0, dtype=float)
     n, dim = Y.shape
     att = _attractor_coords(attractors)
@@ -419,7 +435,8 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | None = None,
         accepted=np.zeros(n, dtype=int),
         lyapunov_fails=np.zeros(n, dtype=int), plateau=np.zeros(n, dtype=int),
         v_plateau_start=V.copy(), just_rejected=np.zeros(n, dtype=bool),
-        h_limit=np.full(n, np.inf), since_reject=np.zeros(n, dtype=int))
+        h_limit=np.full(n, np.inf), since_reject=np.zeros(n, dtype=int),
+        **_row_config(cfg, n))
     live.h = _initial_step(np.linalg.norm(Y, axis=1), live.gnorm)
     if not shared:                      # per-row tables, compacted with the rows
         live.rows, live.left_T = tables
@@ -440,15 +457,15 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | None = None,
             setattr(live, name, arr[~done])
 
     index = _capture_rows(Y, att, STOP_RADIUS)
-    finish(np.where((live.gnorm < cfg.stop_grad) | (index >= 0), _CONVERGED, -1), index)
+    finish(np.where((live.gnorm < live.stop_grad) | (index >= 0), _CONVERGED, -1), index)
     while live.row.size:
         m = live.row.size
-        finish(np.where((live.steps >= MAX_STEPS) | (live.t >= cfg.max_time),
+        finish(np.where((live.steps >= MAX_STEPS) | (live.t >= live.max_time),
                         _MAX_TIME, -1), np.full(m, -1))
         m = live.row.size
         if m == 0:
             break
-        y, h = live.y, np.minimum(live.h, cfg.max_time - live.t)
+        y, h = live.y, np.minimum(live.h, live.max_time - live.t)
         tables = P if shared else (live.rows, live.left_T)
         km = np.empty((7, m, dim))
         km[0] = live.f
@@ -460,7 +477,8 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | None = None,
         pv5, g5 = value_gradient_batch(tables, y5)
         km[6] = -g5
         y4 = y + h[:, None] * (_DP_B4 @ flat).reshape(m, dim)
-        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        sc = (live.abs_tol[:, None]
+              + live.rel_tol[:, None] * np.maximum(np.abs(y), np.abs(y5)))
         err_norm = np.sqrt(np.mean(((y5 - y4) / sc) ** 2, axis=1))
         live.steps += 1
         v_new = np.einsum("ij,ij->i", pv5, pv5)
@@ -492,7 +510,7 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | None = None,
         live.gnorm = np.where(ok, np.linalg.norm(km[6], axis=1), live.gnorm)
         captured = ok & ((idx := _capture_rows(y5, att, STOP_RADIUS)) >= 0)
         index[captured] = idx[captured]
-        small = ok & (live.gnorm < cfg.stop_grad)
+        small = ok & (live.gnorm < live.stop_grad)
         long_plateau = ok & ~captured & ~small & (live.plateau >= 25)
         flat_out = long_plateau & (live.v_plateau_start - v_new
                                    <= 0.01 * live.v_plateau_start)
@@ -520,15 +538,18 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | None = None,
                           out.steps, out.times, out.accepted, 6 * out.steps + 1)
 
 
-def _polished_attractors(P: DAPolynomial, points) -> list[AlgebraElement]:
+def _polished_attractors(P: DAPolynomial, points) -> tuple[list[AlgebraElement], int]:
     """Newton-polish candidate points; keep clean, full-rank, distinct roots, sorted.
 
     Clean is relative to rounding: |P(x)| < NEWTON_RESIDUAL max(1, sum_k |a_k| |x|^k).
+    Returns the roots and the Newton iterations spent on every point.
     """
     norms = np.linalg.norm(P._rows, axis=1)[::-1]
     found: list[np.ndarray] = []
+    iterations = 0
     for x in points:
         res = newton_polish(P, np.asarray(x, dtype=float))
+        iterations += res.iterations
         scale = max(1.0, float(np.polyval(norms, np.linalg.norm(res.point))))
         if not res.residual < tol.NEWTON_RESIDUAL * scale:
             continue
@@ -537,7 +558,7 @@ def _polished_attractors(P: DAPolynomial, points) -> list[AlgebraElement]:
         if all(np.linalg.norm(res.point - q) > tol.ATTRACTOR_DEDUP for q in found):
             found.append(res.point)
     found.sort(key=lambda p: tuple(np.round(p, 9)))
-    return [AlgebraElement(P.tag, p) for p in found]
+    return [AlgebraElement(P.tag, p) for p in found], iterations
 
 
 @dataclass(frozen=True)
@@ -545,30 +566,58 @@ class Search:
     """One polynomial's multistart search: its attractors and its rows' flow."""
 
     attractors: list[AlgebraElement]
+    newton_iterations: int         # spent polishing the search's final points
     flow: EnsembleResult
 
+    def effort(self) -> dict:
+        """The flow's summed counters plus the Newton iterations."""
+        return {**self.flow.effort(), "newton_iterations": self.newton_iterations}
 
-def attractors_from_starts(polys, starts, cfg: FlowConfig | None = None) -> list[Search]:
+
+# the search flow only delivers starts into Newton basins, so it stops early
+SEARCH_FLOW = FlowConfig(stop_grad=1e-4, max_time=1e4)
+
+
+def _one_per_poly(value, n: int, single: bool) -> list:
+    if single:
+        return [value] * n
+    value = list(value)
+    if len(value) != n:
+        raise ValueError("need one entry per polynomial")
+    return value
+
+
+def attractors_from_starts(polys, starts,
+                           cfg: FlowConfig | Sequence[FlowConfig] | None = None
+                           ) -> list[Search]:
     """Flow each start to rest, Newton-polish, keep clean isolated roots.
 
-    Every polynomial of ``polys`` (one algebra) flows from the same start
-    set, all of them in one ``integrate_ensemble`` pass; the final points
-    are grouped by polynomial and each group is polished on its own.
+    ``starts`` is one start set, shared by every polynomial of ``polys``
+    (one algebra), or a sequence of start sets with one per polynomial;
+    ``cfg`` is one ``FlowConfig`` or one per polynomial.  Every start of
+    every polynomial flows in one ``integrate_ensemble`` pass; the final
+    points are grouped by polynomial and each group is polished on its own.
     Returns one ``Search`` per polynomial.  The flow only needs to deliver
-    each start into a Newton basin, so the default gradient stop is loose;
-    the residual and full-rank filters on the polished points carry the
-    actual guarantee.
+    each start into a Newton basin, so the default gradient stop
+    (``SEARCH_FLOW``) is loose; the residual and full-rank filters on the
+    polished points carry the actual guarantee.
     """
     polys = list(polys)
-    starts = np.asarray(starts, dtype=float)
-    s = len(starts)
-    cfg = cfg or FlowConfig(stop_grad=1e-4, max_time=1e4)
+    n = len(polys)
+    dim = polys[0].tag.dimension
+    sets = _one_per_poly(starts, n, len(starts) == 0 or np.ndim(starts[0]) < 2)
+    sets = [np.asarray(s, dtype=float).reshape(-1, dim) for s in sets]
+    cfgs = _one_per_poly(cfg or SEARCH_FLOW, n, cfg is None or isinstance(cfg, FlowConfig))
+    sizes = [len(s) for s in sets]
+
+    def per_row(items) -> list:
+        return [x for x, k in zip(items, sizes) for _ in range(k)]
     # one polynomial (or no start) keeps the shared-table path of the kernel
-    per_row = (polys[0] if len(polys) == 1 or s == 0
-               else [P for P in polys for _ in range(s)])
-    ens = integrate_ensemble(per_row, np.tile(starts, (len(polys), 1)), cfg)
-    groups = [ens.rows(slice(i * s, (i + 1) * s)) for i in range(len(polys))]
-    return [Search(_polished_attractors(P, g.points), g) for P, g in zip(polys, groups)]
+    tables = polys[0] if n == 1 or sum(sizes) == 0 else per_row(polys)
+    ens = integrate_ensemble(tables, np.concatenate(sets), per_row(cfgs))
+    bounds = np.cumsum([0, *sizes])
+    groups = [ens.rows(slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    return [Search(*_polished_attractors(P, g.points), flow=g) for P, g in zip(polys, groups)]
 
 
 def gaussian_starts(tag: AlgebraTag, n_starts: int, seed: int) -> np.ndarray:
@@ -589,7 +638,7 @@ def find_attractors(P: DAPolynomial, n_starts: int = 32,
 def _located_attractors(P: DAPolynomial) -> list[AlgebraElement]:
     """Attractors without a flow: the polished isolated points of ``root_set``."""
     return _polished_attractors(P, [s.point.coords for s in root_set(P).strata
-                                    if isinstance(s, IsolatedPoint)])
+                                    if isinstance(s, IsolatedPoint)])[0]
 
 
 def _first_sphere(D: Deformation) -> Sphere:

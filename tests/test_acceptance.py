@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from rootlab import claims as cl
+from rootlab import flow as fl
 from rootlab import poly as pl
 from rootlab import thermo as th
 from rootlab.algebra import QUATERNIONS
@@ -100,7 +101,8 @@ def test_c05_recall_shows_the_known_miss():
     # two roots; the claim stays red and its recall against root_set says why
     result = cl.run_claim("c05", quick=False, seed=1966449962)
     assert not result.passed
-    assert result.details["x^2+ix+1"] == {"found": 1, "expected": 2}
+    entry = result.details["x^2+ix+1"]
+    assert (entry["found"], entry["expected"]) == (1, 2)
     recall = result.details["recall"]
     assert recall["found"] < recall["expected"]
 
@@ -171,6 +173,24 @@ def test_thermo_claims_run_one_metropolis_loop(claim_id, monkeypatch):
         monkeypatch.setattr(th, name, counted(name))
     cl.run_claim(claim_id, quick=True, seed=SEED)
     assert calls == {"sample_gibbs_ladder": 1, "sample_gibbs": 0}
+
+
+def test_c05_runs_one_flow_pass(monkeypatch):
+    # x^2+ix+1 and every quadratic flow in one ensemble call
+    calls = {"integrate_ensemble": 0, "find_attractors": 0}
+
+    def counted(name):
+        fn = getattr(fl, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fl, name, counted(name))
+    cl.run_claim("c05", quick=True, seed=SEED)
+    assert calls == {"integrate_ensemble": 1, "find_attractors": 0}
 
 
 def test_c13_hausdorff_discontinuity():

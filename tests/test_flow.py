@@ -490,6 +490,57 @@ def test_attractors_from_starts_stack_matches_find_attractors():
         assert search.flow.points.shape == starts.shape
 
 
+def _same_search(a, b) -> None:
+    assert len(a.attractors) == len(b.attractors)
+    for x, y in zip(a.attractors, b.attractors):
+        assert np.array_equal(x.coords, y.coords)
+    assert a.newton_iterations == b.newton_iterations
+    for name in ("points", "kinds", "attractor_index", "steps", "times", "accepted",
+                 "rhs_evals"):
+        assert np.array_equal(getattr(a.flow, name), getattr(b.flow, name)), name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 1966449962])
+def test_mixed_search_matches_separate_searches(seed):
+    # c05's two searches, with their own start sets and stop tests, in one
+    # pass: each polynomial's rows end exactly as in its own search
+    P = canonical()
+    rng = np.random.default_rng(seed)
+    quads = [DAPolynomial.from_coords(QUATERNIONS, [[*rng.normal(size=2), 0, 0],
+                                                    [*rng.normal(size=2), 0, 0],
+                                                    [1, 0, 0, 0]]) for _ in range(6)]
+    s12 = fl.gaussian_starts(QUATERNIONS, 12, seed)
+    s5 = fl.gaussian_starts(QUATERNIONS, 5, seed)
+    cfg_a, cfg_b = fl.SEARCH_FLOW, FlowConfig(stop_grad=1e-3, max_time=500.0)
+    mixed = fl.attractors_from_starts([P, *quads], [s12, *[s5] * len(quads)],
+                                      [cfg_a, *[cfg_b] * len(quads)])
+    alone = fl.attractors_from_starts([P], s12)[0]
+    assert [a.coords.tolist() for a in alone.attractors] == [
+        a.coords.tolist() for a in find_attractors(P, 12, seed)]
+    separate = [alone, *fl.attractors_from_starts(quads, s5, cfg_b)]
+    assert len(mixed) == len(separate)
+    for a, b in zip(mixed, separate):
+        _same_search(a, b)
+    with pytest.raises(ValueError):
+        fl.attractors_from_starts([P, *quads], [s12, s5], cfg_b)
+    with pytest.raises(ValueError):
+        fl.attractors_from_starts([P, *quads], s5, [cfg_a, cfg_b])
+
+
+def test_integrate_ensemble_row_configs_match_one_config():
+    D = benchmark()
+    P = D.at(0.3)
+    starts = _sphere_and_gaussian_starts(D, 15)
+    cfg = FlowConfig(stop_grad=1e-5, max_time=1e3)
+    one = fl.integrate_ensemble(P, starts, cfg)
+    rows = fl.integrate_ensemble(P, starts, [cfg] * len(starts))
+    for name in ("points", "kinds", "attractor_index", "steps", "times", "accepted",
+                 "rhs_evals"):
+        assert np.array_equal(getattr(rows, name), getattr(one, name)), name
+    with pytest.raises(ValueError):
+        fl.integrate_ensemble(P, starts, [cfg] * (len(starts) - 1))
+
+
 def test_flow_captures_starts_and_never_raises_potential():
     # every start is captured but for separatrix starts in the equator band;
     # off-manifold starts run on the adaptive ensemble, since the fixed RK4
