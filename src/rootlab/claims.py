@@ -384,9 +384,10 @@ def claim_order_parameter(quick: bool, seed: int) -> ClaimResult:
         "H_restored": abs(results["H_restored"] - 1 / 3) <= 0.1,
     }
     passed = all(checks.values())
-    # independent brute-force cross-check of the restored cell, so the
-    # sampler value can be compared against a flow-free oracle
-    truth, ess = _importance_sampled_m(D.at(2.5), 2.5, seed)
+    # the restored cell's exact Gibbs average, a deterministic cross-check
+    # of the sampler value (61 nodes agree with 81 to 3e-9)
+    nodes = 61
+    truth = th.order_parameter_quadrature(D.at(2.5), 2.5, nodes)
     return ClaimResult(
         "c11", "order parameter across the phase diagram",
         "1/3 +- 0.05 (H central), 1/7 +- 0.04 (O central), >= 0.95 aligned, "
@@ -395,40 +396,13 @@ def claim_order_parameter(quick: bool, seed: int) -> ClaimResult:
         "per-phase windows", passed, budget_seconds=600.0,
         details={**{k: round(v, 4) for k, v in results.items()},
                  "H_restored_stderr": round(restored_stderr, 4),
-                 "restored_brute_force": round(truth, 4),
-                 "restored_brute_force_ess": int(ess),
+                 "restored_quadrature": round(truth, 4),
+                 "restored_quadrature_nodes": nodes,
                  "failing": [k for k, ok in checks.items() if not ok],
                  "sampler": {k: _sampler_effort(runs[k].stats, runs[k].proposal_scale)
                              for k in results},
                  "lockstep_steps": {"H": max(c.steps for c in cfgs[:3]), "O": steps,
                                     "loop": max(c.steps for c in cfgs)}})
-
-
-def _importance_sampled_m(P: DAPolynomial, T: float, seed: int,
-                          n: int = 2_000_000) -> tuple[float, float]:
-    """Order parameter by plain importance sampling from a wide Gaussian.
-
-    Draws in chunks of 100k rows from one generator (the same numbers as one
-    draw of n rows, in a fraction of the memory) and keeps streaming
-    log-sum-exp sums: each is stored relative to the largest log-weight seen
-    so far and rescaled when that maximum grows.
-    """
-    chunk = 100_000
-    sigma = 1.3 * max(1.0, T ** 0.25)
-    rng = np.random.default_rng(seed)
-    top = -np.inf
-    sums = np.zeros(4)              # sum w, sum w x1^2, sum w |Im x|^2, sum w^2
-    for start in range(0, n, chunk):
-        X = rng.normal(scale=sigma, size=(min(chunk, n - start), P.tag.dimension))
-        logw = -potential_coords(P, X) / T + np.sum(X * X, axis=1) / (2.0 * sigma ** 2)
-        new_top = max(top, float(logw.max()))
-        shift = np.exp(top - new_top)
-        sums *= [shift, shift, shift, shift * shift]
-        top = new_top
-        w = np.exp(logw - top)
-        sums += [np.sum(w), np.sum(w * X[:, 1] ** 2),
-                 np.sum(w * np.sum(X[:, 1:] ** 2, axis=1)), np.sum(w * w)]
-    return float(sums[1] / sums[2]), float(sums[0] ** 2 / sums[3])
 
 
 def claim_entropy_scaling(quick: bool, seed: int) -> ClaimResult:

@@ -56,6 +56,7 @@ from .poly import (
     newton_polish,
     potential_coords,
     stack_tables,
+    take_rows,
     value_gradient_batch,
     value_gradient_fn,
 )
@@ -406,9 +407,10 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
     call evaluates a stage for every row still running, and a row leaves
     the batch at its terminal state.  P is one ``DAPolynomial`` for every
     row, or a sequence of them with one per row: their zero-padded
-    coefficient tables (``poly.stack_tables``) ride in the row state, so
-    many polynomials flow in one pass that takes as many steps as its
-    slowest row.  ``cfg`` is one ``FlowConfig`` or a sequence of them with
+    coefficient tables (``poly.stack_tables``) leave the batch with their
+    rows, while a term shared by every row keeps one table, so many
+    polynomials flow in one pass that takes as many steps as its slowest
+    row.  ``cfg`` is one ``FlowConfig`` or a sequence of them with
     one per row: tolerances, gradient stops and time limits are per-row
     state too, so searches with different stop tests share a pass.  The
     attractors, if given, are shared by every row.
@@ -419,9 +421,9 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
     n, dim = Y.shape
     att = _attractor_coords(attractors)
     shared = isinstance(P, DAPolynomial)
-    tables = P if shared else stack_tables(P)
-    if not shared and len(tables[0]) != n:
+    if not shared and len(P) != n:
         raise ValueError("need one polynomial per start row")
+    tables = P if shared else stack_tables(P)
     pv, G = value_gradient_batch(tables, Y)
     V = np.einsum("ij,ij->i", pv, pv)
     out = SimpleNamespace(
@@ -438,11 +440,10 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
         h_limit=np.full(n, np.inf), since_reject=np.zeros(n, dtype=int),
         **_row_config(cfg, n))
     live.h = _initial_step(np.linalg.norm(Y, axis=1), live.gnorm)
-    if not shared:                      # per-row tables, compacted with the rows
-        live.rows, live.left_T = tables
 
     def finish(kind: np.ndarray, index: np.ndarray) -> None:
         # record the rows with a terminal kind and drop them from the batch
+        nonlocal tables
         done = kind >= 0
         if not np.any(done):
             return
@@ -455,6 +456,7 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
         out.accepted[r] = live.accepted[done]
         for name, arr in vars(live).items():
             setattr(live, name, arr[~done])
+        tables = take_rows(tables, ~done)   # per-row terms only
 
     index = _capture_rows(Y, att, STOP_RADIUS)
     finish(np.where((live.gnorm < live.stop_grad) | (index >= 0), _CONVERGED, -1), index)
@@ -466,7 +468,6 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
         if m == 0:
             break
         y, h = live.y, np.minimum(live.h, live.max_time - live.t)
-        tables = P if shared else (live.rows, live.left_T)
         km = np.empty((7, m, dim))
         km[0] = live.f
         flat = km.reshape(7, m * dim)
@@ -612,8 +613,8 @@ def attractors_from_starts(polys, starts,
 
     def per_row(items) -> list:
         return [x for x, k in zip(items, sizes) for _ in range(k)]
-    # one polynomial (or no start) keeps the shared-table path of the kernel
-    tables = polys[0] if n == 1 or sum(sizes) == 0 else per_row(polys)
+    # a polynomial repeated on every row stacks into shared tables
+    tables = per_row(polys) if sum(sizes) else polys[0]
     ens = integrate_ensemble(tables, np.concatenate(sets), per_row(cfgs))
     bounds = np.cumsum([0, *sizes])
     groups = [ens.rows(slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]

@@ -5,11 +5,12 @@ A polynomial is a coefficient list indexed by exponent, evaluated as
 by power-associativity).  One batched kernel computes P, and on request the
 gradient of the potential ``V(x) = ||P(x)||^2`` and the exact Jacobian, at
 any leading batch shape, a single point included, for one polynomial or
-for a stack of them with one per batch row; the public value, potential,
-gradient and Jacobian functions are thin entries into it.  On top of
-evaluation the module provides right division by central monic
-quadratics, localization of isolated roots into the coefficient
-subalgebra, and Newton polishing of approximate roots.
+for a stack of them with one per batch row (a term equal on every row
+keeps one shared table); the public value, potential, gradient and
+Jacobian functions are thin entries into it.  On top of evaluation the
+module provides right division by central monic quadratics, localization
+of isolated roots into the coefficient subalgebra, and Newton polishing of
+approximate roots.
 """
 
 from __future__ import annotations
@@ -134,13 +135,20 @@ def embed(P: DAPolynomial, tag: AlgebraTag) -> DAPolynomial:
     return DAPolynomial.from_coords(tag, rows)
 
 
-def stack_tables(polys) -> tuple[np.ndarray, np.ndarray]:
+def stack_tables(polys) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Coefficient tables of polynomials over one algebra, one per entry.
 
-    Returns the coefficient rows, shape (n, K+1, d), and the matrices of
-    v -> a_k v, transposed, shape (n, K+1, d, d), zero-padded to the largest
-    degree K.  Every public evaluation entry takes this pair in place of a
-    polynomial and evaluates entry i of it at batch row i.
+    Returns one coefficient row and one matrix of v -> a_k v, transposed,
+    per term k, zero-padded to the largest degree K.  A term whose
+    coefficient is equal on every entry (compared by value) keeps one
+    table, a (d,) row and a (d, d) matrix, shared by the whole batch; any
+    other term holds one per entry, (n, d) and (n, d, d).  Every public
+    evaluation entry takes this pair in place of a polynomial and evaluates
+    entry i of it at batch row i.  One polynomial repeated stacks all shared
+    and gives its own bits; a per-row term gives the bits of
+    the shared product when each of its coefficients is a real multiple of
+    one basis unit (every product is then one exact term), and agrees to
+    rounding otherwise.
     """
     polys = list(polys)
     tag = polys[0].tag
@@ -149,11 +157,32 @@ def stack_tables(polys) -> tuple[np.ndarray, np.ndarray]:
     dim = tag.dimension
     terms = max(len(p._rows) for p in polys)
     rows = np.zeros((len(polys), terms, dim))
-    left_T = np.zeros((len(polys), terms, dim, dim))
     for i, p in enumerate(polys):
         rows[i, : len(p._rows)] = p._rows
-        left_T[i, : len(p._rows)] = p._left_T
-    return rows, left_T
+    zero = np.zeros((dim, dim))
+    out_rows, out_left_T = [], []
+    for k in range(terms):
+        if np.all(rows[:, k] == rows[0, k]):
+            out_rows.append(rows[0, k])
+            out_left_T.append(polys[0]._left_T[k] if k < len(polys[0]._rows) else zero)
+        else:
+            out_rows.append(rows[:, k])
+            out_left_T.append(np.stack([p._left_T[k] if k < len(p._rows) else zero
+                                        for p in polys]))
+    return tuple(out_rows), tuple(out_left_T)
+
+
+def take_rows(tables, index):
+    """The tables of the batch rows ``index`` selects; shared terms stay as they are.
+
+    ``tables`` is a ``DAPolynomial``, returned unchanged, or a
+    ``stack_tables`` pair.
+    """
+    if isinstance(tables, DAPolynomial):
+        return tables
+    rows, left_T = tables
+    return (tuple(r if r.ndim == 1 else r[index] for r in rows),
+            tuple(m if m.ndim == 2 else m[index] for m in left_T))
 
 
 def _kernel(P, X: np.ndarray, grad: bool = False, jac: bool = False):
@@ -166,21 +195,19 @@ def _kernel(P, X: np.ndarray, grad: bool = False, jac: bool = False):
     J_2 = R + L); the transposes are read off the flat structure tables, and
     P = sum_k a_k x^k, J = sum_k L(a_k) J_k.  Every step is one matmul over
     the batch, whose leading axes are flattened to one.  P is a
-    ``DAPolynomial`` shared by the whole batch, or a ``stack_tables`` pair
-    with one polynomial per row of an (n, d) batch; only the coefficient
-    products differ between the two, and a zero-padded term adds an exact
-    zero.  Returns (P, grad V or None, J or None); J of a shared polynomial
-    of degree <= 1 is a read-only view.
+    ``DAPolynomial`` or a ``stack_tables`` pair for an (n, d) batch, and
+    each term is one of two cases: a table shared by every row (every term
+    of a ``DAPolynomial``) takes one 2-D product over the batch, and a
+    table held per row takes a batched product, row by row.  A zero-padded
+    term adds an exact zero.  Returns (P, grad V or None, J or None); J of
+    a shared polynomial of degree <= 1 is a read-only view.
     """
     X = np.asarray(X, dtype=float)
     shape = X.shape
     if X.ndim > 2:
         X = X.reshape(-1, shape[-1])
     rows, left_T = (P._rows, P._left_T) if isinstance(P, DAPolynomial) else P
-    stacked = rows.ndim == 3
-    if stacked:                         # one table per batch row: term axis first
-        rows, left_T = rows.swapaxes(0, 1), left_T.swapaxes(0, 1)
-    dim = rows.shape[-1]
+    dim = rows[0].shape[-1]
     mat = X.shape + (dim,)              # (..., d, d)
     deg = len(rows) - 1
     deriv = grad or jac
@@ -188,7 +215,8 @@ def _kernel(P, X: np.ndarray, grad: bool = False, jac: bool = False):
         v = np.broadcast_to(rows[0], X.shape).copy()
         JT = np.zeros((dim, dim))
     else:
-        v = rows[0] + ((X[:, None, :] @ left_T[1])[:, 0] if stacked else X @ left_T[1])
+        v = rows[0] + ((X[:, None, :] @ left_T[1])[:, 0] if left_T[1].ndim == 3
+                       else X @ left_T[1])
         JT = left_T[1]                  # J^T = sum_k J_k^T L(a_k)^T
     if deg >= 2:
         rxT = (X @ _flat_right(dim)).reshape(mat)
@@ -199,7 +227,7 @@ def _kernel(P, X: np.ndarray, grad: bool = False, jac: bool = False):
             elif deriv:
                 JkT = JkT @ rxT + (xpow @ _flat_left(dim)).reshape(mat)
             xpow = (xpow[..., None, :] @ rxT)[..., 0, :]
-            if stacked:
+            if left_T[k].ndim == 3:
                 v = v + (xpow[:, None, :] @ left_T[k])[:, 0]
                 if deriv:
                     JT = JT + JkT @ left_T[k]

@@ -9,13 +9,15 @@ chain.  One loop, ``sample_gibbs_ladder``, steps any number of cells over
 nested algebras (each a GibbsConfig with its own T, seed, chains, run
 length, burn-in and scale adaptation, and its own P or one shared P) in
 lockstep, in the widest algebra's coordinates; a cell whose steps are done
-leaves the stack, and ``sample_gibbs`` is the one-cell call.  On top of
-the sampler: the alignment order parameter along an imaginary axis, the
-entropy-scaling coefficient from the potential fluctuation estimator
-Var(V)/T^2 (cross-checked by mean(V)/T), whose T-ladder cells
-(``entropy_cells``) can share a loop with other ladders before
-``entropy_estimate`` reads them, and (epsilon, T) phase-diagram sweeps
-with the whole grid in one loop.
+leaves the stack, whose coefficient tables are then rebuilt so that a term
+equal on every remaining row is shared, and ``sample_gibbs`` is the
+one-cell call.  On top of the sampler: the alignment order parameter along
+an imaginary axis (and its exact value by quadrature for a P over H with
+coefficients in span{1, i}), the entropy-scaling coefficient from the
+potential fluctuation estimator Var(V)/T^2 (cross-checked by mean(V)/T),
+whose T-ladder cells (``entropy_cells``) can share a loop with other
+ladders before ``entropy_estimate`` reads them, and (epsilon, T)
+phase-diagram sweeps with the whole grid in one loop.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import QUATERNIONS, AlgebraElement
 from .manifolds import root_set, sample_stratum
 from .poly import DAPolynomial, Deformation, embed, potential_coords, stack_tables
 
@@ -154,8 +156,8 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     """Several cells, each a GibbsConfig, as one Metropolis loop.
 
     ``P`` is one DAPolynomial shared by every cell, or a sequence of one per
-    cell; cells over different polynomials evaluate through
-    ``poly.stack_tables``.  The algebras of the cells nest (R in C in H in
+    cell; the chains evaluate their polynomials through
+    ``poly.stack_tables``, one row each.  The algebras of the cells nest (R in C in H in
     O), so the loop runs in the widest one's coordinates: a narrower cell's
     polynomial is ``poly.embed``-ded, and its chains start, draw and store
     their samples at its own width, with the padded coordinates exactly
@@ -171,9 +173,12 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     envelope; other cells are unaffected.  A cell's samples are a view into
     the kept array it shares with the cells of its schedule and width.
 
-    A cell of two or more chains gives the same bits as its one-cell run
-    when all cells share P, or when every coefficient is a real multiple of
-    one basis unit (each stacked coefficient product is then one exact
+    The tables are restacked whenever cells leave, and a term whose
+    coefficient is equal on every live row takes the one product a
+    one-cell run takes (``poly.stack_tables``).  So a cell of two or more
+    chains gives the same bits as its one-cell run when all cells share P,
+    or when every coefficient of a term that differs between live rows is a
+    real multiple of one basis unit (each per-row product is then one exact
     term); other stacks agree up to rounding.  A narrower cell's padded
     coordinates add exact zeros to every kernel sum, but BLAS may group a
     sum of 8 terms otherwise than its nonzero terms alone: on OpenBLAS an H
@@ -224,13 +229,9 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
             strata[id(p)], w, c.chains, np.random.default_rng(seeds[-1]), max(1.0, scale))
         scales.append(scale)
     scales = np.array(scales)
-    shared = all(p is polys[0] for p in polys)
-    if shared:
-        tables = polys[0]
-    else:
-        wide = {id(p): embed(p, tag) for p in polys}
-        tables = stack_tables([wide[id(polys[k])] for k in order
-                               for _ in range(cfgs[k].chains)])
+    wide = {id(p): embed(p, tag) for p in polys}
+    row_polys = [wide[id(polys[k])] for k in order for _ in range(cfgs[k].chains)]
+    tables = stack_tables(row_polys)
     v = potential_coords(tables, x)
     temps = np.repeat([c.temperature for c in cells], sizes)
     scale_col = np.repeat(scales, sizes)[:, None]
@@ -256,9 +257,9 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
             while ends[live - 1] == step:           # finished cells leave the stack
                 live -= 1
             n = offsets[live]
+            if n < len(x):                          # restack: terms may now be shared
+                tables = stack_tables(row_polys[:n])
             x, v, temps, scale_col, acc = x[:n], v[:n], temps[:n], scale_col[:n], acc[:n]
-            if not shared:
-                tables = (tables[0][:n], tables[1][:n])
             if step % RNG_BLOCK:
                 normals, uniforms = normals[:, :n], uniforms[:, :n]
             acc[row_burn[:n] == step] = 0           # kept-phase counts start from zero
@@ -388,6 +389,45 @@ def order_parameter_series(kept: np.ndarray, ax: np.ndarray
     loo = (num.sum() - num) / (den.sum() - den)
     stderr = float(np.sqrt((groups - 1) / groups * np.sum((loo - loo.mean()) ** 2)))
     return m, stderr
+
+
+def order_parameter_quadrature(P: DAPolynomial, T: float, nodes: int) -> float:
+    """<x1^2> / <|Im x|^2> under exp(-V/T), by tensor Gauss-Legendre.
+
+    The exact counterpart of the sampler's order parameter along i, for a
+    P over H whose coefficients lie in span{1, i}: V is then invariant
+    under conjugation by e^{i theta}, which rotates the (x2, x3) plane, so
+    the angle integrates out and leaves (x0, x1, rho) with weight rho.
+    ``nodes`` Gauss-Legendre nodes per axis cover x0 and x1 in
+    [-4 T^(1/4), 4 T^(1/4)] and rho in [0, 4 T^(1/4)]; the weight at the
+    box edge is below 1e-14 for c11's restored cell.  One x0 slab is
+    evaluated at a time, with the Boltzmann factors taken relative to the
+    smallest V seen so far, so memory stays flat in ``nodes``.  Raises
+    ValueError for any other P.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    if P.tag != QUATERNIONS or any(np.any(c.coords[2:]) for c in P.coefficients):
+        raise ValueError("the quadrature needs a P over H with coefficients in span{1, i}")
+    half = 4.0 * T ** 0.25
+    t, w = leggauss(nodes)
+    x, wx = half * t, half * w
+    rho = 0.5 * half * (t + 1.0)
+    wrho = 0.5 * half * w * rho
+    X1, R = np.meshgrid(x, rho, indexing="ij")
+    slab = np.stack([np.zeros_like(R), X1, R, np.zeros_like(R)], axis=-1)
+    low, num, den = np.inf, 0.0, 0.0
+    for x0, w0 in zip(x, wx):
+        slab[..., 0] = x0
+        V = potential_coords(P, slab)
+        v_min = float(V.min())
+        if v_min < low:                 # rescale the sums to the new minimum
+            shift = np.exp((v_min - low) / T)
+            num, den, low = num * shift, den * shift, v_min
+        g = (w0 * wx)[:, None] * wrho[None, :] * np.exp(-(V - low) / T)
+        num += float(np.sum(g * X1 ** 2))
+        den += float(np.sum(g * (X1 ** 2 + R ** 2)))
+    return num / den
 
 
 def _ess(kept_v: np.ndarray) -> float:

@@ -15,12 +15,10 @@ within 4 of its reported standard errors of the quadrature value.  It does
 not assert that c11 fails, so a corrected target leaves it green.
 """
 
-import numpy as np
 import pytest
 
 from rootlab import claims as cl
 from rootlab import flow as fl
-from rootlab import poly as pl
 from rootlab import thermo as th
 from rootlab.algebra import QUATERNIONS
 from rootlab.poly import DAPolynomial
@@ -50,26 +48,6 @@ def _family(eps):
     """The benchmark family x^2 + 1 + eps(ix + 1) over H."""
     return DAPolynomial.from_coords(
         QUATERNIONS, [[1 + eps, 0, 0, 0], [0, eps, 0, 0], [1, 0, 0, 0]])
-
-
-def _quadrature_m(P, T, nodes):
-    """<x1^2> / <|Im x|^2> under exp(-V/T) by tensor Gauss-Legendre.
-
-    P's coefficients lie in span{1, i}, so V is invariant under conjugation
-    by e^{i theta}, which rotates the (x2, x3) plane.  The angle integrates
-    out, leaving (x0, x1, rho) with weight rho.  The box half-width
-    4 T^{1/4} puts the weight at its edge below 1e-14 for the c11 cell.
-    """
-    half = 4.0 * T ** 0.25
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    x, wx = half * t, half * w
-    rho = 0.5 * half * (t + 1.0)
-    wrho = 0.5 * half * w * rho
-    X0, X1, R = np.meshgrid(x, x, rho, indexing="ij")
-    weight = wx[:, None, None] * wx[None, :, None] * wrho[None, None, :]
-    V = pl.potential_coords(P, np.stack([X0, X1, R, np.zeros_like(R)], axis=-1))
-    g = weight * np.exp(-(V - V.min()) / T)
-    return float(np.sum(g * X1 ** 2) / np.sum(g * (X1 ** 2 + R ** 2)))
 
 
 def test_c01_algebra_laws():
@@ -137,9 +115,12 @@ def test_c11_order_parameter():
     result = _measure("c11")
     assert result.seconds <= result.budget_seconds, result.measured
     assert set(result.details["failing"]) <= {"H_restored"}, result.details
-    coarse = _quadrature_m(_family(2.5), 2.5, 61)
-    truth = _quadrature_m(_family(2.5), 2.5, 81)
+    coarse = th.order_parameter_quadrature(_family(2.5), 2.5, 61)
+    truth = th.order_parameter_quadrature(_family(2.5), 2.5, 81)
     assert abs(coarse - truth) <= 1e-6
+    # the claim's own cross-check is the 61-node value
+    assert result.details["restored_quadrature"] == round(coarse, 4)
+    assert result.details["restored_quadrature_nodes"] == 61
     m = result.details["H_restored"]
     stderr = result.details["H_restored_stderr"]
     assert stderr > 0.0, result.details
@@ -149,7 +130,8 @@ def test_c11_order_parameter():
 
 def test_c11_quadrature_is_isotropic_at_eps_zero():
     # x^2 + 1 is symmetric under every rotation of Im H, so m = 1/3 exactly
-    assert _quadrature_m(_family(0.0), 2.5, 81) == pytest.approx(1 / 3, abs=1e-12)
+    assert th.order_parameter_quadrature(_family(0.0), 2.5, 81) == pytest.approx(
+        1 / 3, abs=1e-12)
 
 
 def test_c12_entropy_scaling():

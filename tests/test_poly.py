@@ -210,8 +210,8 @@ def test_stacked_kernel_matches_oracle_row_by_row():
                  for k in degrees]
         X = rng.normal(size=(len(polys), d))
         stack = pl.stack_tables(polys)
-        assert stack[0].shape == (len(polys), 5, d)
-        assert stack[1].shape == (len(polys), 5, d, d)
+        assert [r.shape for r in stack[0]] == [(len(polys), d)] * 5
+        assert [m.shape for m in stack[1]] == [(len(polys), d, d)] * 5
         v, g = pl.value_gradient_batch(stack, X)
         J = pl.jacobian_coords(stack, X)
         for i, P in enumerate(polys):
@@ -226,6 +226,87 @@ def test_stacked_kernel_matches_oracle_row_by_row():
             assert np.allclose(g[i], shared_g[0], rtol=1e-14, atol=1e-13)
     with pytest.raises(ValueError):
         pl.stack_tables([poly_xx_plus_1(QUATERNIONS), poly_xx_plus_1(COMPLEX)])
+
+
+def test_repeated_polynomial_stacks_to_the_shared_call():
+    # every term of a repeated polynomial is shared, so the stack takes the
+    # DAPolynomial path bit for bit, on the whole batch at once
+    rng = np.random.default_rng(8)
+    for tag in (REALS, COMPLEX, QUATERNIONS, OCTONIONS):
+        d = tag.dimension
+        for degree in range(0, 5):
+            P = DAPolynomial(tag, tuple(random_element(tag, rng)
+                                        for _ in range(degree + 1)))
+            X = rng.normal(size=(17, d))
+            stack = pl.stack_tables([P] * len(X))
+            assert all(r.shape == (d,) for r in stack[0])
+            assert all(m.shape == (d, d) for m in stack[1])
+            got = pl._kernel(stack, X, grad=True, jac=True)
+            want = pl._kernel(P, X, grad=True, jac=True)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
+def _c11_polynomials():
+    """c11's four cells: x^2 + 1 and x^2 + ix + 1 over H, the restored cell
+    x^2 + 2.5ix + 3.5 over H, and x^2 + 1 over O."""
+    restored = [[3.5, 0, 0, 0], [0, 2.5, 0, 0], [1, 0, 0, 0]]
+    return [poly_xx_plus_1(QUATERNIONS), poly_canonical(),
+            DAPolynomial.from_coords(QUATERNIONS, restored), poly_xx_plus_1(OCTONIONS)]
+
+
+def test_c11_stack_matches_shared_calls():
+    # each coefficient is a real multiple of one basis unit, so the per-row
+    # products of the constant and linear terms are exact, like the shared x^2
+    rng = np.random.default_rng(9)
+    wide = [pl.embed(P, OCTONIONS) for P in _c11_polynomials()]
+    X = rng.normal(size=(4, 6, 8))
+    X[:3, :, 4:] = 0.0                   # the H cells' padded coordinates
+    stack = pl.stack_tables([P for P in wide for _ in range(6)])
+    assert [m.ndim for m in stack[1]] == [3, 3, 2]
+    got = pl._kernel(stack, X.reshape(-1, 8), grad=True, jac=True)
+    for i, P in enumerate(wide):
+        want = pl._kernel(P, X[i], grad=True, jac=True)
+        for a, b in zip(got, want):
+            assert np.array_equal(a[6 * i:6 * i + 6], b)
+
+
+def test_stack_shares_a_term_equal_on_every_row():
+    # c05: x^2 + ix + 1 and random quadratics in span{1, i}, all monic
+    rng = np.random.default_rng(1)
+    quads = [DAPolynomial.from_coords(QUATERNIONS, [
+        [rng.normal(), rng.normal(), 0.0, 0.0], [rng.normal(), rng.normal(), 0.0, 0.0],
+        [1, 0, 0, 0]]) for _ in range(20)]
+    rows, left_T = pl.stack_tables([poly_canonical(), *quads])
+    assert [r.shape for r in rows] == [(21, 4), (21, 4), (4,)]
+    assert [m.shape for m in left_T] == [(21, 4, 4), (21, 4, 4), (4, 4)]
+    assert np.array_equal(left_T[2], np.eye(4))
+    # c12: x^2 + 1 and x^2 + ix + 1 over H, x^2 + 1 over O, embedded in O
+    polys = [pl.embed(P, OCTONIONS) for P in
+             (poly_xx_plus_1(QUATERNIONS), poly_canonical(), poly_xx_plus_1(OCTONIONS))]
+    rows, left_T = pl.stack_tables([P for P in polys for _ in range(3)])
+    assert [r.shape for r in rows] == [(8,), (9, 8), (8,)]
+    assert np.array_equal(rows[0], np.eye(8)[0])
+    # a shorter polynomial's padded term is zero: shared only if zero everywhere
+    rows, _ = pl.stack_tables([poly_canonical_direction(), poly_canonical()])
+    assert [r.shape for r in rows] == [(4,), (4,), (2, 4)]
+    rows, _ = pl.stack_tables([poly_xx_plus_1(QUATERNIONS),
+                               DAPolynomial.from_real(QUATERNIONS, [1])])
+    assert [r.shape for r in rows] == [(4,), (4,), (2, 4)]
+    assert [r.shape for r in pl.stack_tables([poly_canonical_direction()] * 2)[0]] == [
+        (4,), (4,)]
+
+
+def test_take_rows_keeps_shared_terms():
+    polys = [poly_canonical(), poly_xx_plus_1(QUATERNIONS), poly_canonical()]
+    rows, left_T = pl.stack_tables(polys)
+    keep = np.array([True, False, True])
+    kept_rows, kept_left_T = pl.take_rows((rows, left_T), keep)
+    assert kept_rows[0] is rows[0] and kept_left_T[2] is left_T[2]
+    assert np.array_equal(kept_rows[1], rows[1][keep])
+    assert np.array_equal(kept_left_T[1], left_T[1][keep])
+    P = poly_canonical()
+    assert pl.take_rows(P, keep) is P
 
 
 def test_polynomial_is_frozen():

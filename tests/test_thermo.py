@@ -6,6 +6,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from rootlab import poly as pl
 from rootlab import thermo as th
 from rootlab.algebra import COMPLEX, OCTONIONS, QUATERNIONS, basis_element, element
 from rootlab.poly import DAPolynomial, Deformation
@@ -350,6 +351,43 @@ def test_narrower_cells_in_a_wider_loop_match_solo_runs(keep):
     for name in ("mean_V", "var_V", "ess", "rhat"):
         assert getattr(got.stats, name) == pytest.approx(getattr(want.stats, name),
                                                          rel=1e-9), name
+
+
+def test_stack_narrows_to_shared_tables_when_cells_leave(monkeypatch):
+    # x^2 + 1 over H (embedded) and over O share every term; x^2 + ix + 1 has
+    # its own linear term until its shorter run ends, then the loop restacks
+    polys = [central(), central(OCTONIONS), canonical()]
+    cfgs = [GibbsConfig(0.02, chains=3, steps=1200, seed=3),
+            GibbsConfig(0.01, chains=2, steps=1200, seed=4),
+            GibbsConfig(0.05, chains=3, steps=700, seed=5)]
+    shared = []
+    kernel = pl._kernel
+
+    def spy(P, X, *args, **kwargs):
+        shared.append(all(m.ndim == 2 for m in P[1]))
+        return kernel(P, X, *args, **kwargs)
+
+    monkeypatch.setattr(pl, "_kernel", spy)
+    ladder = sample_gibbs_ladder(polys, cfgs)
+    monkeypatch.setattr(pl, "_kernel", kernel)
+    # one call before the loop, then one per step
+    assert len(shared) == 1 + 1200
+    assert not any(shared[:1 + 700]) and all(shared[1 + 700:])
+    for got, P, cfg in zip(ladder, polys, cfgs):
+        assert_same_result(got, sample_gibbs(P, cfg))
+
+
+def test_order_parameter_quadrature_needs_h_and_span_one_i():
+    with pytest.raises(ValueError):
+        th.order_parameter_quadrature(central(OCTONIONS), 2.5, 11)
+    off_plane = DAPolynomial.from_coords(QUATERNIONS, [[1, 0, 0, 0], [0, 0, 1, 0],
+                                                       [1, 0, 0, 0]])
+    with pytest.raises(ValueError):
+        th.order_parameter_quadrature(off_plane, 2.5, 11)
+    # the box misses the root sphere at T = 1e-4, so exp(-V/T) underflows
+    # everywhere unless taken relative to the smallest V
+    m = th.order_parameter_quadrature(central(), 1e-4, 21)
+    assert 0.0 < m < 1.0
 
 
 def _one_shot_stats(kept, ax):
