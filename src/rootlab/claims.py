@@ -10,7 +10,7 @@ shrinks the Monte Carlo budgets while keeping every verdict green.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,12 +106,13 @@ def claim_algebra_laws(quick: bool, seed: int) -> ClaimResult:
 
 def claim_inflation(quick: bool, seed: int) -> ClaimResult:
     rng = np.random.default_rng(seed)
-    dims = {}
+    dims, effort = {}, {}
     worst_pot = 0.0
     for tag, want in ((QUATERNIONS, 2), (OCTONIONS, 6)):
         P = DAPolynomial.from_real(tag, [1, 0, 1])
         rs = mf.root_set(P)
         dims[str(tag)] = rs.hausdorff_dimension
+        effort[str(tag)] = rs.effort()
         stratum = rs.strata[0]
         for s in mf.sample_stratum(stratum, 32, rng):
             res = newton_polish(P, s.coords)
@@ -121,7 +122,8 @@ def claim_inflation(quick: bool, seed: int) -> ClaimResult:
         "c02", "sphere dimensions of x^2 + 1",
         "dimension 2 over H and 6 over O; 32 polished samples each below 1e-18",
         f"dims {dims}; worst sample potential {worst_pot:.2e}",
-        "potential < 1e-18", passed, budget_seconds=1.0, details=dims)
+        "potential < 1e-18", passed, budget_seconds=1.0,
+        details={**dims, "root_set": effort})
 
 
 def claim_automorphism_invariance(quick: bool, seed: int) -> ClaimResult:
@@ -152,11 +154,13 @@ def claim_automorphism_invariance(quick: bool, seed: int) -> ClaimResult:
 
 def claim_jacobian_rank(quick: bool, seed: int) -> ClaimResult:
     rng = np.random.default_rng(seed)
-    ranks = {}
+    ranks, effort = {}, {}
     ok = True
     for tag, expect in ((QUATERNIONS, 2), (OCTONIONS, 2)):
         P = DAPolynomial.from_real(tag, [1, 0, 1])
-        sphere = mf.root_set(P).strata[0]
+        rs = mf.root_set(P)
+        effort[f"sphere_{tag}"] = rs.effort()
+        sphere = rs.strata[0]
         got = set()
         for x in mf.sample_stratum(sphere, 50, rng):
             r = mf.numerical_rank(jacobian_coords(P, x.coords))
@@ -167,7 +171,9 @@ def claim_jacobian_rank(quick: bool, seed: int) -> ClaimResult:
     # isolated roots carry full rank
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
     P_iso = DAPolynomial.from_coords(QUATERNIONS, rows)
-    iso = [s.point for s in mf.root_set(P_iso).strata if isinstance(s, mf.IsolatedPoint)]
+    rs = mf.root_set(P_iso)
+    effort["isolated_H"] = rs.effort()
+    iso = [s.point for s in rs.strata if isinstance(s, mf.IsolatedPoint)]
     got = {mf.numerical_rank(jacobian_coords(P_iso, x.coords)).rank for x in iso}
     ranks["isolated_H"] = sorted(got)
     ok = ok and got == {4} and len(iso) == 2
@@ -176,7 +182,7 @@ def claim_jacobian_rank(quick: bool, seed: int) -> ClaimResult:
         "rank 2 at 50 sphere samples (H and O); full rank 4 at isolated roots",
         f"{ranks}",
         "exact rank via relative SVD cutoff 1e-8", ok,
-        budget_seconds=5.0, details=ranks)
+        budget_seconds=5.0, details={**ranks, "root_set": effort})
 
 
 def _recall(P: DAPolynomial, found) -> dict:
@@ -346,13 +352,6 @@ def _sampler_effort(stats, proposal_scale) -> dict:
             "proposal_scale": np.round(proposal_scale, 6).tolist()}
 
 
-def _without_samples(res) -> th.GibbsResult:
-    """A sampler cell's result with its samples dropped; a diagnostic error raises."""
-    if isinstance(res, th.SamplerDiagnosticError):
-        raise res
-    return replace(res, samples=None, v_samples=None)
-
-
 def claim_order_parameter(quick: bool, seed: int) -> ClaimResult:
     scale = 0.5 if quick else 1.0
     steps = int(30000 * scale)
@@ -371,9 +370,10 @@ def claim_order_parameter(quick: bool, seed: int) -> ClaimResult:
                       th.GibbsConfig(0.01, chains=24, steps=steps, seed=seed + 1)),
     }
     polys, cfgs = zip(*cells.values())
-    # statistics only: the samples are dropped as soon as the loop returns
-    runs = {k: _without_samples(r)
-            for k, r in zip(cells, th.sample_gibbs_ladder(polys, cfgs))}
+    runs = dict(zip(cells, th.sample_gibbs_ladder(polys, cfgs)))
+    for r in runs.values():
+        if isinstance(r, th.SamplerDiagnosticError):
+            raise r
     results = {k: runs[k].stats.order_parameter
                for k in ("H_central", "O_central", "H_aligned", "H_restored")}
     restored_stderr = runs["H_restored"].stats.order_parameter_stderr
@@ -455,7 +455,8 @@ def claim_dimension_drop(quick: bool, seed: int) -> ClaimResult:
         "dimension 2 at eps = 0 and 0 at eps = 0.1",
         f"{dims}; flagged rows: {flagged}",
         "exact dimensions", passed, budget_seconds=30.0,
-        details={str(k): v for k, v in dims.items()})
+        details={**{str(k): v for k, v in dims.items()},
+                 "root_set": {str(r.epsilon): r.effort for r in rows}})
 
 
 REGISTRY = [

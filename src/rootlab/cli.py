@@ -150,7 +150,7 @@ def cmd_inflate(cfg: dict, out: Path) -> int:
             for p in mf.sample_stratum(s, cfg["samples"], rng))
         strata.append(entry)
     emit(out / "inflate.json", cfg,
-         {"hausdorff_dimension": rs.hausdorff_dimension, "strata": strata})
+         {"hausdorff_dimension": rs.hausdorff_dimension, "strata": strata, **rs.effort()})
     return 0
 
 
@@ -299,7 +299,8 @@ def cmd_phase_diagram(cfg: dict, out: Path) -> int:
     diagram = th.phase_diagram(_parse_deformation(cfg), parse_range(cfg["eps_grid"]),
                                t_grid, template, seed=cfg["seed"])
     # one column per PhaseCell field, in field order
-    names = ("epsilon", "T", "m", "m_stderr", "mean_V", "var_V", "acceptance", "flag")
+    names = ("epsilon", "T", "m", "m_stderr", "mean_V", "var_V", "acceptance", "ess", "rhat",
+             "flag")
     write_csv(out / "phase-diagram.csv", cfg,
               dict(zip(names, zip(*map(astuple, diagram.cells)))))
     print(f"wrote {len(diagram.cells)} cells")

@@ -97,6 +97,13 @@ RootStratum = IsolatedReal | IsolatedPoint | Sphere
 class RootSet:
     strata: tuple[RootStratum, ...]
     hausdorff_dimension: int
+    aberth_sweeps: int                  # Aberth corrections on the auxiliary polynomial
+    merged_groups: tuple[int, ...]      # sizes of the root groups merged as one root
+
+    def effort(self) -> dict:
+        """The root finder's counters, for artifacts and claim details."""
+        return {"aberth_sweeps": self.aberth_sweeps,
+                "merged_groups": list(self.merged_groups)}
 
 
 def aberth_roots(coeffs) -> np.ndarray:
@@ -106,12 +113,17 @@ def aberth_roots(coeffs) -> np.ndarray:
     applies Aberth-Ehrlich corrections until every residual |p(z_i)| falls
     below the (scale-adjusted) target, then runs a few Newton sweeps.
     """
+    return _aberth_roots(coeffs)[0]
+
+
+def _aberth_roots(coeffs) -> tuple[np.ndarray, int]:
+    """``aberth_roots`` and the number of Aberth corrections it applied."""
     c = np.asarray(coeffs, dtype=complex)
     if c.size == 0 or c[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
     n = c.size - 1
     if n == 0:
-        return np.zeros(0, dtype=complex)
+        return np.zeros(0, dtype=complex), 0
     c = c / c[-1]
     # roots at zero split off exactly
     n_zero = 0
@@ -120,12 +132,15 @@ def aberth_roots(coeffs) -> np.ndarray:
     core = c[n_zero:]
     m = core.size - 1
     roots = np.zeros(n, dtype=complex)
+    sweeps = 0
     if m > 0:
-        roots[n_zero:] = _aberth_core(core, tol.ABERTH_MAX_SWEEPS, tol.ABERTH_RESIDUAL)
-    return roots
+        roots[n_zero:], sweeps = _aberth_core(core, tol.ABERTH_MAX_SWEEPS,
+                                              tol.ABERTH_RESIDUAL)
+    return roots, sweeps
 
 
-def _aberth_core(c: np.ndarray, max_sweeps: int, residual_target: float) -> np.ndarray:
+def _aberth_core(c: np.ndarray, max_sweeps: int,
+                 residual_target: float) -> tuple[np.ndarray, int]:
     n = c.size - 1
     cabs = np.abs(c)
     center = -c[n - 1] / n
@@ -133,7 +148,7 @@ def _aberth_core(c: np.ndarray, max_sweeps: int, residual_target: float) -> np.n
     angles = 2.0 * np.pi * (np.arange(n) + 0.5) / n + 0.4
     z = center + radius * np.exp(1j * angles)
     dc = c[1:] * np.arange(1, n + 1)
-    for _ in range(max_sweeps):
+    for sweeps in range(max_sweeps):
         p = np.polyval(c[::-1], z)
         # backward-style criterion: residual relative to sum |c_k| |z|^k,
         # the only target reachable in floating point for large roots
@@ -163,7 +178,7 @@ def _aberth_core(c: np.ndarray, max_sweeps: int, residual_target: float) -> np.n
         z_new = z - step
         improved = np.abs(np.polyval(c[::-1], z_new)) <= np.abs(p)
         z = np.where(improved, z_new, z)
-    return z
+    return z, sweeps
 
 
 def root_set(P: DAPolynomial) -> RootSet:
@@ -180,6 +195,8 @@ def root_set(P: DAPolynomial) -> RootSet:
     vanishes at each real z and on each whole sphere; any other P has the
     one root -A^-1 B on [z] (``remainder_root``), or all of [z] when A
     vanishes.  Real strata come first, then the others by (Re z, Im z).
+    The set records the Aberth corrections applied to C and the size of
+    every group of two or more Aberth roots merged into one root.
     """
     if P.tag.dimension < 2:
         raise ValueError("root strata need an algebra of dimension >= 2")
@@ -187,15 +204,17 @@ def root_set(P: DAPolynomial) -> RootSet:
         raise ValueError("zero polynomial has no meaningful root set")
     aux = (P._rows[:, 0] if P.is_central
            else sum(np.convolve(col, col) for col in P._rows.T))
-    roots = aberth_roots(aux)
+    roots, sweeps = _aberth_roots(aux)
     scale = 1.0 + float(np.max(np.abs(roots), initial=0.0))
-    zs = []
+    zs, merged = [], []
     free = np.ones(roots.size, dtype=bool)
     for seed in range(roots.size):
         if free[seed]:
             members, z = _multiple_root(aux, roots, free, seed, scale)
             free[members] = False
             zs.append(z)
+            if len(members) > 1:
+                merged.append(len(members))
     real_tol = tol.CONJUGATE_PAIR_REL * scale
     upper = sorted((z for z in zs if z.imag > real_tol), key=lambda z: (z.real, z.imag))
     strata: list[RootStratum] = []
@@ -209,7 +228,7 @@ def root_set(P: DAPolynomial) -> RootSet:
         else:
             strata.append(Sphere(re=z.real, radius=z.imag, tag=P.tag))
     dim = max((s.dimension for s in strata), default=0)
-    return RootSet(tuple(strata), dim)
+    return RootSet(tuple(strata), dim, sweeps, tuple(merged))
 
 
 def _multiple_root(aux: np.ndarray, roots: np.ndarray, free: np.ndarray, seed: int,
@@ -345,6 +364,7 @@ class DimensionScanRow:
     dimension: int
     n_roots: int
     flagged: bool
+    effort: dict                # RootSet.effort() of the row's root set
 
 
 def hausdorff_dimension_scan(D: Deformation, epsilons) -> list[DimensionScanRow]:
@@ -363,5 +383,6 @@ def hausdorff_dimension_scan(D: Deformation, epsilons) -> list[DimensionScanRow]
         rs = root_set(P)
         flagged = any(numerical_rank(jacobian_coords(P, s.point.coords)).ambiguous
                       for s in rs.strata if isinstance(s, IsolatedPoint))
-        rows.append(DimensionScanRow(eps, rs.hausdorff_dimension, len(rs.strata), flagged))
+        rows.append(DimensionScanRow(eps, rs.hausdorff_dimension, len(rs.strata), flagged,
+                                     rs.effort()))
     return rows

@@ -11,7 +11,11 @@ length, burn-in and scale adaptation, and its own P or one shared P) in
 lockstep, in the widest algebra's coordinates; a cell whose steps are done
 leaves the stack, whose coefficient tables are then rebuilt so that a term
 equal on every remaining row is shared, and ``sample_gibbs`` is the
-one-cell call.  On top of the sampler: the alignment order parameter along
+one-cell call.  Statistics stream: a ring buffer of the last
+``STATS_CHUNK`` steps is folded into each cell's running sums, only the V
+series (for ESS and R-hat) is kept whole, so memory beyond it is flat in
+run length, and raw samples are returned only on request.  On top of the
+sampler: the alignment order parameter along
 an imaginary axis (and its exact value by quadrature for a P over H with
 coefficients in span{1, i}), the entropy-scaling coefficient from the
 potential fluctuation estimator Var(V)/T^2 (cross-checked by mean(V)/T),
@@ -39,7 +43,7 @@ class SamplerDiagnosticError(RuntimeError):
 ACCEPT_HARD_LIMITS = (0.05, 0.8)
 N_BATCHES = 20
 RNG_BLOCK = 1024    # steps of random draws made per stream at a time
-STATS_CHUNK = 1024  # kept steps per block of the sample statistics
+STATS_CHUNK = 256   # steps of states held between folds into the sample sums
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ class EnsembleStats:
 @dataclass
 class GibbsResult:
     stats: EnsembleStats
-    samples: np.ndarray | None     # (kept, chains, d)
+    samples: np.ndarray | None     # (kept, chains, d), only when asked for
     v_samples: np.ndarray | None   # (kept, chains)
     proposal_scale: float
     config: GibbsConfig
@@ -135,13 +139,13 @@ def _axis_coords(axis: AlgebraElement | None, d: int) -> np.ndarray:
 
 def sample_gibbs(P: DAPolynomial, cfg: GibbsConfig,
                  axis: AlgebraElement | None = None,
-                 keep_samples: bool = True) -> GibbsResult:
+                 keep_samples: bool = False) -> GibbsResult:
     """Random-walk Metropolis ensemble for the Gibbs measure of P.
 
     The one-cell call of ``sample_gibbs_ladder``.  Returns pooled
-    statistics plus (optionally) the raw kept samples.  Raises
-    SamplerDiagnosticError when the frozen proposal scale fails to keep
-    acceptance inside the hard limits.
+    statistics plus, when ``keep_samples`` asks for them, the raw kept
+    samples.  Raises SamplerDiagnosticError when the frozen proposal scale
+    fails to keep acceptance inside the hard limits.
     """
     (result,) = sample_gibbs_ladder(P, [cfg], axis, keep_samples)
     if isinstance(result, SamplerDiagnosticError):
@@ -151,7 +155,7 @@ def sample_gibbs(P: DAPolynomial, cfg: GibbsConfig,
 
 def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
                         axis: AlgebraElement | None = None,
-                        keep_samples: bool = True
+                        keep_samples: bool = False
                         ) -> list[GibbsResult | SamplerDiagnosticError]:
     """Several cells, each a GibbsConfig, as one Metropolis loop.
 
@@ -170,8 +174,16 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     and a cell whose steps are done leaves the end of the stack.  The cells
     must share ``adapt_interval``.  Returns one GibbsResult per cell, in
     order, or the SamplerDiagnosticError of a cell that left its validity
-    envelope; other cells are unaffected.  A cell's samples are a view into
-    the kept array it shares with the cells of its schedule and width.
+    envelope; other cells are unaffected.
+
+    The statistics stream: the states of the last ``STATS_CHUNK`` steps sit
+    in one ring buffer, which is folded into each kept-phase cell's running
+    sums (``_SampleSums``) when it is full and at every step where a cell
+    starts keeping or stops.  Only the V series is kept whole, for ESS and
+    R-hat, so memory beyond it is flat in run length.  ``keep_samples``
+    also copies the kept states out of the ring and returns them (a cell's
+    samples are then a view into the array it shares with the cells of its
+    schedule and width); the statistics are the same bits either way.
 
     The tables are restacked whenever cells leave, and a term whose
     coefficient is equal on every live row takes the one product a
@@ -236,8 +248,9 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     temps = np.repeat([c.temperature for c in cells], sizes)
     scale_col = np.repeat(scales, sizes)[:, None]
 
-    # cells of one schedule and width share one kept array: rows [lo, hi),
-    # steps [burn, end), the first w coordinates
+    # cells of one schedule and width share one kept V array (and, on
+    # request, one kept sample array): rows [lo, hi), steps [burn, end), the
+    # first w coordinates
     groups, group_of = [], []
     for k in range(len(cells)):
         if not groups or groups[-1][2:] != [n_burn[k], ends[k], widths[k]]:
@@ -247,12 +260,33 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     kept_v = [np.empty((end - burn, hi - lo)) for lo, hi, burn, end, _ in groups]
     kept_x = [np.empty((end - burn, hi - lo, w)) if keep_samples else None
               for lo, hi, burn, end, w in groups]
+    sums = [_SampleSums(int(ends[k] - n_burn[k]), int(sizes[k]), ax[:widths[k]])
+            for k in range(len(cells))]
+    ring = np.empty((min(STATS_CHUNK, int(ends[0])), len(x), d))  # states since the last fold
+    filled = 0
+    # per-row draw blocks; a narrower row's padded coordinates stay zero
+    normals = np.zeros((min(RNG_BLOCK, int(ends[0])), len(x), d))
+    uniforms = np.empty(normals.shape[:2])
+
+    def fold(first: int) -> None:
+        """Fold the ring's states of steps [first, first + filled) into the
+        running sums (and the kept samples) of every cell then keeping."""
+        for k in range(len(cells)):
+            if n_burn[k] <= first < ends[k]:
+                sums[k].fold(ring[:filled, offsets[k]:offsets[k + 1], :widths[k]])
+        for (lo, hi, burn, end, w), kept in zip(groups, kept_x):
+            if kept is not None and burn <= first < end:
+                kept[first - burn:first - burn + filled] = ring[:filled, lo:hi, :w]
+
     accepts = np.zeros(len(x), dtype=np.int64)   # per chain, since the last reset
     acc = accepts
     live = len(cells)
     events = {0} | set(ends.tolist()) | set(n_burn.tolist())
 
     for step in range(int(ends[0])):
+        if filled == len(ring) or (filled and step in events):
+            fold(step - filled)
+            filled = 0
         if step in events:
             while ends[live - 1] == step:           # finished cells leave the stack
                 live -= 1
@@ -260,29 +294,23 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
             if n < len(x):                          # restack: terms may now be shared
                 tables = stack_tables(row_polys[:n])
             x, v, temps, scale_col, acc = x[:n], v[:n], temps[:n], scale_col[:n], acc[:n]
-            if step % RNG_BLOCK:
-                normals, uniforms = normals[:, :n], uniforms[:, :n]
             acc[row_burn[:n] == step] = 0           # kept-phase counts start from zero
             adapt_until = n_burn[:live].max()
-            # (kept array, live rows it copies, first kept step) of each kept phase
-            writing = [(kept[g], state, burn)
-                       for g, (lo, hi, burn, end, w) in enumerate(groups) if burn <= step < end
-                       for kept, state in ((kept_v, v[lo:hi]), (kept_x, x[lo:hi, :w]))
-                       if kept[g] is not None]
+            # (kept V array, live rows it copies, first kept step) of each kept phase
+            writing = [(kept_v[g], v[lo:hi], burn)
+                       for g, (lo, hi, burn, end, w) in enumerate(groups) if burn <= step < end]
         local = step % RNG_BLOCK
         if local == 0:
             # per-chain streams drawn in blocks of the cell's remaining length,
             # at the cell's width: identical draws regardless of blocking, so
             # chain c depends only on its own spawned seed
             nb_row = np.minimum(RNG_BLOCK, np.repeat(ends[:live], sizes[:live]) - step)
-            normals = np.zeros((nb_row[0], len(x), d))
-            uniforms = np.empty((nb_row[0], len(x)))
             for r, nb in enumerate(nb_row):
                 normals[:nb, r, :row_width[r]] = streams[r].normal(size=(nb, row_width[r]))
                 uniforms[:nb, r] = streams[r].random(size=nb)
-        proposal = x + scale_col * normals[local]
+        proposal = x + scale_col * normals[local, :n]
         v_prop = potential_coords(tables, proposal)
-        accept = metropolis_accept(v_prop - v, temps, uniforms[local])
+        accept = metropolis_accept(v_prop - v, temps, uniforms[local, :n])
         np.copyto(x, proposal, where=accept[:, None])
         np.copyto(v, v_prop, where=accept)
         acc += accept
@@ -292,8 +320,13 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
             scales[:live][adapting] *= np.exp(0.6 * (rates[adapting] - 0.3))
             scale_col = np.repeat(scales[:live], sizes[:live])[:, None]
             acc[step < row_burn[:n]] = 0
-        for kept, state, burn in writing:
-            kept[step - burn] = state
+        if writing:
+            for kept, state, burn in writing:
+                kept[step - burn] = state
+            ring[filled, :n] = x
+            filled += 1
+    fold(int(ends[0]) - filled)
+    del ring, normals, uniforms     # freed before the per-cell V copies below
 
     accepted = np.add.reduceat(accepts, offsets[:-1])
     results: list[GibbsResult | SamplerDiagnosticError | None] = [None] * len(cells)
@@ -310,7 +343,7 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
         cell_v = np.ascontiguousarray(kept_v[g][:, cols])
         cell_x = kept_x[g][:, cols] if keep_samples else None
         try:
-            stats = _ensemble_stats(cell_x, cell_v, ax[:widths[k]], acceptance)
+            stats = _ensemble_stats(sums[k], cell_v, acceptance)
         except SamplerDiagnosticError as exc:
             results[order[k]] = exc
             continue
@@ -318,16 +351,10 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     return results
 
 
-def _ensemble_stats(kept_x: np.ndarray | None, kept_v: np.ndarray,
-                    ax: np.ndarray, acceptance: float) -> EnsembleStats:
-    """Pooled statistics of one cell's kept samples."""
-    d = ax.size
-    if kept_x is not None:
-        second = _second_moments(kept_x)
-        m, m_err = order_parameter_series(kept_x, ax)
-    else:
-        second = np.zeros(d)
-        m, m_err = float("nan"), float("nan")
+def _ensemble_stats(sums: _SampleSums, kept_v: np.ndarray,
+                    acceptance: float) -> EnsembleStats:
+    """Pooled statistics of one cell: its sample sums and kept V series."""
+    m, m_err = sums.order_parameter()
     return EnsembleStats(
         mean_V=float(np.mean(kept_v)),
         var_V=float(np.var(kept_v)),
@@ -336,59 +363,120 @@ def _ensemble_stats(kept_x: np.ndarray | None, kept_v: np.ndarray,
         acceptance=acceptance,
         ess=_ess(kept_v),
         rhat=_split_rhat(kept_v),
-        second_moments=second,
+        second_moments=sums.second_moments(),
     )
 
 
-def _second_moments(kept: np.ndarray) -> np.ndarray:
-    """Mean of x^2 per coordinate over all kept samples, in row chunks.
+def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """total plus every row of ``rows``, one row at a time in order: an
+    axis-0 sum adds row by row, so a series summed in chunks, each with the
+    running total as its first row, has the bits of its one-shot sum."""
+    block = np.empty((1 + len(rows),) + total.shape)
+    block[0] = total
+    block[1:] = rows
+    return np.add.reduce(block, axis=0)
 
-    The bits of ``np.mean(kept.reshape(-1, d) ** 2, axis=0)`` on a
-    contiguous copy, without the copy or a full-size temporary: an axis-0
-    sum adds one row at a time, so each chunk is summed with the running
-    total as its first row.
+
+class _SampleSums:
+    """Running sums of one cell's kept samples, folded in time order.
+
+    Per coordinate, the sum of x^2; per jackknife group, the sums of
+    <Im x, ax>^2 and of |Im x|^2.  The groups are the chains, or for a single
+    chain N_BATCHES contiguous time blocks: the steps of an unfinished block
+    wait in a buffer of one block's length, so that each block is summed as
+    one series.  Any split of the steps into folds gives the same bits.
     """
+
+    def __init__(self, steps: int, chains: int, ax: np.ndarray):
+        self.chains, self.ax = chains, ax
+        self.count = 0
+        self.second = np.zeros(ax.size)
+        if chains > 1:
+            n_groups = chains
+        else:
+            self.starts = np.unique(np.linspace(0, steps, N_BATCHES, endpoint=False,
+                                                dtype=int))
+            self.stops = np.append(self.starts[1:], steps)
+            self.pending = np.empty((2, int(np.max(self.stops - self.starts))))
+            n_groups = len(self.starts)
+        self.num, self.den = np.zeros(n_groups), np.zeros(n_groups)
+
+    def fold(self, kept: np.ndarray) -> None:
+        """Add the next kept steps, a (steps, chains, d) array."""
+        k, chains, d = kept.shape
+        square = np.square(kept)
+        self.second = _add_rows(self.second, square.reshape(-1, d))
+        proj2 = (kept[..., 1:] @ self.ax[1:]) ** 2
+        # |Im x|^2 summed left to right, as np.sum adds fewer than 8 terms,
+        # one column at a time instead of one call per row
+        tot2 = square[..., 1]
+        for j in range(2, d):
+            tot2 = tot2 + square[..., j]
+        if chains > 1:
+            self.num = _add_rows(self.num, proj2)
+            self.den = _add_rows(self.den, tot2)
+        else:
+            self._fold_blocks(proj2[:, 0], tot2[:, 0])
+        self.count += k
+
+    def _fold_blocks(self, proj2: np.ndarray, tot2: np.ndarray) -> None:
+        at = self.count
+        while proj2.size:
+            g = int(np.searchsorted(self.stops, at, side="right"))   # the block holding step at
+            lo, hi = self.starts[g], self.stops[g]
+            take = min(proj2.size, hi - at)
+            self.pending[:, at - lo:at - lo + take] = proj2[:take], tot2[:take]
+            at += take
+            proj2, tot2 = proj2[take:], tot2[take:]
+            if at == hi:                # the block is whole: sum it as one series
+                self.num[g], self.den[g] = np.add.reduceat(
+                    self.pending[:, :hi - lo], [0], axis=1)[:, 0]
+
+    def second_moments(self) -> np.ndarray:
+        return self.second / (self.count * self.chains)
+
+    def order_parameter(self) -> tuple[float, float]:
+        """m = sum(num) / sum(den) and its leave-one-group-out jackknife error."""
+        num, den = self.num, self.den
+        total = den.sum()
+        if total <= 0.0:
+            raise SamplerDiagnosticError("degenerate chain: zero imaginary moment")
+        m = float(num.sum() / total)
+        groups = len(num)
+        if groups < 2:
+            return m, 0.0
+        loo = (num.sum() - num) / (total - den)
+        return m, float(np.sqrt((groups - 1) / groups * np.sum((loo - loo.mean()) ** 2)))
+
+
+def _sample_sums(kept: np.ndarray, ax: np.ndarray) -> _SampleSums:
+    """The running sums of a whole (kept, chains, d) sample array, folded
+    STATS_CHUNK steps at a time as the Metropolis loop folds them."""
     n, chains, d = kept.shape
-    total = np.zeros(d)
+    sums = _SampleSums(n, chains, ax)
     for lo in range(0, n, STATS_CHUNK):
-        block = np.empty((1 + min(STATS_CHUNK, n - lo) * chains, d))
-        block[0] = total
-        np.square(kept[lo:lo + STATS_CHUNK], out=block[1:].reshape(-1, chains, d))
-        total = np.add.reduce(block, axis=0)
-    return total / (n * chains)
+        sums.fold(kept[lo:lo + STATS_CHUNK])
+    return sums
+
+
+def _second_moments(kept: np.ndarray) -> np.ndarray:
+    """Mean of x^2 per coordinate over all kept samples: the bits of
+    ``np.mean(kept.reshape(-1, d) ** 2, axis=0)`` on a contiguous copy."""
+    return _sample_sums(kept, _axis_coords(None, kept.shape[-1])).second_moments()
 
 
 def order_parameter_series(kept: np.ndarray, ax: np.ndarray
                            ) -> tuple[float, float]:
     """Order parameter plus a leave-one-chain-out jackknife standard error.
 
-    m is the pooled ratio sum(<Im x, ax>^2) / sum(|Im x|^2).  Chains can sit
-    near different roots for the whole run, so chains disagree far more than
-    time blocks of the same chains do; the error bar therefore drops each
-    chain in turn from both sums of the ratio.  A single chain falls back to
-    N_BATCHES contiguous time blocks as the dropped groups.
+    m is the pooled ratio sum(<Im x, ax>^2) / sum(|Im x|^2), taken from the
+    per-chain sums.  Chains can sit near different roots for the whole run,
+    so chains disagree far more than time blocks of the same chains do; the
+    error bar therefore drops each chain in turn from both sums of the
+    ratio.  A single chain falls back to N_BATCHES contiguous time blocks as
+    the dropped groups.
     """
-    n, chains, d = kept.shape
-    proj2, tot2 = np.empty((n, chains)), np.empty((n, chains))
-    for lo in range(0, n, STATS_CHUNK):       # row chunks: no full-size temporaries
-        imag = kept[lo:lo + STATS_CHUNK, :, 1:]
-        proj2[lo:lo + STATS_CHUNK] = (imag @ ax[1:]) ** 2
-        tot2[lo:lo + STATS_CHUNK] = np.sum(imag * imag, axis=-1)
-    denom = float(np.mean(tot2))
-    if denom <= 0.0:
-        raise SamplerDiagnosticError("degenerate chain: zero imaginary moment")
-    m = float(np.mean(proj2) / denom)
-    if chains > 1:
-        num, den = proj2.sum(axis=0), tot2.sum(axis=0)
-    else:
-        starts = np.unique(np.linspace(0, n, N_BATCHES, endpoint=False, dtype=int))
-        num, den = np.add.reduceat(proj2[:, 0], starts), np.add.reduceat(tot2[:, 0], starts)
-    groups = len(num)
-    if groups < 2:
-        return m, 0.0
-    loo = (num.sum() - num) / (den.sum() - den)
-    stderr = float(np.sqrt((groups - 1) / groups * np.sum((loo - loo.mean()) ** 2)))
-    return m, stderr
+    return _sample_sums(kept, ax).order_parameter()
 
 
 def order_parameter_quadrature(P: DAPolynomial, T: float, nodes: int) -> float:
@@ -536,6 +624,8 @@ class PhaseCell:
     mean_V: float
     var_V: float
     acceptance: float
+    ess: float
+    rhat: float
     flag: str
 
 
@@ -572,11 +662,10 @@ def phase_diagram(D: Deformation, eps_grid, T_grid,
     for (i, j), res in zip(grid, results):
         eps, T = eps_list[i], T_list[j]
         if isinstance(res, SamplerDiagnosticError):
-            cells.append(PhaseCell(eps, T, float("nan"), float("nan"), float("nan"),
-                                   float("nan"), float("nan"), f"diagnostic: {res}"))
+            cells.append(PhaseCell(eps, T, *[float("nan")] * 7, f"diagnostic: {res}"))
             continue
         s = res.stats
         cells.append(PhaseCell(eps, T, s.order_parameter, s.order_parameter_stderr,
-                               s.mean_V, s.var_V, s.acceptance,
+                               s.mean_V, s.var_V, s.acceptance, s.ess, s.rhat,
                                "rhat" if s.rhat > 1.2 else ""))
     return PhaseDiagram(tuple(cells))

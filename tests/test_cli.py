@@ -48,6 +48,8 @@ def test_inflate_artifact(tmp_path):
     assert stratum["radius"] == pytest.approx(1.0)
     assert stratum["worst_sample_potential"] < 1e-18
     assert data["config"]["seed"] == 1
+    # the root finder's effort: simple roots +-i, so no merged group
+    assert data["aberth_sweeps"] > 0 and data["merged_groups"] == []
 
 
 def test_inflate_two_sphere_quartic(tmp_path):
@@ -87,6 +89,7 @@ def test_inflate_triple_real_root(tmp_path):
     (stratum,) = data["strata"]
     assert stratum["kind"] == "isolated-real"
     assert stratum["value"] == pytest.approx(1.0, abs=1e-6)
+    assert data["merged_groups"] == [3]
 
 
 H_CENTRAL = "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]"
@@ -245,7 +248,7 @@ def test_phase_diagram_command(tmp_path):
                 outdir=tmp_path)
     assert r.returncode == 0
     lines = (tmp_path / "phase-diagram.csv").read_text().strip().split("\n")
-    assert lines[1] == "epsilon,T,m,m_stderr,mean_V,var_V,acceptance,flag"
+    assert lines[1] == "epsilon,T,m,m_stderr,mean_V,var_V,acceptance,ess,rhat,flag"
     assert len(lines) == 2 + 4
 
 
@@ -258,7 +261,7 @@ def test_phase_diagram_csv_quotes_diagnostic_flag(tmp_path):
     lines = (tmp_path / "phase-diagram.csv").read_text().splitlines()
     rows = list(csv.reader(lines[1:]))
     assert len(rows) == 1 + 4
-    assert all(len(row) == 8 for row in rows)
+    assert all(len(row) == 10 for row in rows)
     assert any(row[-1].startswith("diagnostic:") and "," in row[-1] for row in rows)
 
 

@@ -177,6 +177,7 @@ def test_root_set_multiple_companion_roots(tag):
         (s,) = rs.strata
         assert isinstance(s, IsolatedReal) and s.value == pytest.approx(1.0, abs=1e-6)
         assert rs.hausdorff_dimension == 0
+        assert rs.merged_groups == (len(coeffs) - 1,) and rs.aberth_sweeps > 0
     # (x^2 + 1)^3, central, and (x - i)(x^2 + 1), whose companion is (t^2 + 1)^3
     for P in (DAPolynomial.from_real(tag, [1, 0, 3, 0, 3, 0, 1]),
               _poly(tag, [[0, -1], [1], [0, -1], [1]])):
@@ -185,10 +186,12 @@ def test_root_set_multiple_companion_roots(tag):
         assert isinstance(s, Sphere)
         assert s.re == pytest.approx(0.0, abs=1e-6) and s.radius == pytest.approx(1.0, abs=1e-6)
         assert rs.hausdorff_dimension == tag.dimension - 2
+        assert rs.merged_groups == (3, 3)               # i and -i, three times each
     # distinct roots 1e-4 apart stay apart, though three of them lie within
     # the grouping radius; each is as accurate as its conditioning allows
     rs = root_set(DAPolynomial.from_real(tag, [1.0001, -2.0001, 1]))
     assert all(isinstance(s, IsolatedReal) for s in rs.strata)
+    assert rs.merged_groups == ()
     assert sorted(s.value for s in rs.strata) == [pytest.approx(1.0, abs=1e-9),
                                                   pytest.approx(1.0001, abs=1e-9)]
     # (x - 1)(x - 1.0001)(x - 1.0002)
@@ -288,6 +291,8 @@ def test_hausdorff_dimension_scan_benchmark():
     dims = {r.epsilon: r.dimension for r in rows}
     assert dims == {0.0: 2, 0.1: 0}
     assert not any(r.flagged for r in rows)
+    # each row carries its root set's effort
+    assert [r.effort for r in rows] == [root_set(D.at(e)).effort() for e in (0.0, 0.1)]
 
 
 def test_hausdorff_scan_zero_direction_is_constant():

@@ -1,5 +1,6 @@
 """Gibbs sampling, order parameter, entropy slopes, phase sweeps."""
 
+import tracemalloc
 import warnings
 from dataclasses import astuple, replace
 
@@ -95,7 +96,8 @@ def test_gaussian_landscape_moments():
 
 
 def test_central_low_temperature_concentrates_on_sphere():
-    res = sample_gibbs(central(), GibbsConfig(0.01, chains=12, steps=16000, seed=5))
+    res = sample_gibbs(central(), GibbsConfig(0.01, chains=12, steps=16000, seed=5),
+                       keep_samples=True)
     flat = res.samples.reshape(-1, 4)
     imag_norm = np.sqrt(np.sum(flat[:, 1:] ** 2, axis=1))
     assert np.mean(imag_norm) == pytest.approx(1.0, abs=0.02)
@@ -205,8 +207,8 @@ def test_estimates_stable_under_doubling():
 
 def test_chain_results_deterministic_given_seed():
     cfg = GibbsConfig(0.05, chains=4, steps=3000, seed=21)
-    r1 = sample_gibbs(central(), cfg)
-    r2 = sample_gibbs(central(), cfg)
+    r1 = sample_gibbs(central(), cfg, keep_samples=True)
+    r2 = sample_gibbs(central(), cfg, keep_samples=True)
     assert np.array_equal(r1.samples, r2.samples)
     assert r1.stats.mean_V == r2.stats.mean_V
 
@@ -281,8 +283,8 @@ def test_phase_diagram_cells_match_cell_by_cell():
                 assert cell.flag == f"diagnostic: {exc}"
                 assert np.isnan(cell.m)
                 continue
-            want = (eps, T, s.order_parameter, s.order_parameter_stderr,
-                    s.mean_V, s.var_V, s.acceptance, "rhat" if s.rhat > 1.2 else "")
+            want = (eps, T, s.order_parameter, s.order_parameter_stderr, s.mean_V,
+                    s.var_V, s.acceptance, s.ess, s.rhat, "rhat" if s.rhat > 1.2 else "")
             assert repr(astuple(cell)) == repr(want)
     for eps in eps_grid:
         flags = [diagram.cell(eps, T).flag.startswith("diagnostic") for T in T_grid]
@@ -398,12 +400,12 @@ def _one_shot_stats(kept, ax):
     imag = kept[..., 1:]
     proj2 = (imag @ ax[1:]) ** 2
     tot2 = np.sum(imag * imag, axis=-1)
-    m = float(np.mean(proj2) / float(np.mean(tot2)))
     if chains > 1:
         num, den = proj2.sum(axis=0), tot2.sum(axis=0)
     else:
         starts = np.unique(np.linspace(0, n, th.N_BATCHES, endpoint=False, dtype=int))
         num, den = np.add.reduceat(proj2[:, 0], starts), np.add.reduceat(tot2[:, 0], starts)
+    m = float(num.sum() / den.sum())
     loo = (num.sum() - num) / (den.sum() - den)
     g = len(num)
     return second, m, float(np.sqrt((g - 1) / g * np.sum((loo - loo.mean()) ** 2)))
@@ -437,3 +439,56 @@ def test_ladder_rejects_mixed_cells():
         sample_gibbs_ladder([central(), canonical()], [base])
     with pytest.raises(ValueError):
         sample_gibbs_ladder(central(), [])
+
+
+def test_streamed_stats_match_returned_samples():
+    # H and C cells ride in an O loop, one H cell with a single chain; run
+    # lengths and burn-ins put folds of the ring inside and across its chunks
+    polys = [central(OCTONIONS), central(),
+             DAPolynomial.from_coords(COMPLEX, [[1, 0], [0, 1], [1, 0]]), canonical()]
+    cfgs = [GibbsConfig(0.01, chains=3, steps=1300, seed=3),
+            GibbsConfig(0.02, chains=2, steps=1300, burn_in=0.5, seed=4),
+            GibbsConfig(0.05, chains=2, steps=1100, seed=7),
+            GibbsConfig(0.05, chains=1, steps=900, burn_in=0.2, seed=5)]
+    lean = sample_gibbs_ladder(polys, cfgs)
+    full = sample_gibbs_ladder(polys, cfgs, keep_samples=True)
+    for got, want, P in zip(lean, full, polys):
+        assert got.samples is None
+        assert_same_result(got, replace(want, samples=None))
+        # the returned samples give the loop's own statistics, bit for bit
+        d = P.tag.dimension
+        assert want.samples.shape[-1] == d
+        m, err = order_parameter_series(want.samples, np.eye(d)[1])
+        assert repr((m, err)) == repr((want.stats.order_parameter,
+                                       want.stats.order_parameter_stderr))
+        assert np.array_equal(th._second_moments(want.samples), want.stats.second_moments)
+
+
+def test_lean_ladder_memory_grows_only_by_kept_v():
+    # three cells of distinct (schedule, width), so each cell's V series is
+    # its group's array, uncopied; twice the steps may add the kept V twice
+    # over (the arrays, then the ESS and R-hat temporaries of their copies),
+    # but no (kept, chains, d) samples.  Both runs are past one draw block.
+    polys = [central(OCTONIONS), central(), canonical()]
+
+    def cells(steps):
+        return [GibbsConfig(0.01, chains=3, steps=steps, seed=3),
+                GibbsConfig(0.02, chains=4, steps=steps, seed=4),
+                GibbsConfig(0.05, chains=1, steps=steps, burn_in=0.5, seed=5)]
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            results = sample_gibbs_ladder(polys, cells(steps))
+            return tracemalloc.get_traced_memory()[1], results
+        finally:
+            tracemalloc.stop()
+
+    sample_gibbs_ladder(polys, cells(300))      # first-call allocations stay out
+    short, short_res = peak(th.RNG_BLOCK + 76)
+    long, long_res = peak(2 * (th.RNG_BLOCK + 76))
+    kept_v = sum(b.v_samples.nbytes - a.v_samples.nbytes
+                 for a, b in zip(short_res, long_res))
+    kept_x = sum((b.v_samples.size - a.v_samples.size) * P.tag.dimension * 8
+                 for a, b, P in zip(short_res, long_res, polys))
+    assert long - short <= 2 * kept_v < kept_x
