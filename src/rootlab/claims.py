@@ -293,9 +293,7 @@ def claim_critical_slowing(quick: bool, seed: int) -> ClaimResult:
         "log-log slope in [-2.15, -1.85] with r^2 > 0.99",
         f"slope {m.fit_slope:.4f}, r^2 {m.r_squared:.6f}",
         "slope window; r^2 > 0.99", passed, budget_seconds=60.0,
-        details={"times": [round(t, 2) for t in m.times],
-                 "steps": [int(n) for n in m.steps],
-                 "rhs": [int(n) for n in m.rhs_evals]})
+        details={"times": [round(t, 2) for t in m.times], **m.effort()})
 
 
 def claim_potential_scaling(quick: bool, seed: int) -> ClaimResult:

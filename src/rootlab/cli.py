@@ -232,7 +232,8 @@ def cmd_collapse(cfg: dict, out: Path) -> int:
                             seed=cfg["seed"])
     emit(out / "collapse.json", cfg, {
         "epsilons": [float(e) for e in m.epsilons], "times": [float(t) for t in m.times],
-        "slope": m.fit_slope, "intercept": m.fit_intercept, "r2": m.r_squared})
+        "slope": m.fit_slope, "intercept": m.fit_intercept, "r2": m.r_squared,
+        **m.effort()})
     return 0
 
 

@@ -4,7 +4,10 @@ The flow x' = -grad ||P(x)||^2 is integrated with the potential enforced
 to be non-increasing along accepted steps.  ``integrate`` follows one
 trajectory and keeps its samples; it is the linearly implicit W-method
 ROS34PW2, whose step is set by accuracy alone, not by the fast radial decay
-onto the root set, and collapse times run on it.  ``integrate_ensemble``
+onto the root set, and collapse times run on it.  It evaluates each point
+once: an accepted step makes four kernel calls, and its one SVD factors the
+J returned with the value and gradient of the point it starts from.
+``integrate_ensemble``
 steps a whole start set in lockstep with an embedded Dormand-Prince 5(4)
 pair, one batched value-and-gradient call per stage, under one polynomial
 or under one polynomial per row, and with one ``FlowConfig`` or one per
@@ -162,12 +165,15 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     """Integrate the gradient flow from x0 with the ROS34PW2 W-method.
 
     W = I + h g 2 J^T J, with J the Jacobian of P at the step's start, is
-    inverted through one SVD of J per start.  Stops when the gradient norm
-    drops below ``cfg.stop_grad``, at the crossing into ``STOP_RADIUS``
-    of one of the supplied attractors (located on the step's Hermite
-    interpolant), or at ``cfg.max_time``.  Accepted steps keep the potential
-    non-increasing (up to a relative slack); repeated failures report a
-    stalled terminal.
+    inverted through one SVD of J per accepted step.  Each point is
+    evaluated once: the value-and-gradient closure returns J with P(x) and
+    grad V(x), and the SVD factors the J that came with the accepted point,
+    so an accepted step costs four kernel calls (three stages and its end
+    point).  Stops when the gradient norm drops below ``cfg.stop_grad``, at
+    the crossing into ``STOP_RADIUS`` of one of the supplied attractors
+    (located on the step's Hermite interpolant), or at ``cfg.max_time``.
+    Accepted steps keep the potential non-increasing (up to a relative
+    slack); repeated failures report a stalled terminal.
     """
     cfg = cfg or FlowConfig()
     y = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
@@ -175,7 +181,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
 
     val_grad = value_gradient_fn(P)
     t = 0.0
-    pv, g = val_grad(y)
+    pv, g, J = val_grad(y)
     f = -g
     v0 = float(pv @ pv)
     slack = tol.LYAPUNOV_SLACK_REL * max(v0, 1.0e-300)
@@ -184,13 +190,17 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     pots = [v0]
     v_prev = v0
 
-    gnorm = float(np.linalg.norm(f))
+    gnorm = math.sqrt(f @ f)
     terminal = None
     idx = _capture_index(y, att, STOP_RADIUS)
     if gnorm < cfg.stop_grad or idx is not None:
         terminal = Terminal("converged", idx, "stopped at start")
+    abs_y = np.abs(y)
     h = float(_initial_step(np.linalg.norm(y), gnorm))
-    u = np.zeros((4, y.size))
+    dim = y.size
+    u = np.zeros((4, dim))
+    stage_a = [_W_A[i, :i] for i in range(4)]
+    stage_c = [_W_C[i, :i] for i in range(4)]
     gn_eig = None                   # eigenvalues of 2 J^T J at y, kept over retries
     steps = accepted = lyapunov_rejections = factorizations = 0
     n_rhs = 1
@@ -208,21 +218,23 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
             break
         h = min(h, cfg.max_time - t)
         if gn_eig is None:
-            _, sv, vt = np.linalg.svd(jacobian_coords(P, y))
+            _, sv, vt = np.linalg.svd(J)
             gn_eig = 2.0 * sv * sv      # 2 J^T J = vt.T diag(gn_eig) vt
             factorizations += 1
-        w_inv = (vt.T / (1.0 + (h * _W_G) * gn_eig)) @ vt
-        u[0] = w_inv @ ((h * _W_G) * f)
+        hg = h * _W_G
+        w_inv = (vt.T / (1.0 + hg * gn_eig)) @ vt
+        u[0] = w_inv @ (hg * f)
         for i in range(1, 4):
-            gi = val_grad(y + _W_A[i, :i] @ u[:i])[1]
-            u[i] = w_inv @ (_W_G * (_W_C[i, :i] @ u[:i]) - (h * _W_G) * gi)
+            gi = val_grad(y + stage_a[i] @ u[:i])[1]
+            u[i] = w_inv @ (_W_G * (stage_c[i] @ u[:i]) - hg * gi)
         n_rhs += 3
         y_new = y + _W_M @ u
-        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((_W_E @ u / sc) ** 2)))
+        abs_new = np.abs(y_new)
+        e = (_W_E @ u) / (cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_new))
+        err_norm = math.sqrt(np.add.reduce(np.square(e)) / dim)
         steps += 1
         if err_norm <= 1.0:
-            pv_new, g_new = val_grad(y_new)
+            pv_new, g_new, J_new = val_grad(y_new)
             n_rhs += 1
             v_new = float(pv_new @ pv_new)
             if v_new > v_prev + slack:
@@ -256,19 +268,21 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
                 theta, y_new = _hermite_crossing(y, f, y_new, -g_new, h, att[idx],
                                                  STOP_RADIUS)
                 dt = theta * h
-                pv_new, g_new = val_grad(y_new)
+                pv_new, g_new, J_new = val_grad(y_new)
                 n_rhs += 1
                 v_new = float(pv_new @ pv_new)
             t += dt
             y = y_new
+            abs_y = abs_new             # stale only after a capture, which ends the loop
             f = -g_new
+            J = J_new
             v_prev = v_new
             gn_eig = None
             if accepted % cfg.record_every == 0:
                 times.append(t)
                 points.append(y.copy())
                 pots.append(v_new)
-            gnorm = float(np.linalg.norm(f))
+            gnorm = math.sqrt(f @ f)
             if idx is not None:
                 terminal = Terminal("converged", idx, "captured")
                 break
@@ -312,8 +326,8 @@ def _attractor_coords(attractors) -> np.ndarray | None:
 def _capture_index(y: np.ndarray, att: np.ndarray | None, radius: float):
     if att is None:
         return None
-    d2 = np.sum((att - y) ** 2, axis=1)
-    i = int(np.argmin(d2))
+    d2 = np.add.reduce((att - y) ** 2, axis=1)
+    i = int(d2.argmin())
     return i if d2[i] < radius * radius else None
 
 
@@ -543,6 +557,7 @@ def _polished_attractors(P: DAPolynomial, points) -> tuple[list[AlgebraElement],
     """Newton-polish candidate points; keep clean, full-rank, distinct roots, sorted.
 
     Clean is relative to rounding: |P(x)| < NEWTON_RESIDUAL max(1, sum_k |a_k| |x|^k).
+    The rank test reads the Jacobian Newton returns with its point.
     Returns the roots and the Newton iterations spent on every point.
     """
     norms = np.linalg.norm(P._rows, axis=1)[::-1]
@@ -554,7 +569,7 @@ def _polished_attractors(P: DAPolynomial, points) -> tuple[list[AlgebraElement],
         scale = max(1.0, float(np.polyval(norms, np.linalg.norm(res.point))))
         if not res.residual < tol.NEWTON_RESIDUAL * scale:
             continue
-        if numerical_rank(jacobian_coords(P, res.point)).rank < P.tag.dimension:
+        if numerical_rank(res.jacobian).rank < P.tag.dimension:
             continue
         if all(np.linalg.norm(res.point - q) > tol.ATTRACTOR_DEDUP for q in found):
             found.append(res.point)
@@ -718,6 +733,8 @@ def collapse_time(D: Deformation, eps: float, cfg: FlowConfig | None = None,
 
 @dataclass(frozen=True)
 class CollapseMeasurement:
+    """Collapse times over epsilon, their fit, and each run's ``StepStats``."""
+
     epsilons: np.ndarray
     times: np.ndarray
     censored: np.ndarray
@@ -726,13 +743,24 @@ class CollapseMeasurement:
     r_squared: float
     steps: np.ndarray              # accepted integrator steps per epsilon
     rhs_evals: np.ndarray          # value-and-gradient evaluations per epsilon
+    rejected: np.ndarray           # steps rejected by the error test
+    lyapunov_rejections: np.ndarray  # accurate steps rejected for raising V
+    factorizations: np.ndarray     # SVDs of J, one per accepted step
+    h_min: np.ndarray              # smallest and largest accepted step
+    h_max: np.ndarray
+
+    def effort(self) -> dict:
+        """The per-epsilon integrator counters as lists; ``rhs`` is ``rhs_evals``."""
+        return {"steps": self.steps.tolist(), "rhs": self.rhs_evals.tolist(),
+                **{name: getattr(self, name).tolist() for name in (
+                    "rejected", "lyapunov_rejections", "factorizations", "h_min", "h_max")}}
 
 
-def _collapse_row(s: CollapseSample) -> tuple[float, float, bool, int, int]:
-    return s.epsilon, s.time, s.censored, s.stats.accepted, s.stats.rhs_evals
+def _collapse_row(s: CollapseSample) -> tuple[float, float, bool, StepStats]:
+    return s.epsilon, s.time, s.censored, s.stats
 
 
-def _collapse_worker(payload) -> tuple[float, float, bool, int, int]:
+def _collapse_worker(payload) -> tuple[float, float, bool, StepStats]:
     dim, base_rows, dir_rows, eps, seed = payload
     tag = AlgebraTag(dim)
     D = Deformation(DAPolynomial.from_coords(tag, base_rows),
@@ -745,8 +773,9 @@ def measure_collapse(D: Deformation, epsilons, seed: int = 0,
     """Collapse times over an epsilon list plus the log-log fit.
 
     The per-epsilon runs are independent and deterministic given the seed,
-    so they distribute over a process pool (slowest run first); results
-    merge in epsilon order regardless of completion order.
+    so they distribute over a process pool (slowest run first); results,
+    each run's integrator counters included, merge in epsilon order
+    regardless of completion order.
     """
     eps = np.sort(np.asarray(list(epsilons), dtype=float))
     if np.any(eps <= 0):
@@ -762,12 +791,18 @@ def measure_collapse(D: Deformation, epsilons, seed: int = 0,
     else:
         rows = [_collapse_row(collapse_time(D, e, seed=seed)) for e in eps]
     by_eps = {r[0]: r for r in rows}
-    _, times, censored, steps, rhs = (np.array(col) for col in
-                                      zip(*(by_eps[float(e)] for e in eps)))
+    _, times, censored, stats = zip(*(by_eps[float(e)] for e in eps))
+    times, censored = np.array(times), np.array(censored)
     if np.any(censored):
         warnings.warn("censored collapse measurements excluded from fit")
     slope, intercept, r2 = scaling_fit(eps[~censored], times[~censored])
-    return CollapseMeasurement(eps, times, censored, slope, intercept, r2, steps, rhs)
+
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(st, name) for st in stats])
+    return CollapseMeasurement(
+        eps, times, censored, slope, intercept, r2, column("accepted"),
+        *(column(name) for name in ("rhs_evals", "rejected", "lyapunov_rejections",
+                                    "factorizations", "h_min", "h_max")))
 
 
 def scaling_fit(epsilons, times) -> tuple[float, float, float]:

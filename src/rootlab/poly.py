@@ -279,9 +279,15 @@ def value_gradient_batch(P: DAPolynomial, X: np.ndarray) -> tuple[np.ndarray, np
 
 
 def value_gradient_fn(P: DAPolynomial):
-    """x -> (P(x), grad V(x)) at single raw points, for integrator hot loops."""
+    """x -> (P(x), grad V(x), J(x)) at single raw points, for integrator hot loops.
+
+    J is a transposed view of the J^T that the gradient is built from, so
+    the integrator gets the Jacobian of each point from the same call as its
+    value and gradient; all three equal ``value_gradient_batch`` and
+    ``jacobian_coords`` at that point bit for bit.
+    """
     def fn(x: np.ndarray):
-        return _kernel(P, x, True)[:2]
+        return _kernel(P, x, True, True)
     return fn
 
 
@@ -401,6 +407,7 @@ class PolishResult:
     point: np.ndarray
     residual: float
     iterations: int
+    jacobian: np.ndarray           # J at ``point``, from the call that gave ``residual``
 
 
 def newton_polish(P: DAPolynomial, x0, target: float = tol.NEWTON_RESIDUAL) -> PolishResult:
@@ -408,7 +415,9 @@ def newton_polish(P: DAPolynomial, x0, target: float = tol.NEWTON_RESIDUAL) -> P
 
     Uses least-squares steps so sphere points (singular Jacobian) are
     polished onto the root set instead of diverging.  ``iterations`` counts
-    the steps taken.  Whether the point is clean is the caller's test.
+    the steps taken.  The point's Jacobian comes back with it, so a rank
+    test needs no second evaluation.  Whether the point is clean is the
+    caller's test.
     """
     x = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
     v, _, J = _kernel(P, x, jac=True)
@@ -430,7 +439,7 @@ def newton_polish(P: DAPolynomial, x0, target: float = tol.NEWTON_RESIDUAL) -> P
             break
         x, v, J, residual = x_new, v_new, J_new, r_new
         it += 1
-    return PolishResult(x, residual, it)
+    return PolishResult(x, residual, it, J)
 
 
 @dataclass(frozen=True)

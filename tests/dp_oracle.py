@@ -50,7 +50,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
         return -val_grad(v)[1]
 
     t = 0.0
-    pv, g = val_grad(y)
+    pv, g = val_grad(y)[:2]
     f = -g
     v0 = float(pv @ pv)
     slack = tol.LYAPUNOV_SLACK_REL * max(v0, 1.0e-300)
@@ -88,7 +88,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
             yi = y + h * (_DP_A[i] @ k[:i])
             k[i] = rhs(yi)
         y5 = y + h * (_DP_A[6] @ k[:6])       # 5th-order solution (FSAL pair)
-        pv_new, g_new = val_grad(y5)
+        pv_new, g_new = val_grad(y5)[:2]
         k[6] = -g_new
         y4 = y + h * (_DP_B4 @ k)
         err = y5 - y4

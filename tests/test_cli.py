@@ -217,6 +217,11 @@ def test_collapse_command(tmp_path):
     data = json.loads((tmp_path / "collapse.json").read_text())
     assert set(data) >= {"epsilons", "times", "slope", "intercept", "r2", "config"}
     assert len(data["times"]) == 4
+    # the integrator's counters, one entry per epsilon
+    for key in ("steps", "rhs", "rejected", "lyapunov_rejections", "factorizations",
+                "h_min", "h_max"):
+        assert len(data[key]) == 4, key
+    assert data["factorizations"] == data["steps"]
     assert -2.3 < data["slope"] < -1.7
     # the defaults the run used are echoed with the flags
     assert data["config"] == {"algebra": "H", "base": "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]",

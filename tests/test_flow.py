@@ -1,10 +1,13 @@
 """Gradient-flow integration, attractors, collapse scaling, basins."""
 
+import dataclasses
+
 import dp_oracle
 import numpy as np
 import pytest
 
 from rootlab import flow as fl
+from rootlab import poly as pl
 from rootlab.algebra import (
     OCTONIONS,
     QUATERNIONS,
@@ -275,6 +278,42 @@ def test_integrate_counters_count(monkeypatch):
     assert 0.0 < st.h_min <= st.h_max
 
 
+def test_collapse_integrator_evaluates_each_point_once(monkeypatch):
+    # c08's eps = 0.1: every kernel call is one closure call, none asks for
+    # a Jacobian alone, and each accepted step still factors one J
+    D = benchmark()
+    P = D.at(0.1)
+    sample = collapse_time(D, 0.1, seed=1)
+    attractors = fl._family_frame(D, P)[0]
+    calls, kernel_calls, jacobian_calls = [], [], []
+    monkeypatch.setattr(fl, "value_gradient_fn", _counting(fl.value_gradient_fn, calls))
+    monkeypatch.setattr(fl, "jacobian_coords",
+                        lambda *a: jacobian_calls.append(1) or jacobian_coords(*a))
+    kernel = pl._kernel
+    monkeypatch.setattr(pl, "_kernel",
+                        lambda *a, **k: kernel_calls.append(1) or kernel(*a, **k))
+    traj = integrate(P, sample.start, FlowConfig(max_time=5e7, record_every=64),
+                     attractors)
+    st = traj.stats
+    assert (traj.final_time, st) == (sample.time, sample.stats)
+    assert traj.terminal.detail == "captured"
+    assert jacobian_calls == []
+    assert st.factorizations == st.accepted
+    assert st.rhs_evals == len(calls) == len(kernel_calls)
+
+
+def test_capture_index_matches_capture_rows():
+    rng = np.random.default_rng(13)
+    att = rng.normal(size=(3, 4))
+    near = att[rng.integers(0, 3, size=40)] + rng.normal(scale=0.03, size=(40, 4))
+    points = np.vstack([rng.normal(size=(40, 4)), near])
+    rows = fl._capture_rows(points, att, fl.STOP_RADIUS)
+    assert np.any(rows >= 0) and np.any(rows < 0)
+    for y, row in zip(points, rows):
+        assert fl._capture_index(y, att, fl.STOP_RADIUS) == (None if row < 0 else row)
+    assert fl._capture_index(points[0], None, fl.STOP_RADIUS) is None
+
+
 def test_hermite_crossing_exact_on_cubic_paths():
     # a cubic path is its own Hermite interpolant, so the located crossing
     # of |y(s)| = r is exact whatever the step
@@ -297,12 +336,15 @@ def test_measure_collapse_pool_matches_serial():
     eps = np.geomspace(0.02, 0.2, 4)
     serial = measure_collapse(D, eps, seed=5, workers=1)
     pooled = measure_collapse(D, eps, seed=5, workers=2)
-    assert np.array_equal(serial.times, pooled.times)
-    assert np.array_equal(serial.censored, pooled.censored)
-    assert np.array_equal(serial.steps, pooled.steps)
-    assert np.array_equal(serial.rhs_evals, pooled.rhs_evals)
-    assert serial.fit_slope == pooled.fit_slope
-    assert serial.r_squared == pooled.r_squared
+    # every field, the per-epsilon integrator counters included
+    for f in dataclasses.fields(serial):
+        assert np.array_equal(getattr(serial, f.name), getattr(pooled, f.name)), f.name
+    assert np.array_equal(serial.factorizations, serial.steps)
+    assert np.all(serial.h_min <= serial.h_max)
+    last = collapse_time(D, serial.epsilons[-1], seed=5).stats
+    assert (last.rejected, last.lyapunov_rejections, last.h_min, last.h_max) == (
+        serial.rejected[-1], serial.lyapunov_rejections[-1], serial.h_min[-1],
+        serial.h_max[-1])
 
 
 def test_scaling_fit_synthetic():

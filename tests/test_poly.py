@@ -184,16 +184,16 @@ def test_value_gradient_closure_consistency():
                 ref_J = np.stack([poly_oracle.jacobian_coords(P, x)
                                   for x in flat]).reshape(shape + (d,))
                 batch_v, batch_g = pl.value_gradient_batch(P, X)
-                fn_v, fn_g = fn(X)
+                fn_v, fn_g, fn_J = fn(X)
                 for v in (pl.evaluate_coords(P, X), batch_v, fn_v):
                     assert v.shape == shape
                     assert np.allclose(v, ref_v, rtol=1e-12, atol=1e-11)
                 for g in (pl.gradient_coords_batch(P, X), batch_g, fn_g):
                     assert g.shape == shape
                     assert np.allclose(g, ref_g, rtol=1e-12, atol=1e-10)
-                J = pl.jacobian_coords(P, X)
-                assert J.shape == shape + (d,)
-                assert np.allclose(J, ref_J, rtol=1e-12, atol=1e-10)
+                for J in (pl.jacobian_coords(P, X), fn_J):
+                    assert J.shape == shape + (d,)
+                    assert np.allclose(J, ref_J, rtol=1e-12, atol=1e-10)
                 assert np.allclose(pl.potential_coords(P, X),
                                    np.sum(ref_v * ref_v, axis=-1), rtol=1e-12, atol=1e-11)
 
@@ -307,6 +307,23 @@ def test_take_rows_keeps_shared_terms():
     assert np.array_equal(kept_left_T[1], left_T[1][keep])
     P = poly_canonical()
     assert pl.take_rows(P, keep) is P
+
+
+def test_value_gradient_closure_is_the_batch_path_bit_for_bit():
+    # the integrator's single-point closure returns the bits of the public
+    # batch entries at that point, Jacobian included
+    rng = np.random.default_rng(21)
+    for tag in (REALS, COMPLEX, QUATERNIONS, OCTONIONS):
+        for degree in range(0, 5):
+            P = DAPolynomial(tag, tuple(random_element(tag, rng)
+                                        for _ in range(degree + 1)))
+            fn = value_gradient_fn(P)
+            for x in rng.normal(size=(5, tag.dimension)):
+                v, g, J = fn(x)
+                batch_v, batch_g = pl.value_gradient_batch(P, x)
+                assert np.array_equal(v, batch_v)
+                assert np.array_equal(g, batch_g)
+                assert np.array_equal(J, pl.jacobian_coords(P, x))
 
 
 def test_polynomial_is_frozen():
@@ -428,6 +445,8 @@ def test_newton_polish_converges():
     res = newton_polish(P, rough)
     assert _clean(P, res) and res.residual < 1e-14
     assert np.allclose(res.point, [0, BETA, 0, 0], atol=1e-10)
+    # the Jacobian returned with the point is the one evaluated there
+    assert np.array_equal(res.jacobian, pl.jacobian_coords(P, res.point))
 
 
 def test_newton_polish_counts_steps_taken():
@@ -437,6 +456,7 @@ def test_newton_polish_counts_steps_taken():
     # an exact root can never reach residual < 0: the loop leaves early
     res = newton_polish(P, i, target=0.0)
     assert res.iterations == 0 and res.residual == 0.0
+    assert np.array_equal(res.jacobian, pl.jacobian_coords(P, i.coords))
     res = newton_polish(P, np.array([0.01, 1.02, -0.015, 0.01]))
     assert _clean(P, res) and 0 < res.iterations < tol.NEWTON_MAX_ITER
 
