@@ -88,25 +88,6 @@ def radii(a: float, b: float, k: int = 2) -> RadiiResult:
     return RadiiResult(False, None, None, "real-roots", aux)
 
 
-def radial_velocity(a: float, adot: float, b: float, bdot: float
-                    ) -> tuple[float, float]:
-    """d(R^2)/dt of the inner and outer spheres for k = 2.
-
-    Singular like delta^(-1/2) as the discriminant crossing is approached
-    with nonzero crossing velocity; removable when delta-dot vanishes.
-    """
-    delta = discriminant(a, b)
-    if delta <= 0.0:
-        raise ValueError("radial velocity requires delta > 0")
-    if not radii(a, b, 2).valid:
-        raise ValueError("radial velocity requires the two-sphere regime")
-    delta_dot = 2.0 * a * adot - 4.0 * bdot
-    sq = np.sqrt(delta)
-    v_inner = 0.5 * (adot - delta_dot / (2.0 * sq))
-    v_outer = 0.5 * (adot + delta_dot / (2.0 * sq))
-    return v_inner, v_outer
-
-
 @dataclass
 class BreathingTrace:
     times: np.ndarray
@@ -317,17 +298,13 @@ class PsdResult:
     dt: float
 
 
-def psd(series, dt: float, times=None) -> PsdResult:
+def psd(series, dt: float) -> PsdResult:
     """One-sided Hann-windowed power spectrum of a uniformly sampled series."""
     x = np.asarray(series, dtype=float)
     if x.size < 16:
         raise ValueError("need at least 16 samples")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if times is not None:
-        steps = np.diff(np.asarray(times, dtype=float))
-        if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12 * dt):
-            raise ValueError("non-uniform sample grid")
     n = x.size
     w = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
     xw = (x - np.mean(x)) * w

@@ -121,39 +121,28 @@ def _aberth_roots(coeffs) -> tuple[np.ndarray, int]:
     c = np.asarray(coeffs, dtype=complex)
     if c.size == 0 or c[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
-    n = c.size - 1
-    if n == 0:
-        return np.zeros(0, dtype=complex), 0
+    roots = np.zeros(c.size - 1, dtype=complex)
     c = c / c[-1]
     # roots at zero split off exactly
     n_zero = 0
     while c[n_zero] == 0:
         n_zero += 1
-    core = c[n_zero:]
-    m = core.size - 1
-    roots = np.zeros(n, dtype=complex)
-    sweeps = 0
-    if m > 0:
-        roots[n_zero:], sweeps = _aberth_core(core, tol.ABERTH_MAX_SWEEPS,
-                                              tol.ABERTH_RESIDUAL)
-    return roots, sweeps
-
-
-def _aberth_core(c: np.ndarray, max_sweeps: int,
-                 residual_target: float) -> tuple[np.ndarray, int]:
+    c = c[n_zero:]
     n = c.size - 1
+    if n == 0:
+        return roots, 0
     cabs = np.abs(c)
     center = -c[n - 1] / n
     radius = 1.0 + float(np.max(np.abs(c[:-1])))
     angles = 2.0 * np.pi * (np.arange(n) + 0.5) / n + 0.4
     z = center + radius * np.exp(1j * angles)
     dc = c[1:] * np.arange(1, n + 1)
-    for sweeps in range(max_sweeps):
+    for sweeps in range(tol.ABERTH_MAX_SWEEPS):
         p = np.polyval(c[::-1], z)
         # backward-style criterion: residual relative to sum |c_k| |z|^k,
         # the only target reachable in floating point for large roots
         bound = np.polyval(cabs[::-1], np.abs(z))
-        if np.max(np.abs(p) / bound) < residual_target:
+        if np.max(np.abs(p) / bound) < tol.ABERTH_RESIDUAL:
             break
         dp = np.polyval(dc[::-1], z)
         dp = np.where(dp == 0, 1e-300, dp)
@@ -168,7 +157,8 @@ def _aberth_core(c: np.ndarray, max_sweeps: int,
         worst = float(np.max(np.abs(np.polyval(c[::-1], z))
                              / np.polyval(cabs[::-1], np.abs(z))))
         raise RootFindingError(
-            f"no convergence after {max_sweeps} sweeps; worst relative residual {worst:.3e}"
+            f"no convergence after {tol.ABERTH_MAX_SWEEPS} sweeps; "
+            f"worst relative residual {worst:.3e}"
         )
     # Newton sweeps tighten well-separated roots to machine precision
     for _ in range(3):
@@ -178,7 +168,8 @@ def _aberth_core(c: np.ndarray, max_sweeps: int,
         z_new = z - step
         improved = np.abs(np.polyval(c[::-1], z_new)) <= np.abs(p)
         z = np.where(improved, z_new, z)
-    return z, sweeps
+    roots[n_zero:] = z
+    return roots, sweeps
 
 
 def root_set(P: DAPolynomial) -> RootSet:

@@ -11,17 +11,18 @@ length, burn-in and scale adaptation, and its own P or one shared P) in
 lockstep, in the widest algebra's coordinates; a cell whose steps are done
 leaves the stack, whose coefficient tables are then rebuilt so that a term
 equal on every remaining row is shared, and ``sample_gibbs`` is the
-one-cell call.  Statistics stream: a ring buffer of the last
-``STATS_CHUNK`` steps is folded into each cell's running sums, only the V
-series (for ESS and R-hat) is kept whole, so memory beyond it is flat in
-run length, and raw samples are returned only on request.  On top of the
-sampler: the alignment order parameter along
-an imaginary axis (and its exact value by quadrature for a P over H with
-coefficients in span{1, i}), the entropy-scaling coefficient from the
-potential fluctuation estimator Var(V)/T^2 (cross-checked by mean(V)/T),
-whose T-ladder cells (``entropy_cells``) can share a loop with other
-ladders before ``entropy_estimate`` reads them, and (epsilon, T)
-phase-diagram sweeps with the whole grid in one loop.
+one-cell call.  Statistics stream: a ring buffer of the states and V of
+the last ``STATS_CHUNK`` steps is folded into each cell's kept phase,
+which keeps running sums of the states and the whole V series (for ESS
+and R-hat), so memory beyond the V series is flat in run length; raw
+samples are kept only on request.  On top of the sampler: the alignment
+order parameter along an imaginary axis (and its exact value by
+quadrature for a P over H with coefficients in span{1, i}), the
+entropy-scaling coefficient from the potential fluctuation estimator
+Var(V)/T^2 (cross-checked by mean(V)/T), whose T-ladder cells
+(``entropy_cells``) can share a loop with other ladders before
+``entropy_estimate`` reads them, and (epsilon, T) phase-diagram sweeps
+with the whole grid in one loop.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class SamplerDiagnosticError(RuntimeError):
 ACCEPT_HARD_LIMITS = (0.05, 0.8)
 N_BATCHES = 20
 RNG_BLOCK = 1024    # steps of random draws made per stream at a time
-STATS_CHUNK = 256   # steps of states held between folds into the sample sums
+STATS_CHUNK = 256   # steps of states held between folds into the kept phases
+ADAPT_INTERVAL = 50  # steps between proposal-scale updates during burn-in
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class GibbsConfig:
     burn_in: float = 0.3
     proposal_scale: float | None = None
     seed: int = 0
-    adapt_interval: int = 50
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:
@@ -63,8 +64,6 @@ class GibbsConfig:
             raise ValueError("burn_in fraction must lie in [0.1, 0.9]")
         if self.chains < 1 or self.steps < 10:
             raise ValueError("need at least one chain and a few steps")
-        if self.adapt_interval < 1:
-            raise ValueError("adapt_interval must be at least one step")
         if self.proposal_scale is not None and not self.proposal_scale > 0:
             raise ValueError("proposal_scale must be positive (or None for sqrt(T))")
 
@@ -171,19 +170,19 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     draws from its own spawned stream and starts where a one-cell run
     starts; each cell keeps its own T, proposal-scale adaptation, burn-in,
     run length and acceptance count.  Rows are ordered longest cell first,
-    and a cell whose steps are done leaves the end of the stack.  The cells
-    must share ``adapt_interval``.  Returns one GibbsResult per cell, in
-    order, or the SamplerDiagnosticError of a cell that left its validity
-    envelope; other cells are unaffected.
+    and a cell whose steps are done leaves the end of the stack.  The scale
+    adapts every ``ADAPT_INTERVAL`` steps of burn-in.  Returns one
+    GibbsResult per cell, in order, or the SamplerDiagnosticError of a cell
+    that left its validity envelope; other cells are unaffected.
 
-    The statistics stream: the states of the last ``STATS_CHUNK`` steps sit
-    in one ring buffer, which is folded into each kept-phase cell's running
-    sums (``_SampleSums``) when it is full and at every step where a cell
-    starts keeping or stops.  Only the V series is kept whole, for ESS and
-    R-hat, so memory beyond it is flat in run length.  ``keep_samples``
-    also copies the kept states out of the ring and returns them (a cell's
-    samples are then a view into the array it shares with the cells of its
-    schedule and width); the statistics are the same bits either way.
+    The statistics stream: the states and V of the last ``STATS_CHUNK``
+    steps sit in one ring buffer, which is folded into the kept phase
+    (``_KeptPhase``) of each cell past its burn-in when it is full and at
+    every step where a cell starts keeping or stops.  A kept phase keeps
+    running sums of the states and the whole V series, for ESS and R-hat,
+    so memory beyond it is flat in run length; with ``keep_samples`` it
+    also keeps the states.  A cell's samples and V series are its own
+    arrays, and the statistics are the same bits either way.
 
     The tables are restacked whenever cells leave, and a term whose
     coefficient is equal on every live row takes the one product a
@@ -205,25 +204,19 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     polys = [P] * len(cfgs) if isinstance(P, DAPolynomial) else list(P)
     if len(polys) != len(cfgs):
         raise ValueError(f"{len(polys)} polynomials for {len(cfgs)} cells")
-    interval = cfgs[0].adapt_interval
-    if any(c.adapt_interval != interval for c in cfgs):
-        raise ValueError("cells must share adapt_interval")
     tag = max((p.tag for p in polys), key=lambda t: t.dimension)
     d = tag.dimension
     ax = _axis_coords(axis, d)
     for p in polys:
         if np.any(ax[p.tag.dimension:]):
             raise ValueError(f"axis lies outside {p.tag}, the algebra of a cell")
-    # longest cell first, cells of one (steps, burn-in) schedule and width adjacent
-    burns = [int(c.burn_in * c.steps) for c in cfgs]
-    order = sorted(range(len(cfgs)),
-                   key=lambda k: (-cfgs[k].steps, burns[k], -polys[k].tag.dimension))
+    order = sorted(range(len(cfgs)), key=lambda k: -cfgs[k].steps)   # longest cell first
     cells = [cfgs[k] for k in order]
     widths = [polys[k].tag.dimension for k in order]
     sizes = np.array([c.chains for c in cells])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     ends = np.array([c.steps for c in cells])
-    n_burn = np.array([burns[k] for k in order])
+    n_burn = np.array([int(c.burn_in * c.steps) for c in cells])
     row_burn = np.repeat(n_burn, sizes)
     row_width = np.repeat(widths, sizes)
     strata = {}
@@ -248,35 +241,22 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     temps = np.repeat([c.temperature for c in cells], sizes)
     scale_col = np.repeat(scales, sizes)[:, None]
 
-    # cells of one schedule and width share one kept V array (and, on
-    # request, one kept sample array): rows [lo, hi), steps [burn, end), the
-    # first w coordinates
-    groups, group_of = [], []
-    for k in range(len(cells)):
-        if not groups or groups[-1][2:] != [n_burn[k], ends[k], widths[k]]:
-            groups.append([offsets[k], offsets[k], n_burn[k], ends[k], widths[k]])
-        groups[-1][1] = offsets[k + 1]
-        group_of.append(len(groups) - 1)
-    kept_v = [np.empty((end - burn, hi - lo)) for lo, hi, burn, end, _ in groups]
-    kept_x = [np.empty((end - burn, hi - lo, w)) if keep_samples else None
-              for lo, hi, burn, end, w in groups]
-    sums = [_SampleSums(int(ends[k] - n_burn[k]), int(sizes[k]), ax[:widths[k]])
-            for k in range(len(cells))]
-    ring = np.empty((min(STATS_CHUNK, int(ends[0])), len(x), d))  # states since the last fold
+    phases = [_KeptPhase(int(ends[k] - n_burn[k]), int(sizes[k]), ax[:widths[k]],
+                         keep_samples) for k in range(len(cells))]
+    # states and V since the last fold
+    ring = np.empty((min(STATS_CHUNK, int(ends[0])), len(x), d))
+    ring_v = np.empty(ring.shape[:2])
     filled = 0
     # per-row draw blocks; a narrower row's padded coordinates stay zero
     normals = np.zeros((min(RNG_BLOCK, int(ends[0])), len(x), d))
     uniforms = np.empty(normals.shape[:2])
 
     def fold(first: int) -> None:
-        """Fold the ring's states of steps [first, first + filled) into the
-        running sums (and the kept samples) of every cell then keeping."""
-        for k in range(len(cells)):
+        """Fold the ring's steps [first, first + filled) into the kept phase
+        of every cell then keeping."""
+        for k, (lo, hi, w) in enumerate(zip(offsets, offsets[1:], widths)):
             if n_burn[k] <= first < ends[k]:
-                sums[k].fold(ring[:filled, offsets[k]:offsets[k + 1], :widths[k]])
-        for (lo, hi, burn, end, w), kept in zip(groups, kept_x):
-            if kept is not None and burn <= first < end:
-                kept[first - burn:first - burn + filled] = ring[:filled, lo:hi, :w]
+                phases[k].fold(ring[:filled, lo:hi, :w], ring_v[:filled, lo:hi])
 
     accepts = np.zeros(len(x), dtype=np.int64)   # per chain, since the last reset
     acc = accepts
@@ -296,9 +276,7 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
             x, v, temps, scale_col, acc = x[:n], v[:n], temps[:n], scale_col[:n], acc[:n]
             acc[row_burn[:n] == step] = 0           # kept-phase counts start from zero
             adapt_until = n_burn[:live].max()
-            # (kept V array, live rows it copies, first kept step) of each kept phase
-            writing = [(kept_v[g], v[lo:hi], burn)
-                       for g, (lo, hi, burn, end, w) in enumerate(groups) if burn <= step < end]
+            keeping = n_burn[:live].min() <= step   # some live cell is past its burn-in
         local = step % RNG_BLOCK
         if local == 0:
             # per-chain streams drawn in blocks of the cell's remaining length,
@@ -314,56 +292,47 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
         np.copyto(x, proposal, where=accept[:, None])
         np.copyto(v, v_prop, where=accept)
         acc += accept
-        if step < adapt_until and (step + 1) % interval == 0:
+        if step < adapt_until and (step + 1) % ADAPT_INTERVAL == 0:
             adapting = step < n_burn[:live]
-            rates = np.add.reduceat(acc, offsets[:live]) / (interval * sizes[:live])
+            rates = np.add.reduceat(acc, offsets[:live]) / (ADAPT_INTERVAL * sizes[:live])
             scales[:live][adapting] *= np.exp(0.6 * (rates[adapting] - 0.3))
             scale_col = np.repeat(scales[:live], sizes[:live])[:, None]
             acc[step < row_burn[:n]] = 0
-        if writing:
-            for kept, state, burn in writing:
-                kept[step - burn] = state
-            ring[filled, :n] = x
+        if keeping:
+            ring[filled, :n], ring_v[filled, :n] = x, v
             filled += 1
     fold(int(ends[0]) - filled)
-    del ring, normals, uniforms     # freed before the per-cell V copies below
+    del ring, ring_v, normals, uniforms     # freed before the statistics below
 
     accepted = np.add.reduceat(accepts, offsets[:-1])
     results: list[GibbsResult | SamplerDiagnosticError | None] = [None] * len(cells)
-    for k, cfg in enumerate(cells):
-        n_keep = cfg.steps - int(n_burn[k])
-        acceptance = int(accepted[k]) / max(1, n_keep * cfg.chains)
+    for k, (cfg, phase) in enumerate(zip(cells, phases)):
+        acceptance = int(accepted[k]) / phase.v.size
         if not ACCEPT_HARD_LIMITS[0] <= acceptance <= ACCEPT_HARD_LIMITS[1]:
             results[order[k]] = SamplerDiagnosticError(
                 f"acceptance {acceptance:.3f} outside {ACCEPT_HARD_LIMITS} after adaptation")
             continue
-        g = group_of[k]
-        cols = slice(offsets[k] - groups[g][0], offsets[k + 1] - groups[g][0])
-        # a contiguous V copy: a strided column slice sums in another order
-        cell_v = np.ascontiguousarray(kept_v[g][:, cols])
-        cell_x = kept_x[g][:, cols] if keep_samples else None
         try:
-            stats = _ensemble_stats(sums[k], cell_v, acceptance)
+            stats = _ensemble_stats(phase, acceptance)
         except SamplerDiagnosticError as exc:
             results[order[k]] = exc
             continue
-        results[order[k]] = GibbsResult(stats, cell_x, cell_v, float(scales[k]), cfg)
+        results[order[k]] = GibbsResult(stats, phase.samples, phase.v, float(scales[k]), cfg)
     return results
 
 
-def _ensemble_stats(sums: _SampleSums, kept_v: np.ndarray,
-                    acceptance: float) -> EnsembleStats:
-    """Pooled statistics of one cell: its sample sums and kept V series."""
-    m, m_err = sums.order_parameter()
+def _ensemble_stats(phase: _KeptPhase, acceptance: float) -> EnsembleStats:
+    """Pooled statistics of one cell's kept phase."""
+    m, m_err = phase.order_parameter()
     return EnsembleStats(
-        mean_V=float(np.mean(kept_v)),
-        var_V=float(np.var(kept_v)),
+        mean_V=float(np.mean(phase.v)),
+        var_V=float(np.var(phase.v)),
         order_parameter=min(max(m, 0.0), 1.0) if np.isfinite(m) else 0.0,
         order_parameter_stderr=m_err if np.isfinite(m_err) else 0.0,
         acceptance=acceptance,
-        ess=_ess(kept_v),
-        rhat=_split_rhat(kept_v),
-        second_moments=sums.second_moments(),
+        ess=_ess(phase.v),
+        rhat=_split_rhat(phase.v),
+        second_moments=phase.second_moments(),
     )
 
 
@@ -377,8 +346,10 @@ def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.add.reduce(block, axis=0)
 
 
-class _SampleSums:
-    """Running sums of one cell's kept samples, folded in time order.
+class _KeptPhase:
+    """One cell's kept phase, folded in time order: its V series ``v``
+    (kept, chains), its samples (kept, chains, d) when ``keep_samples`` asks
+    for them, and running sums of the samples.
 
     Per coordinate, the sum of x^2; per jackknife group, the sums of
     <Im x, ax>^2 and of |Im x|^2.  The groups are the chains, or for a single
@@ -387,9 +358,12 @@ class _SampleSums:
     one series.  Any split of the steps into folds gives the same bits.
     """
 
-    def __init__(self, steps: int, chains: int, ax: np.ndarray):
+    def __init__(self, steps: int, chains: int, ax: np.ndarray,
+                 keep_samples: bool = False):
         self.chains, self.ax = chains, ax
         self.count = 0
+        self.v = np.empty((steps, chains))
+        self.samples = np.empty((steps, chains, ax.size)) if keep_samples else None
         self.second = np.zeros(ax.size)
         if chains > 1:
             n_groups = chains
@@ -401,9 +375,13 @@ class _SampleSums:
             n_groups = len(self.starts)
         self.num, self.den = np.zeros(n_groups), np.zeros(n_groups)
 
-    def fold(self, kept: np.ndarray) -> None:
-        """Add the next kept steps, a (steps, chains, d) array."""
+    def fold(self, kept: np.ndarray, v: np.ndarray | float) -> None:
+        """Add the next kept steps: their states, a (steps, chains, d) array,
+        and their V, (steps, chains)."""
         k, chains, d = kept.shape
+        self.v[self.count:self.count + k] = v
+        if self.samples is not None:
+            self.samples[self.count:self.count + k] = kept
         square = np.square(kept)
         self.second = _add_rows(self.second, square.reshape(-1, d))
         proj2 = (kept[..., 1:] @ self.ax[1:]) ** 2
@@ -449,13 +427,14 @@ class _SampleSums:
         return m, float(np.sqrt((groups - 1) / groups * np.sum((loo - loo.mean()) ** 2)))
 
 
-def _sample_sums(kept: np.ndarray, ax: np.ndarray) -> _SampleSums:
+def _sample_sums(kept: np.ndarray, ax: np.ndarray) -> _KeptPhase:
     """The running sums of a whole (kept, chains, d) sample array, folded
-    STATS_CHUNK steps at a time as the Metropolis loop folds them."""
+    STATS_CHUNK steps at a time as the Metropolis loop folds them (with no
+    V series: its entries stay zero)."""
     n, chains, d = kept.shape
-    sums = _SampleSums(n, chains, ax)
+    sums = _KeptPhase(n, chains, ax)
     for lo in range(0, n, STATS_CHUNK):
-        sums.fold(kept[lo:lo + STATS_CHUNK])
+        sums.fold(kept[lo:lo + STATS_CHUNK], 0.0)
     return sums
 
 

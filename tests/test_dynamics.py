@@ -11,7 +11,6 @@ from rootlab.dynamics import (
     fft,
     integrated_power,
     psd,
-    radial_velocity,
     radii,
     simulate_breathing,
     spectral_peaks,
@@ -46,43 +45,6 @@ def test_radii_quartic_root_consistency():
     assert r.valid
     assert r.r_inner ** 4 == pytest.approx(1.0)
     assert r.r_outer ** 4 == pytest.approx(4.0)
-
-
-def test_radial_velocity_static_and_errors():
-    assert radial_velocity(5, 0, 4, 0) == (pytest.approx(0.0), pytest.approx(0.0))
-    with pytest.raises(ValueError):
-        radial_velocity(0, 1, 1, 0)
-    with pytest.raises(ValueError):
-        radial_velocity(-5, 0, 4, 0)
-
-
-def test_radial_velocity_matches_finite_differences():
-    a = Waveform(5.0, ((0.5, 0.1, 0.0),))
-    b = Waveform(4.0, ((0.2, 0.07, 1.0),))
-    h = 1e-6
-    for t in np.linspace(0.3, 9.7, 25):
-        adot = (a(t + h) - a(t - h)) / (2 * h)
-        bdot = (b(t + h) - b(t - h)) / (2 * h)
-        v_in, v_out = radial_velocity(float(a(t)), adot, float(b(t)), bdot)
-        r_up = radii(float(a(t + h)), float(b(t + h)), 2)
-        r_dn = radii(float(a(t - h)), float(b(t - h)), 2)
-        fd_in = (r_up.r_inner ** 2 - r_dn.r_inner ** 2) / (2 * h)
-        fd_out = (r_up.r_outer ** 2 - r_dn.r_outer ** 2) / (2 * h)
-        assert v_in == pytest.approx(fd_in, rel=1e-4, abs=1e-8)
-        assert v_out == pytest.approx(fd_out, rel=1e-4, abs=1e-8)
-
-
-def test_radial_velocity_divergence_scaling():
-    # approach delta -> 0+ along b -> a^2/4: |v| ~ delta^(-1/2)
-    a = 5.0
-    deltas = np.array([1e-2, 1e-4, 1e-6])
-    vals = []
-    for d in deltas:
-        b = (a * a - d) / 4.0
-        _, v_out = radial_velocity(a, 0.0, b, 1.0)
-        vals.append(abs(v_out))
-    ratios = np.array(vals) * np.sqrt(deltas)
-    assert np.allclose(ratios, ratios[0], rtol=1e-3)
 
 
 def test_simulate_breathing_constant_and_oscillating():
@@ -195,9 +157,6 @@ def test_psd_rejects_bad_input():
         psd(np.zeros(8), 0.1)
     with pytest.raises(ValueError):
         psd(np.zeros(64), -1.0)
-    times = np.cumsum(np.random.default_rng(0).uniform(0.5, 1.5, size=64))
-    with pytest.raises(ValueError):
-        psd(np.zeros(64), 1.0, times=times)
 
 
 def test_spectral_peaks_flat_series_has_no_harmonics():
