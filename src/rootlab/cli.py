@@ -249,8 +249,7 @@ def cmd_basins(cfg: dict, out: Path) -> int:
         "max_residual": rep.max_residual,
         "max_rise": rep.max_rise,
         "unconverged": len(rep.unconverged),
-        "rk4_step": rep.rk4_step,
-        "rk4_steps": rep.rk4_steps,
+        **rep.effort(),
     })
     return 0
 

@@ -105,9 +105,12 @@ def test_c10_basins():
     # V never rises along the labelled flow, at a second seed as well
     result = _run("c10")
     assert result.details["max_rise"] <= 1e-10, result.details
-    # the labelling flow's effort: about 3,500 lockstep RK4 steps at seed 1
-    assert abs(result.details["rk4_steps"] - 3511) <= 35, result.details
-    assert 0.0 < result.details["rk4_step"] <= 0.25, result.details
+    # the labelling flow's effort: about 1,750 lockstep steps of 3 RKC
+    # stages at seed 1, one batched gradient call per stage
+    d = result.details
+    assert abs(d["steps"] - 1754) <= 17, d
+    assert (d["step"], d["stages"]) == (0.5, 3), d
+    assert d["gradient_calls"] == 3 * d["steps"], d
     assert cl.run_claim("c10", quick=False, seed=2).details["max_rise"] <= 1e-10
 
 

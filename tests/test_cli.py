@@ -133,9 +133,10 @@ def test_outputs_byte_identical_for_same_seed(tmp_path):
     assert json.loads((a / "basins-summary.json").read_text())["max_rise"] <= 1e-10
 
 
-def test_basins_summary_gains_only_the_rk4_counters(tmp_path):
-    # the RK4 step and step count are new keys; every other line of the
-    # artifact is the one the report's fields gave before they existed
+def test_basins_summary_gains_only_the_flow_counters(tmp_path):
+    # the labelling flow's step, steps, stages and gradient calls are the
+    # report's effort; every other line of the artifact is the one the
+    # report's fields gave before they existed
     r = run_cli("basins", "--eps", "0.08", "--samples", "40", "--seed", "1",
                 outdir=tmp_path)
     assert r.returncode == 0, r.stderr
@@ -144,14 +145,16 @@ def test_basins_summary_gains_only_the_rk4_counters(tmp_path):
     cfg = doc["config"]
     rep = fl.basin_decomposition(cli._parse_deformation(cfg), cfg["eps"], cfg["samples"],
                                  seed=cfg["seed"])
-    assert (doc["rk4_step"], doc["rk4_steps"]) == (rep.rk4_step, rep.rk4_steps)
-    assert rep.rk4_steps > 0
+    effort = rep.effort()
+    assert {k: doc[k] for k in effort} == effort
+    assert rep.steps > 0 and effort["gradient_calls"] == rep.steps * rep.stages
     old = {"config": cfg,
            "attractors": [[float(v) for v in a.coords] for a in rep.attractors],
            "fractions": {str(k): v for k, v in rep.fractions.items()},
            "max_residual": rep.max_residual, "max_rise": rep.max_rise,
            "unconverged": len(rep.unconverged)}
-    kept = [line for line in text.splitlines() if not line.startswith('  "rk4_step')]
+    kept = [line for line in text.splitlines()
+            if not line.startswith(tuple(f'  "{k}"' for k in effort))]
     assert kept == json.dumps(old, indent=2, sort_keys=True).splitlines()
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import dp_oracle
 import numpy as np
 import pytest
+import rk4_oracle
 
 from rootlab import flow as fl
 from rootlab import poly as pl
@@ -404,8 +405,9 @@ def test_hemisphere_examples_and_equator_flag():
 
 
 def test_basins_converge_at_cli_default_eps():
-    # at eps = 0.5 the stiffest Hessian eigenvalue at the attractors is 12.5,
-    # where RK4's old fixed step h = 0.25 is unstable and every row blew up
+    # at eps = 0.5 the stiffest Hessian eigenvalue at the attractors is 12.5:
+    # a fixed step h = 0.25 once left RK4 unstable and every row blew up;
+    # the labels step h = 5 / 12.5 = 0.4 on 4 Chebyshev stages
     rep = basin_decomposition(benchmark(), 0.5, 100, seed=2)
     assert rep.unconverged == []
     assert sum(rep.fractions.values()) == pytest.approx(1.0)
@@ -424,6 +426,38 @@ def test_ensemble_labels_agree_with_adaptive_integrator():
     for i, s in enumerate(starts):
         traj = integrate(P, s, FlowConfig(max_time=1e4), attractors=att)
         assert traj.terminal.attractor_index == labels[i]
+
+
+def test_rkc_stages_are_second_order_and_stable_to_beta():
+    # y' = z y: one step of h = 1 takes y to y R_s(z), the stability polynomial
+    ratios = []
+    for s in range(2, 11):
+        beta, table = fl._rkc_stages(s)
+
+        def R(z):
+            return fl._rkc_step(lambda y: z * y, np.ones_like(z), z, 1.0, table)
+        z = -np.logspace(-4, -2, 5)
+        assert np.all(np.abs(R(z) - (1.0 + z + z * z / 2.0)) <= np.abs(z) ** 3), s
+        assert np.max(np.abs(R(np.linspace(-beta, 0.0, 4001)))) <= 1.0 + 1e-12, s
+        ratios.append(beta / s ** 2)
+    # beta(s) / s^2 rises toward 0.653 under the damping 2/13
+    assert np.all(np.diff(ratios) > 0.0) and ratios[-1] < 0.653
+    assert round(fl._rkc_stages(3)[0], 2) == 5.23
+    assert round(fl._rkc_stages(10)[0], 1) == 64.7
+
+
+@pytest.mark.parametrize("eps", [0.08, 0.3, 0.5, 1.0, 2.0, 3.0])
+def test_ensemble_labels_match_rk4_oracle(eps):
+    # the Chebyshev labels equal those of the RK4 loop they replaced, with
+    # no row left free and V never rising
+    D = benchmark()
+    P = D.at(eps)
+    att, _, starts, _ = fl._sphere_starts(D, P, 100, np.random.default_rng(3))
+    max_time = max(1e4, 400.0 / eps ** 2)
+    labels, _, rise, *_ = ensemble_labels(P, starts, att, max_time)
+    assert np.array_equal(labels, rk4_oracle.ensemble_labels(P, starts, att, max_time)[0])
+    assert np.all(labels >= 0)
+    assert rise <= 1e-10
 
 
 def _sphere_and_gaussian_starts(D, seed):
@@ -585,8 +619,9 @@ def test_integrate_ensemble_row_configs_match_one_config():
 
 def test_flow_captures_starts_and_never_raises_potential():
     # every start is captured but for separatrix starts in the equator band;
-    # off-manifold starts run on the adaptive ensemble, since the fixed RK4
-    # step of the basin labels diverges on them
+    # off-manifold starts run on the adaptive ensemble, since the fixed
+    # Chebyshev step of the basin labels, set by the stiffness at the
+    # attractors, diverges on 19 of these 20 Gaussian starts
     D = benchmark()
     eps = 0.3
     P = D.at(eps)
