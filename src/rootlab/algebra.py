@@ -177,8 +177,8 @@ class AlgebraElement:
             raise ZeroDivisionError("zero element has no inverse")
         return AlgebraElement(self.tag, conjugate_coords(self.coords) / n2)
 
-    def is_zero(self, atol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.coords)) <= atol)
+    def is_zero(self) -> bool:
+        return not np.any(self.coords)
 
     def allclose(self, other: "AlgebraElement", atol: float = 1e-12) -> bool:
         return self.tag == other.tag and bool(
@@ -240,9 +240,8 @@ def real_element(tag: AlgebraTag, value: float) -> AlgebraElement:
     return AlgebraElement(tag, c)
 
 
-def random_element(tag: AlgebraTag, rng: np.random.Generator,
-                   scale: float = 1.0) -> AlgebraElement:
-    return AlgebraElement(tag, rng.normal(scale=scale, size=tag.dimension))
+def random_element(tag: AlgebraTag, rng: np.random.Generator) -> AlgebraElement:
+    return AlgebraElement(tag, rng.normal(size=tag.dimension))
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

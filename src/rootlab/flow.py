@@ -7,18 +7,20 @@ ROS34PW2, whose step is set by accuracy alone, not by the fast radial decay
 onto the root set, and collapse times run on it.  It evaluates each point
 once: an accepted step makes four kernel calls, and its one SVD factors the
 J returned with the value and gradient of the point it starts from.
-``integrate_ensemble``
-steps a whole start set in lockstep with an embedded Dormand-Prince 5(4)
-pair, one batched value-and-gradient call per stage, under one polynomial
-or under one polynomial per row, and with one ``FlowConfig`` or one per
-row.  Multistart attractor search runs on it: searches that differ in
-polynomial, start set and stop test share one pass (c05's 12-start search
-on x^2 + ix + 1 and its 5-start quadratic searches, 323 lockstep steps at
-seed 1), and each reports its flow's deterministic effort counters and the
-Newton iterations of its polish.  Attractors are isolated full-rank roots,
-Newton-polished in one place: multistart search gets its candidates from
-the flow, while collapse times and basins start Newton from the isolated
-points of ``manifolds.root_set``, with no flow and no seed.  Collapse
+``integrate_ensemble`` steps a whole start set in lockstep with an
+embedded Dormand-Prince 5(4) pair, one batched value-and-gradient call per
+stage, under one polynomial or under one polynomial per row, and with one
+``FlowConfig`` or one per row; it captures no row at an attractor, so each
+row ends on a stop test.  Both integrators control their error with
+``tol.FLOW_REL`` and ``tol.FLOW_ABS``.  Multistart attractor search runs
+on the ensemble: searches that differ in polynomial, start set and stop
+test share one pass (c05's 12-start search on x^2 + ix + 1 and its 5-start
+quadratic searches, 323 lockstep steps at seed 1), and each reports its
+flow's deterministic effort counters and the Newton iterations of its
+polish.  Attractors are isolated full-rank roots, Newton-polished in one
+place: multistart search gets its candidates from the flow, while
+collapse times and basins start Newton from the isolated points of
+``manifolds.root_set``, with no flow and no seed.  Collapse
 times and basins read one frame of a deformation family, built in one
 place: those attractors, the base sphere and the axis of the attractor the
 sphere collapses onto.  On top of these: collapse-time measurement from a
@@ -28,8 +30,9 @@ restricted potential scans.  Basin labels run on a fixed-step damped
 Runge-Kutta-Chebyshev stepper in lockstep (``ensemble_labels``): explicit,
 with one batched gradient call per stage, and with a real stability
 interval that grows as about 0.65 s^2 in its stage count s, which suits a
-gradient flow, whose spectrum is real.  They also report the largest rise
-of V along any labelled trajectory, the evidence that the flow is a
+gradient flow, whose spectrum is real; a row that diverges on the fixed
+step leaves the batch unlabelled.  They also report the largest rise of V
+along any labelled trajectory, the evidence that the flow is a
 deformation retract onto the attractors.
 """
 
@@ -75,14 +78,12 @@ MAX_STEPS = 5_000_000              # step budget of one trajectory or ensemble r
 
 @dataclass(frozen=True)
 class FlowConfig:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
     max_time: float = 1e7
     stop_grad: float = 1e-9
     record_every: int = 1          # archive every k-th accepted sample
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "max_time", "stop_grad"):
+        for name in ("max_time", "stop_grad"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.record_every < 1:
@@ -234,7 +235,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
         n_rhs += 3
         y_new = y + _W_M @ u
         abs_new = np.abs(y_new)
-        e = (_W_E @ u) / (cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_new))
+        e = (_W_E @ u) / (tol.FLOW_ABS + tol.FLOW_REL * np.maximum(abs_y, abs_new))
         err_norm = math.sqrt(np.add.reduce(np.square(e)) / dim)
         steps += 1
         if err_norm <= 1.0:
@@ -397,7 +398,6 @@ class EnsembleResult:
 
     points: np.ndarray             # (n, d) final states
     kinds: np.ndarray              # terminal kind per row, as in Terminal.kind
-    attractor_index: np.ndarray    # capturing attractor, -1 where none
     steps: np.ndarray              # step attempts, accepted and rejected
     times: np.ndarray              # final flow times
     accepted: np.ndarray           # accepted steps
@@ -415,22 +415,23 @@ class EnsembleResult:
 
 
 def _row_config(cfg, n: int) -> dict[str, np.ndarray]:
-    """Per-row step-control and stop settings from one config or one per row."""
+    """Per-row stop settings from one config or one per row."""
     if cfg is None or isinstance(cfg, FlowConfig):
         cfg = [cfg or FlowConfig()] * n
     elif len(cfg) != n:
         raise ValueError("need one FlowConfig per start row")
     return {name: np.array([getattr(c, name) for c in cfg], dtype=float)
-            for name in ("rel_tol", "abs_tol", "stop_grad", "max_time")}
+            for name in ("stop_grad", "max_time")}
 
 
-def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = None,
-                       attractors=None) -> EnsembleResult:
+def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = None
+                       ) -> EnsembleResult:
     """Integrate the gradient flow from every row of X0 in lockstep.
 
     Each row takes Dormand-Prince 5(4) steps with error control, a two-rate
-    stability limiter, Lyapunov and plateau guards and the stop tests of
-    ``integrate``, all with per-row state.  One batched value-and-gradient
+    stability limiter, Lyapunov and plateau guards and the gradient,
+    plateau and time stops of ``integrate``, all with per-row state; no row
+    is captured at an attractor.  One batched value-and-gradient
     call evaluates a stage for every row still running, and a row leaves
     the batch at its terminal state.  P is one ``DAPolynomial`` for every
     row, or a sequence of them with one per row: their zero-padded
@@ -438,15 +439,13 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
     rows, while a term shared by every row keeps one table, so many
     polynomials flow in one pass that takes as many steps as its slowest
     row.  ``cfg`` is one ``FlowConfig`` or a sequence of them with
-    one per row: tolerances, gradient stops and time limits are per-row
-    state too, so searches with different stop tests share a pass.  The
-    attractors, if given, are shared by every row.
-    ``integrate`` stays the path for a single trajectory whose samples are
-    wanted.
+    one per row: gradient stops and time limits are per-row state too, so
+    searches with different stop tests share a pass; the error control
+    reads ``tol.FLOW_REL`` and ``tol.FLOW_ABS``.  ``integrate`` stays the
+    path for a single trajectory whose samples are wanted.
     """
     Y = np.array(X0, dtype=float)
     n, dim = Y.shape
-    att = _attractor_coords(attractors)
     shared = isinstance(P, DAPolynomial)
     if not shared and len(P) != n:
         raise ValueError("need one polynomial per start row")
@@ -454,7 +453,7 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
     pv, G = value_gradient_batch(tables, Y)
     V = np.einsum("ij,ij->i", pv, pv)
     out = SimpleNamespace(
-        points=Y.copy(), kinds=np.zeros(n, dtype=int), index=np.full(n, -1),
+        points=Y.copy(), kinds=np.zeros(n, dtype=int),
         steps=np.zeros(n, dtype=int), times=np.zeros(n),
         accepted=np.zeros(n, dtype=int))
     live = SimpleNamespace(
@@ -468,7 +467,7 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
         **_row_config(cfg, n))
     live.h = _initial_step(np.linalg.norm(Y, axis=1), live.gnorm)
 
-    def finish(kind: np.ndarray, index: np.ndarray) -> None:
+    def finish(kind: np.ndarray) -> None:
         # record the rows with a terminal kind and drop them from the batch
         nonlocal tables
         done = kind >= 0
@@ -477,7 +476,6 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
         r = live.row[done]
         out.points[r] = live.y[done]
         out.kinds[r] = kind[done]
-        out.index[r] = index[done]
         out.steps[r] = live.steps[done]
         out.times[r] = live.t[done]
         out.accepted[r] = live.accepted[done]
@@ -485,12 +483,10 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
             setattr(live, name, arr[~done])
         tables = take_rows(tables, ~done)   # per-row terms only
 
-    index = _capture_rows(Y, att, STOP_RADIUS)
-    finish(np.where((live.gnorm < live.stop_grad) | (index >= 0), _CONVERGED, -1), index)
+    finish(np.where(live.gnorm < live.stop_grad, _CONVERGED, -1))
     while live.row.size:
-        m = live.row.size
         finish(np.where((live.steps >= MAX_STEPS) | (live.t >= live.max_time),
-                        _MAX_TIME, -1), np.full(m, -1))
+                        _MAX_TIME, -1))
         m = live.row.size
         if m == 0:
             break
@@ -505,8 +501,7 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
         pv5, g5 = value_gradient_batch(tables, y5)
         km[6] = -g5
         y4 = y + h[:, None] * (_DP_B4 @ flat).reshape(m, dim)
-        sc = (live.abs_tol[:, None]
-              + live.rel_tol[:, None] * np.maximum(np.abs(y), np.abs(y5)))
+        sc = tol.FLOW_ABS + tol.FLOW_REL * np.maximum(np.abs(y), np.abs(y5))
         err_norm = np.sqrt(np.mean(((y5 - y4) / sc) ** 2, axis=1))
         live.steps += 1
         v_new = np.einsum("ij,ij->i", pv5, pv5)
@@ -516,7 +511,6 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
         rejected = ~accurate
         live.accepted += ok
         kind = np.full(m, -1)
-        index = np.full(m, -1)
 
         # accuracy says fine but the Lyapunov property failed: halve h
         live.lyapunov_fails = np.where(lyapunov, live.lyapunov_fails + 1,
@@ -536,14 +530,12 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
         live.f = np.where(ok[:, None], km[6], live.f)
         live.v = np.where(ok, v_new, live.v)
         live.gnorm = np.where(ok, np.linalg.norm(km[6], axis=1), live.gnorm)
-        captured = ok & ((idx := _capture_rows(y5, att, STOP_RADIUS)) >= 0)
-        index[captured] = idx[captured]
         small = ok & (live.gnorm < live.stop_grad)
-        long_plateau = ok & ~captured & ~small & (live.plateau >= 25)
+        long_plateau = ok & ~small & (live.plateau >= 25)
         flat_out = long_plateau & (live.v_plateau_start - v_new
                                    <= 0.01 * live.v_plateau_start)
         live.plateau = np.where(long_plateau, 0, live.plateau)
-        kind[captured | small | flat_out] = _CONVERGED
+        kind[small | flat_out] = _CONVERGED
 
         # step size: grow after an accepted step, shrink after a rejected one
         scale = 0.9 * np.where(err_norm == 0.0, 1.0, err_norm) ** -0.2
@@ -561,9 +553,9 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
         kind[rejected & (h < 1e-16)] = _STALLED
         live.just_rejected = np.where(ok, False, live.just_rejected | lyapunov | rejected)
         live.h = h
-        finish(kind, index)
-    return EnsembleResult(out.points, np.array(_TERMINAL_KINDS)[out.kinds], out.index,
-                          out.steps, out.times, out.accepted, 6 * out.steps + 1)
+        finish(kind)
+    return EnsembleResult(out.points, np.array(_TERMINAL_KINDS)[out.kinds], out.steps,
+                          out.times, out.accepted, 6 * out.steps + 1)
 
 
 def _polished_attractors(P: DAPolynomial, points) -> tuple[list[AlgebraElement], int]:
@@ -650,18 +642,8 @@ def attractors_from_starts(polys, starts,
 
 
 def gaussian_starts(tag: AlgebraTag, n_starts: int, seed: int) -> np.ndarray:
-    """The start set of ``find_attractors``: normal coordinates of scale 1.5."""
+    """A multistart search's start set: normal coordinates of scale 1.5."""
     return np.random.default_rng(seed).normal(scale=1.5, size=(n_starts, tag.dimension))
-
-
-def find_attractors(P: DAPolynomial, n_starts: int = 32,
-                    seed: int = 0) -> list[AlgebraElement]:
-    """Multistart gradient flow + Newton polish; deduplicated isolated roots.
-
-    Central polynomials legitimately return an empty list: their minima
-    form spheres, which the full-rank filter rejects.
-    """
-    return attractors_from_starts([P], gaussian_starts(P.tag, n_starts, seed))[0].attractors
 
 
 def _located_attractors(P: DAPolynomial) -> list[AlgebraElement]:
@@ -712,8 +694,11 @@ class CollapseSample:
     stats: StepStats
 
 
-def collapse_time(D: Deformation, eps: float, cfg: FlowConfig | None = None,
-                  seed: int = 0) -> CollapseSample:
+# collapse runs are long (T ~ 1 / eps^2); one sample in 64 is archived
+COLLAPSE_FLOW = FlowConfig(max_time=5e7, record_every=64)
+
+
+def collapse_time(D: Deformation, eps: float, seed: int = 0) -> CollapseSample:
     """Time for a sphere start at geodesic angle pi/3 to reach an attractor.
 
     The start sits on the base sphere exactly pi/3 from the axis of the
@@ -722,11 +707,11 @@ def collapse_time(D: Deformation, eps: float, cfg: FlowConfig | None = None,
     seed.  Collapse time is the time at which the trajectory crosses into
     ``STOP_RADIUS`` of an attractor, located on the capturing step's
     interpolant, so it does not depend on where the steps fall.  A run that
-    no attractor captures is censored, whatever stopped it.
+    no attractor captures is censored, whatever stopped it.  The run's
+    limits are ``COLLAPSE_FLOW``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    cfg = cfg or FlowConfig(max_time=5e7, record_every=64)
     P = D.at(eps)
     attractors, sphere, axis = _family_frame(D, P)
     # transverse unit imaginary direction, deterministic given the seed
@@ -738,7 +723,7 @@ def collapse_time(D: Deformation, eps: float, cfg: FlowConfig | None = None,
     x0 = np.zeros(P.tag.dimension)
     x0[0] = sphere.re
     x0 += sphere.radius * (math.cos(math.pi / 3) * axis + math.sin(math.pi / 3) * w)
-    traj = integrate(P, x0, cfg, attractors=attractors)
+    traj = integrate(P, x0, COLLAPSE_FLOW, attractors=attractors)
     idx = traj.terminal.attractor_index
     att = attractors[idx] if idx is not None else None
     return CollapseSample(eps, traj.final_time, att is None, att, x0, traj.stats)
@@ -754,19 +739,15 @@ class CollapseMeasurement:
     fit_slope: float
     fit_intercept: float
     r_squared: float
-    steps: np.ndarray              # accepted integrator steps per epsilon
-    rhs_evals: np.ndarray          # value-and-gradient evaluations per epsilon
-    rejected: np.ndarray           # steps rejected by the error test
-    lyapunov_rejections: np.ndarray  # accurate steps rejected for raising V
-    factorizations: np.ndarray     # SVDs of J, one per accepted step
-    h_min: np.ndarray              # smallest and largest accepted step
-    h_max: np.ndarray
+    stats: tuple[StepStats, ...]   # each epsilon's integrator counters
 
     def effort(self) -> dict:
-        """The per-epsilon integrator counters as lists; ``rhs`` is ``rhs_evals``."""
-        return {"steps": self.steps.tolist(), "rhs": self.rhs_evals.tolist(),
-                **{name: getattr(self, name).tolist() for name in (
-                    "rejected", "lyapunov_rejections", "factorizations", "h_min", "h_max")}}
+        """The per-epsilon integrator counters as lists; ``steps`` is
+        ``accepted`` and ``rhs`` is ``rhs_evals``."""
+        return {key: [getattr(st, name) for st in self.stats] for key, name in (
+            ("steps", "accepted"), ("rhs", "rhs_evals"),
+            *((name, name) for name in ("rejected", "lyapunov_rejections",
+                                        "factorizations", "h_min", "h_max")))}
 
 
 def _collapse_row(s: CollapseSample) -> tuple[float, float, bool, StepStats]:
@@ -809,13 +790,7 @@ def measure_collapse(D: Deformation, epsilons, seed: int = 0,
     if np.any(censored):
         warnings.warn("censored collapse measurements excluded from fit")
     slope, intercept, r2 = scaling_fit(eps[~censored], times[~censored])
-
-    def column(name: str) -> np.ndarray:
-        return np.array([getattr(st, name) for st in stats])
-    return CollapseMeasurement(
-        eps, times, censored, slope, intercept, r2, column("accepted"),
-        *(column(name) for name in ("rhs_evals", "rejected", "lyapunov_rejections",
-                                    "factorizations", "h_min", "h_max")))
+    return CollapseMeasurement(eps, times, censored, slope, intercept, r2, stats)
 
 
 def scaling_fit(epsilons, times) -> tuple[float, float, float]:
@@ -904,8 +879,7 @@ def _rkc_step(flow, y, f0, h: float, table: np.ndarray):
     return prev
 
 
-def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
-                    max_time: float = 1e5
+def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors, max_time: float
                     ) -> tuple[np.ndarray, np.ndarray, float, float, int, int]:
     """Capture labels for a batch of starts, integrated in lockstep.
 
@@ -920,9 +894,12 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
     c10).  A step makes s batched gradient calls, the first with V.  Labels
     agree with per-trajectory adaptive integration and with the classical
     RK4 loop this replaced (checked in tests) at a small fraction of the
-    cost.  Returns (labels, final points, largest V - V(start) at any step
-    of any row, the step h, the number of lockstep steps taken, the stages
-    per step); -1 marks rows still free at max_time.
+    cost.  Once the largest rise reads non-finite, the rows whose V is
+    non-finite leave the batch unlabelled, keeping their last state, so a
+    diverged row does not hold the loop open to max_time.  Returns (labels,
+    final points, largest V - V(start) at any step of any row, the step h,
+    the number of lockstep steps taken, the stages per step); -1 marks rows
+    still free at max_time or diverged.
     """
     X = np.array(starts, dtype=float)
     att = _attractor_coords(attractors)
@@ -951,6 +928,12 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
         if t == 0.0:
             v0 = v
         rise = float(np.maximum(rise, np.max(v - v0)))     # NaN stays NaN
+        if not math.isfinite(rise):
+            diverged = ~np.isfinite(v)
+            X[row[diverged]] = Y[diverged]
+            row, Y, g, v0 = row[~diverged], Y[~diverged], g[~diverged], v0[~diverged]
+            if not row.size:
+                break
         Y = _rkc_step(flow, Y, -g, h, table)
         t += h
         steps += 1
@@ -977,9 +960,10 @@ def basin_decomposition(D: Deformation, eps: float, n_samples: int,
     """Label sphere starts by the attractor that captures them.
 
     ``max_rise`` is the deformation-retract evidence.  Off-manifold starts
-    are checked on ``integrate_ensemble`` instead: the labels' step and
-    stage count are set by the stiffness at the attractors, and on them 19
-    of 20 Gaussian sigma = 2 starts at eps = 0.3 diverge.
+    are checked by the final points of ``integrate_ensemble`` instead: the
+    labels' step and stage count are set by the stiffness at the
+    attractors, and on them 19 of 20 Gaussian sigma = 2 starts at eps = 0.3
+    diverge and leave the batch unlabelled.
     """
     P = D.at(eps)
     attractors, axis, X0, band = _sphere_starts(D, P, n_samples,

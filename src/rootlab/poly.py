@@ -410,20 +410,21 @@ class PolishResult:
     jacobian: np.ndarray           # J at ``point``, from the call that gave ``residual``
 
 
-def newton_polish(P: DAPolynomial, x0, target: float = tol.NEWTON_RESIDUAL) -> PolishResult:
+def newton_polish(P: DAPolynomial, x0) -> PolishResult:
     """Newton on the d-dimensional real system P(x) = 0.
 
     Uses least-squares steps so sphere points (singular Jacobian) are
-    polished onto the root set instead of diverging.  ``iterations`` counts
-    the steps taken.  The point's Jacobian comes back with it, so a rank
-    test needs no second evaluation.  Whether the point is clean is the
-    caller's test.
+    polished onto the root set instead of diverging, and stops once the
+    residual is below ``tol.NEWTON_RESIDUAL``.  ``iterations`` counts the
+    steps taken.  The point's Jacobian comes back with it, so a rank test
+    needs no second evaluation.  Whether the point is clean is the caller's
+    test.
     """
     x = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
     v, _, J = _kernel(P, x, jac=True)
     residual = float(np.linalg.norm(v))
     it = 0
-    while it < tol.NEWTON_MAX_ITER and residual >= target:
+    while it < tol.NEWTON_MAX_ITER and residual >= tol.NEWTON_RESIDUAL:
         step, *_ = np.linalg.lstsq(J, -v, rcond=None)
         if not np.all(np.isfinite(step)):
             break

@@ -16,13 +16,12 @@ the last ``STATS_CHUNK`` steps is folded into each cell's kept phase,
 which keeps running sums of the states and the whole V series (for ESS
 and R-hat), so memory beyond the V series is flat in run length; raw
 samples are kept only on request.  On top of the sampler: the alignment
-order parameter along an imaginary axis (and its exact value by
-quadrature for a P over H with coefficients in span{1, i}), the
-entropy-scaling coefficient from the potential fluctuation estimator
-Var(V)/T^2 (cross-checked by mean(V)/T), whose T-ladder cells
-(``entropy_cells``) can share a loop with other ladders before
-``entropy_estimate`` reads them, and (epsilon, T) phase-diagram sweeps
-with the whole grid in one loop.
+order parameter along e_1 (and its exact value by quadrature for a P over
+H with coefficients in span{1, i}), the entropy-scaling coefficient from
+the potential fluctuation estimator Var(V)/T^2 (cross-checked by
+mean(V)/T), whose T-ladder cells (``entropy_cells``) can share a loop
+with other ladders before ``entropy_estimate`` reads them, and (epsilon,
+T) phase-diagram sweeps with the whole grid in one loop.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import QUATERNIONS, AlgebraElement
+from .algebra import QUATERNIONS
 from .manifolds import root_set, sample_stratum
 from .poly import DAPolynomial, Deformation, embed, potential_coords, stack_tables
 
@@ -123,21 +122,7 @@ def _initial_points(strata, d: int, chains: int, rng: np.random.Generator,
     return points
 
 
-def _axis_coords(axis: AlgebraElement | None, d: int) -> np.ndarray:
-    """Coordinates of the order-parameter axis (default e_1), validated."""
-    if axis is None:
-        ax = np.zeros(d)
-        ax[1] = 1.0
-        return ax
-    if abs(axis.real) > 1e-9 or abs(axis.norm() - 1.0) > 1e-9:
-        raise ValueError("axis must be a unit imaginary element")
-    if axis.tag.dimension != d:
-        raise ValueError(f"axis over {axis.tag}, but the widest cell has dimension {d}")
-    return axis.coords.copy()
-
-
 def sample_gibbs(P: DAPolynomial, cfg: GibbsConfig,
-                 axis: AlgebraElement | None = None,
                  keep_samples: bool = False) -> GibbsResult:
     """Random-walk Metropolis ensemble for the Gibbs measure of P.
 
@@ -146,25 +131,26 @@ def sample_gibbs(P: DAPolynomial, cfg: GibbsConfig,
     samples.  Raises SamplerDiagnosticError when the frozen proposal scale
     fails to keep acceptance inside the hard limits.
     """
-    (result,) = sample_gibbs_ladder(P, [cfg], axis, keep_samples)
+    (result,) = sample_gibbs_ladder(P, [cfg], keep_samples)
     if isinstance(result, SamplerDiagnosticError):
         raise result
     return result
 
 
 def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
-                        axis: AlgebraElement | None = None,
                         keep_samples: bool = False
                         ) -> list[GibbsResult | SamplerDiagnosticError]:
     """Several cells, each a GibbsConfig, as one Metropolis loop.
 
     ``P`` is one DAPolynomial shared by every cell, or a sequence of one per
     cell; the chains evaluate their polynomials through
-    ``poly.stack_tables``, one row each.  The algebras of the cells nest (R in C in H in
-    O), so the loop runs in the widest one's coordinates: a narrower cell's
-    polynomial is ``poly.embed``-ded, and its chains start, draw and store
-    their samples at its own width, with the padded coordinates exactly
-    zero.  The axis is over the widest algebra and must lie in every cell's.
+    ``poly.stack_tables``, one row each.  The order parameter is read along
+    e_1, so every cell is over C, H or O (a cell over R raises ValueError
+    before any potential is evaluated).  The algebras of the cells nest (C
+    in H in O), so the loop runs in the widest one's coordinates: a narrower
+    cell's polynomial is ``poly.embed``-ded, and its chains start, draw and
+    store their samples at its own width, with the padded coordinates
+    exactly zero.
     The chains of all cells are stacked and step together, so the per-step
     cost is paid once per loop instead of once per cell.  Each chain still
     draws from its own spawned stream and starts where a one-cell run
@@ -204,12 +190,12 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     polys = [P] * len(cfgs) if isinstance(P, DAPolynomial) else list(P)
     if len(polys) != len(cfgs):
         raise ValueError(f"{len(polys)} polynomials for {len(cfgs)} cells")
+    for p in polys:
+        if p.tag.dimension < 2:
+            raise ValueError(f"a cell over {p.tag} has no axis e_1 for the order parameter")
     tag = max((p.tag for p in polys), key=lambda t: t.dimension)
     d = tag.dimension
-    ax = _axis_coords(axis, d)
-    for p in polys:
-        if np.any(ax[p.tag.dimension:]):
-            raise ValueError(f"axis lies outside {p.tag}, the algebra of a cell")
+    ax = np.eye(d)[1]
     order = sorted(range(len(cfgs)), key=lambda k: -cfgs[k].steps)   # longest cell first
     cells = [cfgs[k] for k in order]
     widths = [polys[k].tag.dimension for k in order]
@@ -441,7 +427,7 @@ def _sample_sums(kept: np.ndarray, ax: np.ndarray) -> _KeptPhase:
 def _second_moments(kept: np.ndarray) -> np.ndarray:
     """Mean of x^2 per coordinate over all kept samples: the bits of
     ``np.mean(kept.reshape(-1, d) ** 2, axis=0)`` on a contiguous copy."""
-    return _sample_sums(kept, _axis_coords(None, kept.shape[-1])).second_moments()
+    return _sample_sums(kept, np.eye(kept.shape[-1])[1]).second_moments()
 
 
 def order_parameter_series(kept: np.ndarray, ax: np.ndarray
@@ -621,7 +607,6 @@ class PhaseDiagram:
 
 def phase_diagram(D: Deformation, eps_grid, T_grid,
                   cfg_template: GibbsConfig | None = None,
-                  axis: AlgebraElement | None = None,
                   seed: int = 0) -> PhaseDiagram:
     """Order-parameter sweep over an (epsilon, T) grid, as one Metropolis loop.
 
@@ -636,7 +621,7 @@ def phase_diagram(D: Deformation, eps_grid, T_grid,
     cfgs = [replace(cfg_template or GibbsConfig(temperature=T_list[j]),
                     temperature=T_list[j], seed=seed + 7919 * i + 104729 * j)
             for i, j in grid]
-    results = sample_gibbs_ladder([rows[i] for i, _ in grid], cfgs, axis=axis)
+    results = sample_gibbs_ladder([rows[i] for i, _ in grid], cfgs)
     cells = []
     for (i, j), res in zip(grid, results):
         eps, T = eps_list[i], T_list[j]

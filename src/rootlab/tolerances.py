@@ -38,3 +38,5 @@ TANGENTIAL_VTOL_REL = 1e-6
 
 # gradient flow
 LYAPUNOV_SLACK_REL = 1e-12
+FLOW_REL = 1e-9                    # error control of the adaptive flow integrators
+FLOW_ABS = 1e-12

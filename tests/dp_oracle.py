@@ -92,7 +92,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
         k[6] = -g_new
         y4 = y + h * (_DP_B4 @ k)
         err = y5 - y4
-        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        sc = tol.FLOW_ABS + tol.FLOW_REL * np.maximum(np.abs(y), np.abs(y5))
         err_norm = float(np.sqrt(np.mean((err / sc) ** 2)))
         steps += 1
         if err_norm <= 1.0:

@@ -162,7 +162,7 @@ def test_thermo_claims_run_one_metropolis_loop(claim_id, monkeypatch):
 
 def test_c05_runs_one_flow_pass(monkeypatch):
     # x^2+ix+1 and every quadratic flow in one ensemble call
-    calls = {"integrate_ensemble": 0, "find_attractors": 0}
+    calls = {"integrate_ensemble": 0}
 
     def counted(name):
         fn = getattr(fl, name)
@@ -175,7 +175,7 @@ def test_c05_runs_one_flow_pass(monkeypatch):
     for name in calls:
         monkeypatch.setattr(fl, name, counted(name))
     cl.run_claim("c05", quick=True, seed=SEED)
-    assert calls == {"integrate_ensemble": 1, "find_attractors": 0}
+    assert calls == {"integrate_ensemble": 1}
 
 
 def test_c13_hausdorff_discontinuity():

@@ -340,3 +340,13 @@ def test_bad_inputs_exit_2(tmp_path):
     assert r.returncode == 2
     r = run_cli("no-such-command", outdir=tmp_path)
     assert r.returncode == 2
+    # a cell over R has no axis for the order parameter: an input error
+    r_poly = "[[1],[0],[1]]"
+    for args in (("thermo", "--algebra", "R", "--poly", r_poly, "--temperature", "0.1",
+                  "--seed", "1"),
+                 ("phase-diagram", "--algebra", "R", "--base", r_poly,
+                  "--direction", "[[0],[1]]", "--eps-grid", "0:1:lin2",
+                  "--t-grid", "0.05:1:log2", *GIBBS)):
+        r = run_cli(*args, outdir=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:"), r.stderr

@@ -449,12 +449,14 @@ def test_newton_polish_converges():
     assert np.array_equal(res.jacobian, pl.jacobian_coords(P, res.point))
 
 
-def test_newton_polish_counts_steps_taken():
+def test_newton_polish_counts_steps_taken(monkeypatch):
     P = poly_xx_plus_1(QUATERNIONS)
     i = basis_element(QUATERNIONS, 1)
     assert potential(P, i) == 0.0
     # an exact root can never reach residual < 0: the loop leaves early
-    res = newton_polish(P, i, target=0.0)
+    with monkeypatch.context() as m:
+        m.setattr(tol, "NEWTON_RESIDUAL", 0.0)
+        res = newton_polish(P, i)
     assert res.iterations == 0 and res.residual == 0.0
     assert np.array_equal(res.jacobian, pl.jacobian_coords(P, i.coords))
     res = newton_polish(P, np.array([0.01, 1.02, -0.015, 0.01]))

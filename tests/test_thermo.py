@@ -9,7 +9,7 @@ import pytest
 
 from rootlab import poly as pl
 from rootlab import thermo as th
-from rootlab.algebra import COMPLEX, OCTONIONS, QUATERNIONS, basis_element, element
+from rootlab.algebra import COMPLEX, OCTONIONS, QUATERNIONS, REALS, basis_element
 from rootlab.poly import DAPolynomial, Deformation
 from rootlab.thermo import (
     GibbsConfig,
@@ -134,13 +134,16 @@ def test_exchangeability_of_off_axis_coordinates():
 
 
 def test_order_parameter_validation(monkeypatch):
-    # a bad axis is rejected before the first step: no potential is evaluated
+    # R has no axis e_1: a cell over R, alone or next to an H cell, is
+    # rejected before the first step, so no potential is evaluated
     def no_potential(*args):
-        raise AssertionError("potential evaluated before the axis check")
+        raise AssertionError("potential evaluated before the algebra check")
     monkeypatch.setattr(th, "potential_coords", no_potential)
-    with pytest.raises(ValueError):
-        sample_gibbs(central(), GibbsConfig(0.05, chains=4, steps=2000, seed=1),
-                     axis=element(QUATERNIONS, [1, 0, 0, 0]))
+    cfg = GibbsConfig(0.05, chains=4, steps=2000, seed=1)
+    with pytest.raises(ValueError, match="over R"):
+        sample_gibbs(central(REALS), cfg)
+    with pytest.raises(ValueError, match="over R"):
+        sample_gibbs_ladder([central(), central(REALS)], [cfg, cfg])
     with pytest.raises(SamplerDiagnosticError):
         order_parameter_series(np.zeros((100, 1, 4)), basis_element(QUATERNIONS, 1).coords)
 
@@ -428,10 +431,6 @@ def test_chunked_stats_match_one_shot_formulas(d):
 
 def test_ladder_rejects_mixed_cells():
     base = GibbsConfig(0.01, chains=2, steps=200)
-    # e5 lies outside an H cell's subalgebra of the O loop
-    with pytest.raises(ValueError, match="outside H"):
-        sample_gibbs_ladder([central(), central(OCTONIONS)], [base, base],
-                            axis=basis_element(OCTONIONS, 5))
     with pytest.raises(ValueError):
         sample_gibbs_ladder([central(), canonical()], [base])
     with pytest.raises(ValueError):
