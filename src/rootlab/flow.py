@@ -26,18 +26,19 @@ place: those attractors, the base sphere and the axis of the attractor the
 sphere collapses onto.  On top of these: collapse-time measurement from a
 start exactly pi/3 from that axis, the log-log scaling fit of collapse time
 against perturbation size, basin decomposition of the initial sphere, and
-restricted potential scans.  Basin labels run on a fixed-step damped
-Runge-Kutta-Chebyshev stepper in lockstep (``ensemble_labels``): explicit,
-with one batched gradient call per stage, and with a real stability
-interval that grows as about 0.65 s^2 in its stage count s, which suits a
-gradient flow, whose spectrum is real; a row that diverges on the fixed
-step leaves the batch unlabelled.  They also report the largest rise of V
-along any labelled trajectory, the evidence that the flow is a
-deformation retract onto the attractors.
+restricted potential scans.  Basin labels run on a damped
+Runge-Kutta-Chebyshev stepper in lockstep with per-row error control
+(``ensemble_labels``): explicit, with one batched gradient call per stage,
+and with a real stability interval that grows as about 0.65 s^2 in its
+stage count s, which suits a gradient flow, whose spectrum is real; a row
+that goes non-finite leaves the batch unlabelled.  They also report the
+largest rise of V along any labelled trajectory, the evidence that the
+flow is a deformation retract onto the attractors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -362,15 +363,13 @@ def _hermite_crossing(y0, f0, y1, f1, h: float, a: np.ndarray, radius: float):
     return hi, offset(hi) + a
 
 
-def _capture_rows(Y: np.ndarray, att: np.ndarray | None, radius: float) -> np.ndarray:
+def _capture_rows(Y: np.ndarray, att: np.ndarray, radius: float) -> np.ndarray:
     """Index of the attractor capturing each row of Y, -1 where none does.
 
     One attractor at a time, keeping each row's nearest so far: no
     (rows, attractors, d) broadcast, and ties go to the first attractor.
     """
     index = np.full(Y.shape[0], -1)
-    if att is None:
-        return index
     best = np.full(Y.shape[0], radius * radius)
     for j, a in enumerate(att):
         d2 = np.add.reduce((Y - a) ** 2, axis=1)
@@ -812,6 +811,21 @@ def scaling_fit(epsilons, times) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+@dataclass(frozen=True)
+class LabelStats:
+    """Deterministic effort counters of one ``ensemble_labels`` run."""
+
+    steps: int                     # lockstep steps
+    gradient_calls: int            # stages summed over steps (the starts take one more)
+    rejected: int                  # row-steps rejected by the error test
+    stages_max: int                # most RKC stages in one step
+    h_min: float                   # smallest and largest accepted row step
+    h_max: float
+
+    def effort(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass
 class BasinReport:
     starts: np.ndarray
@@ -823,14 +837,12 @@ class BasinReport:
     max_residual: float
     unconverged: list[int]
     max_rise: float                # largest V - V(start) along the labelled flow
-    step: float                    # the labelling flow's fixed step h
-    steps: int                     # its lockstep steps
-    stages: int                    # RKC stages per step, one gradient call each
+    stats: LabelStats              # the labelling flow's effort
 
     def effort(self) -> dict:
-        """The labelling flow's step, steps, stages and batched gradient calls."""
-        return {"step": self.step, "steps": self.steps, "stages": self.stages,
-                "gradient_calls": self.steps * self.stages}
+        """The labelling flow's steps, batched gradient calls, rejections,
+        largest stage count and accepted step range."""
+        return self.stats.effort()
 
 
 EQUATOR_BAND = 0.05
@@ -838,6 +850,7 @@ RKC_DAMPING = 2.0 / 13.0           # damping of the Chebyshev stability polynomi
 RKC_MARGIN = 2.5 / 2.79            # h*lam kept this far inside the stability bound
 
 
+@functools.lru_cache(maxsize=None)
 def _rkc_stages(s: int) -> tuple[float, np.ndarray]:
     """Damped s-stage Runge-Kutta-Chebyshev coefficients, s >= 2.
 
@@ -846,7 +859,7 @@ def _rkc_stages(s: int) -> tuple[float, np.ndarray]:
     (Sommeijer, Shampine & Verwer 1997).  Returns the real stability bound
     beta = (1 + w0) / w1, |R_s| <= 1 on [-beta, 0], and one row
     (mu, nu, mu~, gamma~) per stage j = 1..s of the recurrence that
-    ``_rkc_step`` runs; stage 1 reads only mu~.
+    ``_rkc_step`` runs; stage 1 reads only mu~.  Cached: one table per s.
     """
     w0 = 1.0 + RKC_DAMPING / s ** 2
     T, dT, ddT = np.zeros(s + 1), np.zeros(s + 1), np.zeros(s + 1)
@@ -864,13 +877,15 @@ def _rkc_stages(s: int) -> tuple[float, np.ndarray]:
     table = np.column_stack([
         np.r_[1.0, mu], np.r_[0.0, -b[2:] / b[:-2]], np.r_[b[1] * w1, mu_t],
         np.r_[0.0, -(1.0 - b[1:-1] * T[1:-1]) * mu_t]])
+    table.setflags(write=False)         # shared by every caller through the cache
     return (1.0 + w0) / w1, table
 
 
-def _rkc_step(flow, y, f0, h: float, table: np.ndarray):
+def _rkc_step(flow, y, f0, h, table: np.ndarray):
     """One step h of y' = flow(y) on the stages of ``_rkc_stages``; f0 = flow(y).
 
-    Makes s - 1 calls of ``flow``, so a step costs s evaluations with f0.
+    h is a scalar or a (rows, 1) column with one step per row.  Makes s - 1
+    calls of ``flow``, so a step costs s evaluations with f0.
     """
     prev2, prev = y, y + (h * table[0, 2]) * f0
     for mu, nu, mu_t, gamma_t in table[1:]:
@@ -879,71 +894,105 @@ def _rkc_step(flow, y, f0, h: float, table: np.ndarray):
     return prev
 
 
+def _rkc_error(y0, y1, f0, f1, h):
+    """Local error estimate of an RKC step h from y0 to y1, with the flow f0
+    and f1 at its ends: (12 (y0 - y1) + 6 h (f0 + f1)) / 15, O(h^3)
+    (Sommeijer, Shampine & Verwer 1997)."""
+    return (12.0 * (y0 - y1) + 6.0 * h * (f0 + f1)) / 15.0
+
+
 def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors, max_time: float
-                    ) -> tuple[np.ndarray, np.ndarray, float, float, int, int]:
+                    ) -> tuple[np.ndarray, np.ndarray, float, LabelStats]:
     """Capture labels for a batch of starts, integrated in lockstep.
 
-    Fixed-step damped Runge-Kutta-Chebyshev on the rows not yet captured; a
-    row leaves the batch as soon as it enters ``STOP_RADIUS`` of an
-    attractor.  The flow's Jacobian -Hess V is symmetric, so its spectrum
-    is real and the stepper needs only a long real stability interval.  The
-    step is 0.5, cut to 5 / lam where lam = max 2 sigma_max(J)^2 is the
-    stiffest potential-Hessian eigenvalue at the attractors, and the stage
-    count s is the smallest whose stability bound, times ``RKC_MARGIN``,
-    holds h lam, so the decay onto the attractors stays stable (s = 3 for
-    c10).  A step makes s batched gradient calls, the first with V.  Labels
-    agree with per-trajectory adaptive integration and with the classical
-    RK4 loop this replaced (checked in tests) at a small fraction of the
-    cost.  Once the largest rise reads non-finite, the rows whose V is
-    non-finite leave the batch unlabelled, keeping their last state, so a
-    diverged row does not hold the loop open to max_time.  Returns (labels,
-    final points, largest V - V(start) at any step of any row, the step h,
-    the number of lockstep steps taken, the stages per step); -1 marks rows
-    still free at max_time or diverged.
+    Damped Runge-Kutta-Chebyshev with per-row error control on the rows not
+    yet captured; a row leaves the batch as soon as it enters
+    ``STOP_RADIUS`` of an attractor.  The flow's Jacobian -Hess V is
+    symmetric, so its spectrum is real and the stepper needs only a long
+    real stability interval.  Each row has its own step h and clock, and is
+    accepted or rejected on its own by the embedded error estimate
+    ``_rkc_error``, an RMS over ``tol.LABEL_ABS`` + ``tol.LABEL_REL`` max(|y|)
+    at both ends of the step; F at the step's end comes from the batched
+    call that starts the next step, so the estimate costs no evaluation.
+    The controller is h <- h clip(0.8 err^(-1/3), 0.1, 5), with no growth
+    right after a rejection; h starts at 0.5, cut to 5 / lam.  Here lam =
+    max 2 sigma_max(J)^2 is the stiffest potential-Hessian eigenvalue at the
+    attractors, and the stage count s of a step is the smallest whose
+    stability bound, times ``RKC_MARGIN``, holds the largest h of the batch
+    times lam.  So a row's stage count depends on the batch it rides in:
+    one slow row with a long step gives every row that step's stages.  A
+    step makes s batched gradient calls, the last with V.  Labels agree
+    with per-trajectory adaptive integration and with the classical RK4
+    loop this replaced (checked in tests) at a small fraction of the cost.
+    A row whose error or V reads non-finite, or whose step underflows its
+    clock, leaves the batch unlabelled with its last accepted state, so it
+    does not hold the loop open; a non-finite row makes the largest rise
+    NaN.  Raises ``ValueError`` without attractors.  Returns (labels, final
+    points, largest V - V(start) at any accepted step of any row, the
+    effort counters); -1 marks rows still free at max_time or dropped.
     """
     X = np.array(starts, dtype=float)
     att = _attractor_coords(attractors)
-    h, lam = 0.5, 0.0
-    if att is not None:
-        sigma = np.linalg.norm(jacobian_coords(P, att), ord=2, axis=(-2, -1))
-        lam = float(np.max(2.0 * sigma * sigma))
-        h = min(h, 5.0 / lam)
-    stages = 2
-    beta, table = _rkc_stages(stages)
-    while RKC_MARGIN * beta < h * lam:
-        stages += 1
-        beta, table = _rkc_stages(stages)
+    if att is None:
+        raise ValueError("ensemble_labels needs at least one attractor")
+    sigma = np.linalg.norm(jacobian_coords(P, att), ord=2, axis=(-2, -1))
+    lam = float(np.max(2.0 * sigma * sigma))
 
     def flow(Z):
         return -gradient_coords_batch(P, Z)
     labels = _capture_rows(X, att, STOP_RADIUS)
     row = np.flatnonzero(labels < 0)        # rows still running, in start order
     Y = X[row]
-    t = 0.0
+    pv, g = value_gradient_batch(P, Y)
+    v0 = np.einsum("ij,ij->i", pv, pv)
+    F = -g
+    h = np.full((row.size, 1), min(0.5, 5.0 / lam))
+    t = np.zeros(row.size)
+    may_grow = np.ones(row.size, dtype=bool)    # False right after a rejection
     rise = 0.0
-    steps = 0
-    while t < max_time and row.size:
-        pv, g = value_gradient_batch(P, Y)
-        v = np.einsum("ij,ij->i", pv, pv)
-        if t == 0.0:
-            v0 = v
-        rise = float(np.maximum(rise, np.max(v - v0)))     # NaN stays NaN
-        if not math.isfinite(rise):
-            diverged = ~np.isfinite(v)
-            X[row[diverged]] = Y[diverged]
-            row, Y, g, v0 = row[~diverged], Y[~diverged], g[~diverged], v0[~diverged]
-            if not row.size:
-                break
-        Y = _rkc_step(flow, Y, -g, h, table)
-        t += h
+    steps = calls = rejected = stages_max = 0
+    h_min, h_max = math.inf, 0.0
+    while row.size:
+        h = np.minimum(h, (max_time - t)[:, None])
+        stages = 2
+        while RKC_MARGIN * _rkc_stages(stages)[0] < float(h.max()) * lam:
+            stages += 1
+        Y1 = _rkc_step(flow, Y, F, h, _rkc_stages(stages)[1])
+        pv, g = value_gradient_batch(P, Y1)
+        v1 = np.einsum("ij,ij->i", pv, pv)
         steps += 1
+        calls += stages
+        stages_max = max(stages_max, stages)
+        scale = tol.LABEL_ABS + tol.LABEL_REL * np.maximum(np.abs(Y), np.abs(Y1))
+        err = np.sqrt(np.mean((_rkc_error(Y, Y1, F, -g, h) / scale) ** 2, axis=1))
+        finite = np.isfinite(err) & np.isfinite(v1)
+        ok = err <= 1.0
+        rejected += int(np.count_nonzero(finite & ~ok))
+        if not np.all(finite):
+            rise = math.nan
+        if np.any(ok):
+            rise = float(np.maximum(rise, np.max(v1[ok] - v0[ok])))   # NaN stays NaN
+            h_min = min(h_min, float(h[ok].min()))
+            h_max = max(h_max, float(h[ok].max()))
+        t = np.where(ok, t + h[:, 0], t)
+        Y = np.where(ok[:, None], Y1, Y)
+        F = np.where(ok[:, None], -g, F)
+        with np.errstate(divide="ignore"):
+            factor = np.clip(0.8 * err ** (-1.0 / 3.0), 0.1, 5.0)
+        h = h * np.where(may_grow, factor, np.minimum(factor, 1.0))[:, None]
+        may_grow = ok
         idx = _capture_rows(Y, att, STOP_RADIUS)
         hit = idx >= 0
         labels[row[hit]] = idx[hit]
-        X[row[hit]] = Y[hit]
-        row, Y, v0 = row[~hit], Y[~hit], v0[~hit]
+        leave = (hit | ~finite | (t >= max_time)
+                 | (h[:, 0] < 1e-14 * np.maximum(1.0, t)))
+        X[row[leave]] = Y[leave]
+        keep = ~leave
+        row, Y, F, v0, h, t, may_grow = (
+            row[keep], Y[keep], F[keep], v0[keep], h[keep], t[keep], may_grow[keep])
     X[row] = Y
-    return labels, X, rise, h, steps, stages
+    return labels, X, rise, LabelStats(steps, calls, rejected, stages_max,
+                                       h_min if h_max else 0.0, h_max)
 
 
 def _sphere_starts(D: Deformation, P: DAPolynomial, n_samples: int,
@@ -959,16 +1008,15 @@ def basin_decomposition(D: Deformation, eps: float, n_samples: int,
                         seed: int = 0) -> BasinReport:
     """Label sphere starts by the attractor that captures them.
 
-    ``max_rise`` is the deformation-retract evidence.  Off-manifold starts
-    are checked by the final points of ``integrate_ensemble`` instead: the
-    labels' step and stage count are set by the stiffness at the
-    attractors, and on them 19 of 20 Gaussian sigma = 2 starts at eps = 0.3
-    diverge and leave the batch unlabelled.
+    ``max_rise`` is the deformation-retract evidence.  The labels come
+    from ``ensemble_labels``, whose error control labels off-manifold starts
+    as well (Gaussian sigma = 2 starts at eps = 0.3 as the adaptive flow
+    does, in tests), so the sphere is not the only start set it serves.
     """
     P = D.at(eps)
     attractors, axis, X0, band = _sphere_starts(D, P, n_samples,
                                                 np.random.default_rng(seed))
-    labels, finals, max_rise, h, steps, stages = ensemble_labels(
+    labels, finals, max_rise, stats = ensemble_labels(
         P, X0, attractors, max_time=max(1e4, 400.0 / eps ** 2))
     captured = labels >= 0
     max_res = 0.0
@@ -980,7 +1028,7 @@ def basin_decomposition(D: Deformation, eps: float, n_samples: int,
         j: float(np.mean(labels == j)) for j in range(len(attractors))
     }
     return BasinReport(X0, labels, attractors, axis, fractions, band,
-                       max_res, unconverged, max_rise, h, steps, stages)
+                       max_res, unconverged, max_rise, stats)
 
 
 @dataclass(frozen=True)

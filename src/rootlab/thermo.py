@@ -413,37 +413,6 @@ class _KeptPhase:
         return m, float(np.sqrt((groups - 1) / groups * np.sum((loo - loo.mean()) ** 2)))
 
 
-def _sample_sums(kept: np.ndarray, ax: np.ndarray) -> _KeptPhase:
-    """The running sums of a whole (kept, chains, d) sample array, folded
-    STATS_CHUNK steps at a time as the Metropolis loop folds them (with no
-    V series: its entries stay zero)."""
-    n, chains, d = kept.shape
-    sums = _KeptPhase(n, chains, ax)
-    for lo in range(0, n, STATS_CHUNK):
-        sums.fold(kept[lo:lo + STATS_CHUNK], 0.0)
-    return sums
-
-
-def _second_moments(kept: np.ndarray) -> np.ndarray:
-    """Mean of x^2 per coordinate over all kept samples: the bits of
-    ``np.mean(kept.reshape(-1, d) ** 2, axis=0)`` on a contiguous copy."""
-    return _sample_sums(kept, np.eye(kept.shape[-1])[1]).second_moments()
-
-
-def order_parameter_series(kept: np.ndarray, ax: np.ndarray
-                           ) -> tuple[float, float]:
-    """Order parameter plus a leave-one-chain-out jackknife standard error.
-
-    m is the pooled ratio sum(<Im x, ax>^2) / sum(|Im x|^2), taken from the
-    per-chain sums.  Chains can sit near different roots for the whole run,
-    so chains disagree far more than time blocks of the same chains do; the
-    error bar therefore drops each chain in turn from both sums of the
-    ratio.  A single chain falls back to N_BATCHES contiguous time blocks as
-    the dropped groups.
-    """
-    return _sample_sums(kept, ax).order_parameter()
-
-
 def order_parameter_quadrature(P: DAPolynomial, T: float, nodes: int) -> float:
     """<x1^2> / <|Im x|^2> under exp(-V/T), by tensor Gauss-Legendre.
 

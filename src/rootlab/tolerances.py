@@ -40,3 +40,5 @@ TANGENTIAL_VTOL_REL = 1e-6
 LYAPUNOV_SLACK_REL = 1e-12
 FLOW_REL = 1e-9                    # error control of the adaptive flow integrators
 FLOW_ABS = 1e-12
+LABEL_REL = 1e-3                   # error control of the basin labels' RKC stepper
+LABEL_ABS = 1e-6

@@ -105,12 +105,14 @@ def test_c10_basins():
     # V never rises along the labelled flow, at a second seed as well
     result = _run("c10")
     assert result.details["max_rise"] <= 1e-10, result.details
-    # the labelling flow's effort: about 1,750 lockstep steps of 3 RKC
-    # stages at seed 1, one batched gradient call per stage
+    # the labelling flow's effort at seed 1: about 70 error-controlled
+    # lockstep steps (1,754 fixed steps, 5,262 batched gradient calls before
+    # error control); the call count is deterministic
     d = result.details
-    assert abs(d["steps"] - 1754) <= 17, d
-    assert (d["step"], d["stages"]) == (0.5, 3), d
-    assert d["gradient_calls"] == 3 * d["steps"], d
+    assert abs(d["steps"] - 71) <= 7, d
+    assert d["gradient_calls"] < 2000, d
+    assert 2 * d["steps"] <= d["gradient_calls"] <= d["stages_max"] * d["steps"], d
+    assert 0.0 < d["h_min"] <= d["h_max"], d
     assert cl.run_claim("c10", quick=False, seed=2).details["max_rise"] <= 1e-10
 
 

@@ -134,9 +134,9 @@ def test_outputs_byte_identical_for_same_seed(tmp_path):
 
 
 def test_basins_summary_gains_only_the_flow_counters(tmp_path):
-    # the labelling flow's step, steps, stages and gradient calls are the
-    # report's effort; every other line of the artifact is the one the
-    # report's fields gave before they existed
+    # the labelling flow's steps, gradient calls, rejections, largest stage
+    # count and step range are the report's effort; every other line of the
+    # artifact is the one the report's fields gave before they existed
     r = run_cli("basins", "--eps", "0.08", "--samples", "40", "--seed", "1",
                 outdir=tmp_path)
     assert r.returncode == 0, r.stderr
@@ -147,7 +147,9 @@ def test_basins_summary_gains_only_the_flow_counters(tmp_path):
                                  seed=cfg["seed"])
     effort = rep.effort()
     assert {k: doc[k] for k in effort} == effort
-    assert rep.steps > 0
+    assert set(effort) == {"steps", "gradient_calls", "rejected", "stages_max",
+                           "h_min", "h_max"}
+    assert effort["steps"] > 0
     old = {"config": cfg,
            "attractors": [[float(v) for v in a.coords] for a in rep.attractors],
            "fractions": {str(k): v for k, v in rep.fractions.items()},

@@ -408,7 +408,8 @@ def test_hemisphere_examples_and_equator_flag():
 def test_basins_converge_at_cli_default_eps():
     # at eps = 0.5 the stiffest Hessian eigenvalue at the attractors is 12.5:
     # a fixed step h = 0.25 once left RK4 unstable and every row blew up;
-    # the labels step h = 5 / 12.5 = 0.4 on 4 Chebyshev stages
+    # the labels start at h = 5 / 12.5 = 0.4, and each step takes the
+    # Chebyshev stages that hold its batch's longest step
     rep = basin_decomposition(benchmark(), 0.5, 100, seed=2)
     assert rep.unconverged == []
     assert sum(rep.fractions.values()) == pytest.approx(1.0)
@@ -447,6 +448,20 @@ def test_rkc_stages_are_second_order_and_stable_to_beta():
     assert round(fl._rkc_stages(10)[0], 1) == 64.7
 
 
+def test_rkc_error_estimate_is_third_order():
+    # on y' = z y the embedded estimate of one step from y = 1 shrinks as
+    # h^3: halving h divides it by 8 for every stage count
+    z = -1.0
+    for s in range(2, 11):
+        table = fl._rkc_stages(s)[1]
+
+        def est(h):
+            y1 = fl._rkc_step(lambda y: z * y, np.ones(1), np.full(1, z), h, table)
+            return abs(fl._rkc_error(1.0, y1, z, z * y1, h)[0])
+        ratios = [est(h) / est(h / 2.0) for h in (0.04, 0.02, 0.01)]
+        assert np.allclose(ratios, 8.0, rtol=0.05), (s, ratios)
+
+
 @pytest.mark.parametrize("eps", [0.08, 0.3, 0.5, 1.0, 2.0, 3.0])
 def test_ensemble_labels_match_rk4_oracle(eps):
     # the Chebyshev labels equal those of the RK4 loop they replaced, with
@@ -459,6 +474,20 @@ def test_ensemble_labels_match_rk4_oracle(eps):
     assert np.array_equal(labels, rk4_oracle.ensemble_labels(P, starts, att, max_time)[0])
     assert np.all(labels >= 0)
     assert rise <= 1e-10
+
+
+@pytest.mark.parametrize("eps", [0.08, 0.3, 0.5, 1.0, 2.0, 3.0])
+def test_ensemble_labels_do_not_move_with_a_tighter_tolerance(eps, monkeypatch):
+    # the RK4-oracle starts labelled at LABEL_REL and at a tenth of it
+    D = benchmark()
+    P = D.at(eps)
+    att, _, starts, _ = fl._sphere_starts(D, P, 100, np.random.default_rng(3))
+    max_time = max(1e4, 400.0 / eps ** 2)
+    labels, _, _, stats = ensemble_labels(P, starts, att, max_time)
+    monkeypatch.setattr(fl.tol, "LABEL_REL", fl.tol.LABEL_REL / 10.0)
+    tight, _, _, tight_stats = ensemble_labels(P, starts, att, max_time)
+    assert np.array_equal(labels, tight)
+    assert tight_stats.gradient_calls > stats.gradient_calls
 
 
 def _sphere_and_gaussian_starts(D, seed):
@@ -629,21 +658,46 @@ def test_flow_captures_starts_and_never_raises_potential():
     assert basin_decomposition(D, eps, 80, seed=9).max_rise <= 1e-10
 
 
-def test_ensemble_labels_drop_diverged_rows():
-    # the Gaussian starts above on the labels' fixed step: 19 of 20 rows
-    # diverge and leave the batch unlabelled, so the loop ends once the one
-    # convergent row is captured instead of running to max_time (21,160
-    # steps when diverged rows stayed in the batch)
+def test_ensemble_labels_match_adaptive_flow_off_manifold():
+    # the Gaussian starts above: on the old fixed step 19 of 20 diverged;
+    # under error control every one is labelled by the attractor that
+    # captures its adaptive flow at FLOW_REL, with V never rising; the flow
+    # is the lockstep Dormand-Prince ensemble, pinned to its per-start
+    # oracle above (0.6 s here; 20 ``integrate`` runs take about 19 s and
+    # give the same labels)
     D = benchmark()
     P = D.at(0.3)
     rng = np.random.default_rng(9)
     att = fl._sphere_starts(D, P, 80, rng)[0]
     starts = rng.normal(scale=2.0, size=(20, 4))
-    with np.errstate(over="ignore", invalid="ignore"):
-        labels, _, rise, _, steps, _ = ensemble_labels(P, starts, att, 1e4)
-    assert steps < 1000
-    assert np.array_equal(labels, np.where(np.arange(20) == 14, 0, -1))
+    labels, _, rise, stats = ensemble_labels(P, starts, att, 1e4)
+    ens = fl.integrate_ensemble(P, starts, FlowConfig(max_time=1e4))
+    assert np.all(ens.kinds == "converged")
+    expected = fl._capture_rows(ens.points, np.stack([a.coords for a in att]),
+                                fl.STOP_RADIUS)
+    assert np.all(expected >= 0)
+    assert np.array_equal(labels, expected)
+    assert rise <= 1e-10
+    assert stats.gradient_calls < 1000, stats
+
+
+def test_ensemble_labels_drop_a_nan_row():
+    # a row whose error and V read NaN leaves the batch unlabelled with its
+    # start kept; the loop still ends and every other row is captured
+    D = benchmark()
+    P = D.at(0.3)
+    att, _, starts, _ = fl._sphere_starts(D, P, 12, np.random.default_rng(4))
+    starts[5] = np.nan
+    with np.errstate(invalid="ignore"):
+        labels, finals, rise, _ = ensemble_labels(P, starts, att, 1e4)
+    assert np.array_equal(labels < 0, np.arange(12) == 5)
+    assert np.all(np.isnan(finals[5]))
     assert np.isnan(rise)
+
+
+def test_ensemble_labels_need_attractors():
+    with pytest.raises(ValueError, match="attractor"):
+        ensemble_labels(benchmark().at(0.3), np.ones((3, 4)), [], 1e4)
 
 
 def test_flow_static_at_zero():
