@@ -959,12 +959,13 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors, max_time: f
             stages += 1
         Y1 = _rkc_step(flow, Y, F, h, _rkc_stages(stages)[1])
         pv, g = value_gradient_batch(P, Y1)
+        F1 = -g
         v1 = np.einsum("ij,ij->i", pv, pv)
         steps += 1
         calls += stages
         stages_max = max(stages_max, stages)
         scale = tol.LABEL_ABS + tol.LABEL_REL * np.maximum(np.abs(Y), np.abs(Y1))
-        err = np.sqrt(np.mean((_rkc_error(Y, Y1, F, -g, h) / scale) ** 2, axis=1))
+        err = np.sqrt(np.mean((_rkc_error(Y, Y1, F, F1, h) / scale) ** 2, axis=1))
         finite = np.isfinite(err) & np.isfinite(v1)
         ok = err <= 1.0
         rejected += int(np.count_nonzero(finite & ~ok))
@@ -976,7 +977,7 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors, max_time: f
             h_max = max(h_max, float(h[ok].max()))
         t = np.where(ok, t + h[:, 0], t)
         Y = np.where(ok[:, None], Y1, Y)
-        F = np.where(ok[:, None], -g, F)
+        F = np.where(ok[:, None], F1, F)
         with np.errstate(divide="ignore"):
             factor = np.clip(0.8 * err ** (-1.0 / 3.0), 0.1, 5.0)
         h = h * np.where(may_grow, factor, np.minimum(factor, 1.0))[:, None]
