@@ -220,9 +220,7 @@ def claim_localization(quick: bool, seed: int) -> ClaimResult:
     quad_rows = [{**_recall(Q, s.attractors), **s.effort()}
                  for Q, s in zip(quads, searches)]
     total = {k: sum(row[k] for row in [recall, *quad_rows]) for k in recall}
-    search = {k: sum(row[k] for row in quad_rows)
-              for k in ("steps", "accepted", "rhs_evals", "newton_iterations")}
-    lockstep = [row["lockstep_steps"] for row in quad_rows]
+    lockstep = [row["steps"] for row in quad_rows]
     return ClaimResult(
         "c05", "isolated roots live in the coefficient subalgebra",
         "i-axis roots for x^2+ix+1; complex-coefficient quadratics localize into C",
@@ -232,8 +230,11 @@ def claim_localization(quick: bool, seed: int) -> ClaimResult:
             "recall": total, "x^2+ix+1": {**recall, **first.effort()},
             "quadratics": quad_rows,
             # one pass takes the slowest quadratic's steps, not their sum
-            "quadratic_search": {"lockstep_steps": max(lockstep),
-                                 "lockstep_steps_if_separate": sum(lockstep), **search}})
+            "quadratic_search": {
+                "steps": max(lockstep), "steps_if_separate": sum(lockstep),
+                "gradient_calls": max(row["gradient_calls"] for row in quad_rows),
+                **{k: sum(row[k] for row in quad_rows)
+                   for k in ("rejected", "newton_iterations")}}})
 
 
 def claim_breathing(quick: bool, seed: int) -> ClaimResult:

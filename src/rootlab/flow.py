@@ -6,18 +6,22 @@ trajectory and keeps its samples; it is the linearly implicit W-method
 ROS34PW2, whose step is set by accuracy alone, not by the fast radial decay
 onto the root set, and collapse times run on it.  It evaluates each point
 once: an accepted step makes four kernel calls, and its one SVD factors the
-J returned with the value and gradient of the point it starts from.
-``integrate_ensemble`` steps a whole start set in lockstep with an
-embedded Dormand-Prince 5(4) pair, one batched value-and-gradient call per
-stage, under one polynomial or under one polynomial per row, and with one
-``FlowConfig`` or one per row; it captures no row at an attractor, so each
-row ends on a stop test.  Both integrators control their error with
-``tol.FLOW_REL`` and ``tol.FLOW_ABS``.  Multistart attractor search runs
-on the ensemble: searches that differ in polynomial, start set and stop
-test share one pass (c05's 12-start search on x^2 + ix + 1 and its 5-start
-quadratic searches, 323 lockstep steps at seed 1), and each reports its
-flow's deterministic effort counters and the Newton iterations of its
-polish.  Attractors are isolated full-rank roots, Newton-polished in one
+J returned with the value and gradient of the point it starts from; it
+controls its error with ``tol.FLOW_REL`` and ``tol.FLOW_ABS``.
+``_rkc_ensemble`` steps a whole start set in lockstep on a damped
+Runge-Kutta-Chebyshev (RKC) stepper with per-row error control
+(``tol.LABEL_REL``, ``tol.LABEL_ABS``): explicit, with one batched
+gradient call per stage, and with a real stability interval that grows as
+about 0.65 s^2 in its stage count s, which suits a gradient flow, whose
+spectrum is real.  It runs under one polynomial or one per row, and each
+row leaves the batch on its own stop rule: capture by an attractor (basin
+labels), a gradient stop or a time limit (search), or a step that
+underflows its clock.  Multistart attractor search and basin labels run on
+it: searches that differ in polynomial, start set and stop test share one
+pass (c05's 12-start search on x^2 + ix + 1 and its 5-start quadratic
+searches), and each reports its rows' deterministic effort counters and
+the Newton iterations of its polish.  Attractors are isolated full-rank
+roots, Newton-polished in one
 place: multistart search gets its candidates from the flow, while
 collapse times and basins start Newton from the isolated points of
 ``manifolds.root_set``, with no flow and no seed.  Collapse
@@ -26,14 +30,9 @@ place: those attractors, the base sphere and the axis of the attractor the
 sphere collapses onto.  On top of these: collapse-time measurement from a
 start exactly pi/3 from that axis, the log-log scaling fit of collapse time
 against perturbation size, basin decomposition of the initial sphere, and
-restricted potential scans.  Basin labels run on a damped
-Runge-Kutta-Chebyshev stepper in lockstep with per-row error control
-(``ensemble_labels``): explicit, with one batched gradient call per stage,
-and with a real stability interval that grows as about 0.65 s^2 in its
-stage count s, which suits a gradient flow, whose spectrum is real; a row
-that goes non-finite leaves the batch unlabelled.  They also report the
-largest rise of V along any labelled trajectory, the evidence that the
-flow is a deformation retract onto the attractors.
+restricted potential scans.  Basin labels (``ensemble_labels``) also
+report the largest rise of V along any labelled trajectory, the evidence
+that the flow is a deformation retract onto the attractors.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from .poly import (
     DAPolynomial,
     Deformation,
     evaluate_coords,
-    gradient_coords_batch,
     jacobian_coords,
     newton_polish,
     potential_coords,
@@ -74,7 +72,7 @@ from .poly import (
 
 
 STOP_RADIUS = 0.05                 # a trajectory this close to an attractor is captured
-MAX_STEPS = 5_000_000              # step budget of one trajectory or ensemble row
+MAX_STEPS = 5_000_000              # step budget of one trajectory
 
 
 @dataclass(frozen=True)
@@ -127,19 +125,6 @@ class Trajectory:
     def final_time(self) -> float:
         return float(self.times[-1])
 
-
-# Dormand-Prince 5(4) tableau; row 6 of _DP_A is the 5th-order solution
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
 
 # ROS34PW2 (Rang & Angermann, BIT 45, 2005): L-stable, stiffly accurate
 # W-method of order 3 for any W, embedded order 2.  Transformed form of
@@ -387,175 +372,275 @@ def _initial_step(y_norm, f_norm):
     return np.where(f_norm == 0.0, 1e-6, h)
 
 
-_TERMINAL_KINDS = ("converged", "max_time", "stalled")
-_CONVERGED, _MAX_TIME, _STALLED = range(3)
+RKC_DAMPING = 2.0 / 13.0           # damping of the Chebyshev stability polynomial
+RKC_MARGIN = 2.5 / 2.79            # h*lam kept this far inside the stability bound
+RKC_MAX_STAGES = 64                # most stages of one step; h is cut where it binds
+RKC_RHO_SAFETY = 1.2               # on the power-iteration stiffness (SSV97's factor)
+
+ENDS = ("captured", "gradient", "time", "dropped")     # how a row leaves the ensemble
+_CAPTURED, _GRADIENT, _TIME, _DROPPED = range(len(ENDS))
+
+
+@functools.lru_cache(maxsize=None)
+def _rkc_stages(s: int) -> tuple[float, np.ndarray]:
+    """Damped s-stage Runge-Kutta-Chebyshev coefficients, s >= 2.
+
+    The stability polynomial is R_s(z) = a_s + b_s T_s(w0 + w1 z), with
+    w0 = 1 + RKC_DAMPING / s^2 and w1 = T_s'(w0) / T_s''(w0), second order
+    (Sommeijer, Shampine & Verwer 1997).  Returns the real stability bound
+    beta = (1 + w0) / w1, |R_s| <= 1 on [-beta, 0], and one row
+    (mu, nu, mu~, gamma~) per stage j = 1..s of the recurrence that
+    ``_rkc_step`` runs; stage 1 reads only mu~.  Cached: one table per s.
+    """
+    w0 = 1.0 + RKC_DAMPING / s ** 2
+    T, dT, ddT = np.zeros(s + 1), np.zeros(s + 1), np.zeros(s + 1)
+    T[0], T[1], dT[1] = 1.0, w0, 1.0
+    for j in range(2, s + 1):          # Chebyshev T_j and its derivatives at w0
+        T[j] = 2.0 * w0 * T[j - 1] - T[j - 2]
+        dT[j] = 2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2]
+        ddT[j] = 4.0 * dT[j - 1] + 2.0 * w0 * ddT[j - 1] - ddT[j - 2]
+    w1 = dT[s] / ddT[s]
+    b = np.empty(s + 1)
+    b[2:] = ddT[2:] / dT[2:] ** 2
+    b[:2] = b[2]
+    mu = 2.0 * w0 * b[2:] / b[1:-1]
+    mu_t = 2.0 * w1 * b[2:] / b[1:-1]
+    table = np.column_stack([
+        np.r_[1.0, mu], np.r_[0.0, -b[2:] / b[:-2]], np.r_[b[1] * w1, mu_t],
+        np.r_[0.0, -(1.0 - b[1:-1] * T[1:-1]) * mu_t]])
+    table.setflags(write=False)         # shared by every caller through the cache
+    return (1.0 + w0) / w1, table
+
+
+def _rkc_step(flow, y, f0, h, table: np.ndarray):
+    """One step h of y' = flow(y) on the stages of ``_rkc_stages``; f0 = flow(y).
+
+    h is a scalar or a (rows, 1) column with one step per row.  Makes s - 1
+    calls of ``flow``, so a step costs s evaluations with f0.
+    """
+    prev2, prev = y, y + (h * table[0, 2]) * f0
+    for mu, nu, mu_t, gamma_t in table[1:]:
+        prev2, prev = prev, ((1.0 - mu - nu) * y + mu * prev + nu * prev2
+                             + (h * mu_t) * flow(prev) + (h * gamma_t) * f0)
+    return prev
+
+
+def _rkc_error(y0, y1, f0, f1, h):
+    """Local error estimate of an RKC step h from y0 to y1, with the flow f0
+    and f1 at its ends: (12 (y0 - y1) + 6 h (f0 + f1)) / 15, O(h^3)
+    (Sommeijer, Shampine & Verwer 1997)."""
+    return (12.0 * (y0 - y1) + 6.0 * h * (f0 + f1)) / 15.0
+
+
+def _stiffness(flow, Y, F, direction):
+    """Each row's stiffness from one sweep of the nonlinear power iteration of
+    Sommeijer, Shampine & Verwer (1997), warm-started from a unit direction v:
+    |flow(y + delta v) - F| / delta with delta = sqrt(eps) max(|y|, 1), times
+    ``RKC_RHO_SAFETY``.  Returns it and the next direction."""
+    delta = math.sqrt(np.finfo(float).eps) * np.maximum(np.linalg.norm(Y, axis=1), 1.0)
+    D = flow(Y + delta[:, None] * direction) - F
+    norm = np.linalg.norm(D, axis=1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direction = np.where(np.isfinite(norm) & (norm > 0.0), D / norm, direction)
+    return RKC_RHO_SAFETY * norm[:, 0] / delta, direction
 
 
 @dataclass(frozen=True)
-class EnsembleResult:
-    """Outcome of ``integrate_ensemble``, one entry per start row."""
+class RKCStats:
+    """Deterministic effort counters of an RKC ensemble pass, or of some of its rows."""
 
-    points: np.ndarray             # (n, d) final states
-    kinds: np.ndarray              # terminal kind per row, as in Terminal.kind
-    steps: np.ndarray              # step attempts, accepted and rejected
-    times: np.ndarray              # final flow times
-    accepted: np.ndarray           # accepted steps
-    rhs_evals: np.ndarray          # value-and-gradient evaluations, 6 per attempt + 1
-
-    def rows(self, sel) -> "EnsembleResult":
-        """The entries of the rows ``sel`` picks (an index, slice or mask)."""
-        return EnsembleResult(*(getattr(self, f.name)[sel] for f in fields(self)))
+    steps: int                     # lockstep steps
+    gradient_calls: int            # batched calls summed over steps (the starts take one more)
+    rejected: int                  # row-steps rejected by the error test
+    stages_max: int                # most RKC stages in one step
+    h_min: float                   # smallest and largest accepted row step
+    h_max: float
 
     def effort(self) -> dict:
-        """Counters summed over the rows; ``lockstep_steps`` is the loop's length."""
-        return {"lockstep_steps": int(self.steps.max(initial=0)),
-                "steps": int(self.steps.sum()), "accepted": int(self.accepted.sum()),
-                "rhs_evals": int(self.rhs_evals.sum())}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _row_config(cfg, n: int) -> dict[str, np.ndarray]:
-    """Per-row stop settings from one config or one per row."""
-    if cfg is None or isinstance(cfg, FlowConfig):
-        cfg = [cfg or FlowConfig()] * n
-    elif len(cfg) != n:
-        raise ValueError("need one FlowConfig per start row")
-    return {name: np.array([getattr(c, name) for c in cfg], dtype=float)
-            for name in ("stop_grad", "max_time")}
+@dataclass(frozen=True)
+class EnsembleRows:
+    """Outcome of ``_rkc_ensemble``, one entry per start row.
 
-
-def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = None
-                       ) -> EnsembleResult:
-    """Integrate the gradient flow from every row of X0 in lockstep.
-
-    Each row takes Dormand-Prince 5(4) steps with error control, a two-rate
-    stability limiter, Lyapunov and plateau guards and the gradient,
-    plateau and time stops of ``integrate``, all with per-row state; no row
-    is captured at an attractor.  One batched value-and-gradient
-    call evaluates a stage for every row still running, and a row leaves
-    the batch at its terminal state.  P is one ``DAPolynomial`` for every
-    row, or a sequence of them with one per row: their zero-padded
-    coefficient tables (``poly.stack_tables``) leave the batch with their
-    rows, while a term shared by every row keeps one table, so many
-    polynomials flow in one pass that takes as many steps as its slowest
-    row.  ``cfg`` is one ``FlowConfig`` or a sequence of them with
-    one per row: gradient stops and time limits are per-row state too, so
-    searches with different stop tests share a pass; the error control
-    reads ``tol.FLOW_REL`` and ``tol.FLOW_ABS``.  ``integrate`` stays the
-    path for a single trajectory whose samples are wanted.
+    The pass-wide counters of a row count the steps and calls the pass made
+    while the row rode in it, so those of a pass's longest row are the
+    pass's own.
     """
-    Y = np.array(X0, dtype=float)
-    n, dim = Y.shape
-    shared = isinstance(P, DAPolynomial)
-    if not shared and len(P) != n:
-        raise ValueError("need one polynomial per start row")
-    tables = P if shared else stack_tables(P)
-    pv, G = value_gradient_batch(tables, Y)
-    V = np.einsum("ij,ij->i", pv, pv)
-    out = SimpleNamespace(
-        points=Y.copy(), kinds=np.zeros(n, dtype=int),
-        steps=np.zeros(n, dtype=int), times=np.zeros(n),
-        accepted=np.zeros(n, dtype=int))
-    live = SimpleNamespace(
-        row=np.arange(n), y=Y, f=-G, t=np.zeros(n), v=V,
-        slack=tol.LYAPUNOV_SLACK_REL * np.maximum(V, 1.0e-300),
-        gnorm=np.linalg.norm(G, axis=1), steps=np.zeros(n, dtype=int),
-        accepted=np.zeros(n, dtype=int),
-        lyapunov_fails=np.zeros(n, dtype=int), plateau=np.zeros(n, dtype=int),
-        v_plateau_start=V.copy(), just_rejected=np.zeros(n, dtype=bool),
-        h_limit=np.full(n, np.inf), since_reject=np.zeros(n, dtype=int),
-        **_row_config(cfg, n))
-    live.h = _initial_step(np.linalg.norm(Y, axis=1), live.gnorm)
 
-    def finish(kind: np.ndarray) -> None:
-        # record the rows with a terminal kind and drop them from the batch
+    points: np.ndarray             # (n, d) last accepted states
+    ends: np.ndarray               # how each row left the batch, an index into ENDS
+    labels: np.ndarray             # capturing attractor, -1 where none
+    steps: np.ndarray              # lockstep steps the row rode
+    calls: np.ndarray              # batched gradient calls made while the row rode
+    stages: np.ndarray             # most stages of a step the row rode
+    rejected: np.ndarray           # the row's rejected trial steps
+    h_min: np.ndarray              # the row's smallest and largest accepted step
+    h_max: np.ndarray              # (inf and 0 before its first)
+    rise: np.ndarray               # largest V - V(start) at an accepted step; NaN
+                                   # for a non-finite start
+
+    def rows(self, sel) -> "EnsembleRows":
+        """The entries of the rows ``sel`` picks (an index, slice or mask)."""
+        return EnsembleRows(*(getattr(self, f.name)[sel] for f in fields(self)))
+
+    def stats(self) -> RKCStats:
+        """These rows' counters together: the steps and calls the pass made
+        while any of them rode, their rejections and their step range."""
+        h_max = float(self.h_max.max(initial=0.0))
+        return RKCStats(int(self.steps.max(initial=0)), int(self.calls.max(initial=0)),
+                        int(self.rejected.sum()), int(self.stages.max(initial=0)),
+                        float(self.h_min.min()) if h_max else 0.0, h_max)
+
+    def effort(self) -> dict:
+        """``stats`` and how many rows left the batch by each of ``ENDS``."""
+        counts = np.bincount(self.ends, minlength=len(ENDS))
+        return {**self.stats().effort(),
+                "ended": {end: int(c) for end, c in zip(ENDS, counts)}}
+
+
+def _rkc_ensemble(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleRows:
+    """Gradient flow from every row of ``starts`` in lockstep on damped RKC steps.
+
+    The flow's Jacobian -Hess V is symmetric, so its spectrum is real and
+    the stepper needs only a long real stability interval.  P is one
+    ``DAPolynomial`` for every row, or a sequence with one per row: their
+    zero-padded coefficient tables (``poly.stack_tables``) leave the batch
+    with their rows, so many polynomials flow in one pass.  Each row has
+    its own step h and clock, and is accepted or rejected on its own by the
+    embedded error estimate ``_rkc_error``, an RMS over ``tol.LABEL_ABS`` +
+    ``tol.LABEL_REL`` max(|y|) at both ends of the step; F at the step's end
+    comes from the batched call that starts the next step, so the estimate
+    costs no evaluation.  A trial whose error or V is non-finite is a
+    rejection.  The controller is h <- h clip(0.8 err^(-1/3), 0.1, 5), with
+    no growth right after a rejection; h starts at min(0.5, 5 / lam).
+
+    Stiffness lam: with ``attractors``, lam = max 2 sigma_max(J)^2, the
+    stiffest potential-Hessian eigenvalue at them (P must then be one
+    polynomial), for every row; without, each row estimates its own by
+    ``_stiffness`` at its start and after every step, one more batched
+    call per step.  The stage count s of a step is the smallest whose
+    stability bound, times ``RKC_MARGIN``, holds the largest h lam of the
+    batch, up to ``RKC_MAX_STAGES``, where the rows beyond the capped bound
+    cut h to it.  So a row's stage count depends on the batch it rides in:
+    one row with a long step gives every row that step's stages.  A step
+    makes s batched gradient calls, the last with V.
+
+    A row leaves the batch, keeping its last accepted state, on the first
+    of: capture within ``STOP_RADIUS`` of an attractor (with
+    ``attractors``, also at its start), a gradient norm below its
+    ``stop_grad`` (if given, also at its start), its ``max_time``, or an h
+    that underflows its clock.  ``max_time`` and ``stop_grad`` are scalars
+    or one per row.
+    """
+    X = np.array(starts, dtype=float)
+    n = X.shape[0]
+    if not isinstance(P, DAPolynomial) and len(P) != n:
+        raise ValueError("need one polynomial per start row")
+    tables = P if isinstance(P, DAPolynomial) else stack_tables(P)
+    att = _attractor_coords(attractors)
+    labels = np.full(n, -1) if att is None else _capture_rows(X, att, STOP_RADIUS)
+    out = SimpleNamespace(ends=np.full(n, _CAPTURED), steps=np.zeros(n, dtype=int),
+                          rejected=np.zeros(n, dtype=int), h_min=np.full(n, np.inf),
+                          h_max=np.zeros(n), rise=np.zeros(n))
+    row = np.flatnonzero(labels < 0)        # rows still running, in start order
+    tables = take_rows(tables, row)
+    Y = X[row]
+    pv, g = value_gradient_batch(tables, Y)
+    v0 = np.einsum("ij,ij->i", pv, pv)
+    live = SimpleNamespace(
+        row=row, y=Y, f=-g, v0=v0, t=np.zeros(row.size),
+        may_grow=np.ones(row.size, dtype=bool),     # False right after a rejection
+        max_time=np.broadcast_to(max_time, n)[row], rejected=np.zeros(row.size, dtype=int),
+        h_min=np.full(row.size, np.inf), h_max=np.zeros(row.size),
+        rise=np.where(np.isfinite(v0), 0.0, np.nan))
+    if stop_grad is not None:
+        live.stop_grad = np.broadcast_to(stop_grad, n)[row]
+    steps = 0
+    stage_log = []
+
+    def flow(Z):
+        return -value_gradient_batch(tables, Z)[1]
+
+    def leave(end: np.ndarray) -> None:
+        # record the rows with an end and drop them from the batch
         nonlocal tables
-        done = kind >= 0
+        done = end >= 0
         if not np.any(done):
             return
         r = live.row[done]
-        out.points[r] = live.y[done]
-        out.kinds[r] = kind[done]
-        out.steps[r] = live.steps[done]
-        out.times[r] = live.t[done]
-        out.accepted[r] = live.accepted[done]
+        X[r] = live.y[done]
+        out.ends[r] = end[done]
+        out.steps[r] = steps
+        for name in ("rejected", "h_min", "h_max", "rise"):
+            getattr(out, name)[r] = getattr(live, name)[done]
         for name, arr in vars(live).items():
             setattr(live, name, arr[~done])
-        tables = take_rows(tables, ~done)   # per-row terms only
+        tables = take_rows(tables, ~done)
 
-    finish(np.where(live.gnorm < live.stop_grad, _CONVERGED, -1))
+    if stop_grad is not None:
+        leave(np.where(np.linalg.norm(live.f, axis=1) < live.stop_grad, _GRADIENT, -1))
+    if att is not None:
+        sigma = np.linalg.norm(jacobian_coords(P, att), ord=2, axis=(-2, -1))
+        live.lam = np.full(live.row.size, float(np.max(2.0 * sigma * sigma)))
+    else:
+        fn = np.linalg.norm(live.f, axis=1)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            live.direction = np.where(fn > 0.0, live.f / fn, 1.0 / math.sqrt(X.shape[1]))
+        live.lam, live.direction = _stiffness(flow, live.y, live.f, live.direction)
+    with np.errstate(divide="ignore"):
+        live.h = np.minimum(0.5, 5.0 / live.lam)[:, None]
     while live.row.size:
-        finish(np.where((live.steps >= MAX_STEPS) | (live.t >= live.max_time),
-                        _MAX_TIME, -1))
-        m = live.row.size
-        if m == 0:
-            break
-        y, h = live.y, np.minimum(live.h, live.max_time - live.t)
-        km = np.empty((7, m, dim))
-        km[0] = live.f
-        flat = km.reshape(7, m * dim)
-        for i in range(1, 6):
-            yi = y + h[:, None] * (_DP_A[i] @ flat[:i]).reshape(m, dim)
-            km[i] = -value_gradient_batch(tables, yi)[1]
-        y5 = y + h[:, None] * (_DP_A[6] @ flat[:6]).reshape(m, dim)
-        pv5, g5 = value_gradient_batch(tables, y5)
-        km[6] = -g5
-        y4 = y + h[:, None] * (_DP_B4 @ flat).reshape(m, dim)
-        sc = tol.FLOW_ABS + tol.FLOW_REL * np.maximum(np.abs(y), np.abs(y5))
-        err_norm = np.sqrt(np.mean(((y5 - y4) / sc) ** 2, axis=1))
-        live.steps += 1
-        v_new = np.einsum("ij,ij->i", pv5, pv5)
-        accurate = err_norm <= 1.0
-        lyapunov = accurate & (v_new > live.v + live.slack)
-        ok = accurate & ~lyapunov
-        rejected = ~accurate
-        live.accepted += ok
-        kind = np.full(m, -1)
-
-        # accuracy says fine but the Lyapunov property failed: halve h
-        live.lyapunov_fails = np.where(lyapunov, live.lyapunov_fails + 1,
-                                       np.where(ok, 0, live.lyapunov_fails))
-        h = np.where(lyapunov, 0.5 * h, h)
-        kind[lyapunov & ((h < 1e-14 * np.maximum(1.0, live.t))
-                         | (live.lyapunov_fails > 60))] = _STALLED
-
-        # accepted steps: plateau guard (steps that stop delivering a
-        # quarter of h |g|^2 while V no longer moves), then the stop tests
-        slow = ok & (live.v - v_new < 0.25 * h * live.gnorm * live.gnorm)
-        live.v_plateau_start = np.where(slow & (live.plateau == 0), live.v,
-                                        live.v_plateau_start)
-        live.plateau = np.where(slow, live.plateau + 1, np.where(ok, 0, live.plateau))
-        live.t = np.where(ok, live.t + h, live.t)
-        live.y = np.where(ok[:, None], y5, y)
-        live.f = np.where(ok[:, None], km[6], live.f)
-        live.v = np.where(ok, v_new, live.v)
-        live.gnorm = np.where(ok, np.linalg.norm(km[6], axis=1), live.gnorm)
-        small = ok & (live.gnorm < live.stop_grad)
-        long_plateau = ok & ~small & (live.plateau >= 25)
-        flat_out = long_plateau & (live.v_plateau_start - v_new
-                                   <= 0.01 * live.v_plateau_start)
-        live.plateau = np.where(long_plateau, 0, live.plateau)
-        kind[small | flat_out] = _CONVERGED
-
-        # step size: grow after an accepted step, shrink after a rejected one
-        scale = 0.9 * np.where(err_norm == 0.0, 1.0, err_norm) ** -0.2
-        grow = np.where(err_norm > 0, scale, 5.0)
-        grow = np.where(live.just_rejected, np.minimum(grow, 1.0), grow)
-        live.since_reject = np.where(ok, live.since_reject + 1,
-                                     np.where(rejected, 0, live.since_reject))
-        live.h_limit = np.where(
-            ok, live.h_limit * np.where(live.since_reject > 40, 1.05, 1.002),
-            np.where(rejected, 0.9 * h, live.h_limit))
-        h = np.where(ok, np.minimum(h * np.minimum(5.0, np.maximum(0.2, grow)),
-                                    live.h_limit), h)
-        shrink = np.fmax(0.2, scale)        # NaN error norms shrink by 0.2
-        h = np.where(rejected, h * shrink, h)
-        kind[rejected & (h < 1e-16)] = _STALLED
-        live.just_rejected = np.where(ok, False, live.just_rejected | lyapunov | rejected)
-        live.h = h
-        finish(kind)
-    return EnsembleResult(out.points, np.array(_TERMINAL_KINDS)[out.kinds], out.steps,
-                          out.times, out.accepted, 6 * out.steps + 1)
-
+        h = np.minimum(live.h, (live.max_time - live.t)[:, None])
+        need = float(np.fmax.reduce(h[:, 0] * live.lam))
+        stages = 2
+        while stages < RKC_MAX_STAGES and RKC_MARGIN * _rkc_stages(stages)[0] < need:
+            stages += 1
+        bound = RKC_MARGIN * _rkc_stages(stages)[0]
+        if bound < need:
+            h = np.minimum(h, (bound / live.lam)[:, None])
+        y, F = live.y, live.f
+        with np.errstate(over="ignore", invalid="ignore"):
+            Y1 = _rkc_step(flow, y, F, h, _rkc_stages(stages)[1])
+            pv, g = value_gradient_batch(tables, Y1)
+            F1 = -g
+            v1 = np.einsum("ij,ij->i", pv, pv)
+            scale = tol.LABEL_ABS + tol.LABEL_REL * np.maximum(np.abs(y), np.abs(Y1))
+            err = np.sqrt(np.mean((_rkc_error(y, Y1, F, F1, h) / scale) ** 2, axis=1))
+            err = np.where(np.isfinite(err) & np.isfinite(v1), err, np.inf)
+            ok = err <= 1.0
+            live.rise = np.where(ok, np.maximum(live.rise, v1 - live.v0), live.rise)
+        steps += 1
+        stage_log.append(stages)
+        live.rejected += ~ok
+        live.h_min = np.where(ok, np.minimum(live.h_min, h[:, 0]), live.h_min)
+        live.h_max = np.where(ok, np.maximum(live.h_max, h[:, 0]), live.h_max)
+        live.t = np.where(ok, live.t + h[:, 0], live.t)
+        live.y = np.where(ok[:, None], Y1, y)
+        live.f = np.where(ok[:, None], F1, F)
+        with np.errstate(divide="ignore"):
+            factor = np.clip(0.8 * err ** (-1.0 / 3.0), 0.1, 5.0)
+        live.h = h * np.where(live.may_grow, factor, np.minimum(factor, 1.0))[:, None]
+        live.may_grow = ok
+        end = np.where(live.t >= live.max_time, _TIME,
+                       np.where(live.h[:, 0] >= 1e-14 * np.maximum(1.0, live.t), -1, _DROPPED))
+        if stop_grad is not None:
+            end[ok & (np.linalg.norm(live.f, axis=1) < live.stop_grad)] = _GRADIENT
+        if att is not None:
+            idx = _capture_rows(live.y, att, STOP_RADIUS)
+            hit = idx >= 0
+            labels[live.row[hit]] = idx[hit]
+            end[hit] = _CAPTURED
+        leave(end)
+        if att is None and live.row.size:
+            live.lam, live.direction = _stiffness(flow, live.y, live.f, live.direction)
+    # a step's calls are its stages and, with estimated lam, the sweep before it
+    per_step = np.array([0, *stage_log], dtype=int)
+    calls = np.cumsum(per_step + (att is None) * (per_step > 0))
+    return EnsembleRows(X, out.ends, labels, out.steps, calls[out.steps],
+                        np.maximum.accumulate(per_step)[out.steps], out.rejected,
+                        out.h_min, out.h_max, out.rise)
 
 def _polished_attractors(P: DAPolynomial, points) -> tuple[list[AlgebraElement], int]:
     """Newton-polish candidate points; keep clean, full-rank, distinct roots, sorted.
@@ -587,10 +672,10 @@ class Search:
 
     attractors: list[AlgebraElement]
     newton_iterations: int         # spent polishing the search's final points
-    flow: EnsembleResult
+    flow: EnsembleRows             # the search's rows of the flow pass
 
     def effort(self) -> dict:
-        """The flow's summed counters plus the Newton iterations."""
+        """The rows' flow counters and ends plus the Newton iterations."""
         return {**self.flow.effort(), "newton_iterations": self.newton_iterations}
 
 
@@ -615,12 +700,14 @@ def attractors_from_starts(polys, starts,
     ``starts`` is one start set, shared by every polynomial of ``polys``
     (one algebra), or a sequence of start sets with one per polynomial;
     ``cfg`` is one ``FlowConfig`` or one per polynomial.  Every start of
-    every polynomial flows in one ``integrate_ensemble`` pass; the final
-    points are grouped by polynomial and each group is polished on its own.
-    Returns one ``Search`` per polynomial.  The flow only needs to deliver
-    each start into a Newton basin, so the default gradient stop
-    (``SEARCH_FLOW``) is loose; the residual and full-rank filters on the
-    polished points carry the actual guarantee.
+    every polynomial flows in one ``_rkc_ensemble`` pass, each row with its
+    polynomial's gradient stop and time limit and its own stiffness
+    estimate; the final points are grouped by polynomial and each group is
+    polished on its own, whatever ended its rows.  Returns one ``Search``
+    per polynomial.  The flow only needs to deliver each start into a
+    Newton basin, so the default gradient stop (``SEARCH_FLOW``) is loose;
+    the residual and full-rank filters on the polished points carry the
+    actual guarantee.
     """
     polys = list(polys)
     n = len(polys)
@@ -634,9 +721,11 @@ def attractors_from_starts(polys, starts,
         return [x for x, k in zip(items, sizes) for _ in range(k)]
     # a polynomial repeated on every row stacks into shared tables
     tables = per_row(polys) if sum(sizes) else polys[0]
-    ens = integrate_ensemble(tables, np.concatenate(sets), per_row(cfgs))
+    rows = _rkc_ensemble(tables, np.concatenate(sets),
+                         np.array(per_row([c.max_time for c in cfgs])),
+                         stop_grad=np.array(per_row([c.stop_grad for c in cfgs])))
     bounds = np.cumsum([0, *sizes])
-    groups = [ens.rows(slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    groups = [rows.rows(slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
     return [Search(*_polished_attractors(P, g.points), flow=g) for P, g in zip(polys, groups)]
 
 
@@ -811,21 +900,6 @@ def scaling_fit(epsilons, times) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-@dataclass(frozen=True)
-class LabelStats:
-    """Deterministic effort counters of one ``ensemble_labels`` run."""
-
-    steps: int                     # lockstep steps
-    gradient_calls: int            # stages summed over steps (the starts take one more)
-    rejected: int                  # row-steps rejected by the error test
-    stages_max: int                # most RKC stages in one step
-    h_min: float                   # smallest and largest accepted row step
-    h_max: float
-
-    def effort(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
 @dataclass
 class BasinReport:
     starts: np.ndarray
@@ -837,7 +911,7 @@ class BasinReport:
     max_residual: float
     unconverged: list[int]
     max_rise: float                # largest V - V(start) along the labelled flow
-    stats: LabelStats              # the labelling flow's effort
+    stats: RKCStats                # the labelling flow's effort
 
     def effort(self) -> dict:
         """The labelling flow's steps, batched gradient calls, rejections,
@@ -846,154 +920,27 @@ class BasinReport:
 
 
 EQUATOR_BAND = 0.05
-RKC_DAMPING = 2.0 / 13.0           # damping of the Chebyshev stability polynomial
-RKC_MARGIN = 2.5 / 2.79            # h*lam kept this far inside the stability bound
-
-
-@functools.lru_cache(maxsize=None)
-def _rkc_stages(s: int) -> tuple[float, np.ndarray]:
-    """Damped s-stage Runge-Kutta-Chebyshev coefficients, s >= 2.
-
-    The stability polynomial is R_s(z) = a_s + b_s T_s(w0 + w1 z), with
-    w0 = 1 + RKC_DAMPING / s^2 and w1 = T_s'(w0) / T_s''(w0), second order
-    (Sommeijer, Shampine & Verwer 1997).  Returns the real stability bound
-    beta = (1 + w0) / w1, |R_s| <= 1 on [-beta, 0], and one row
-    (mu, nu, mu~, gamma~) per stage j = 1..s of the recurrence that
-    ``_rkc_step`` runs; stage 1 reads only mu~.  Cached: one table per s.
-    """
-    w0 = 1.0 + RKC_DAMPING / s ** 2
-    T, dT, ddT = np.zeros(s + 1), np.zeros(s + 1), np.zeros(s + 1)
-    T[0], T[1], dT[1] = 1.0, w0, 1.0
-    for j in range(2, s + 1):          # Chebyshev T_j and its derivatives at w0
-        T[j] = 2.0 * w0 * T[j - 1] - T[j - 2]
-        dT[j] = 2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2]
-        ddT[j] = 4.0 * dT[j - 1] + 2.0 * w0 * ddT[j - 1] - ddT[j - 2]
-    w1 = dT[s] / ddT[s]
-    b = np.empty(s + 1)
-    b[2:] = ddT[2:] / dT[2:] ** 2
-    b[:2] = b[2]
-    mu = 2.0 * w0 * b[2:] / b[1:-1]
-    mu_t = 2.0 * w1 * b[2:] / b[1:-1]
-    table = np.column_stack([
-        np.r_[1.0, mu], np.r_[0.0, -b[2:] / b[:-2]], np.r_[b[1] * w1, mu_t],
-        np.r_[0.0, -(1.0 - b[1:-1] * T[1:-1]) * mu_t]])
-    table.setflags(write=False)         # shared by every caller through the cache
-    return (1.0 + w0) / w1, table
-
-
-def _rkc_step(flow, y, f0, h, table: np.ndarray):
-    """One step h of y' = flow(y) on the stages of ``_rkc_stages``; f0 = flow(y).
-
-    h is a scalar or a (rows, 1) column with one step per row.  Makes s - 1
-    calls of ``flow``, so a step costs s evaluations with f0.
-    """
-    prev2, prev = y, y + (h * table[0, 2]) * f0
-    for mu, nu, mu_t, gamma_t in table[1:]:
-        prev2, prev = prev, ((1.0 - mu - nu) * y + mu * prev + nu * prev2
-                             + (h * mu_t) * flow(prev) + (h * gamma_t) * f0)
-    return prev
-
-
-def _rkc_error(y0, y1, f0, f1, h):
-    """Local error estimate of an RKC step h from y0 to y1, with the flow f0
-    and f1 at its ends: (12 (y0 - y1) + 6 h (f0 + f1)) / 15, O(h^3)
-    (Sommeijer, Shampine & Verwer 1997)."""
-    return (12.0 * (y0 - y1) + 6.0 * h * (f0 + f1)) / 15.0
 
 
 def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors, max_time: float
-                    ) -> tuple[np.ndarray, np.ndarray, float, LabelStats]:
+                    ) -> tuple[np.ndarray, np.ndarray, float, RKCStats]:
     """Capture labels for a batch of starts, integrated in lockstep.
 
-    Damped Runge-Kutta-Chebyshev with per-row error control on the rows not
-    yet captured; a row leaves the batch as soon as it enters
-    ``STOP_RADIUS`` of an attractor.  The flow's Jacobian -Hess V is
-    symmetric, so its spectrum is real and the stepper needs only a long
-    real stability interval.  Each row has its own step h and clock, and is
-    accepted or rejected on its own by the embedded error estimate
-    ``_rkc_error``, an RMS over ``tol.LABEL_ABS`` + ``tol.LABEL_REL`` max(|y|)
-    at both ends of the step; F at the step's end comes from the batched
-    call that starts the next step, so the estimate costs no evaluation.
-    The controller is h <- h clip(0.8 err^(-1/3), 0.1, 5), with no growth
-    right after a rejection; h starts at 0.5, cut to 5 / lam.  Here lam =
-    max 2 sigma_max(J)^2 is the stiffest potential-Hessian eigenvalue at the
-    attractors, and the stage count s of a step is the smallest whose
-    stability bound, times ``RKC_MARGIN``, holds the largest h of the batch
-    times lam.  So a row's stage count depends on the batch it rides in:
-    one slow row with a long step gives every row that step's stages.  A
-    step makes s batched gradient calls, the last with V.  Labels agree
-    with per-trajectory adaptive integration and with the classical RK4
-    loop this replaced (checked in tests) at a small fraction of the cost.
-    A row whose error or V reads non-finite, or whose step underflows its
-    clock, leaves the batch unlabelled with its last accepted state, so it
-    does not hold the loop open; a non-finite row makes the largest rise
-    NaN.  Raises ``ValueError`` without attractors.  Returns (labels, final
-    points, largest V - V(start) at any accepted step of any row, the
-    effort counters); -1 marks rows still free at max_time or dropped.
+    The rows flow on ``_rkc_ensemble`` under P's stiffness at the attractors
+    until an attractor captures them or ``max_time``.  Labels agree with
+    per-trajectory adaptive integration and with the classical RK4 loop this
+    replaced (checked in tests) at a small fraction of the cost.  A row
+    whose step underflows its clock leaves the batch unlabelled with its
+    last accepted state, so it does not hold the loop open; a non-finite
+    start makes the largest rise NaN.  Raises ``ValueError`` without
+    attractors.  Returns (labels, final points, largest V - V(start) at any
+    accepted step of any row, the effort counters); -1 marks rows still
+    free at max_time or dropped.
     """
-    X = np.array(starts, dtype=float)
-    att = _attractor_coords(attractors)
-    if att is None:
+    if _attractor_coords(attractors) is None:
         raise ValueError("ensemble_labels needs at least one attractor")
-    sigma = np.linalg.norm(jacobian_coords(P, att), ord=2, axis=(-2, -1))
-    lam = float(np.max(2.0 * sigma * sigma))
-
-    def flow(Z):
-        return -gradient_coords_batch(P, Z)
-    labels = _capture_rows(X, att, STOP_RADIUS)
-    row = np.flatnonzero(labels < 0)        # rows still running, in start order
-    Y = X[row]
-    pv, g = value_gradient_batch(P, Y)
-    v0 = np.einsum("ij,ij->i", pv, pv)
-    F = -g
-    h = np.full((row.size, 1), min(0.5, 5.0 / lam))
-    t = np.zeros(row.size)
-    may_grow = np.ones(row.size, dtype=bool)    # False right after a rejection
-    rise = 0.0
-    steps = calls = rejected = stages_max = 0
-    h_min, h_max = math.inf, 0.0
-    while row.size:
-        h = np.minimum(h, (max_time - t)[:, None])
-        stages = 2
-        while RKC_MARGIN * _rkc_stages(stages)[0] < float(h.max()) * lam:
-            stages += 1
-        Y1 = _rkc_step(flow, Y, F, h, _rkc_stages(stages)[1])
-        pv, g = value_gradient_batch(P, Y1)
-        F1 = -g
-        v1 = np.einsum("ij,ij->i", pv, pv)
-        steps += 1
-        calls += stages
-        stages_max = max(stages_max, stages)
-        scale = tol.LABEL_ABS + tol.LABEL_REL * np.maximum(np.abs(Y), np.abs(Y1))
-        err = np.sqrt(np.mean((_rkc_error(Y, Y1, F, F1, h) / scale) ** 2, axis=1))
-        finite = np.isfinite(err) & np.isfinite(v1)
-        ok = err <= 1.0
-        rejected += int(np.count_nonzero(finite & ~ok))
-        if not np.all(finite):
-            rise = math.nan
-        if np.any(ok):
-            rise = float(np.maximum(rise, np.max(v1[ok] - v0[ok])))   # NaN stays NaN
-            h_min = min(h_min, float(h[ok].min()))
-            h_max = max(h_max, float(h[ok].max()))
-        t = np.where(ok, t + h[:, 0], t)
-        Y = np.where(ok[:, None], Y1, Y)
-        F = np.where(ok[:, None], F1, F)
-        with np.errstate(divide="ignore"):
-            factor = np.clip(0.8 * err ** (-1.0 / 3.0), 0.1, 5.0)
-        h = h * np.where(may_grow, factor, np.minimum(factor, 1.0))[:, None]
-        may_grow = ok
-        idx = _capture_rows(Y, att, STOP_RADIUS)
-        hit = idx >= 0
-        labels[row[hit]] = idx[hit]
-        leave = (hit | ~finite | (t >= max_time)
-                 | (h[:, 0] < 1e-14 * np.maximum(1.0, t)))
-        X[row[leave]] = Y[leave]
-        keep = ~leave
-        row, Y, F, v0, h, t, may_grow = (
-            row[keep], Y[keep], F[keep], v0[keep], h[keep], t[keep], may_grow[keep])
-    X[row] = Y
-    return labels, X, rise, LabelStats(steps, calls, rejected, stages_max,
-                                       h_min if h_max else 0.0, h_max)
+    rows = _rkc_ensemble(P, starts, max_time, attractors=attractors)
+    return rows.labels, rows.points, float(np.max(rows.rise, initial=0.0)), rows.stats()
 
 
 def _sphere_starts(D: Deformation, P: DAPolynomial, n_samples: int,

@@ -69,9 +69,8 @@ def test_c04_jacobian_rank():
 def test_c05_localization():
     details = _run("c05").details
     search = details["quadratic_search"]
-    assert search["lockstep_steps"] == max(q["lockstep_steps"]
-                                           for q in details["quadratics"])
-    assert search["lockstep_steps"] < search["lockstep_steps_if_separate"]
+    assert search["steps"] == max(q["steps"] for q in details["quadratics"])
+    assert search["steps"] < search["steps_if_separate"]
 
 
 def test_c05_recall_shows_the_known_miss():
@@ -164,7 +163,7 @@ def test_thermo_claims_run_one_metropolis_loop(claim_id, monkeypatch):
 
 def test_c05_runs_one_flow_pass(monkeypatch):
     # x^2+ix+1 and every quadratic flow in one ensemble call
-    calls = {"integrate_ensemble": 0}
+    calls = {"_rkc_ensemble": 0}
 
     def counted(name):
         fn = getattr(fl, name)
@@ -177,7 +176,7 @@ def test_c05_runs_one_flow_pass(monkeypatch):
     for name in calls:
         monkeypatch.setattr(fl, name, counted(name))
     cl.run_claim("c05", quick=True, seed=SEED)
-    assert calls == {"integrate_ensemble": 1}
+    assert calls == {"_rkc_ensemble": 1}
 
 
 def test_c13_hausdorff_discontinuity():

@@ -206,10 +206,12 @@ def test_localize_command(tmp_path):
     data = json.loads((tmp_path / "localize.json").read_text())
     assert data["coefficient_subalgebra_dimension"] == 2
     assert len(data["roots"]) == 2
-    flow = data["flow"]                 # the search's effort, summed over its 10 starts
-    assert flow["rhs_evals"] == 6 * flow["steps"] + 10
-    assert flow["accepted"] <= flow["steps"]
-    assert 0 < flow["lockstep_steps"] <= flow["steps"]
+    flow = data["flow"]                 # the search pass's effort over its 10 starts
+    assert sum(flow["ended"].values()) == 10
+    # each step makes its stages' calls and one for the stiffness estimate
+    assert 3 * flow["steps"] <= flow["gradient_calls"] <= (fl.RKC_MAX_STAGES + 1) * flow["steps"]
+    assert 2 <= flow["stages_max"] <= fl.RKC_MAX_STAGES
+    assert 0 < flow["h_min"] <= flow["h_max"]
     for entry in data["roots"]:
         assert not entry["spherical"]
         assert max(abs(v) for v in entry["root"][2:]) < 1e-8
