@@ -61,6 +61,7 @@ from .poly import (
     DAPolynomial,
     Deformation,
     evaluate_coords,
+    gradient_coords_batch,
     jacobian_coords,
     newton_polish,
     potential_coords,
@@ -561,7 +562,7 @@ def _rkc_ensemble(P, starts, max_time, stop_grad=None, attractors=None) -> Ensem
     stage_log = []
 
     def flow(Z):
-        return -value_gradient_batch(tables, Z)[1]
+        return -gradient_coords_batch(tables, Z)
 
     def leave(end: np.ndarray) -> None:
         # record the rows with an end and drop them from the batch
