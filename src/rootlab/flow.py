@@ -576,9 +576,10 @@ def _rkc_ensemble(P, starts, max_time, stop_grad=None, attractors=None) -> Ensem
         out.steps[r] = steps
         for name in ("rejected", "h_min", "h_max", "rise"):
             getattr(out, name)[r] = getattr(live, name)[done]
+        keep = ~done
         for name, arr in vars(live).items():
-            setattr(live, name, arr[~done])
-        tables = take_rows(tables, ~done)
+            setattr(live, name, arr[keep])
+        tables = take_rows(tables, keep)
 
     if stop_grad is not None:
         leave(np.where(np.linalg.norm(live.f, axis=1) < live.stop_grad, _GRADIENT, -1))
