@@ -234,7 +234,7 @@ def claim_localization(quick: bool, seed: int) -> ClaimResult:
                 "steps": max(lockstep), "steps_if_separate": sum(lockstep),
                 "gradient_calls": max(row["gradient_calls"] for row in quad_rows),
                 **{k: sum(row[k] for row in quad_rows)
-                   for k in ("rejected", "newton_iterations")}}})
+                   for k in ("rejected", "lyapunov_rejections", "newton_iterations")}}})
 
 
 def claim_breathing(quick: bool, seed: int) -> ClaimResult:

@@ -1,49 +1,45 @@
 """Gradient flow on the potential landscape and collapse measurements.
 
 The flow x' = -grad ||P(x)||^2 is integrated with the potential enforced
-to be non-increasing along accepted steps.  ``integrate`` follows one
-trajectory and keeps its samples; it is the linearly implicit W-method
-ROS34PW2, whose step is set by accuracy alone, not by the fast radial decay
-onto the root set, and collapse times run on it.  It evaluates each point
-once: an accepted step makes four kernel calls, and its one SVD factors the
-J returned with the value and gradient of the point it starts from; it
-controls its error with ``tol.FLOW_REL`` and ``tol.FLOW_ABS``.
-``_rkc_ensemble`` steps a whole start set in lockstep on a damped
-Runge-Kutta-Chebyshev (RKC) stepper with per-row error control
-(``tol.LABEL_REL``, ``tol.LABEL_ABS``): explicit, with one batched
-gradient call per stage, and with a real stability interval that grows as
-about 0.65 s^2 in its stage count s, which suits a gradient flow, whose
-spectrum is real.  It runs under one polynomial or one per row, and each
-row leaves the batch on its own stop rule: capture by an attractor (basin
-labels), a gradient stop or a time limit (search), or a step that
-underflows its clock.  Multistart attractor search and basin labels run on
-it: searches that differ in polynomial, start set and stop test share one
-pass (c05's 12-start search on x^2 + ix + 1 and its 5-start quadratic
-searches), and each reports its rows' deterministic effort counters and
-the Newton iterations of its polish.  Attractors are isolated full-rank
-roots, Newton-polished in one
-place: multistart search gets its candidates from the flow, while
-collapse times and basins start Newton from the isolated points of
-``manifolds.root_set``, with no flow and no seed.  Collapse
-times and basins read one frame of a deformation family, built in one
-place: those attractors, the base sphere and the axis of the attractor the
-sphere collapses onto.  On top of these: collapse-time measurement from a
-start exactly pi/3 from that axis, the log-log scaling fit of collapse time
-against perturbation size, basin decomposition of the initial sphere, and
-restricted potential scans.  Basin labels (``ensemble_labels``) also
-report the largest rise of V along any labelled trajectory, the evidence
-that the flow is a deformation retract onto the attractors.
+to be non-increasing along accepted steps, on one method with two drivers:
+the linearly implicit W-method ROS34PW2, whose step is set by accuracy
+alone, not by the fast radial decay onto the root set.  ``integrate``
+follows one trajectory and keeps its samples, and collapse times run on
+it.  It evaluates each point once: an accepted step makes four kernel
+calls, and its one SVD factors the J returned with the value and gradient
+of the point it starts from; it controls its error with ``tol.FLOW_REL``
+and ``tol.FLOW_ABS``.  ``_lockstep`` steps a whole start set in lockstep
+on the same tableau, controller and Lyapunov rejection, with one step,
+clock, W and error test (``tol.LABEL_REL``, ``tol.LABEL_ABS``) per row:
+four batched kernel calls a step.  It runs under one polynomial or one per
+row, and each row leaves the batch on its own stop rule: capture by an
+attractor (basin labels), a gradient stop or a time limit (search), or a
+step that underflows its clock.  Multistart attractor search and basin
+labels run on it: searches that differ in polynomial, start set and stop
+test share one pass (c05's 12-start search on x^2 + ix + 1 and its
+5-start quadratic searches), and each reports its rows' deterministic
+effort counters and the Newton iterations of its polish.  Attractors are
+isolated full-rank roots, Newton-polished in one place: multistart search
+gets its candidates from the flow, while collapse times and basins start
+Newton from the isolated points of ``manifolds.root_set``, with no flow
+and no seed.  Collapse times and basins read one frame of a deformation
+family, built in one place: those attractors, the base sphere and the axis
+of the attractor the sphere collapses onto.  On top of these:
+collapse-time measurement from a start exactly pi/3 from that axis, the
+log-log scaling fit of collapse time against perturbation size, basin
+decomposition of the initial sphere, and restricted potential scans.
+Basin labels (``ensemble_labels``) also report the largest rise of V
+along any labelled trajectory, the evidence that the flow is a
+deformation retract onto the attractors.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import warnings
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,7 +58,6 @@ from .poly import (
     Deformation,
     evaluate_coords,
     gradient_coords_batch,
-    jacobian_coords,
     newton_polish,
     potential_coords,
     stack_tables,
@@ -373,110 +368,41 @@ def _initial_step(y_norm, f_norm):
     return np.where(f_norm == 0.0, 1e-6, h)
 
 
-RKC_DAMPING = 2.0 / 13.0           # damping of the Chebyshev stability polynomial
-RKC_MARGIN = 2.5 / 2.79            # h*lam kept this far inside the stability bound
-RKC_MAX_STAGES = 64                # most stages of one step; h is cut where it binds
-RKC_RHO_SAFETY = 1.2               # on the power-iteration stiffness (SSV97's factor)
-
 ENDS = ("captured", "gradient", "time", "dropped")     # how a row leaves the ensemble
 _CAPTURED, _GRADIENT, _TIME, _DROPPED = range(len(ENDS))
-
-
-@functools.lru_cache(maxsize=None)
-def _rkc_stages(s: int) -> tuple[float, np.ndarray]:
-    """Damped s-stage Runge-Kutta-Chebyshev coefficients, s >= 2.
-
-    The stability polynomial is R_s(z) = a_s + b_s T_s(w0 + w1 z), with
-    w0 = 1 + RKC_DAMPING / s^2 and w1 = T_s'(w0) / T_s''(w0), second order
-    (Sommeijer, Shampine & Verwer 1997).  Returns the real stability bound
-    beta = (1 + w0) / w1, |R_s| <= 1 on [-beta, 0], and one row
-    (mu, nu, mu~, gamma~) per stage j = 1..s of the recurrence that
-    ``_rkc_step`` runs; stage 1 reads only mu~.  Cached: one table per s.
-    """
-    w0 = 1.0 + RKC_DAMPING / s ** 2
-    T, dT, ddT = np.zeros(s + 1), np.zeros(s + 1), np.zeros(s + 1)
-    T[0], T[1], dT[1] = 1.0, w0, 1.0
-    for j in range(2, s + 1):          # Chebyshev T_j and its derivatives at w0
-        T[j] = 2.0 * w0 * T[j - 1] - T[j - 2]
-        dT[j] = 2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2]
-        ddT[j] = 4.0 * dT[j - 1] + 2.0 * w0 * ddT[j - 1] - ddT[j - 2]
-    w1 = dT[s] / ddT[s]
-    b = np.empty(s + 1)
-    b[2:] = ddT[2:] / dT[2:] ** 2
-    b[:2] = b[2]
-    mu = 2.0 * w0 * b[2:] / b[1:-1]
-    mu_t = 2.0 * w1 * b[2:] / b[1:-1]
-    table = np.column_stack([
-        np.r_[1.0, mu], np.r_[0.0, -b[2:] / b[:-2]], np.r_[b[1] * w1, mu_t],
-        np.r_[0.0, -(1.0 - b[1:-1] * T[1:-1]) * mu_t]])
-    table.setflags(write=False)         # shared by every caller through the cache
-    return (1.0 + w0) / w1, table
-
-
-def _rkc_step(flow, y, f0, h, table: np.ndarray):
-    """One step h of y' = flow(y) on the stages of ``_rkc_stages``; f0 = flow(y).
-
-    h is a scalar or a (rows, 1) column with one step per row.  Makes s - 1
-    calls of ``flow``, so a step costs s evaluations with f0.
-    """
-    prev2, prev = y, y + (h * table[0, 2]) * f0
-    for mu, nu, mu_t, gamma_t in table[1:]:
-        prev2, prev = prev, ((1.0 - mu - nu) * y + mu * prev + nu * prev2
-                             + (h * mu_t) * flow(prev) + (h * gamma_t) * f0)
-    return prev
-
-
-def _rkc_error(y0, y1, f0, f1, h):
-    """Local error estimate of an RKC step h from y0 to y1, with the flow f0
-    and f1 at its ends: (12 (y0 - y1) + 6 h (f0 + f1)) / 15, O(h^3)
-    (Sommeijer, Shampine & Verwer 1997)."""
-    return (12.0 * (y0 - y1) + 6.0 * h * (f0 + f1)) / 15.0
-
-
-def _stiffness(flow, Y, F, direction):
-    """Each row's stiffness from one sweep of the nonlinear power iteration of
-    Sommeijer, Shampine & Verwer (1997), warm-started from a unit direction v:
-    |flow(y + delta v) - F| / delta with delta = sqrt(eps) max(|y|, 1), times
-    ``RKC_RHO_SAFETY``.  Returns it and the next direction."""
-    delta = math.sqrt(np.finfo(float).eps) * np.maximum(np.linalg.norm(Y, axis=1), 1.0)
-    D = flow(Y + delta[:, None] * direction) - F
-    norm = np.linalg.norm(D, axis=1)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direction = np.where(np.isfinite(norm) & (norm > 0.0), D / norm, direction)
-    return RKC_RHO_SAFETY * norm[:, 0] / delta, direction
+_CALLS_PER_STEP = 4                # three stages and the end point
 
 
 @dataclass(frozen=True)
-class RKCStats:
-    """Deterministic effort counters of an RKC ensemble pass, or of some of its rows."""
+class LockstepStats:
+    """Deterministic effort counters of a lockstep pass, or of some of its rows."""
 
     steps: int                     # lockstep steps
-    gradient_calls: int            # batched calls summed over steps (the starts take one more)
+    gradient_calls: int            # batched kernel calls, four a step (the starts take one more)
     rejected: int                  # row-steps rejected by the error test
-    stages_max: int                # most RKC stages in one step
+    lyapunov_rejections: int       # accurate row-steps rejected for raising V
     h_min: float                   # smallest and largest accepted row step
     h_max: float
+    ended: dict                    # how many rows left the batch by each of ENDS
 
     def effort(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class EnsembleRows:
-    """Outcome of ``_rkc_ensemble``, one entry per start row.
+    """Outcome of ``_lockstep``, one entry per start row.
 
-    The pass-wide counters of a row count the steps and calls the pass made
-    while the row rode in it, so those of a pass's longest row are the
-    pass's own.
+    The pass-wide counters of a row count the steps the pass made while
+    the row rode in it, so those of a pass's longest row are the pass's own.
     """
 
     points: np.ndarray             # (n, d) last accepted states
     ends: np.ndarray               # how each row left the batch, an index into ENDS
     labels: np.ndarray             # capturing attractor, -1 where none
     steps: np.ndarray              # lockstep steps the row rode
-    calls: np.ndarray              # batched gradient calls made while the row rode
-    stages: np.ndarray             # most stages of a step the row rode
-    rejected: np.ndarray           # the row's rejected trial steps
+    rejected: np.ndarray           # the row's trial steps rejected by the error test
+    lyapunov_rejections: np.ndarray  # and for raising V
     h_min: np.ndarray              # the row's smallest and largest accepted step
     h_max: np.ndarray              # (inf and 0 before its first)
     rise: np.ndarray               # largest V - V(start) at an accepted step; NaN
@@ -486,83 +412,104 @@ class EnsembleRows:
         """The entries of the rows ``sel`` picks (an index, slice or mask)."""
         return EnsembleRows(*(getattr(self, f.name)[sel] for f in fields(self)))
 
-    def stats(self) -> RKCStats:
+    def stats(self) -> LockstepStats:
         """These rows' counters together: the steps and calls the pass made
-        while any of them rode, their rejections and their step range."""
+        while any of them rode, their rejections, their step range and how
+        many left by each of ``ENDS``."""
+        steps = int(self.steps.max(initial=0))
         h_max = float(self.h_max.max(initial=0.0))
-        return RKCStats(int(self.steps.max(initial=0)), int(self.calls.max(initial=0)),
-                        int(self.rejected.sum()), int(self.stages.max(initial=0)),
-                        float(self.h_min.min()) if h_max else 0.0, h_max)
+        counts = np.bincount(self.ends, minlength=len(ENDS))
+        return LockstepStats(steps, _CALLS_PER_STEP * steps, int(self.rejected.sum()),
+                             int(self.lyapunov_rejections.sum()),
+                             float(self.h_min.min()) if h_max else 0.0, h_max,
+                             {end: int(c) for end, c in zip(ENDS, counts)})
 
     def effort(self) -> dict:
-        """``stats`` and how many rows left the batch by each of ``ENDS``."""
-        counts = np.bincount(self.ends, minlength=len(ENDS))
-        return {**self.stats().effort(),
-                "ended": {end: int(c) for end, c in zip(ENDS, counts)}}
+        return self.stats().effort()
 
 
-def _rkc_ensemble(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleRows:
-    """Gradient flow from every row of ``starts`` in lockstep on damped RKC steps.
+def _finite_rows(v, g, J) -> np.ndarray:
+    """Rows whose V, gradient and Jacobian are all finite."""
+    return (np.isfinite(v) & np.isfinite(g).all(axis=1)
+            & np.isfinite(J.reshape(J.shape[0], -1)).all(axis=1))
 
-    The flow's Jacobian -Hess V is symmetric, so its spectrum is real and
-    the stepper needs only a long real stability interval.  P is one
-    ``DAPolynomial`` for every row, or a sequence with one per row: their
-    zero-padded coefficient tables (``poly.stack_tables``) leave the batch
-    with their rows, so many polynomials flow in one pass.  Each row has
-    its own step h and clock, and is accepted or rejected on its own by the
-    embedded error estimate ``_rkc_error``, an RMS over ``tol.LABEL_ABS`` +
-    ``tol.LABEL_REL`` max(|y|) at both ends of the step; F at the step's end
-    comes from the batched call that starts the next step, so the estimate
-    costs no evaluation.  A trial whose error or V is non-finite is a
-    rejection.  The controller is h <- h clip(0.8 err^(-1/3), 0.1, 5), with
-    no growth right after a rejection; h starts at min(0.5, 5 / lam).
 
-    Stiffness lam: with ``attractors``, lam = max 2 sigma_max(J)^2, the
-    stiffest potential-Hessian eigenvalue at them (P must then be one
-    polynomial), for every row; without, each row estimates its own by
-    ``_stiffness`` at its start and after every step, one more batched
-    call per step.  The stage count s of a step is the smallest whose
-    stability bound, times ``RKC_MARGIN``, holds the largest h lam of the
-    batch, up to ``RKC_MAX_STAGES``, where the rows beyond the capped bound
-    cut h to it.  So a row's stage count depends on the batch it rides in:
-    one row with a long step gives every row that step's stages.  A step
-    makes s batched gradient calls, the last with V.
+def _w_attempt(gradient, y, f, w_inv, hg):
+    """One ROS34PW2 trial step of every row of y: (y1, the embedded error).
+
+    ``gradient`` maps a batch of rows to grad V, f = -grad V(y), ``w_inv``
+    holds each row's (I + 2 h g J^T J)^-1 and ``hg`` each row's h g as a
+    column.  Three calls of ``gradient``, one per stage after the first.
+    """
+    m, dim = y.shape
+    u = np.empty((4, m, dim))
+    flat = u.reshape(4, m * dim)
+    u[0] = np.einsum("mij,mj->mi", w_inv, hg * f)
+    for i in range(1, 4):
+        gi = gradient(y + (_W_A[i, :i] @ flat[:i]).reshape(m, dim))
+        rhs = _W_G * (_W_C[i, :i] @ flat[:i]).reshape(m, dim) - hg * gi
+        u[i] = np.einsum("mij,mj->mi", w_inv, rhs)
+    return y + (_W_M @ flat).reshape(m, dim), (_W_E @ flat).reshape(m, dim)
+
+
+def _lockstep(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleRows:
+    """Gradient flow from every row of ``starts`` in lockstep on ROS34PW2 steps.
+
+    The W-method of ``integrate``, one row per start: the same tableau,
+    step controller and Lyapunov rejection, with each row's own h, clock,
+    error test and W^-1 = (I + 2 h g J^T J)^-1, built from the J of the
+    row's last accepted point by one batched inverse per attempt.  So no
+    row's step depends on the rows it rides with.  The error test is
+    an RMS over ``tol.LABEL_ABS`` + ``tol.LABEL_REL`` max(|y|) at both ends
+    of the step.  An attempt makes three batched stage calls of
+    ``gradient_coords_batch`` and one end-point call that returns P,
+    grad V and J together; a trial whose error, V, gradient or J is
+    non-finite is a rejection.  P is one ``DAPolynomial`` for every row,
+    or a sequence with one per row: their zero-padded coefficient tables
+    (``poly.stack_tables``) leave the batch with their rows, so many
+    polynomials flow in one pass.
 
     A row leaves the batch, keeping its last accepted state, on the first
     of: capture within ``STOP_RADIUS`` of an attractor (with
     ``attractors``, also at its start), a gradient norm below its
-    ``stop_grad`` (if given, also at its start), its ``max_time``, or an h
-    that underflows its clock.  ``max_time`` and ``stop_grad`` are scalars
+    ``stop_grad`` (if given, also at its start), its ``max_time``, or a
+    step that underflows its clock: h below 1e-14 of the larger of its
+    time t and its time scale |y| / |f|, so a start far out, whose flow
+    time is tiny, keeps its steps.  A start whose V, gradient or J is
+    non-finite leaves at once.  ``max_time`` and ``stop_grad`` are scalars
     or one per row.
     """
     X = np.array(starts, dtype=float)
-    n = X.shape[0]
+    n, dim = X.shape
     if not isinstance(P, DAPolynomial) and len(P) != n:
         raise ValueError("need one polynomial per start row")
     tables = P if isinstance(P, DAPolynomial) else stack_tables(P)
     att = _attractor_coords(attractors)
     labels = np.full(n, -1) if att is None else _capture_rows(X, att, STOP_RADIUS)
     out = SimpleNamespace(ends=np.full(n, _CAPTURED), steps=np.zeros(n, dtype=int),
-                          rejected=np.zeros(n, dtype=int), h_min=np.full(n, np.inf),
-                          h_max=np.zeros(n), rise=np.zeros(n))
+                          rejected=np.zeros(n, dtype=int),
+                          lyapunov_rejections=np.zeros(n, dtype=int),
+                          h_min=np.full(n, np.inf), h_max=np.zeros(n), rise=np.zeros(n))
     row = np.flatnonzero(labels < 0)        # rows still running, in start order
     tables = take_rows(tables, row)
     Y = X[row]
-    pv, g = value_gradient_batch(tables, Y)
-    v0 = np.einsum("ij,ij->i", pv, pv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pv, g, J = value_gradient_batch(tables, Y)
+        v = np.einsum("ij,ij->i", pv, pv)
+        gn = 2.0 * J.swapaxes(1, 2) @ J
+    finite = _finite_rows(v, g, J)
     live = SimpleNamespace(
-        row=row, y=Y, f=-g, v0=v0, t=np.zeros(row.size),
-        may_grow=np.ones(row.size, dtype=bool),     # False right after a rejection
+        row=row, y=Y, f=-g, gn=gn, v=v, v0=v, t=np.zeros(row.size),
+        h=_initial_step(np.linalg.norm(Y, axis=1), np.linalg.norm(g, axis=1)),
+        slack=tol.LYAPUNOV_SLACK_REL * np.maximum(v, 1.0e-300),
+        just_rejected=np.zeros(row.size, dtype=bool),
         max_time=np.broadcast_to(max_time, n)[row], rejected=np.zeros(row.size, dtype=int),
+        lyapunov_rejections=np.zeros(row.size, dtype=int),
         h_min=np.full(row.size, np.inf), h_max=np.zeros(row.size),
-        rise=np.where(np.isfinite(v0), 0.0, np.nan))
+        rise=np.where(finite, 0.0, np.nan))
     if stop_grad is not None:
         live.stop_grad = np.broadcast_to(stop_grad, n)[row]
     steps = 0
-    stage_log = []
-
-    def flow(Z):
-        return -gradient_coords_batch(tables, Z)
 
     def leave(end: np.ndarray) -> None:
         # record the rows with an end and drop them from the batch
@@ -574,59 +521,56 @@ def _rkc_ensemble(P, starts, max_time, stop_grad=None, attractors=None) -> Ensem
         X[r] = live.y[done]
         out.ends[r] = end[done]
         out.steps[r] = steps
-        for name in ("rejected", "h_min", "h_max", "rise"):
+        for name in ("rejected", "lyapunov_rejections", "h_min", "h_max", "rise"):
             getattr(out, name)[r] = getattr(live, name)[done]
         keep = ~done
         for name, arr in vars(live).items():
             setattr(live, name, arr[keep])
         tables = take_rows(tables, keep)
 
+    end = np.where(finite, -1, _DROPPED)
     if stop_grad is not None:
-        leave(np.where(np.linalg.norm(live.f, axis=1) < live.stop_grad, _GRADIENT, -1))
-    if att is not None:
-        sigma = np.linalg.norm(jacobian_coords(P, att), ord=2, axis=(-2, -1))
-        live.lam = np.full(live.row.size, float(np.max(2.0 * sigma * sigma)))
-    else:
-        fn = np.linalg.norm(live.f, axis=1)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            live.direction = np.where(fn > 0.0, live.f / fn, 1.0 / math.sqrt(X.shape[1]))
-        live.lam, live.direction = _stiffness(flow, live.y, live.f, live.direction)
-    with np.errstate(divide="ignore"):
-        live.h = np.minimum(0.5, 5.0 / live.lam)[:, None]
+        end[finite & (np.linalg.norm(live.f, axis=1) < live.stop_grad)] = _GRADIENT
+    leave(end)
+    eye = np.eye(dim)
     while live.row.size:
-        h = np.minimum(live.h, (live.max_time - live.t)[:, None])
-        need = float(np.fmax.reduce(h[:, 0] * live.lam))
-        stages = 2
-        while stages < RKC_MAX_STAGES and RKC_MARGIN * _rkc_stages(stages)[0] < need:
-            stages += 1
-        bound = RKC_MARGIN * _rkc_stages(stages)[0]
-        if bound < need:
-            h = np.minimum(h, (bound / live.lam)[:, None])
-        y, F = live.y, live.f
+        y, f = live.y, live.f
+        h = np.minimum(live.h, live.max_time - live.t)
+        hg = (h * _W_G)[:, None]
+        w_inv = np.linalg.inv(eye + hg[:, :, None] * live.gn)
         with np.errstate(over="ignore", invalid="ignore"):
-            Y1 = _rkc_step(flow, y, F, h, _rkc_stages(stages)[1])
-            pv, g = value_gradient_batch(tables, Y1)
-            F1 = -g
+            y1, e = _w_attempt(lambda Z: gradient_coords_batch(tables, Z), y, f, w_inv, hg)
+            pv, g1, J1 = value_gradient_batch(tables, y1)
             v1 = np.einsum("ij,ij->i", pv, pv)
-            scale = tol.LABEL_ABS + tol.LABEL_REL * np.maximum(np.abs(y), np.abs(Y1))
-            err = np.sqrt(np.mean((_rkc_error(y, Y1, F, F1, h) / scale) ** 2, axis=1))
-            err = np.where(np.isfinite(err) & np.isfinite(v1), err, np.inf)
-            ok = err <= 1.0
+            scale = tol.LABEL_ABS + tol.LABEL_REL * np.maximum(np.abs(y), np.abs(y1))
+            err = np.sqrt(np.mean((e / scale) ** 2, axis=1))
+            err = np.where(np.isfinite(err) & _finite_rows(v1, g1, J1), err, np.inf)
+            accurate = err <= 1.0
+            lyapunov = accurate & (v1 > live.v + live.slack)
+            ok = accurate & ~lyapunov
             live.rise = np.where(ok, np.maximum(live.rise, v1 - live.v0), live.rise)
+            live.gn = np.where(ok[:, None, None], 2.0 * J1.swapaxes(1, 2) @ J1, live.gn)
         steps += 1
-        stage_log.append(stages)
-        live.rejected += ~ok
-        live.h_min = np.where(ok, np.minimum(live.h_min, h[:, 0]), live.h_min)
-        live.h_max = np.where(ok, np.maximum(live.h_max, h[:, 0]), live.h_max)
-        live.t = np.where(ok, live.t + h[:, 0], live.t)
-        live.y = np.where(ok[:, None], Y1, y)
-        live.f = np.where(ok[:, None], F1, F)
+        live.rejected += ~accurate
+        live.lyapunov_rejections += lyapunov
+        live.h_min = np.where(ok, np.minimum(live.h_min, h), live.h_min)
+        live.h_max = np.where(ok, np.maximum(live.h_max, h), live.h_max)
+        live.t = np.where(ok, live.t + h, live.t)
+        live.y = np.where(ok[:, None], y1, y)
+        live.f = np.where(ok[:, None], -g1, f)
+        live.v = np.where(ok, v1, live.v)
+        # integrate's controller: a Lyapunov rejection halves h; otherwise
+        # h <- h clip(0.9 err^(-1/3), 0.2, 5), with no growth right after a rejection
         with np.errstate(divide="ignore"):
-            factor = np.clip(0.8 * err ** (-1.0 / 3.0), 0.1, 5.0)
-        live.h = h * np.where(live.may_grow, factor, np.minimum(factor, 1.0))[:, None]
-        live.may_grow = ok
+            factor = 0.9 * err ** (-1.0 / 3.0)
+        factor = np.where(live.just_rejected, np.minimum(factor, 1.0), factor)
+        live.h = h * np.where(lyapunov, 0.5, np.clip(factor, 0.2, 5.0))
+        live.just_rejected = ~ok
+        with np.errstate(divide="ignore", invalid="ignore"):
+            clock = np.maximum(live.t, np.linalg.norm(live.y, axis=1)
+                               / np.linalg.norm(live.f, axis=1))
         end = np.where(live.t >= live.max_time, _TIME,
-                       np.where(live.h[:, 0] >= 1e-14 * np.maximum(1.0, live.t), -1, _DROPPED))
+                       np.where(live.h < 1e-14 * clock, _DROPPED, -1))
         if stop_grad is not None:
             end[ok & (np.linalg.norm(live.f, axis=1) < live.stop_grad)] = _GRADIENT
         if att is not None:
@@ -635,14 +579,9 @@ def _rkc_ensemble(P, starts, max_time, stop_grad=None, attractors=None) -> Ensem
             labels[live.row[hit]] = idx[hit]
             end[hit] = _CAPTURED
         leave(end)
-        if att is None and live.row.size:
-            live.lam, live.direction = _stiffness(flow, live.y, live.f, live.direction)
-    # a step's calls are its stages and, with estimated lam, the sweep before it
-    per_step = np.array([0, *stage_log], dtype=int)
-    calls = np.cumsum(per_step + (att is None) * (per_step > 0))
-    return EnsembleRows(X, out.ends, labels, out.steps, calls[out.steps],
-                        np.maximum.accumulate(per_step)[out.steps], out.rejected,
-                        out.h_min, out.h_max, out.rise)
+    return EnsembleRows(X, out.ends, labels, out.steps, out.rejected,
+                        out.lyapunov_rejections, out.h_min, out.h_max, out.rise)
+
 
 def _polished_attractors(P: DAPolynomial, points) -> tuple[list[AlgebraElement], int]:
     """Newton-polish candidate points; keep clean, full-rank, distinct roots, sorted.
@@ -702,10 +641,11 @@ def attractors_from_starts(polys, starts,
     ``starts`` is one start set, shared by every polynomial of ``polys``
     (one algebra), or a sequence of start sets with one per polynomial;
     ``cfg`` is one ``FlowConfig`` or one per polynomial.  Every start of
-    every polynomial flows in one ``_rkc_ensemble`` pass, each row with its
-    polynomial's gradient stop and time limit and its own stiffness
-    estimate; the final points are grouped by polynomial and each group is
-    polished on its own, whatever ended its rows.  Returns one ``Search``
+    every polynomial flows in one ``_lockstep`` pass of the W-method, each
+    row with its polynomial's gradient stop and time limit and its own step
+    and error control at ``tol.LABEL_REL`` / ``tol.LABEL_ABS``; the final
+    points are grouped by polynomial and each group is polished on its own,
+    whatever ended its rows.  Returns one ``Search``
     per polynomial.  The flow only needs to deliver each start into a
     Newton basin, so the default gradient stop (``SEARCH_FLOW``) is loose;
     the residual and full-rank filters on the polished points carry the
@@ -723,9 +663,9 @@ def attractors_from_starts(polys, starts,
         return [x for x, k in zip(items, sizes) for _ in range(k)]
     # a polynomial repeated on every row stacks into shared tables
     tables = per_row(polys) if sum(sizes) else polys[0]
-    rows = _rkc_ensemble(tables, np.concatenate(sets),
-                         np.array(per_row([c.max_time for c in cfgs])),
-                         stop_grad=np.array(per_row([c.stop_grad for c in cfgs])))
+    rows = _lockstep(tables, np.concatenate(sets),
+                     np.array(per_row([c.max_time for c in cfgs])),
+                     stop_grad=np.array(per_row([c.stop_grad for c in cfgs])))
     bounds = np.cumsum([0, *sizes])
     groups = [rows.rows(slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
     return [Search(*_polished_attractors(P, g.points), flow=g) for P, g in zip(polys, groups)]
@@ -867,6 +807,7 @@ def measure_collapse(D: Deformation, epsilons, seed: int = 0,
     if workers is None:
         workers = min(eps.size, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         payloads = [(D.base.tag.dimension, D.base.to_coords(),
                      D.direction.to_coords(), float(e), seed)
                     for e in eps]          # ascending eps: slowest job first
@@ -913,11 +854,11 @@ class BasinReport:
     max_residual: float
     unconverged: list[int]
     max_rise: float                # largest V - V(start) along the labelled flow
-    stats: RKCStats                # the labelling flow's effort
+    stats: LockstepStats           # the labelling flow's effort
 
     def effort(self) -> dict:
-        """The labelling flow's steps, batched gradient calls, rejections,
-        largest stage count and accepted step range."""
+        """The labelling flow's steps, batched kernel calls, error and
+        Lyapunov rejections, accepted step range and row ends."""
         return self.stats.effort()
 
 
@@ -925,23 +866,24 @@ EQUATOR_BAND = 0.05
 
 
 def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors, max_time: float
-                    ) -> tuple[np.ndarray, np.ndarray, float, RKCStats]:
+                    ) -> tuple[np.ndarray, np.ndarray, float, LockstepStats]:
     """Capture labels for a batch of starts, integrated in lockstep.
 
-    The rows flow on ``_rkc_ensemble`` under P's stiffness at the attractors
-    until an attractor captures them or ``max_time``.  Labels agree with
+    The rows flow on ``_lockstep``, the W-method of ``integrate`` with one
+    step, clock and error test (``tol.LABEL_REL``, ``tol.LABEL_ABS``) per
+    row, until an attractor captures them or ``max_time``.  Labels agree with
     per-trajectory adaptive integration and with the classical RK4 loop this
     replaced (checked in tests) at a small fraction of the cost.  A row
     whose step underflows its clock leaves the batch unlabelled with its
     last accepted state, so it does not hold the loop open; a non-finite
-    start makes the largest rise NaN.  Raises ``ValueError`` without
+    start leaves at once, unlabelled, and makes the largest rise NaN.  Raises ``ValueError`` without
     attractors.  Returns (labels, final points, largest V - V(start) at any
     accepted step of any row, the effort counters); -1 marks rows still
     free at max_time or dropped.
     """
     if _attractor_coords(attractors) is None:
         raise ValueError("ensemble_labels needs at least one attractor")
-    rows = _rkc_ensemble(P, starts, max_time, attractors=attractors)
+    rows = _lockstep(P, starts, max_time, attractors=attractors)
     return rows.labels, rows.points, float(np.max(rows.rise, initial=0.0)), rows.stats()
 
 

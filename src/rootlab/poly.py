@@ -273,9 +273,12 @@ def gradient_coords_batch(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
     return _kernel(P, X, grad=True)[1]
 
 
-def value_gradient_batch(P: DAPolynomial, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P(X) and grad V(X) at raw points, shape (..., d) -> two (..., d) arrays."""
-    return _kernel(P, X, grad=True)[:2]
+def value_gradient_batch(P: DAPolynomial, X: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(X), grad V(X) and J(X) at raw points, shape (..., d) -> two (..., d)
+    arrays and a (..., d, d) one; J is the transposed view of the J^T that
+    the gradient is built from, so it costs no extra product."""
+    return _kernel(P, X, True, True)
 
 
 def value_gradient_fn(P: DAPolynomial):

@@ -40,5 +40,5 @@ TANGENTIAL_VTOL_REL = 1e-6
 LYAPUNOV_SLACK_REL = 1e-12
 FLOW_REL = 1e-9                    # error control of the W-method collapse integrator
 FLOW_ABS = 1e-12
-LABEL_REL = 1e-3                   # error control of the RKC ensemble: labels and search
+LABEL_REL = 1e-3                   # error control of the lockstep W-method: labels and search
 LABEL_ABS = 1e-6

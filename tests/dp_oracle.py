@@ -6,8 +6,9 @@ W-method's collapse times to it.  Its terminal time is the end of the first
 accepted step inside the capture radius; ``located_collapse_time`` moves
 that to the crossing on that step.  ``integrate_ensemble`` is the lockstep
 ensemble the multistart search ran before it moved onto the
-Runge-Kutta-Chebyshev ensemble, kept verbatim: the same stepper over a
-whole start set, pinned to ``integrate`` row by row.  Tests take their
+Runge-Kutta-Chebyshev ensemble and then the lockstep W-method, kept as it
+ran (it drops the J its batched kernel calls return): the same stepper
+over a whole start set, pinned to ``integrate`` row by row.  Tests take their
 reference search end points and labels from it.
 """
 
@@ -277,7 +278,7 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
     if not shared and len(P) != n:
         raise ValueError("need one polynomial per start row")
     tables = P if shared else stack_tables(P)
-    pv, G = value_gradient_batch(tables, Y)
+    pv, G, _ = value_gradient_batch(tables, Y)
     V = np.einsum("ij,ij->i", pv, pv)
     out = SimpleNamespace(
         points=Y.copy(), kinds=np.zeros(n, dtype=int),
@@ -325,7 +326,7 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
             yi = y + h[:, None] * (_DP_A[i] @ flat[:i]).reshape(m, dim)
             km[i] = -value_gradient_batch(tables, yi)[1]
         y5 = y + h[:, None] * (_DP_A[6] @ flat[:6]).reshape(m, dim)
-        pv5, g5 = value_gradient_batch(tables, y5)
+        pv5, g5, _ = value_gradient_batch(tables, y5)
         km[6] = -g5
         y4 = y + h[:, None] * (_DP_B4 @ flat).reshape(m, dim)
         sc = tol.FLOW_ABS + tol.FLOW_REL * np.maximum(np.abs(y), np.abs(y5))

@@ -47,7 +47,7 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
     rise = 0.0
     steps = 0
     while t < max_time and row.size:
-        pv, g = value_gradient_batch(P, Y)
+        pv, g, _ = value_gradient_batch(P, Y)
         v = np.einsum("ij,ij->i", pv, pv)
         if t == 0.0:
             v0 = v

@@ -104,14 +104,15 @@ def test_c10_basins():
     # V never rises along the labelled flow, at a second seed as well
     result = _run("c10")
     assert result.details["max_rise"] <= 1e-10, result.details
-    # the labelling flow's effort at seed 1: about 70 error-controlled
-    # lockstep steps (1,754 fixed steps, 5,262 batched gradient calls before
-    # error control); the call count is deterministic
+    # the labelling flow's effort at seed 1: about 70 lockstep W-method
+    # steps of four batched kernel calls each; the call count is
+    # deterministic, and every row is captured
     d = result.details
-    assert abs(d["steps"] - 71) <= 7, d
-    assert d["gradient_calls"] < 2000, d
-    assert 2 * d["steps"] <= d["gradient_calls"] <= d["stages_max"] * d["steps"], d
+    assert abs(d["steps"] - 70) <= 7, d
+    assert d["gradient_calls"] == 4 * d["steps"] <= 300, d
+    assert d["rejected"] > 0 and d["lyapunov_rejections"] == 0, d
     assert 0.0 < d["h_min"] <= d["h_max"], d
+    assert d["ended"] == {"captured": 500, "gradient": 0, "time": 0, "dropped": 0}, d
     assert cl.run_claim("c10", quick=False, seed=2).details["max_rise"] <= 1e-10
 
 
@@ -163,7 +164,7 @@ def test_thermo_claims_run_one_metropolis_loop(claim_id, monkeypatch):
 
 def test_c05_runs_one_flow_pass(monkeypatch):
     # x^2+ix+1 and every quadratic flow in one ensemble call
-    calls = {"_rkc_ensemble": 0}
+    calls = {"_lockstep": 0}
 
     def counted(name):
         fn = getattr(fl, name)
@@ -176,7 +177,7 @@ def test_c05_runs_one_flow_pass(monkeypatch):
     for name in calls:
         monkeypatch.setattr(fl, name, counted(name))
     cl.run_claim("c05", quick=True, seed=SEED)
-    assert calls == {"_rkc_ensemble": 1}
+    assert calls == {"_lockstep": 1}
 
 
 def test_c13_hausdorff_discontinuity():

@@ -134,9 +134,9 @@ def test_outputs_byte_identical_for_same_seed(tmp_path):
 
 
 def test_basins_summary_gains_only_the_flow_counters(tmp_path):
-    # the labelling flow's steps, gradient calls, rejections, largest stage
-    # count and step range are the report's effort; every other line of the
-    # artifact is the one the report's fields gave before they existed
+    # the labelling flow's steps, kernel calls, rejections, step range and
+    # row ends are the report's effort; every other line of the artifact is
+    # the one the report's fields gave before they existed
     r = run_cli("basins", "--eps", "0.08", "--samples", "40", "--seed", "1",
                 outdir=tmp_path)
     assert r.returncode == 0, r.stderr
@@ -147,17 +147,17 @@ def test_basins_summary_gains_only_the_flow_counters(tmp_path):
                                  seed=cfg["seed"])
     effort = rep.effort()
     assert {k: doc[k] for k in effort} == effort
-    assert set(effort) == {"steps", "gradient_calls", "rejected", "stages_max",
-                           "h_min", "h_max"}
+    assert set(effort) == {"steps", "gradient_calls", "rejected", "lyapunov_rejections",
+                           "h_min", "h_max", "ended"}
     assert effort["steps"] > 0
+    assert sum(effort["ended"].values()) == 40
     old = {"config": cfg,
            "attractors": [[float(v) for v in a.coords] for a in rep.attractors],
            "fractions": {str(k): v for k, v in rep.fractions.items()},
            "max_residual": rep.max_residual, "max_rise": rep.max_rise,
            "unconverged": len(rep.unconverged)}
-    kept = [line for line in text.splitlines()
-            if not line.startswith(tuple(f'  "{k}"' for k in effort))]
-    assert kept == json.dumps(old, indent=2, sort_keys=True).splitlines()
+    assert text.splitlines() == json.dumps({**old, **effort}, indent=2,
+                                           sort_keys=True).splitlines()
 
 
 def test_seed_required_for_sampling_commands(tmp_path):
@@ -208,9 +208,10 @@ def test_localize_command(tmp_path):
     assert len(data["roots"]) == 2
     flow = data["flow"]                 # the search pass's effort over its 10 starts
     assert sum(flow["ended"].values()) == 10
-    # each step makes its stages' calls and one for the stiffness estimate
-    assert 3 * flow["steps"] <= flow["gradient_calls"] <= (fl.RKC_MAX_STAGES + 1) * flow["steps"]
-    assert 2 <= flow["stages_max"] <= fl.RKC_MAX_STAGES
+    # each step makes three stage calls and one end-point call
+    assert flow["gradient_calls"] == 4 * flow["steps"] > 0
+    assert set(flow) == {"steps", "gradient_calls", "rejected", "lyapunov_rejections",
+                         "h_min", "h_max", "ended"}
     assert 0 < flow["h_min"] <= flow["h_max"]
     for entry in data["roots"]:
         assert not entry["spherical"]

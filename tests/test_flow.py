@@ -1,6 +1,8 @@
 """Gradient-flow integration, attractors, collapse scaling, basins."""
 
 import dataclasses
+import subprocess
+import sys
 
 import dp_oracle
 import numpy as np
@@ -285,16 +287,14 @@ def test_integrate_counters_count(monkeypatch):
 
 
 def test_collapse_integrator_evaluates_each_point_once(monkeypatch):
-    # c08's eps = 0.1: every kernel call is one closure call, none asks for
-    # a Jacobian alone, and each accepted step still factors one J
+    # c08's eps = 0.1: every kernel call is one closure call, so none asks
+    # for a Jacobian alone, and each accepted step still factors one J
     D = benchmark()
     P = D.at(0.1)
     sample = collapse_time(D, 0.1, seed=1)
     attractors = fl._family_frame(D, P)[0]
-    calls, kernel_calls, jacobian_calls = [], [], []
+    calls, kernel_calls = [], []
     monkeypatch.setattr(fl, "value_gradient_fn", _counting(fl.value_gradient_fn, calls))
-    monkeypatch.setattr(fl, "jacobian_coords",
-                        lambda *a: jacobian_calls.append(1) or jacobian_coords(*a))
     kernel = pl._kernel
     monkeypatch.setattr(pl, "_kernel",
                         lambda *a, **k: kernel_calls.append(1) or kernel(*a, **k))
@@ -302,7 +302,6 @@ def test_collapse_integrator_evaluates_each_point_once(monkeypatch):
     st = traj.stats
     assert (traj.final_time, st) == (sample.time, sample.stats)
     assert traj.terminal.detail == "captured"
-    assert jacobian_calls == []
     assert st.factorizations == st.accepted
     assert st.rhs_evals == len(calls) == len(kernel_calls)
 
@@ -347,6 +346,14 @@ def test_measure_collapse_pool_matches_serial():
     assert all(st.factorizations == st.accepted for st in serial.stats)
     assert all(st.h_min <= st.h_max for st in serial.stats)
     assert collapse_time(D, serial.epsilons[-1], seed=5).stats == serial.stats[-1]
+
+
+def test_importing_the_claims_leaves_the_process_pool_unloaded():
+    # only measure_collapse uses the pool, so its module loads there and not
+    # at every interpreter start
+    code = "import sys, rootlab.claims; print('concurrent.futures.process' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (r.returncode, r.stdout.strip()) == (0, "False"), r.stderr
 
 
 def test_scaling_fit_synthetic():
@@ -408,8 +415,7 @@ def test_hemisphere_examples_and_equator_flag():
 def test_basins_converge_at_cli_default_eps():
     # at eps = 0.5 the stiffest Hessian eigenvalue at the attractors is 12.5:
     # a fixed step h = 0.25 once left RK4 unstable and every row blew up;
-    # the labels start at h = 5 / 12.5 = 0.4, and each step takes the
-    # Chebyshev stages that hold its batch's longest step
+    # the L-stable W-method's step is set by accuracy alone
     rep = basin_decomposition(benchmark(), 0.5, 100, seed=2)
     assert rep.unconverged == []
     assert sum(rep.fractions.values()) == pytest.approx(1.0)
@@ -430,36 +436,69 @@ def test_ensemble_labels_agree_with_adaptive_integrator():
         assert traj.terminal.attractor_index == labels[i]
 
 
-def test_rkc_stages_are_second_order_and_stable_to_beta():
-    # y' = z y: one step of h = 1 takes y to y R_s(z), the stability polynomial
-    ratios = []
-    for s in range(2, 11):
-        beta, table = fl._rkc_stages(s)
-
-        def R(z):
-            return fl._rkc_step(lambda y: z * y, np.ones_like(z), z, 1.0, table)
-        z = -np.logspace(-4, -2, 5)
-        assert np.all(np.abs(R(z) - (1.0 + z + z * z / 2.0)) <= np.abs(z) ** 3), s
-        assert np.max(np.abs(R(np.linspace(-beta, 0.0, 4001)))) <= 1.0 + 1e-12, s
-        ratios.append(beta / s ** 2)
-    # beta(s) / s^2 rises toward 0.653 under the damping 2/13
-    assert np.all(np.diff(ratios) > 0.0) and ratios[-1] < 0.653
-    assert round(fl._rkc_stages(3)[0], 2) == 5.23
-    assert round(fl._rkc_stages(10)[0], 1) == 64.7
+def _w_linear(z, zw, h=1.0):
+    """One ``_w_attempt`` of h on y' = z y from y = 1, with W = 1 - h g zw."""
+    z = np.asarray(z, dtype=float)[:, None]
+    zw = np.broadcast_to(zw, z.shape[:1])[:, None]
+    hg = h * fl._W_G
+    y = np.ones_like(z)
+    y1, e = fl._w_attempt(lambda Y: -z * Y, y, z * y, (1.0 / (1.0 - hg * zw))[:, :, None],
+                          np.full_like(z, hg))
+    return y1[:, 0], e[:, 0]
 
 
-def test_rkc_error_estimate_is_third_order():
-    # on y' = z y the embedded estimate of one step from y = 1 shrinks as
-    # h^3: halving h divides it by 8 for every stage count
-    z = -1.0
-    for s in range(2, 11):
-        table = fl._rkc_stages(s)[1]
+def test_w_step_is_third_order_for_any_w_and_l_stable():
+    # y' = z y: one step of h = 1 takes y to y R(z); third order with the
+    # exact W, a wrong one or none, and |R| <= 1 on the whole negative axis
+    # with R -> 0 at its end (L-stable), so a stiff decay does not bound h
+    z = -np.logspace(-3, -1, 5)
+    for zw in (z, 0.5 * z, 0.0):
+        assert np.all(np.abs(_w_linear(z, zw)[0] - np.exp(z)) <= 0.1 * z ** 4), zw
+    stiff = -np.logspace(-3, 12, 3001)
+    R = _w_linear(stiff, stiff)[0]
+    assert np.max(np.abs(R)) <= 1.0 and abs(R[-1]) < 1e-10
 
-        def est(h):
-            y1 = fl._rkc_step(lambda y: z * y, np.ones(1), np.full(1, z), h, table)
-            return abs(fl._rkc_error(1.0, y1, z, z * y1, h)[0])
-        ratios = [est(h) / est(h / 2.0) for h in (0.04, 0.02, 0.01)]
-        assert np.allclose(ratios, 8.0, rtol=0.05), (s, ratios)
+
+def test_w_error_estimate_is_third_order():
+    # the embedded estimate of one step from y = 1 shrinks as h^3:
+    # halving h divides it by 8
+    def est(h):
+        return abs(_w_linear(np.array([-h]), -h)[1][0])
+    ratios = [est(h) / est(h / 2.0) for h in (0.04, 0.02, 0.01)]
+    assert np.allclose(ratios, 8.0, rtol=0.05), ratios
+
+
+def test_lockstep_matches_integrate_row_by_row(monkeypatch):
+    # the lockstep driver is integrate's W-method, row by row: with
+    # integrate's error control at the label tolerances, every row gets
+    # integrate's label within one accepted step of its count
+    D = benchmark()
+    P = D.at(0.3)
+    att = fl._located_attractors(P)
+    starts = _sphere_and_gaussian_starts(D, 12)
+    rows = fl._lockstep(P, starts, 1e4, attractors=att)
+    accepted = rows.steps - rows.rejected - rows.lyapunov_rejections
+    monkeypatch.setattr(fl.tol, "FLOW_REL", tol.LABEL_REL)
+    monkeypatch.setattr(fl.tol, "FLOW_ABS", tol.LABEL_ABS)
+    for i, s in enumerate(starts):
+        traj = integrate(P, s, FlowConfig(max_time=1e4), attractors=att)
+        assert traj.terminal.attractor_index == rows.labels[i] >= 0
+        assert abs(accepted[i] - traj.stats.accepted) <= 1, i
+    assert np.all(rows.ends == fl.ENDS.index("captured"))
+
+
+def test_label_rows_do_not_depend_on_their_batch():
+    # each row has its own h and W, so a row labelled alone gets the label
+    # and the step count it gets among 100 others
+    D = benchmark()
+    P = D.at(0.08)
+    att, _, starts, _ = fl._sphere_starts(D, P, 100, np.random.default_rng(3))
+    batch = fl._lockstep(P, starts, 1e4, attractors=att)
+    for i in (0, 17, 50, 99):
+        alone = fl._lockstep(P, starts[i:i + 1], 1e4, attractors=att)
+        assert alone.labels[0] == batch.labels[i] >= 0
+        assert alone.steps[0] == batch.steps[i]
+        assert alone.rejected[0] == batch.rejected[i]
 
 
 @pytest.mark.parametrize("eps", [0.08, 0.3, 0.5, 1.0, 2.0, 3.0])
@@ -637,26 +676,26 @@ def test_integrate_ensemble_row_configs_match_one_config():
         dp_oracle.integrate_ensemble(P, starts, [cfg] * (len(starts) - 1))
 
 
-def test_rkc_ensemble_row_settings_match_one_setting():
+def test_lockstep_row_settings_match_one_setting():
     # a time limit and gradient stop given per row run the rows exactly as
     # the same scalars do, and a polynomial repeated per row as the shared one
     D = benchmark()
     P = D.at(0.3)
     starts = _sphere_and_gaussian_starts(D, 15)
     n = len(starts)
-    one = fl._rkc_ensemble(P, starts, 1e3, stop_grad=1e-5)
-    rows = fl._rkc_ensemble([P] * n, starts, np.full(n, 1e3), stop_grad=np.full(n, 1e-5))
+    one = fl._lockstep(P, starts, 1e3, stop_grad=1e-5)
+    rows = fl._lockstep([P] * n, starts, np.full(n, 1e3), stop_grad=np.full(n, 1e-5))
     for f in dataclasses.fields(one):
         assert np.array_equal(getattr(rows, f.name), getattr(one, f.name)), f.name
     assert np.all(one.ends == fl.ENDS.index("gradient"))
     with pytest.raises(ValueError):
-        fl._rkc_ensemble([P] * (n - 1), starts, 1e3)
+        fl._lockstep([P] * (n - 1), starts, 1e3)
 
 
 def test_flow_captures_starts_and_never_raises_potential():
     # every start flows to rest at an attractor but for separatrix starts in
-    # the equator band, on the search's ensemble: each row estimates its own
-    # stiffness and stops on its gradient
+    # the equator band, on the search's lockstep pass: each row stops on
+    # its gradient
     D = benchmark()
     eps = 0.3
     P = D.at(eps)
@@ -665,11 +704,11 @@ def test_flow_captures_starts_and_never_raises_potential():
     starts = np.vstack([starts, rng.normal(scale=2.0, size=(20, 4))])
     in_band = np.concatenate([in_band, np.zeros(20, dtype=bool)])
     cfg = FlowConfig(max_time=max(1e4, 200.0 / eps ** 2))
-    ens = fl._rkc_ensemble(P, starts, cfg.max_time, stop_grad=cfg.stop_grad)
+    ens = fl._lockstep(P, starts, cfg.max_time, stop_grad=cfg.stop_grad)
     att_coords = np.stack([a.coords for a in att])
     gap = np.linalg.norm(ens.points[:, None] - att_coords, axis=2).min(axis=1)
     hit = (ens.ends == fl.ENDS.index("gradient")) & (gap < fl.STOP_RADIUS)
-    assert ens.stats().stages_max <= fl.RKC_MAX_STAGES
+    assert ens.stats().lyapunov_rejections == 0
     assert np.all(hit | in_band)
     assert np.sum(hit) >= 95
     # the basin labels of the same sphere starts see V never rise
@@ -713,49 +752,50 @@ def test_ensemble_labels_drop_a_nan_row():
     assert np.isnan(rise)
 
 
-def test_far_starts_finish_within_the_stage_cap():
-    # far off the manifold the local stiffness is far above the attractors':
-    # the labels' first trial steps overflow and are rejected, cutting h,
-    # and the start is labelled as the Dormand-Prince oracle labels it; the
-    # search's rows, each with its own stiffness estimate, reach the roots
-    # their oracle end points polish to
+def test_far_starts_end_as_the_oracle_ends_them():
+    # far off the manifold the flow's time scale |y| / |f| falls as 1/|y|^2
+    # (about 1e-17 at 1e8), and a step underflows only against the larger of
+    # it and the row's clock: label and search rows out to 1e8 end as the
+    # Dormand-Prince oracle ends them.  Beyond 1e6 the oracle stalls at its
+    # absolute step floor (1e-16); there the label is the one the oracle
+    # gives on the same ray at 1e6, where the flow, radial out there, has
+    # not turned
     D = benchmark()
     P = D.at(0.3)
     att = fl._located_attractors(P)
-    far = np.array([[1e3, 1e3, 0.0, 0.0]])
-    labels, _, rise, stats = ensemble_labels(P, far, att, 1e4)
-    ref = dp_oracle.integrate(P, far[0], FlowConfig(max_time=1e4), attractors=att)
-    assert ref.terminal.attractor_index is not None
-    assert labels[0] == ref.terminal.attractor_index
-    assert stats.rejected > 0 and stats.stages_max <= fl.RKC_MAX_STAGES
-    assert rise <= 1e-10
-    unit = np.random.default_rng(0).normal(size=(6, 4))
+    unit = np.random.default_rng(0).normal(size=(2, 4))
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-    starts = np.vstack([1e4 * unit[:3], 1e6 * unit[3:]])
-    search = fl.attractors_from_starts([P], starts)[0]
-    assert search.effort()["ended"]["gradient"] == len(starts)
-    assert search.effort()["stages_max"] <= fl.RKC_MAX_STAGES
-    with np.errstate(over="ignore", invalid="ignore"):
-        oracle = dp_oracle.integrate_ensemble(P, starts, fl.SEARCH_FLOW)
-    for ours, theirs in zip(search.flow.points, oracle.points):
-        a, b = (fl._polished_attractors(P, [x])[0] for x in (ours, theirs))
-        assert len(a) == len(b) == 1
-        assert np.max(np.abs(a[0].coords - b[0].coords)) < 1e-9
+    cfg = FlowConfig(max_time=1e4)
+    ray = None
+    for r in (1e3, 1e6, 1e7, 1e8):
+        labels, _, rise, stats = ensemble_labels(P, r * unit, att, 1e4)
+        assert stats.ended["captured"] == len(unit) and rise <= 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            oracle = [dp_oracle.integrate(P, x, cfg, attractors=att).terminal
+                      for x in r * unit]
+        if r <= 1e6:
+            assert [t.attractor_index for t in oracle] == labels.tolist() == [0, 1]
+            ray = labels
+        else:
+            assert all(t.kind == "stalled" for t in oracle)
+            assert np.array_equal(labels, ray)
+        search = fl.attractors_from_starts([P], r * unit)[0]
+        assert search.effort()["ended"]["gradient"] == len(unit)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = dp_oracle.integrate_ensemble(P, r * unit, fl.SEARCH_FLOW).points
+        for ours, theirs in zip(search.flow.points, ends):
+            a, b = (fl._polished_attractors(P, [x])[0] for x in (ours, theirs))
+            assert len(a) == len(b) == 1
+            assert np.max(np.abs(a[0].coords - b[0].coords)) < 1e-9
 
 
-def test_stage_cap_cuts_the_step(monkeypatch):
-    # with the cap below the stages c10's steps take, h is cut to the
-    # capped stability bound: more steps, the same labels
-    D = benchmark()
-    P = D.at(0.08)
-    att, _, starts, _ = fl._sphere_starts(D, P, 100, np.random.default_rng(3))
-    labels, _, _, stats = ensemble_labels(P, starts, att, 1e4)
-    assert stats.stages_max > 8
-    monkeypatch.setattr(fl, "RKC_MAX_STAGES", 8)
-    capped, _, _, capped_stats = ensemble_labels(P, starts, att, 1e4)
-    assert capped_stats.stages_max == 8
-    assert capped_stats.steps > stats.steps
-    assert np.array_equal(capped, labels)
+def test_a_nan_start_leaves_at_once():
+    P = benchmark().at(0.3)
+    starts = np.array([[np.nan, 0.0, 0.0, 0.0], [0.5, 0.4, 0.3, 0.2]])
+    with np.errstate(invalid="ignore"):
+        rows = fl._lockstep(P, starts, 1e4, stop_grad=1e-4)
+    assert rows.ends.tolist() == [fl.ENDS.index("dropped"), fl.ENDS.index("gradient")]
+    assert rows.steps[0] == 0 and rows.labels[0] == -1 and np.isnan(rows.rise[0])
 
 
 def test_search_end_points_polish_as_oracle_end_points(monkeypatch):
@@ -792,5 +832,5 @@ def test_flow_static_at_zero():
     from rootlab.manifolds import sample_stratum
     starts = np.stack([s.coords for s in sample_stratum(fl._first_sphere(D), 30,
                                                         np.random.default_rng(10))])
-    ens = fl._rkc_ensemble(D.at(0.0), starts, 10.0, stop_grad=FlowConfig().stop_grad)
+    ens = fl._lockstep(D.at(0.0), starts, 10.0, stop_grad=FlowConfig().stop_grad)
     assert np.max(np.linalg.norm(ens.points - starts, axis=1)) < 1e-6

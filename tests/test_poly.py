@@ -183,7 +183,7 @@ def test_value_gradient_closure_consistency():
                                   for x in flat]).reshape(shape)
                 ref_J = np.stack([poly_oracle.jacobian_coords(P, x)
                                   for x in flat]).reshape(shape + (d,))
-                batch_v, batch_g = pl.value_gradient_batch(P, X)
+                batch_v, batch_g, batch_J = pl.value_gradient_batch(P, X)
                 fn_v, fn_g, fn_J = fn(X)
                 for v in (pl.evaluate_coords(P, X), batch_v, fn_v):
                     assert v.shape == shape
@@ -191,7 +191,7 @@ def test_value_gradient_closure_consistency():
                 for g in (pl.gradient_coords_batch(P, X), batch_g, fn_g):
                     assert g.shape == shape
                     assert np.allclose(g, ref_g, rtol=1e-12, atol=1e-10)
-                for J in (pl.jacobian_coords(P, X), fn_J):
+                for J in (pl.jacobian_coords(P, X), batch_J, fn_J):
                     assert J.shape == shape + (d,)
                     assert np.allclose(J, ref_J, rtol=1e-12, atol=1e-10)
                 assert np.allclose(pl.potential_coords(P, X),
@@ -212,8 +212,8 @@ def test_stacked_kernel_matches_oracle_row_by_row():
         stack = pl.stack_tables(polys)
         assert [r.shape for r in stack[0]] == [(len(polys), d)] * 5
         assert [m.shape for m in stack[1]] == [(len(polys), d, d)] * 5
-        v, g = pl.value_gradient_batch(stack, X)
-        J = pl.jacobian_coords(stack, X)
+        v, g, J = pl.value_gradient_batch(stack, X)
+        assert np.array_equal(J, pl.jacobian_coords(stack, X))
         for i, P in enumerate(polys):
             assert np.allclose(v[i], poly_oracle.evaluate_coords(P, X[i]),
                                rtol=1e-12, atol=1e-11)
@@ -221,7 +221,7 @@ def test_stacked_kernel_matches_oracle_row_by_row():
                                rtol=1e-12, atol=1e-10)
             assert np.allclose(J[i], poly_oracle.jacobian_coords(P, X[i]),
                                rtol=1e-12, atol=1e-10)
-            shared_v, shared_g = pl.value_gradient_batch(P, X[i:i + 1])
+            shared_v, shared_g, _ = pl.value_gradient_batch(P, X[i:i + 1])
             assert np.allclose(v[i], shared_v[0], rtol=1e-14, atol=1e-14)
             assert np.allclose(g[i], shared_g[0], rtol=1e-14, atol=1e-13)
     with pytest.raises(ValueError):
@@ -320,9 +320,10 @@ def test_value_gradient_closure_is_the_batch_path_bit_for_bit():
             fn = value_gradient_fn(P)
             for x in rng.normal(size=(5, tag.dimension)):
                 v, g, J = fn(x)
-                batch_v, batch_g = pl.value_gradient_batch(P, x)
+                batch_v, batch_g, batch_J = pl.value_gradient_batch(P, x)
                 assert np.array_equal(v, batch_v)
                 assert np.array_equal(g, batch_g)
+                assert np.array_equal(J, batch_J)
                 assert np.array_equal(J, pl.jacobian_coords(P, x))
 
 
