@@ -336,7 +336,7 @@ def claim_basins(quick: bool, seed: int) -> ClaimResult:
         f"(n = {int(np.sum(keep))})",
         ">= 0.98", passed, budget_seconds=60.0,
         details={"fractions": rep.fractions, "max_residual": rep.max_residual,
-                 "max_rise": rep.max_rise, **rep.effort()})
+                 "max_rise": rep.max_rise, **rep.effort})
 
 
 def _sampler_effort(stats, proposal_scale) -> dict:

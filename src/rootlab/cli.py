@@ -249,7 +249,7 @@ def cmd_basins(cfg: dict, out: Path) -> int:
         "max_residual": rep.max_residual,
         "max_rise": rep.max_rise,
         "unconverged": len(rep.unconverged),
-        **rep.effort(),
+        **rep.effort,
     })
     return 0
 

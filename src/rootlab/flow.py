@@ -3,31 +3,35 @@
 The flow x' = -grad ||P(x)||^2 is integrated with the potential enforced
 to be non-increasing along accepted steps, on one method with two drivers:
 the linearly implicit W-method ROS34PW2, whose step is set by accuracy
-alone, not by the fast radial decay onto the root set.  ``integrate``
-follows one trajectory and keeps its samples, and collapse times run on
-it.  It evaluates each point once: an accepted step makes four kernel
-calls, and its one SVD factors the J returned with the value and gradient
-of the point it starts from; it controls its error with ``tol.FLOW_REL``
-and ``tol.FLOW_ABS``.  ``_lockstep`` steps a whole start set in lockstep
-on the same tableau, controller and Lyapunov rejection, with one step,
-clock, W and error test (``tol.LABEL_REL``, ``tol.LABEL_ABS``) per row:
-four batched kernel calls a step.  It runs under one polynomial or one per
-row, and each row leaves the batch on its own stop rule: capture by an
-attractor (basin labels), a gradient stop or a time limit (search), or a
-step that underflows its clock.  Multistart attractor search and basin
-labels run on it: searches that differ in polynomial, start set and stop
-test share one pass (c05's 12-start search on x^2 + ix + 1 and its
-5-start quadratic searches), and each reports its rows' deterministic
-effort counters and the Newton iterations of its polish.  Attractors are
-isolated full-rank roots, Newton-polished in one place: multistart search
-gets its candidates from the flow, while collapse times and basins start
-Newton from the isolated points of ``manifolds.root_set``, with no flow
-and no seed.  Collapse times and basins read one frame of a deformation
-family, built in one place: those attractors, the base sphere and the axis
-of the attractor the sphere collapses onto.  On top of these:
-collapse-time measurement from a start exactly pi/3 from that axis, the
-log-log scaling fit of collapse time against perturbation size, basin
-decomposition of the initial sphere, and restricted potential scans.
+alone, not by the fast radial decay onto the root set.  Both drivers build
+W^-1 = (I + 2 h g J^T J)^-1 from the J of the last accepted point with one
+inverse per attempt, end a run whose step underflows its clock
+(``_underflow``) and end a start whose V, gradient or J is non-finite at
+once (``_finite``).  ``integrate`` follows one trajectory and keeps its
+samples, and collapse times run on it.  It evaluates each point once: an
+accepted step makes four kernel calls, and the J returned with the value
+and gradient of the point it starts from builds its W; it controls its
+error with ``tol.FLOW_REL`` and ``tol.FLOW_ABS``.  ``_lockstep`` steps a
+whole start set in lockstep on the same tableau, controller and Lyapunov
+rejection, with one step, clock, W and error test (``tol.LABEL_REL``,
+``tol.LABEL_ABS``) per row: four batched kernel calls a step.  It runs
+under one polynomial or one per row, and each row leaves the batch on its
+own stop rule: capture by an attractor (basin labels), a gradient stop or
+a time limit (search), or a step that underflows its clock.  Multistart
+attractor search and basin labels run on it: searches that differ in
+polynomial, start set and stop test share one pass (c05's 12-start search
+on x^2 + ix + 1 and its 5-start quadratic searches), and each reports its
+rows' deterministic effort counters and the Newton iterations of its
+polish.  Attractors are isolated full-rank roots, Newton-polished in one
+place: multistart search gets its candidates from the flow, while collapse
+times and basins start Newton from the isolated points of
+``manifolds.root_set``, with no flow and no seed.  Collapse times and
+basins read one frame of a deformation family, built in one place: those
+attractors, the base sphere and the axis of the attractor the sphere
+collapses onto.  On top of these: collapse-time measurement from a start
+exactly pi/3 from that axis, the log-log scaling fit of collapse time
+against perturbation size, basin decomposition of the initial sphere, and
+restricted potential scans.
 Basin labels (``ensemble_labels``) also report the largest rise of V
 along any labelled trajectory, the evidence that the flow is a
 deformation retract onto the attractors.
@@ -39,7 +43,7 @@ import math
 import os
 import warnings
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,13 +98,16 @@ class Terminal:
 
 @dataclass(frozen=True)
 class StepStats:
-    """Deterministic effort counters of one ``integrate`` run."""
+    """Deterministic effort counters of one ``integrate`` run.
+
+    Each attempt builds its W^-1 with one inverse, so the inverses number
+    ``accepted + rejected + lyapunov_rejections``.
+    """
 
     accepted: int                  # accepted steps
     rejected: int                  # steps rejected by the error test
     lyapunov_rejections: int       # accurate steps rejected for raising V
     rhs_evals: int                 # value-and-gradient evaluations
-    factorizations: int            # W-matrix factorizations (SVDs of J)
     h_min: float                   # smallest and largest accepted step
     h_max: float
 
@@ -151,16 +158,18 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
               attractors=None) -> Trajectory:
     """Integrate the gradient flow from x0 with the ROS34PW2 W-method.
 
-    W = I + h g 2 J^T J, with J the Jacobian of P at the step's start, is
-    inverted through one SVD of J per accepted step.  Each point is
-    evaluated once: the value-and-gradient closure returns J with P(x) and
-    grad V(x), and the SVD factors the J that came with the accepted point,
-    so an accepted step costs four kernel calls (three stages and its end
-    point).  Stops when the gradient norm drops below ``cfg.stop_grad``, at
-    the crossing into ``STOP_RADIUS`` of one of the supplied attractors
-    (located on the step's Hermite interpolant), or at ``cfg.max_time``.
-    Accepted steps keep the potential non-increasing (up to a relative
-    slack); repeated failures report a stalled terminal.
+    Each attempt inverts W = I + 2 h g J^T J once, with J the Jacobian of
+    P at the last accepted point, as ``_lockstep`` does for each row.  Each
+    point is evaluated once: the value-and-gradient closure returns J with
+    P(x) and grad V(x), so an accepted step costs four kernel calls (three
+    stages and its end point).  Stops when the gradient norm drops below
+    ``cfg.stop_grad``, at the crossing into ``STOP_RADIUS`` of one of the
+    supplied attractors (located on the step's Hermite interpolant), or at
+    ``cfg.max_time``.  Accepted steps keep the potential non-increasing (up
+    to a relative slack); a trial whose V is above that or NaN is rejected.
+    The run stalls, keeping its last accepted point, when a rejected step
+    underflows its clock (``_underflow``, shared with ``_lockstep``), and at
+    once from a start whose V, gradient or J is non-finite (``_finite``).
     """
     cfg = cfg or FlowConfig()
     y = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
@@ -168,30 +177,33 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
 
     val_grad = value_gradient_fn(P)
     t = 0.0
-    pv, g, J = val_grad(y)
-    f = -g
-    v0 = float(pv @ pv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pv, g, J = val_grad(y)
+        f = -g
+        v0 = float(pv @ pv)
+        gnorm = math.sqrt(f @ f)
+        h = float(_initial_step(np.linalg.norm(y), gnorm))
+        gn = 2.0 * J.T @ J
+        idx = _capture_index(y, att, STOP_RADIUS)
     slack = tol.LYAPUNOV_SLACK_REL * max(v0, 1.0e-300)
     times = [t]
     points = [y.copy()]
     pots = [v0]
     v_prev = v0
 
-    gnorm = math.sqrt(f @ f)
     terminal = None
-    idx = _capture_index(y, att, STOP_RADIUS)
-    if gnorm < cfg.stop_grad or idx is not None:
+    if not _finite(v0, g, J):
+        terminal = Terminal("stalled", None, "non-finite start")
+    elif gnorm < cfg.stop_grad or idx is not None:
         terminal = Terminal("converged", idx, "stopped at start")
     abs_y = np.abs(y)
-    h = float(_initial_step(np.linalg.norm(y), gnorm))
     dim = y.size
+    eye = np.eye(dim)
     u = np.zeros((4, dim))
     stage_a = [_W_A[i, :i] for i in range(4)]
     stage_c = [_W_C[i, :i] for i in range(4)]
-    gn_eig = None                   # eigenvalues of 2 J^T J at y, kept over retries
-    steps = accepted = lyapunov_rejections = factorizations = 0
+    steps = accepted = lyapunov_rejections = 0
     n_rhs = 1
-    lyapunov_fails = 0
     plateau = 0
     v_plateau_start = v0
     just_rejected = False
@@ -204,12 +216,8 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
             terminal = Terminal("max_time", None, "")
             break
         h = min(h, cfg.max_time - t)
-        if gn_eig is None:
-            _, sv, vt = np.linalg.svd(J)
-            gn_eig = 2.0 * sv * sv      # 2 J^T J = vt.T diag(gn_eig) vt
-            factorizations += 1
         hg = h * _W_G
-        w_inv = (vt.T / (1.0 + hg * gn_eig)) @ vt
+        w_inv = np.linalg.inv(eye + hg * gn)
         u[0] = w_inv @ (hg * f)
         for i in range(1, 4):
             gi = val_grad(y + stage_a[i] @ u[:i])[1]
@@ -224,81 +232,72 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
             pv_new, g_new, J_new = val_grad(y_new)
             n_rhs += 1
             v_new = float(pv_new @ pv_new)
-            if v_new > v_prev + slack:
-                # accuracy says fine but the Lyapunov property failed: shrink
+        if not (err_norm <= 1.0 and v_new <= v_prev + slack):
+            if err_norm <= 1.0:
+                # accurate, but V rose or is NaN: halve h
                 lyapunov_rejections += 1
-                lyapunov_fails += 1
                 h *= 0.5
-                just_rejected = True
-                if h < 1e-14 * max(1.0, t) or lyapunov_fails > 60:
-                    terminal = Terminal("stalled", None,
-                                        f"step underflow at t={t:.6g}")
-                    break
-                continue
-            lyapunov_fails = 0
-            # plateau guard: on a convex quadratic, a step scaling each
-            # Hessian eigendirection by R (exact flow: 0 < R < 1; this
-            # method: R >= -0.131) drops V by at least (1 + R) / 2 of the
-            # first-order drop f.dy; steps giving under a quarter of it
-            # while V no longer moves are at the accuracy floor
-            if v_prev - v_new < 0.25 * float(f @ (y_new - y)):
-                if plateau == 0:
-                    v_plateau_start = v_prev
-                plateau += 1
             else:
-                plateau = 0
-            accepted += 1
-            h_min, h_max = min(h_min, h), max(h_max, h)
-            dt = h
-            idx = _capture_index(y_new, att, STOP_RADIUS)
-            if idx is not None:
-                theta, y_new = _hermite_crossing(y, f, y_new, -g_new, h, att[idx],
-                                                 STOP_RADIUS)
-                dt = theta * h
-                pv_new, g_new, J_new = val_grad(y_new)
-                n_rhs += 1
-                v_new = float(pv_new @ pv_new)
-            t += dt
-            y = y_new
-            abs_y = abs_new             # stale only after a capture, which ends the loop
-            f = -g_new
-            J = J_new
-            v_prev = v_new
-            gn_eig = None
-            if accepted % cfg.record_every == 0:
-                times.append(t)
-                points.append(y.copy())
-                pots.append(v_new)
-            gnorm = math.sqrt(f @ f)
-            if idx is not None:
-                terminal = Terminal("converged", idx, "captured")
-                break
-            if gnorm < cfg.stop_grad:
-                terminal = Terminal("converged", None, "gradient below threshold")
-                break
-            if plateau >= 25:
-                if v_plateau_start - v_new <= 0.01 * v_plateau_start:
-                    terminal = Terminal("converged", None, "potential plateau")
-                    break
-                plateau = 0
-            grow = 0.9 * err_norm ** (-1 / 3) if err_norm > 0 else 5.0
-            if just_rejected:
-                grow = min(grow, 1.0)
-                just_rejected = False
-            h *= min(5.0, max(0.2, grow))
-        else:
-            h *= max(0.2, 0.9 * err_norm ** (-1 / 3))
+                h *= max(0.2, 0.9 * err_norm ** (-1 / 3))
             just_rejected = True
-            if h < 1e-16:
-                terminal = Terminal("stalled", None, "step underflow")
+            if _underflow(h, t, y, f):
+                terminal = Terminal("stalled", None, f"step underflow at t={t:.6g}")
+            continue
+        # plateau guard: on a convex quadratic, a step scaling each
+        # Hessian eigendirection by R (exact flow: 0 < R < 1; this
+        # method: R >= -0.131) drops V by at least (1 + R) / 2 of the
+        # first-order drop f.dy; steps giving under a quarter of it
+        # while V no longer moves are at the accuracy floor
+        if v_prev - v_new < 0.25 * float(f @ (y_new - y)):
+            if plateau == 0:
+                v_plateau_start = v_prev
+            plateau += 1
+        else:
+            plateau = 0
+        accepted += 1
+        h_min, h_max = min(h_min, h), max(h_max, h)
+        dt = h
+        idx = _capture_index(y_new, att, STOP_RADIUS)
+        if idx is not None:
+            theta, y_new = _hermite_crossing(y, f, y_new, -g_new, h, att[idx],
+                                             STOP_RADIUS)
+            dt = theta * h
+            pv_new, g_new, J_new = val_grad(y_new)
+            n_rhs += 1
+            v_new = float(pv_new @ pv_new)
+        t += dt
+        y = y_new
+        abs_y = abs_new                 # stale only after a capture, which ends the loop
+        f = -g_new
+        gn = 2.0 * J_new.T @ J_new
+        v_prev = v_new
+        if accepted % cfg.record_every == 0:
+            times.append(t)
+            points.append(y.copy())
+            pots.append(v_new)
+        gnorm = math.sqrt(f @ f)
+        if idx is not None:
+            terminal = Terminal("converged", idx, "captured")
+            break
+        if gnorm < cfg.stop_grad:
+            terminal = Terminal("converged", None, "gradient below threshold")
+            break
+        if plateau >= 25:
+            if v_plateau_start - v_new <= 0.01 * v_plateau_start:
+                terminal = Terminal("converged", None, "potential plateau")
                 break
+            plateau = 0
+        grow = 0.9 * err_norm ** (-1 / 3) if err_norm > 0 else 5.0
+        if just_rejected:
+            grow = min(grow, 1.0)
+            just_rejected = False
+        h *= min(5.0, max(0.2, grow))
     if times[-1] != t:
         times.append(t)
         points.append(y.copy())
         pots.append(v_prev)
     stats = StepStats(accepted, steps - accepted - lyapunov_rejections,
-                      lyapunov_rejections, n_rhs, factorizations,
-                      h_min if accepted else 0.0, h_max)
+                      lyapunov_rejections, n_rhs, h_min if accepted else 0.0, h_max)
     return Trajectory(np.asarray(times), np.stack(points), np.asarray(pots), terminal,
                       stats)
 
@@ -368,25 +367,28 @@ def _initial_step(y_norm, f_norm):
     return np.where(f_norm == 0.0, 1e-6, h)
 
 
+def _underflow(h, t, y, f):
+    """Whether a step h underflows its clock: h < 1e-14 max(t, |y| / |f|).
+
+    The time scale |y| / |f| keeps the steps of a start far out, whose
+    whole flow time is tiny.  Scalars and one vector, or one entry and row
+    per row of a batch.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        clock = np.maximum(t, np.linalg.norm(y, axis=-1) / np.linalg.norm(f, axis=-1))
+    return h < 1e-14 * clock
+
+
+def _finite(v, g, J):
+    """Whether V, the gradient and the Jacobian are all finite, for one
+    point or for each row of a batch (the gradient's last axis, the
+    Jacobian's last two)."""
+    return np.isfinite(v) & np.isfinite(g).all(axis=-1) & np.isfinite(J).all(axis=(-2, -1))
+
+
 ENDS = ("captured", "gradient", "time", "dropped")     # how a row leaves the ensemble
 _CAPTURED, _GRADIENT, _TIME, _DROPPED = range(len(ENDS))
 _CALLS_PER_STEP = 4                # three stages and the end point
-
-
-@dataclass(frozen=True)
-class LockstepStats:
-    """Deterministic effort counters of a lockstep pass, or of some of its rows."""
-
-    steps: int                     # lockstep steps
-    gradient_calls: int            # batched kernel calls, four a step (the starts take one more)
-    rejected: int                  # row-steps rejected by the error test
-    lyapunov_rejections: int       # accurate row-steps rejected for raising V
-    h_min: float                   # smallest and largest accepted row step
-    h_max: float
-    ended: dict                    # how many rows left the batch by each of ENDS
-
-    def effort(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -412,26 +414,19 @@ class EnsembleRows:
         """The entries of the rows ``sel`` picks (an index, slice or mask)."""
         return EnsembleRows(*(getattr(self, f.name)[sel] for f in fields(self)))
 
-    def stats(self) -> LockstepStats:
-        """These rows' counters together: the steps and calls the pass made
-        while any of them rode, their rejections, their step range and how
-        many left by each of ``ENDS``."""
+    def effort(self) -> dict:
+        """These rows' counters together: the steps and batched kernel calls
+        (four a step; the starts take one more) the pass made while any of
+        them rode, their error and Lyapunov rejections, their accepted step
+        range and how many left by each of ``ENDS``."""
         steps = int(self.steps.max(initial=0))
         h_max = float(self.h_max.max(initial=0.0))
         counts = np.bincount(self.ends, minlength=len(ENDS))
-        return LockstepStats(steps, _CALLS_PER_STEP * steps, int(self.rejected.sum()),
-                             int(self.lyapunov_rejections.sum()),
-                             float(self.h_min.min()) if h_max else 0.0, h_max,
-                             {end: int(c) for end, c in zip(ENDS, counts)})
-
-    def effort(self) -> dict:
-        return self.stats().effort()
-
-
-def _finite_rows(v, g, J) -> np.ndarray:
-    """Rows whose V, gradient and Jacobian are all finite."""
-    return (np.isfinite(v) & np.isfinite(g).all(axis=1)
-            & np.isfinite(J.reshape(J.shape[0], -1)).all(axis=1))
+        return {"steps": steps, "gradient_calls": _CALLS_PER_STEP * steps,
+                "rejected": int(self.rejected.sum()),
+                "lyapunov_rejections": int(self.lyapunov_rejections.sum()),
+                "h_min": float(self.h_min.min()) if h_max else 0.0, "h_max": h_max,
+                "ended": {end: int(c) for end, c in zip(ENDS, counts)}}
 
 
 def _w_attempt(gradient, y, f, w_inv, hg):
@@ -473,11 +468,10 @@ def _lockstep(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleR
     of: capture within ``STOP_RADIUS`` of an attractor (with
     ``attractors``, also at its start), a gradient norm below its
     ``stop_grad`` (if given, also at its start), its ``max_time``, or a
-    step that underflows its clock: h below 1e-14 of the larger of its
-    time t and its time scale |y| / |f|, so a start far out, whose flow
-    time is tiny, keeps its steps.  A start whose V, gradient or J is
-    non-finite leaves at once.  ``max_time`` and ``stop_grad`` are scalars
-    or one per row.
+    step that underflows its clock (``_underflow``, shared with
+    ``integrate``).  A start whose V, gradient or J is non-finite
+    (``_finite``, also shared) leaves at once.  ``max_time`` and
+    ``stop_grad`` are scalars or one per row.
     """
     X = np.array(starts, dtype=float)
     n, dim = X.shape
@@ -497,7 +491,7 @@ def _lockstep(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleR
         pv, g, J = value_gradient_batch(tables, Y)
         v = np.einsum("ij,ij->i", pv, pv)
         gn = 2.0 * J.swapaxes(1, 2) @ J
-    finite = _finite_rows(v, g, J)
+    finite = _finite(v, g, J)
     live = SimpleNamespace(
         row=row, y=Y, f=-g, gn=gn, v=v, v0=v, t=np.zeros(row.size),
         h=_initial_step(np.linalg.norm(Y, axis=1), np.linalg.norm(g, axis=1)),
@@ -544,7 +538,7 @@ def _lockstep(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleR
             v1 = np.einsum("ij,ij->i", pv, pv)
             scale = tol.LABEL_ABS + tol.LABEL_REL * np.maximum(np.abs(y), np.abs(y1))
             err = np.sqrt(np.mean((e / scale) ** 2, axis=1))
-            err = np.where(np.isfinite(err) & _finite_rows(v1, g1, J1), err, np.inf)
+            err = np.where(np.isfinite(err) & _finite(v1, g1, J1), err, np.inf)
             accurate = err <= 1.0
             lyapunov = accurate & (v1 > live.v + live.slack)
             ok = accurate & ~lyapunov
@@ -566,11 +560,8 @@ def _lockstep(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleR
         factor = np.where(live.just_rejected, np.minimum(factor, 1.0), factor)
         live.h = h * np.where(lyapunov, 0.5, np.clip(factor, 0.2, 5.0))
         live.just_rejected = ~ok
-        with np.errstate(divide="ignore", invalid="ignore"):
-            clock = np.maximum(live.t, np.linalg.norm(live.y, axis=1)
-                               / np.linalg.norm(live.f, axis=1))
         end = np.where(live.t >= live.max_time, _TIME,
-                       np.where(live.h < 1e-14 * clock, _DROPPED, -1))
+                       np.where(_underflow(live.h, live.t, live.y, live.f), _DROPPED, -1))
         if stop_grad is not None:
             end[ok & (np.linalg.norm(live.f, axis=1) < live.stop_grad)] = _GRADIENT
         if att is not None:
@@ -777,51 +768,45 @@ class CollapseMeasurement:
         return {key: [getattr(st, name) for st in self.stats] for key, name in (
             ("steps", "accepted"), ("rhs", "rhs_evals"),
             *((name, name) for name in ("rejected", "lyapunov_rejections",
-                                        "factorizations", "h_min", "h_max")))}
+                                        "h_min", "h_max")))}
 
 
-def _collapse_row(s: CollapseSample) -> tuple[float, float, bool, StepStats]:
-    return s.epsilon, s.time, s.censored, s.stats
-
-
-def _collapse_worker(payload) -> tuple[float, float, bool, StepStats]:
-    dim, base_rows, dir_rows, eps, seed = payload
-    tag = AlgebraTag(dim)
-    D = Deformation(DAPolynomial.from_coords(tag, base_rows),
-                    DAPolynomial.from_coords(tag, dir_rows))
-    return _collapse_row(collapse_time(D, eps, seed=seed))
+def _collapse_worker(job) -> CollapseSample:
+    """One pool job: the collapse sample of (deformation, eps, seed)."""
+    D, eps, seed = job
+    return collapse_time(D, eps, seed=seed)
 
 
 def measure_collapse(D: Deformation, epsilons, seed: int = 0,
                      workers: int | None = None) -> CollapseMeasurement:
     """Collapse times over an epsilon list plus the log-log fit.
 
-    The per-epsilon runs are independent and deterministic given the seed,
-    so they distribute over a process pool (slowest run first); results,
-    each run's integrator counters included, merge in epsilon order
-    regardless of completion order.
+    Each epsilon's run is one ``integrate`` trajectory, with its W inverse,
+    clock guard and non-finite rule.  The runs are independent and
+    deterministic given the seed, so they distribute over a process pool
+    (slowest run first), each worker handed the deformation, its epsilon
+    and the seed; the pool returns the samples, each run's integrator
+    counters included, in epsilon order whatever order they finish in.
     """
     eps = np.sort(np.asarray(list(epsilons), dtype=float))
     if np.any(eps <= 0):
         raise ValueError("epsilons must be positive")
     if workers is None:
         workers = min(eps.size, os.cpu_count() or 1)
+    jobs = [(D, float(e), seed) for e in eps]      # ascending eps: slowest job first
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        payloads = [(D.base.tag.dimension, D.base.to_coords(),
-                     D.direction.to_coords(), float(e), seed)
-                    for e in eps]          # ascending eps: slowest job first
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_collapse_worker, payloads))
+            samples = list(pool.map(_collapse_worker, jobs))
     else:
-        rows = [_collapse_row(collapse_time(D, e, seed=seed)) for e in eps]
-    by_eps = {r[0]: r for r in rows}
-    _, times, censored, stats = zip(*(by_eps[float(e)] for e in eps))
-    times, censored = np.array(times), np.array(censored)
+        samples = list(map(_collapse_worker, jobs))
+    times = np.array([s.time for s in samples])
+    censored = np.array([s.censored for s in samples])
     if np.any(censored):
         warnings.warn("censored collapse measurements excluded from fit")
     slope, intercept, r2 = scaling_fit(eps[~censored], times[~censored])
-    return CollapseMeasurement(eps, times, censored, slope, intercept, r2, stats)
+    return CollapseMeasurement(eps, times, censored, slope, intercept, r2,
+                               tuple(s.stats for s in samples))
 
 
 def scaling_fit(epsilons, times) -> tuple[float, float, float]:
@@ -854,19 +839,14 @@ class BasinReport:
     max_residual: float
     unconverged: list[int]
     max_rise: float                # largest V - V(start) along the labelled flow
-    stats: LockstepStats           # the labelling flow's effort
-
-    def effort(self) -> dict:
-        """The labelling flow's steps, batched kernel calls, error and
-        Lyapunov rejections, accepted step range and row ends."""
-        return self.stats.effort()
+    effort: dict                   # the labelling flow's ``EnsembleRows.effort()``
 
 
 EQUATOR_BAND = 0.05
 
 
 def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors, max_time: float
-                    ) -> tuple[np.ndarray, np.ndarray, float, LockstepStats]:
+                    ) -> tuple[np.ndarray, np.ndarray, float, dict]:
     """Capture labels for a batch of starts, integrated in lockstep.
 
     The rows flow on ``_lockstep``, the W-method of ``integrate`` with one
@@ -874,17 +854,19 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors, max_time: f
     row, until an attractor captures them or ``max_time``.  Labels agree with
     per-trajectory adaptive integration and with the classical RK4 loop this
     replaced (checked in tests) at a small fraction of the cost.  A row
-    whose step underflows its clock leaves the batch unlabelled with its
-    last accepted state, so it does not hold the loop open; a non-finite
-    start leaves at once, unlabelled, and makes the largest rise NaN.  Raises ``ValueError`` without
-    attractors.  Returns (labels, final points, largest V - V(start) at any
-    accepted step of any row, the effort counters); -1 marks rows still
-    free at max_time or dropped.
+    whose step underflows its clock, by the guard ``integrate`` also uses,
+    leaves the batch unlabelled with its last accepted state, so it does not
+    hold the loop open; a non-finite start, by ``integrate``'s rule too,
+    leaves at once, unlabelled, and makes the largest rise NaN.  Raises
+    ``ValueError`` without attractors.  Returns (labels, final points,
+    largest V - V(start) at any accepted step of any row, the rows'
+    ``EnsembleRows.effort()``); -1 marks rows still free at max_time or
+    dropped.
     """
     if _attractor_coords(attractors) is None:
         raise ValueError("ensemble_labels needs at least one attractor")
     rows = _lockstep(P, starts, max_time, attractors=attractors)
-    return rows.labels, rows.points, float(np.max(rows.rise, initial=0.0)), rows.stats()
+    return rows.labels, rows.points, float(np.max(rows.rise, initial=0.0)), rows.effort()
 
 
 def _sphere_starts(D: Deformation, P: DAPolynomial, n_samples: int,
@@ -908,7 +890,7 @@ def basin_decomposition(D: Deformation, eps: float, n_samples: int,
     P = D.at(eps)
     attractors, axis, X0, band = _sphere_starts(D, P, n_samples,
                                                 np.random.default_rng(seed))
-    labels, finals, max_rise, stats = ensemble_labels(
+    labels, finals, max_rise, effort = ensemble_labels(
         P, X0, attractors, max_time=max(1e4, 400.0 / eps ** 2))
     captured = labels >= 0
     max_res = 0.0
@@ -920,7 +902,7 @@ def basin_decomposition(D: Deformation, eps: float, n_samples: int,
         j: float(np.mean(labels == j)) for j in range(len(attractors))
     }
     return BasinReport(X0, labels, attractors, axis, fractions, band,
-                       max_res, unconverged, max_rise, stats)
+                       max_res, unconverged, max_rise, effort)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 import dataclasses
 import subprocess
 import sys
+import time
+import warnings
 
 import dp_oracle
 import numpy as np
@@ -278,7 +280,6 @@ def test_integrate_counters_count(monkeypatch):
     st = traj.stats
     assert st.rhs_evals == len(calls)
     assert traj.terminal.detail == "gradient below threshold"
-    assert st.factorizations == st.accepted          # one per step start
     # one call at the start, three stages per attempt, one per accurate step
     attempts = st.accepted + st.rejected + st.lyapunov_rejections
     assert st.rhs_evals == 1 + 3 * attempts + st.accepted + st.lyapunov_rejections
@@ -286,9 +287,38 @@ def test_integrate_counters_count(monkeypatch):
     assert 0.0 < st.h_min <= st.h_max
 
 
+@pytest.mark.parametrize("tag", [QUATERNIONS, OCTONIONS])
+def test_integrate_step_is_the_lockstep_attempt(tag, monkeypatch):
+    # integrate keeps its own stage loop; its first step, with max_time set
+    # to its initial step (accepted at the label tolerances), is the
+    # lockstep's W-method attempt on the same y, f, W^-1 and h g: bit for
+    # bit over H, and to rounding over O, where einsum and @ group the
+    # 8-term sums differently
+    monkeypatch.setattr(fl.tol, "FLOW_REL", tol.LABEL_REL)
+    monkeypatch.setattr(fl.tol, "FLOW_ABS", tol.LABEL_ABS)
+    P = benchmark(tag).at(0.3)
+    y = np.resize([0.3, 0.9, -0.4, 0.2, 0.1, -0.2, 0.3, 0.05], tag.dimension)
+    _, g, J = pl.value_gradient_fn(P)(y)
+    h = float(fl._initial_step(np.linalg.norm(y), np.linalg.norm(g)))
+    traj = integrate(P, y, FlowConfig(max_time=h))
+    st = traj.stats
+    assert (traj.terminal.kind, st.accepted, st.rejected, st.lyapunov_rejections) == (
+        "max_time", 1, 0, 0)
+    hg = h * fl._W_G
+    w_inv = np.linalg.inv(np.eye(y.size) + hg * (2.0 * J.T @ J))
+    y1, _ = fl._w_attempt(lambda Z: pl.gradient_coords_batch(P, Z), y[None], -g[None],
+                          w_inv[None], np.array([[hg]]))
+    if tag is QUATERNIONS:
+        assert np.array_equal(traj.final_point, y1[0])
+    else:
+        gap = np.max(np.abs(traj.final_point - y1[0]))
+        assert gap <= 1e-14 * np.max(np.abs(y1[0]))
+
+
 def test_collapse_integrator_evaluates_each_point_once(monkeypatch):
     # c08's eps = 0.1: every kernel call is one closure call, so none asks
-    # for a Jacobian alone, and each accepted step still factors one J
+    # for a Jacobian alone, and each attempt's W is built from the J that
+    # came with its start point
     D = benchmark()
     P = D.at(0.1)
     sample = collapse_time(D, 0.1, seed=1)
@@ -302,7 +332,6 @@ def test_collapse_integrator_evaluates_each_point_once(monkeypatch):
     st = traj.stats
     assert (traj.final_time, st) == (sample.time, sample.stats)
     assert traj.terminal.detail == "captured"
-    assert st.factorizations == st.accepted
     assert st.rhs_evals == len(calls) == len(kernel_calls)
 
 
@@ -343,7 +372,6 @@ def test_measure_collapse_pool_matches_serial():
     # every field, the per-epsilon integrator counters included
     for f in dataclasses.fields(serial):
         assert np.array_equal(getattr(serial, f.name), getattr(pooled, f.name)), f.name
-    assert all(st.factorizations == st.accepted for st in serial.stats)
     assert all(st.h_min <= st.h_max for st in serial.stats)
     assert collapse_time(D, serial.epsilons[-1], seed=5).stats == serial.stats[-1]
 
@@ -526,7 +554,7 @@ def test_ensemble_labels_do_not_move_with_a_tighter_tolerance(eps, monkeypatch):
     monkeypatch.setattr(fl.tol, "LABEL_REL", fl.tol.LABEL_REL / 10.0)
     tight, _, _, tight_stats = ensemble_labels(P, starts, att, max_time)
     assert np.array_equal(labels, tight)
-    assert tight_stats.gradient_calls > stats.gradient_calls
+    assert tight_stats["gradient_calls"] > stats["gradient_calls"]
 
 
 def _sphere_and_gaussian_starts(D, seed):
@@ -708,7 +736,7 @@ def test_flow_captures_starts_and_never_raises_potential():
     att_coords = np.stack([a.coords for a in att])
     gap = np.linalg.norm(ens.points[:, None] - att_coords, axis=2).min(axis=1)
     hit = (ens.ends == fl.ENDS.index("gradient")) & (gap < fl.STOP_RADIUS)
-    assert ens.stats().lyapunov_rejections == 0
+    assert ens.effort()["lyapunov_rejections"] == 0
     assert np.all(hit | in_band)
     assert np.sum(hit) >= 95
     # the basin labels of the same sphere starts see V never rise
@@ -735,7 +763,7 @@ def test_ensemble_labels_match_adaptive_flow_off_manifold():
     assert np.all(expected >= 0)
     assert np.array_equal(labels, expected)
     assert rise <= 1e-10
-    assert stats.gradient_calls < 1000, stats
+    assert stats["gradient_calls"] < 1000, stats
 
 
 def test_ensemble_labels_drop_a_nan_row():
@@ -769,7 +797,7 @@ def test_far_starts_end_as_the_oracle_ends_them():
     ray = None
     for r in (1e3, 1e6, 1e7, 1e8):
         labels, _, rise, stats = ensemble_labels(P, r * unit, att, 1e4)
-        assert stats.ended["captured"] == len(unit) and rise <= 0.0
+        assert stats["ended"]["captured"] == len(unit) and rise <= 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             oracle = [dp_oracle.integrate(P, x, cfg, attractors=att).terminal
                       for x in r * unit]
@@ -787,6 +815,39 @@ def test_far_starts_end_as_the_oracle_ends_them():
             a, b = (fl._polished_attractors(P, [x])[0] for x in (ours, theirs))
             assert len(a) == len(b) == 1
             assert np.max(np.abs(a[0].coords - b[0].coords)) < 1e-9
+
+
+def test_integrate_keeps_its_steps_from_far_starts():
+    # the flow's whole time from |x| = r is about 1 / (8 r^2), so a step
+    # floor fixed in absolute time stalls starts at 1e7 and 1e8 before
+    # their first step; against the run's clock max(t, |y| / |f|) they
+    # take their steps to the end of a 1e-15 flow, moving inward
+    P = benchmark().at(0.3)
+    att = fl._located_attractors(P)
+    unit = np.random.default_rng(0).normal(size=4)
+    unit /= np.linalg.norm(unit)
+    for r in (1e7, 1e8):
+        traj = integrate(P, r * unit, FlowConfig(max_time=1e-15), att)
+        assert traj.terminal.kind == "max_time", (r, traj.terminal)
+        assert traj.stats.accepted > 0
+        assert np.linalg.norm(traj.final_point) < r
+
+
+def test_integrate_stalls_at_once_from_non_finite_starts():
+    # a NaN or inf coordinate, or a start whose V overflows, ends stalled
+    # before any step, quietly and at once
+    P = benchmark().at(0.3)
+    att = fl._located_attractors(P)
+    for x0 in ([np.nan, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0], [1e200, 1e200, 0.0, 0.0]):
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(P, np.array(x0), FlowConfig(), att)
+        assert time.perf_counter() - start < 1.0
+        assert traj.terminal == fl.Terminal("stalled", None, "non-finite start"), x0
+        st = traj.stats
+        assert st.accepted == st.rejected == st.lyapunov_rejections == 0
+        assert traj.times.tolist() == [0.0]
 
 
 def test_a_nan_start_leaves_at_once():
