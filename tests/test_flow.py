@@ -299,7 +299,7 @@ def test_integrate_step_is_the_lockstep_attempt(tag, monkeypatch):
     P = benchmark(tag).at(0.3)
     y = np.resize([0.3, 0.9, -0.4, 0.2, 0.1, -0.2, 0.3, 0.05], tag.dimension)
     _, g, J = pl.value_gradient_fn(P)(y)
-    h = float(fl._initial_step(np.linalg.norm(y), np.linalg.norm(g)))
+    h = fl._starting_step(y, -g, J.T @ J)
     traj = integrate(P, y, FlowConfig(max_time=h))
     st = traj.stats
     assert (traj.terminal.kind, st.accepted, st.rejected, st.lyapunov_rejections) == (

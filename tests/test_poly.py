@@ -13,6 +13,7 @@ from rootlab.algebra import (
     OCTONIONS,
     QUATERNIONS,
     REALS,
+    _flat_right_plus_left,
     basis_element,
     element,
     random_element,
@@ -211,7 +212,8 @@ def test_stacked_kernel_matches_oracle_row_by_row():
         X = rng.normal(size=(len(polys), d))
         stack = pl.stack_tables(polys)
         assert [r.shape for r in stack[0]] == [(len(polys), d)] * 5
-        assert [m.shape for m in stack[1]] == [(len(polys), d, d)] * 5
+        assert [m.shape for m in stack[1]] == [(len(polys), d, d * d if k == 2 else d)
+                                               for k in range(5)]
         v, g, J = pl.value_gradient_batch(stack, X)
         assert np.array_equal(J, pl.jacobian_coords(stack, X))
         for i, P in enumerate(polys):
@@ -240,7 +242,8 @@ def test_repeated_polynomial_stacks_to_the_shared_call():
             X = rng.normal(size=(17, d))
             stack = pl.stack_tables([P] * len(X))
             assert all(r.shape == (d,) for r in stack[0])
-            assert all(m.shape == (d, d) for m in stack[1])
+            assert [m.shape for m in stack[1]] == [(d, d * d if k == 2 else d)
+                                                   for k in range(degree + 1)]
             got = pl._kernel(stack, X, grad=True, jac=True)
             want = pl._kernel(P, X, grad=True, jac=True)
             for a, b in zip(got, want):
@@ -279,8 +282,8 @@ def test_stack_shares_a_term_equal_on_every_row():
         [1, 0, 0, 0]]) for _ in range(20)]
     rows, left_T = pl.stack_tables([poly_canonical(), *quads])
     assert [r.shape for r in rows] == [(21, 4), (21, 4), (4,)]
-    assert [m.shape for m in left_T] == [(21, 4, 4), (21, 4, 4), (4, 4)]
-    assert np.array_equal(left_T[2], np.eye(4))
+    assert [m.shape for m in left_T] == [(21, 4, 4), (21, 4, 4), (4, 16)]
+    assert np.array_equal(left_T[2], _flat_right_plus_left(4))     # S_2 of a_2 = 1
     # c12: x^2 + 1 and x^2 + ix + 1 over H, x^2 + 1 over O, embedded in O
     polys = [pl.embed(P, OCTONIONS) for P in
              (poly_xx_plus_1(QUATERNIONS), poly_canonical(), poly_xx_plus_1(OCTONIONS))]
@@ -325,6 +328,54 @@ def test_value_gradient_closure_is_the_batch_path_bit_for_bit():
                 assert np.array_equal(g, batch_g)
                 assert np.array_equal(J, batch_J)
                 assert np.array_equal(J, pl.jacobian_coords(P, x))
+
+
+def test_quadratic_keeps_its_bits_in_higher_degree_stacks():
+    # the quadratic term comes from S_2 at every stack degree, so the rows
+    # of a quadratic zero-padded to degree 3 or 4 by a longer row keep the
+    # bits of its own call: the DAPolynomial call when its terms are
+    # shared, the degree-2 stack of the same rows when a_2 is held per row
+    rng = np.random.default_rng(33)
+    for tag in (REALS, COMPLEX, QUATERNIONS, OCTONIONS):
+        d = tag.dimension
+        coeffs = tuple(random_element(tag, rng) for _ in range(3))
+        Q = DAPolynomial(tag, coeffs)
+        quads = [DAPolynomial(tag, tuple(random_element(tag, rng) for _ in range(3)))
+                 for _ in range(4)]
+        X = rng.normal(size=(5, d))
+        for K in (3, 4):
+            longer = DAPolynomial(tag, coeffs + tuple(random_element(tag, rng)
+                                                      for _ in range(K - 2)))
+            stack = pl.stack_tables([Q] * 4 + [longer])
+            assert [m.ndim for m in stack[1]] == [2, 2, 2] + [3] * (K - 2)
+            got = pl._kernel(stack, X, grad=True, jac=True)
+            want = pl._kernel(Q, X[:4], grad=True, jac=True)
+            for a, b in zip(got, want):
+                assert np.array_equal(a[:4], b)
+            stack = pl.stack_tables(quads + [longer])
+            assert [m.ndim for m in stack[1]] == [3] * (K + 1)
+            got = pl._kernel(stack, X, grad=True, jac=True)
+            want = pl._kernel(pl.stack_tables(quads), X[:4], grad=True, jac=True)
+            for a, b in zip(got, want):
+                assert np.array_equal(a[:4], b)
+
+
+def test_one_point_branch_matches_the_batch_row():
+    # a DAPolynomial at one point, shape (d,), takes the kernel's vector
+    # branch; it agrees with the batch path's (1, d) row to rounding
+    rng = np.random.default_rng(34)
+    for tag in (REALS, COMPLEX, QUATERNIONS, OCTONIONS):
+        d = tag.dimension
+        for degree in range(0, 5):
+            P = DAPolynomial(tag, tuple(random_element(tag, rng)
+                                        for _ in range(degree + 1)))
+            for x in rng.normal(size=(5, d)):
+                one = pl._kernel(P, x, grad=True, jac=True)
+                row = pl._kernel(P, x[None], grad=True, jac=True)
+                for a, b in zip(one, row):
+                    assert a.shape == b.shape[1:]
+                    assert np.max(np.abs(a - b[0])) <= 1e-14 * np.max(np.abs(b[0]))
+                assert np.array_equal(pl._kernel(P, x)[0], one[0])
 
 
 def test_polynomial_is_frozen():
