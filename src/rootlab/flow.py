@@ -171,12 +171,12 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     first trial step is the tolerance-scaled estimate of ``_starting_step``,
     which the error test accepts from c08's starts.  On c08's eps = 0.01
     run an attempt costs about 50 us of CPU (2-core Xeon), against 88 us
-    before the quadratic table and one-point branch of ``poly._kernel``
-    and this leaner attempt.  Stops when the gradient norm drops below
-    ``cfg.stop_grad``, at the crossing into ``STOP_RADIUS`` of one of the
-    supplied attractors (located on the step's Hermite interpolant), or at
-    ``cfg.max_time``.  Accepted steps keep the potential non-increasing (up
-    to a relative slack); a trial whose V is above that or NaN is rejected.
+    before the quadratic table of ``poly._kernel`` and this leaner attempt.
+    Stops when the gradient norm drops below ``cfg.stop_grad``, at the
+    crossing into ``STOP_RADIUS`` of one of the supplied attractors
+    (located on the step's Hermite interpolant), or at ``cfg.max_time``.
+    Accepted steps keep the potential non-increasing (up to a relative
+    slack); a trial whose V is above that or NaN is rejected.
     The run stalls, keeping its last accepted point, when a rejected step
     underflows its clock (``_underflow``, shared with ``_lockstep``), and at
     once from a start whose V, gradient or J is non-finite (``_finite``).
@@ -206,8 +206,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     elif gnorm < cfg.stop_grad or idx is not None:
         terminal = Terminal("converged", idx, "stopped at start")
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = _starting_step(y, f, jtj)
+        h = float(_starting_step(y, f, jtj, tol.FLOW_ABS, tol.FLOW_REL))
     abs_y = np.abs(y)
     dim = y.size
     eye = np.eye(dim)
@@ -373,38 +372,34 @@ def _capture_rows(Y: np.ndarray, att: np.ndarray, radius: float) -> np.ndarray:
     return index
 
 
-def _initial_step(y_norm, f_norm):
-    """First trial step from |y| and |f|; scalars or per-row arrays."""
-    f_norm = np.asarray(f_norm, dtype=float)
-    with np.errstate(divide="ignore"):
-        h = np.clip(0.01 * (1.0 + y_norm) / f_norm, 1e-10, 0.1)
-    return np.where(f_norm == 0.0, 1e-6, h)
+def _starting_step(y, f, jtj, atol, rtol):
+    """First trial step of both drivers, from the starting-step estimate of
+    Hairer, Norsett & Wanner (Solving ODEs I, II.4); one point, or one
+    step per row of a batch (``jtj`` then (n, d, d)).
 
-
-def _starting_step(y, f, jtj) -> float:
-    """``integrate``'s first trial step, from the starting-step estimate of
-    Hairer, Norsett & Wanner (Solving ODEs I, II.4).
-
-    In the RMS norm of the error test, weighted by ``tol.FLOW_ABS`` +
-    ``tol.FLOW_REL`` |y|: h0 = 0.01 |y| / |f|, and the step is
+    In the RMS norm of the error test, weighted by ``atol`` + ``rtol`` |y|:
+    h0 = 0.01 |y| / |f|, and the step is
     min(100 h0, (0.01 / max(|f|, |y''|))^(1/3)), the exponent that of the
     embedded error, O(h^3).  |y''| = |Hess V f| is taken with the
     Gauss-Newton Hessian 2 J^T J (``jtj`` = J^T J) in place of the Euler
     probe of the original, so the estimate costs no gradient call.  The
     step shrinks with the tolerance, as the step the error test accepts
-    does: from c08's starts it is about a seventh of that step, where the
-    scale-free guess of ``_initial_step`` was 35 to 75 times too large and
-    cost three rejections.  An estimate that overflows leaves h0.
+    does: from c08's starts it is about a seventh of that step, where a
+    scale-free guess, 0.01 (1 + |y|) / |f|, was 35 to 75 times too large
+    and cost three rejections.  An estimate that overflows leaves h0, and
+    f = 0 gives 1e-6.
     """
-    scale = tol.FLOW_ABS + tol.FLOW_REL * np.abs(y)
-    d0 = math.sqrt(np.mean(np.square(y / scale)))
-    d1 = math.sqrt(np.mean(np.square(f / scale)))
-    h0 = 1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1
-    d2 = math.sqrt(np.mean(np.square(2.0 * (jtj @ f) / scale)))
-    if max(d1, d2) <= 1e-15:
-        return max(1e-6, 1e-3 * h0)
-    h1 = (0.01 / max(d1, d2)) ** (1 / 3)
-    return min(100.0 * h0, h1) if h1 > 0.0 else h0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = atol + rtol * np.abs(y)
+        d0 = np.sqrt(np.mean(np.square(y / scale), axis=-1))
+        d1 = np.sqrt(np.mean(np.square(f / scale), axis=-1))
+        h0 = np.where(np.minimum(d0, d1) < 1e-5, 1e-6, 0.01 * d0 / d1)
+        y2 = 2.0 * (jtj @ f[..., None])[..., 0]
+        d2 = np.sqrt(np.mean(np.square(y2 / scale), axis=-1))
+        d12 = np.maximum(d1, d2)
+        h1 = (0.01 / d12) ** (1 / 3)
+        h = np.where(h1 > 0.0, np.minimum(100.0 * h0, h1), h0)
+        return np.where(d12 <= 1e-15, np.maximum(1e-6, 1e-3 * h0), h)
 
 
 def _underflow(h, t, y, f):
@@ -491,6 +486,7 @@ def _lockstep(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleR
     """Gradient flow from every row of ``starts`` in lockstep on ROS34PW2 steps.
 
     The W-method of ``integrate``, one row per start: the same tableau,
+    first-step estimate (``_starting_step``, at the label tolerances),
     step controller and Lyapunov rejection, with each row's own h, clock,
     error test and W^-1 = (I + 2 h g J^T J)^-1, built from the J of the
     row's last accepted point by one batched inverse per attempt.  So no
@@ -534,7 +530,7 @@ def _lockstep(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleR
     finite = _finite(v, g, J)
     live = SimpleNamespace(
         row=row, y=Y, f=-g, gn=gn, v=v, v0=v, t=np.zeros(row.size),
-        h=_initial_step(np.linalg.norm(Y, axis=1), np.linalg.norm(g, axis=1)),
+        h=_starting_step(Y, -g, 0.5 * gn, tol.LABEL_ABS, tol.LABEL_REL),
         slack=tol.LYAPUNOV_SLACK_REL * np.maximum(v, 1.0e-300),
         just_rejected=np.zeros(row.size, dtype=bool),
         max_time=np.broadcast_to(max_time, n)[row], rejected=np.zeros(row.size, dtype=int),

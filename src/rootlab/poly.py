@@ -10,11 +10,10 @@ keeps one shared table); the public value, potential, gradient and
 Jacobian functions are thin entries into it.  Every polynomial of degree
 >= 2 carries one quadratic table S_2 (d x d^2), built with it: the
 Jacobian of a_2 x^2 is linear in x, so one product gives it, and one more
-gives a_2 x^2 = 1/2 J_2 x (Euler's identity).  A single point of one
-polynomial takes a branch of plain vector products on these tables.  On
-top of evaluation the module provides right division by central monic
-quadratics, localization of isolated roots into the coefficient
-subalgebra, and Newton polishing of approximate roots.
+gives a_2 x^2 = 1/2 J_2 x (Euler's identity).  On top of evaluation the
+module provides right division by central monic quadratics, localization
+of isolated roots into the coefficient subalgebra, and Newton polishing of
+approximate roots.
 """
 
 from __future__ import annotations
@@ -206,7 +205,11 @@ def take_rows(tables, index):
 
 def _vm(a: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Row vectors a times M: one 2-D product for a shared (d, m) matrix,
-    a batched one, row by row, for an (n, d, m) matrix per row."""
+    a batched one, row by row, for an (n, d, m) matrix per row.  One point
+    (d,) takes ``ndarray.dot``, which dispatches in about a third of the
+    time of @ at d = 4 and 8."""
+    if a.ndim == 1:
+        return a.dot(M)
     return (a[:, None, :] @ M)[:, 0] if M.ndim == 3 else a @ M
 
 
@@ -229,34 +232,16 @@ def _kernel(P, X: np.ndarray, grad: bool = False, jac: bool = False):
     by every row (every term of a ``DAPolynomial``) takes one 2-D product
     over the batch, whose leading axes are flattened to one, and a table
     held per row takes a batched product, row by row.  A zero-padded term
-    adds an exact zero.  A ``DAPolynomial`` at one point, shape (d,), takes
-    a branch of plain vector products on its stored tables, with no batch
-    reshapes and ``ndarray.dot`` in place of @: on c08's quaternion
-    quadratic one (P, grad V, J) call there costs 4.7 us of CPU, against
-    11.9 us before the quadratic table and this branch (2-core Xeon, NumPy
-    2.4.6 on OpenBLAS 0.3.31).  It matches the batch path's (1, d) row to
-    rounding.  Returns (P, grad V or None, J or None); J of a shared
-    polynomial of degree <= 1 is a read-only view.
+    adds an exact zero.  One point, shape (d,), takes the same steps with
+    ``ndarray.dot`` vector products in place of @ (``_vm``), and matches
+    the batch path's (1, d) row to rounding: on c08's quaternion quadratic
+    one (P, grad V, J) call costs 5.3 us of CPU, against 11.7 us with the
+    power recursion for x^2 (2-core Xeon, NumPy 2.4.6 on OpenBLAS 0.3.31).
+    Returns (P, grad V or None, J or None); J of a shared polynomial of
+    degree <= 1 is a read-only view.
     """
     X = np.asarray(X, dtype=float)
     deriv = grad or jac
-    if X.ndim == 1 and isinstance(P, DAPolynomial):
-        # one point: ndarray.dot on vectors, which dispatches in about a
-        # third of the time of @ at these sizes
-        rows, left_T = P._rows, P._left_T
-        dim = X.size
-        if len(rows) == 1:
-            v, JT = rows[0].copy(), np.zeros((dim, dim))
-        else:
-            v, JT = rows[0] + X.dot(left_T[1]), left_T[1]
-        if len(rows) > 2:
-            J2T = X.dot(P._quad).reshape(dim, dim)
-            v = v + 0.5 * X.dot(J2T)
-            if deriv:
-                JT = JT + J2T
-        if len(rows) > 3:
-            v, JT = _power_terms(X, left_T, v, JT, deriv)
-        return v, (JT.dot(v + v) if grad else None), (JT.T if jac else None)
     shape = X.shape
     if X.ndim > 2:
         X = X.reshape(-1, shape[-1])
@@ -265,7 +250,7 @@ def _kernel(P, X: np.ndarray, grad: bool = False, jac: bool = False):
     else:
         rows, terms = P
         quad = terms[2] if len(terms) > 2 else None
-    dim = rows[0].shape[-1]
+    dim = X.shape[-1]
     mat = X.shape + (dim,)              # (..., d, d)
     if len(rows) == 1:
         v = np.broadcast_to(rows[0], X.shape).copy()
@@ -280,7 +265,9 @@ def _kernel(P, X: np.ndarray, grad: bool = False, jac: bool = False):
             JT = JT + J2T
     if len(rows) > 3:
         v, JT = _power_terms(X, terms, v, JT, deriv)
-    g = 2.0 * (JT @ v[..., None])[..., 0] if grad else None
+    g = None
+    if grad:
+        g = JT.dot(v + v) if X.ndim == 1 else 2.0 * (JT @ v[..., None])[..., 0]
     J = None
     if jac:
         J = (JT if JT.ndim == len(mat) else np.broadcast_to(JT, mat)).swapaxes(-1, -2)
@@ -355,9 +342,8 @@ def value_gradient_fn(P: DAPolynomial):
     the integrator gets the Jacobian of each point from the same call as its
     value and gradient; all three equal ``value_gradient_batch`` and
     ``jacobian_coords`` at that point bit for bit.  Each call is one
-    ``_kernel`` call, which takes its one-point branch: for a quadratic,
-    four vector products on the stored L(a_1)^T and S_2 tables (4.7 us on
-    c08's polynomial, see ``_kernel``).
+    ``_kernel`` call: for a quadratic, four vector products on the stored
+    L(a_1)^T and S_2 tables (5.3 us on c08's polynomial, see ``_kernel``).
     """
     def fn(x: np.ndarray):
         return _kernel(P, x, True, True)

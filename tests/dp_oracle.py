@@ -30,7 +30,6 @@ from rootlab.flow import (
     _attractor_coords,
     _capture_index,
     _hermite_crossing,
-    _initial_step,
 )
 from rootlab.poly import (
     DAPolynomial,
@@ -40,6 +39,15 @@ from rootlab.poly import (
     value_gradient_batch,
     value_gradient_fn,
 )
+
+
+def _initial_step(y_norm, f_norm):
+    """First trial step from |y| and |f|; scalars or per-row arrays."""
+    f_norm = np.asarray(f_norm, dtype=float)
+    with np.errstate(divide="ignore"):
+        h = np.clip(0.01 * (1.0 + y_norm) / f_norm, 1e-10, 0.1)
+    return np.where(f_norm == 0.0, 1e-6, h)
+
 
 # Dormand-Prince 5(4) tableau; row 6 of _DP_A is the 5th-order solution
 _DP_A = [

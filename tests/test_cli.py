@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,14 @@ from rootlab import flow as fl
 from rootlab.cli import ConfigError, parse_range, parse_waveform
 
 
+# the CLI interpreter imports rootlab from the same checkout as the tests
+_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+
 def run_cli(*args, outdir):
     return subprocess.run(
         [sys.executable, "-m", "rootlab.cli", "--out", str(outdir), *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_ENV)
 
 
 def test_parse_range():
@@ -314,7 +320,7 @@ def test_config_file_with_flag_override(tmp_path):
     r = subprocess.run(
         [sys.executable, "-m", "rootlab.cli", "--out", str(tmp_path),
          "--config", str(cfg), "inflate", "--seed", "10"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_ENV)
     assert r.returncode == 0
     data = json.loads((tmp_path / "inflate.json").read_text())
     assert data["config"]["seed"] == 10       # flag wins
@@ -328,7 +334,7 @@ def test_config_file_supplies_seed(tmp_path):
         [sys.executable, "-m", "rootlab.cli", "--out", str(tmp_path),
          "--config", str(cfg), "inflate", "--algebra", "H",
          "--poly", "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_ENV)
     assert r.returncode == 0, r.stderr
     data = json.loads((tmp_path / "inflate.json").read_text())
     assert data["config"] == {"algebra": "H", "poly": "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]",

@@ -1,10 +1,12 @@
 """Gradient-flow integration, attractors, collapse scaling, basins."""
 
 import dataclasses
+import os
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import dp_oracle
 import numpy as np
@@ -299,7 +301,7 @@ def test_integrate_step_is_the_lockstep_attempt(tag, monkeypatch):
     P = benchmark(tag).at(0.3)
     y = np.resize([0.3, 0.9, -0.4, 0.2, 0.1, -0.2, 0.3, 0.05], tag.dimension)
     _, g, J = pl.value_gradient_fn(P)(y)
-    h = fl._starting_step(y, -g, J.T @ J)
+    h = float(fl._starting_step(y, -g, J.T @ J, tol.LABEL_ABS, tol.LABEL_REL))
     traj = integrate(P, y, FlowConfig(max_time=h))
     st = traj.stats
     assert (traj.terminal.kind, st.accepted, st.rejected, st.lyapunov_rejections) == (
@@ -380,7 +382,9 @@ def test_importing_the_claims_leaves_the_process_pool_unloaded():
     # only measure_collapse uses the pool, so its module loads there and not
     # at every interpreter start
     code = "import sys, rootlab.claims; print('concurrent.futures.process' in sys.modules)"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    src = str(Path(fl.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src})
     assert (r.returncode, r.stdout.strip()) == (0, "False"), r.stderr
 
 

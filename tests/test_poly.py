@@ -360,9 +360,10 @@ def test_quadratic_keeps_its_bits_in_higher_degree_stacks():
                 assert np.array_equal(a[:4], b)
 
 
-def test_one_point_branch_matches_the_batch_row():
-    # a DAPolynomial at one point, shape (d,), takes the kernel's vector
-    # branch; it agrees with the batch path's (1, d) row to rounding
+def test_one_point_matches_the_batch_row():
+    # a DAPolynomial at one point, shape (d,), takes ndarray.dot vector
+    # products where a batch takes @; it agrees with the batch path's
+    # (1, d) row to rounding
     rng = np.random.default_rng(34)
     for tag in (REALS, COMPLEX, QUATERNIONS, OCTONIONS):
         d = tag.dimension
