@@ -185,9 +185,9 @@ def claim_jacobian_rank(quick: bool, seed: int) -> ClaimResult:
         budget_seconds=5.0, details={**ranks, "root_set": effort})
 
 
-def _recall(P: DAPolynomial, found) -> dict:
-    """Attractors found against the isolated points of ``root_set``."""
-    expected = sum(isinstance(s, mf.IsolatedPoint) for s in mf.root_set(P).strata)
+def _recall(rs: mf.RootSet, found) -> dict:
+    """Attractors found against the isolated points of a root set."""
+    expected = sum(isinstance(s, mf.IsolatedPoint) for s in rs.strata)
     return {"found": len(found), "expected": expected}
 
 
@@ -215,11 +215,12 @@ def claim_localization(quick: bool, seed: int) -> ClaimResult:
     n_roots = len(roots)
     passed = (len(att) == 2 and worst_offaxis < 1e-8
               and worst_offplane < 1e-8 and n_roots >= n_quads)
-    # recall against root_set and search effort, per polynomial and in total
-    recall = _recall(P, att)
-    quad_rows = [{**_recall(Q, s.attractors), **s.effort()}
-                 for Q, s in zip(quads, searches)]
-    total = {k: sum(row[k] for row in [recall, *quad_rows]) for k in recall}
+    # recall against root_sets and search effort, per polynomial and in total
+    sets = mf.root_sets([P, *quads])
+    recall, *recalls = [_recall(rs, s.attractors) for rs, s in zip(sets, [first, *searches])]
+    total = {k: sum(row[k] for row in [recall, *recalls]) for k in recall}
+    quad_rows = [{**r, **rs.effort(), **s.effort()}
+                 for r, rs, s in zip(recalls, sets[1:], searches)]
     lockstep = [row["steps"] for row in quad_rows]
     return ClaimResult(
         "c05", "isolated roots live in the coefficient subalgebra",
@@ -227,7 +228,7 @@ def claim_localization(quick: bool, seed: int) -> ClaimResult:
         f"off-axis {worst_offaxis:.2e}; off-plane {worst_offplane:.2e} over {n_roots} roots",
         "components outside the subalgebra < 1e-8", passed,
         budget_seconds=5.0, details={
-            "recall": total, "x^2+ix+1": {**recall, **first.effort()},
+            "recall": total, "x^2+ix+1": {**recall, **sets[0].effort(), **first.effort()},
             "quadratics": quad_rows,
             # one pass takes the slowest quadratic's steps, not their sum
             "quadratic_search": {

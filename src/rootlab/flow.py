@@ -53,7 +53,7 @@ from .algebra import AlgebraElement, AlgebraTag
 from .manifolds import (
     IsolatedPoint,
     Sphere,
-    numerical_rank,
+    _rank_rule,
     root_set,
     sample_stratum,
 )
@@ -62,7 +62,7 @@ from .poly import (
     Deformation,
     evaluate_coords,
     gradient_coords_batch,
-    newton_polish,
+    newton_polish_rows,
     potential_coords,
     stack_tables,
     take_rows,
@@ -610,28 +610,50 @@ def _lockstep(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleR
                         out.lyapunov_rejections, out.h_min, out.h_max, out.rise)
 
 
-def _polished_attractors(P: DAPolynomial, points) -> tuple[list[AlgebraElement], int]:
+def _polished_attractors(polys, groups) -> list[tuple[list[AlgebraElement], int]]:
     """Newton-polish candidate points; keep clean, full-rank, distinct roots, sorted.
 
-    Clean is relative to rounding: |P(x)| < NEWTON_RESIDUAL max(1, sum_k |a_k| |x|^k).
-    The rank test reads the Jacobian Newton returns with its point.
-    Returns the roots and the Newton iterations spent on every point.
+    ``groups`` holds one sequence of candidate points per polynomial of
+    ``polys`` (one algebra).  Every point of every polynomial is polished in
+    one ``newton_polish_rows`` call, each row on its own polynomial, and the
+    rank test reads the Jacobians Newton returns with the points through one
+    batched singular-value call and ``numerical_rank``'s rule.  Clean is
+    relative to rounding: |P(x)| < NEWTON_RESIDUAL max(1, sum_k |a_k| |x|^k).
+    The residual filter, rank filter, dedup and sort then run per
+    polynomial, in that order.  Returns, per polynomial, the roots and the
+    Newton iterations spent on its points.
     """
-    norms = np.linalg.norm(P._rows, axis=1)[::-1]
-    found: list[np.ndarray] = []
-    iterations = 0
-    for x in points:
-        res = newton_polish(P, np.asarray(x, dtype=float))
-        iterations += res.iterations
-        scale = max(1.0, float(np.polyval(norms, np.linalg.norm(res.point))))
-        if not res.residual < tol.NEWTON_RESIDUAL * scale:
-            continue
-        if numerical_rank(res.jacobian).rank < P.tag.dimension:
-            continue
-        if all(np.linalg.norm(res.point - q) > tol.ATTRACTOR_DEDUP for q in found):
-            found.append(res.point)
-    found.sort(key=lambda p: tuple(np.round(p, 9)))
-    return [AlgebraElement(P.tag, p) for p in found], iterations
+    polys = list(polys)
+    dim = polys[0].tag.dimension
+    sets = [np.asarray(g, dtype=float).reshape(-1, dim) for g in groups]
+    sizes = [len(x) for x in sets]
+    if not sum(sizes):
+        return [([], 0) for _ in polys]
+    row_polys = [P for P, k in zip(polys, sizes) for _ in range(k)]
+    tables = polys[0] if len(polys) == 1 else stack_tables(row_polys)
+    X, residual, iterations, J = newton_polish_rows(tables, np.concatenate(sets))
+    # sum_k |a_k| |x|^k per row by Horner, each row on its zero-padded norms
+    norms = np.zeros((len(polys), max(len(P._rows) for P in polys)))
+    for i, P in enumerate(polys):
+        norms[i, :len(P._rows)] = np.linalg.norm(P._rows, axis=1)
+    norms = np.repeat(norms, sizes, axis=0)
+    radius = np.linalg.norm(X, axis=1)
+    bound = np.zeros(len(X))
+    for k in range(norms.shape[1] - 1, -1, -1):
+        bound = bound * radius + norms[:, k]
+    keep = residual < tol.NEWTON_RESIDUAL * np.maximum(1.0, bound)
+    if keep.any():
+        rank, _ = _rank_rule(np.linalg.svd(J[keep], compute_uv=False))
+        keep[keep] = rank == dim
+    out = []
+    for P, lo, hi in zip(polys, np.cumsum([0, *sizes]), np.cumsum(sizes)):
+        found: list[np.ndarray] = []
+        for x in X[lo:hi][keep[lo:hi]]:
+            if all(np.linalg.norm(x - q) > tol.ATTRACTOR_DEDUP for q in found):
+                found.append(x)
+        found.sort(key=lambda p: tuple(np.round(p, 9)))
+        out.append(([AlgebraElement(P.tag, p) for p in found], int(iterations[lo:hi].sum())))
+    return out
 
 
 @dataclass(frozen=True)
@@ -670,13 +692,13 @@ def attractors_from_starts(polys, starts,
     ``cfg`` is one ``FlowConfig`` or one per polynomial.  Every start of
     every polynomial flows in one ``_lockstep`` pass of the W-method, each
     row with its polynomial's gradient stop and time limit and its own step
-    and error control at ``tol.LABEL_REL`` / ``tol.LABEL_ABS``; the final
-    points are grouped by polynomial and each group is polished on its own,
-    whatever ended its rows.  Returns one ``Search``
-    per polynomial.  The flow only needs to deliver each start into a
-    Newton basin, so the default gradient stop (``SEARCH_FLOW``) is loose;
-    the residual and full-rank filters on the polished points carry the
-    actual guarantee.
+    and error control at ``tol.LABEL_REL`` / ``tol.LABEL_ABS``.  Every
+    final point, whatever ended its row, is then polished and filtered in
+    one ``_polished_attractors`` pass, each on its own polynomial.  Returns
+    one ``Search`` per polynomial.  The flow only needs to deliver each
+    start into a Newton basin, so the default gradient stop
+    (``SEARCH_FLOW``) is loose; the residual and full-rank filters on the
+    polished points carry the actual guarantee.
     """
     polys = list(polys)
     n = len(polys)
@@ -695,7 +717,8 @@ def attractors_from_starts(polys, starts,
                      stop_grad=np.array(per_row([c.stop_grad for c in cfgs])))
     bounds = np.cumsum([0, *sizes])
     groups = [rows.rows(slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
-    return [Search(*_polished_attractors(P, g.points), flow=g) for P, g in zip(polys, groups)]
+    polished = _polished_attractors(polys, [g.points for g in groups])
+    return [Search(*found, flow=g) for found, g in zip(polished, groups)]
 
 
 def gaussian_starts(tag: AlgebraTag, n_starts: int, seed: int) -> np.ndarray:
@@ -705,8 +728,8 @@ def gaussian_starts(tag: AlgebraTag, n_starts: int, seed: int) -> np.ndarray:
 
 def _located_attractors(P: DAPolynomial) -> list[AlgebraElement]:
     """Attractors without a flow: the polished isolated points of ``root_set``."""
-    return _polished_attractors(P, [s.point.coords for s in root_set(P).strata
-                                    if isinstance(s, IsolatedPoint)])[0]
+    return _polished_attractors([P], [[s.point.coords for s in root_set(P).strata
+                                       if isinstance(s, IsolatedPoint)]])[0][0]
 
 
 def _first_sphere(D: Deformation) -> Sphere:

@@ -109,93 +109,149 @@ class RootSet:
 def aberth_roots(coeffs) -> np.ndarray:
     """All roots of a complex-coefficient polynomial, simultaneous iteration.
 
-    Coefficients are indexed by exponent.  Starts from a perturbed circle,
-    applies Aberth-Ehrlich corrections until every residual |p(z_i)| falls
-    below the (scale-adjusted) target, then runs a few Newton sweeps.
+    Coefficients are indexed by exponent.  The one-row call of the batched
+    ``_aberth_roots``: starts from a perturbed circle, applies
+    Aberth-Ehrlich corrections until every residual |p(z_i)| falls below
+    the (scale-adjusted) target, then runs a few Newton sweeps.
     """
-    return _aberth_roots(coeffs)[0]
+    return _roots_of_rows([coeffs])[0][0]
 
 
-def _aberth_roots(coeffs) -> tuple[np.ndarray, int]:
-    """``aberth_roots`` and the number of Aberth corrections it applied."""
-    c = np.asarray(coeffs, dtype=complex)
-    if c.size == 0 or c[-1] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    roots = np.zeros(c.size - 1, dtype=complex)
-    c = c / c[-1]
-    # roots at zero split off exactly
-    n_zero = 0
-    while c[n_zero] == 0:
-        n_zero += 1
-    c = c[n_zero:]
-    n = c.size - 1
-    if n == 0:
-        return roots, 0
-    cabs = np.abs(c)
-    center = -c[n - 1] / n
-    radius = 1.0 + float(np.max(np.abs(c[:-1])))
+def _roots_of_rows(coeff_rows) -> list[tuple[np.ndarray, int]]:
+    """The roots of polynomials of any degrees and the Aberth corrections of each.
+
+    Each row is made monic and its exact zero roots split off; the rows
+    left with the same degree then run one ``_aberth_roots`` pass together.
+    """
+    out: list = [None] * len(coeff_rows)
+    by_degree: dict[int, list] = {}
+    for i, coeffs in enumerate(coeff_rows):
+        c = np.asarray(coeffs, dtype=complex)
+        if c.size == 0 or c[-1] == 0:
+            raise ValueError("leading coefficient must be nonzero")
+        c = c / c[-1]
+        n_zero = 0
+        while c[n_zero] == 0:
+            n_zero += 1
+        by_degree.setdefault(c.size - 1 - n_zero, []).append((i, n_zero, c[n_zero:]))
+    for n, rows in by_degree.items():
+        found, sweeps = (_aberth_roots(np.stack([c for _, _, c in rows])) if n
+                         else (np.zeros((len(rows), 0), dtype=complex), [0] * len(rows)))
+        for (i, n_zero, _), z, k in zip(rows, found, sweeps):
+            out[i] = (np.concatenate([np.zeros(n_zero, dtype=complex), z]), int(k))
+    return out
+
+
+def _horner(C: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Row i of C (index = exponent) at the points of row i of Z, by the
+    steps of ``np.polyval``, so each row keeps its one-polynomial bits."""
+    y = np.zeros_like(Z)
+    for k in range(C.shape[1] - 1, -1, -1):
+        y = y * Z + C[:, k, None]
+    return y
+
+
+def _aberth_roots(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Aberth-Ehrlich on a stack of monic rows of one degree n >= 1.
+
+    Rows of C are complex coefficients indexed by exponent, with nonzero
+    constant terms.  Each row iterates as it would alone and freezes at
+    the sweep whose residual test it passes: the polynomial values are
+    Horner steps on rows and the sums of 1/(z_i - z_j) run along each row.
+    Returns the roots, (m, n), and each row's Aberth corrections, (m,); a
+    row still short of the target after ``tol.ABERTH_MAX_SWEEPS`` raises
+    ``RootFindingError`` with its worst residual.
+    """
+    n = C.shape[1] - 1
+    cabs = np.abs(C)
+    center = -C[:, n - 1] / n
+    radius = 1.0 + np.max(np.abs(C[:, :-1]), axis=1)
     angles = 2.0 * np.pi * (np.arange(n) + 0.5) / n + 0.4
-    z = center + radius * np.exp(1j * angles)
-    dc = c[1:] * np.arange(1, n + 1)
-    for sweeps in range(tol.ABERTH_MAX_SWEEPS):
-        p = np.polyval(c[::-1], z)
+    Z = center[:, None] + radius[:, None] * np.exp(1j * angles)
+    dC = C[:, 1:] * np.arange(1, n + 1)
+    sweeps = np.zeros(len(C), dtype=int)
+    live = np.arange(len(C))
+    diag = np.arange(n)
+    for sweep in range(tol.ABERTH_MAX_SWEEPS):
+        z = Z[live]
+        p = _horner(C[live], z)
         # backward-style criterion: residual relative to sum |c_k| |z|^k,
         # the only target reachable in floating point for large roots
-        bound = np.polyval(cabs[::-1], np.abs(z))
-        if np.max(np.abs(p) / bound) < tol.ABERTH_RESIDUAL:
-            break
-        dp = np.polyval(dc[::-1], z)
+        bound = _horner(cabs[live], np.abs(z))
+        done = np.max(np.abs(p) / bound, axis=1) < tol.ABERTH_RESIDUAL
+        sweeps[live[done]] = sweep
+        if done.any():
+            live, z, p = live[~done], z[~done], p[~done]
+            if not live.size:
+                break
+        dp = _horner(dC[live], z)
         dp = np.where(dp == 0, 1e-300, dp)
         w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
+        diff = z[:, :, None] - z[:, None, :]
+        diff[:, diag, diag] = np.inf
+        s = np.sum(1.0 / diff, axis=2)
         denom = 1.0 - w * s
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        z = z - w / denom
+        Z[live] = z - w / denom
     else:
-        worst = float(np.max(np.abs(np.polyval(c[::-1], z))
-                             / np.polyval(cabs[::-1], np.abs(z))))
+        i = live[0]
+        worst = float(np.max(np.abs(_horner(C[i:i + 1], Z[i:i + 1]))
+                             / _horner(cabs[i:i + 1], np.abs(Z[i:i + 1]))))
         raise RootFindingError(
             f"no convergence after {tol.ABERTH_MAX_SWEEPS} sweeps; "
             f"worst relative residual {worst:.3e}"
         )
     # Newton sweeps tighten well-separated roots to machine precision
     for _ in range(3):
-        p = np.polyval(c[::-1], z)
-        dp = np.polyval(dc[::-1], z)
+        p = _horner(C, Z)
+        dp = _horner(dC, Z)
         step = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0)
-        z_new = z - step
-        improved = np.abs(np.polyval(c[::-1], z_new)) <= np.abs(p)
-        z = np.where(improved, z_new, z)
-    roots[n_zero:] = z
-    return roots, sweeps
+        z_new = Z - step
+        improved = np.abs(_horner(C, z_new)) <= np.abs(p)
+        Z = np.where(improved, z_new, Z)
+    return Z, sweeps
 
 
 def root_set(P: DAPolynomial) -> RootSet:
-    """Strata of P over an algebra of dimension >= 2.
+    """Strata of P over an algebra of dimension >= 2: the one-polynomial
+    call of ``root_sets``."""
+    return root_sets([P])[0]
+
+
+def root_sets(polys) -> list[RootSet]:
+    """Strata of each polynomial over an algebra of dimension >= 2.
 
     Every root of P lies on the sphere [z] = {Re z + |Im z| u : u unit
     imaginary} of a root z of a real auxiliary polynomial (Gordon & Motzkin):
     the real parts of the coefficients when P is central, else the companion
-    C(t) = sum_m t^m sum_{j+k=m} <a_j, a_k>.  Its Aberth roots are grouped
-    by multiplicity (``_multiple_root``): a real root or a sphere of roots of
-    a non-central P is (at least) a double root of C.  Roots with |Im z| up
-    to ``CONJUGATE_PAIR_REL`` (relative) count as real, and each
-    upper-half-plane root stands for its conjugate pair.  A central P
-    vanishes at each real z and on each whole sphere; any other P has the
-    one root -A^-1 B on [z] (``remainder_root``), or all of [z] when A
-    vanishes.  Real strata come first, then the others by (Re z, Im z).
-    The set records the Aberth corrections applied to C and the size of
-    every group of two or more Aberth roots merged into one root.
+    C(t) = sum_m t^m sum_{j+k=m} <a_j, a_k>.  The auxiliary polynomials of
+    all of ``polys`` are solved together, one batched Aberth pass per degree
+    (``_roots_of_rows``), each row as it would be alone.  A polynomial's
+    Aberth roots are grouped by multiplicity (``_multiple_root``): a real
+    root or a sphere of roots of a non-central P is (at least) a double
+    root of C.  Roots with |Im z| up to ``CONJUGATE_PAIR_REL`` (relative)
+    count as real, and each upper-half-plane root stands for its conjugate
+    pair.  A central P vanishes at each real z and on each whole sphere;
+    any other P has the one root -A^-1 B on [z] (``remainder_root``), or
+    all of [z] when A vanishes.  Real strata come first, then the others by
+    (Re z, Im z).  Each set records the Aberth corrections applied to its C
+    and the size of every group of two or more Aberth roots merged into one
+    root.
     """
-    if P.tag.dimension < 2:
-        raise ValueError("root strata need an algebra of dimension >= 2")
-    if P.is_zero:
-        raise ValueError("zero polynomial has no meaningful root set")
-    aux = (P._rows[:, 0] if P.is_central
-           else sum(np.convolve(col, col) for col in P._rows.T))
-    roots, sweeps = _aberth_roots(aux)
+    polys = list(polys)
+    for P in polys:
+        if P.tag.dimension < 2:
+            raise ValueError("root strata need an algebra of dimension >= 2")
+        if P.is_zero:
+            raise ValueError("zero polynomial has no meaningful root set")
+    auxes = [P._rows[:, 0] if P.is_central
+             else sum(np.convolve(col, col) for col in P._rows.T) for P in polys]
+    return [_strata(P, aux, roots, sweeps)
+            for P, aux, (roots, sweeps) in zip(polys, auxes, _roots_of_rows(auxes))]
+
+
+def _strata(P: DAPolynomial, aux: np.ndarray, roots: np.ndarray, sweeps: int) -> RootSet:
+    """The root set of P from the Aberth roots of its auxiliary polynomial."""
     scale = 1.0 + float(np.max(np.abs(roots), initial=0.0))
     zs, merged = [], []
     free = np.ones(roots.size, dtype=bool)
@@ -325,7 +381,7 @@ def cd_symmetry_check(P: DAPolynomial) -> CdSymmetryReport:
 def orbit_invariance_check(P: DAPolynomial, g: LinearMap, x: AlgebraElement,
                            rng: np.random.Generator | None = None) -> float:
     """Potential of P at g(x); near zero when the orbit of a root stays a root."""
-    if potential(P, x) >= 1e-16:
+    if potential(P, x) >= tol.ORBIT_ROOT_POTENTIAL:
         raise ValueError("x must be a root to high accuracy")
     if not g.is_automorphism(rng):
         raise ValueError("g does not satisfy the automorphism invariants")
@@ -340,13 +396,20 @@ class RankResult:
 
 def numerical_rank(matrix: np.ndarray) -> RankResult:
     """Rank by SVD with a relative cutoff; flags near-threshold spectra."""
-    s = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return RankResult(0, False)
-    cut = tol.RANK_REL_CUTOFF * s[0]
-    rank = int(np.sum(s > cut))
-    ambiguous = bool(np.any((s > 0.1 * cut) & (s < 10.0 * cut)))
-    return RankResult(rank, ambiguous)
+    rank, ambiguous = _rank_rule(np.linalg.svd(np.asarray(matrix, dtype=float),
+                                               compute_uv=False))
+    return RankResult(int(rank), bool(ambiguous))
+
+
+def _rank_rule(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank and near-threshold flag of singular values (..., k), each row in
+    descending order: the values above ``RANK_REL_CUTOFF`` times the largest
+    count, and one within a factor 10 of that cutoff is ambiguous.  A zero
+    or empty spectrum has rank 0 and no flag."""
+    cut = tol.RANK_REL_CUTOFF * s[..., :1]
+    rank = np.sum(s > cut, axis=-1)
+    ambiguous = np.any((s > 0.1 * cut) & (s < 10.0 * cut), axis=-1)
+    return rank, ambiguous
 
 
 @dataclass(frozen=True)
@@ -361,17 +424,19 @@ class DimensionScanRow:
 def hausdorff_dimension_scan(D: Deformation, epsilons) -> list[DimensionScanRow]:
     """Dimension of the root set along a deformation family.
 
-    Each row reads the strata of ``root_set(D.at(epsilon))``, so the
-    dimension is exact at epsilon = 0 and away from it alike.  A row is
-    flagged when the Jacobian rank at one of its isolated points lies near
-    the SVD cutoff, so that the point may not be isolated after all.
+    Each row reads the strata of ``D.at(epsilon)``, every row's and the
+    base's from one ``root_sets`` call, so the dimension is exact at
+    epsilon = 0 and away from it alike.  A row is flagged when the Jacobian
+    rank at one of its isolated points lies near the SVD cutoff, so that
+    the point may not be isolated after all.
     """
-    if not any(isinstance(s, Sphere) for s in root_set(D.base).strata):
+    epsilons = [float(e) for e in epsilons]
+    polys = [D.at(eps) for eps in epsilons]
+    base, *sets = root_sets([D.base, *polys])
+    if not any(isinstance(s, Sphere) for s in base.strata):
         raise ValueError("scan expects a base with a non-real stratum")
     rows = []
-    for eps in map(float, epsilons):
-        P = D.at(eps)
-        rs = root_set(P)
+    for eps, P, rs in zip(epsilons, polys, sets):
         flagged = any(numerical_rank(jacobian_coords(P, s.point.coords)).ambiguous
                       for s in rs.strata if isinstance(s, IsolatedPoint))
         rows.append(DimensionScanRow(eps, rs.hausdorff_dimension, len(rs.strata), flagged,

@@ -13,7 +13,7 @@ Jacobian of a_2 x^2 is linear in x, so one product gives it, and one more
 gives a_2 x^2 = 1/2 J_2 x (Euler's identity).  On top of evaluation the
 module provides right division by central monic quadratics, localization
 of isolated roots into the coefficient subalgebra, and Newton polishing of
-approximate roots.
+approximate roots, every row of a batch at once on its own polynomial.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .algebra import (
     _flat_left,
     _flat_right,
     _flat_right_plus_left,
+    conjugate_coords,
     element,
-    multiply,
     multiply_coords,
     real_element,
 )
@@ -379,20 +379,25 @@ def right_divide_central(
     combinations of the coefficients of P, so Q, A and B stay inside the
     coefficient subalgebra and the reconstruction is exact to rounding.
     """
-    zero = real_element(P.tag, 0.0)
-    work = list(P.coefficients)
+    q, A, B = _central_division(P, M)
+    return DAPolynomial.from_coords(P.tag, q), element(P.tag, A), element(P.tag, B)
+
+
+def _central_division(P: DAPolynomial, M: CentralQuadratic
+                      ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The coefficient rows of Q, and A and B, of ``right_divide_central``."""
+    work = list(P._rows)
     n = len(work) - 1
+    zero = np.zeros(P.tag.dimension)
     if n < 2:
-        A = work[1] if n >= 1 else zero
-        B = work[0]
-        return DAPolynomial(P.tag, (zero,)), A, B
+        return [zero], (work[1] if n >= 1 else zero), work[0]
     q = [zero] * (n - 1)
     for k in range(n, 1, -1):
         qk = work[k]
         q[k - 2] = qk
-        work[k - 1] = work[k - 1] + M.trace * qk
-        work[k - 2] = work[k - 2] - M.normterm * qk
-    return DAPolynomial(P.tag, tuple(q)), work[1], work[0]
+        work[k - 1] = work[k - 1] + qk * float(M.trace)
+        work[k - 2] = work[k - 2] - qk * float(M.normterm)
+    return q, work[1], work[0]
 
 
 def remainder_root(P: DAPolynomial, M: CentralQuadratic) -> AlgebraElement | None:
@@ -402,10 +407,11 @@ def remainder_root(P: DAPolynomial, M: CentralQuadratic) -> AlgebraElement | Non
     A x + B = 0 and is -A^-1 B.  A vanishing A (relative to the
     coefficients of P) leaves no linear equation to solve.
     """
-    _, A, B = right_divide_central(P, M)
-    if np.linalg.norm(A.coords) < tol.SPHERICAL_REMAINDER_REL * (1.0 + P.max_coeff_norm()):
+    _, A, B = _central_division(P, M)
+    if np.linalg.norm(A) < tol.SPHERICAL_REMAINDER_REL * (1.0 + P.max_coeff_norm()):
         return None
-    return multiply(-1.0 * A.inverse(), B)
+    A_inv = conjugate_coords(A) / float(np.dot(A, A))
+    return AlgebraElement(P.tag, multiply_coords(P.tag.dimension, A_inv * -1.0, B))
 
 
 @dataclass(frozen=True)
@@ -470,36 +476,78 @@ class PolishResult:
 
 
 def newton_polish(P: DAPolynomial, x0) -> PolishResult:
-    """Newton on the d-dimensional real system P(x) = 0.
+    """Newton on the d-dimensional real system P(x) = 0 from one point.
 
-    Uses least-squares steps so sphere points (singular Jacobian) are
-    polished onto the root set instead of diverging, and stops once the
-    residual is below ``tol.NEWTON_RESIDUAL``.  ``iterations`` counts the
-    steps taken.  The point's Jacobian comes back with it, so a rank test
-    needs no second evaluation.  Whether the point is clean is the caller's
-    test.
+    The one-row call of ``newton_polish_rows``, whose rules it follows:
+    least-squares steps, so sphere points (singular Jacobian) are polished
+    onto the root set instead of diverging, and a stop once the residual is
+    below ``tol.NEWTON_RESIDUAL``.  ``iterations`` counts the steps taken.
+    The point's Jacobian comes back with it, so a rank test needs no second
+    evaluation.  Whether the point is clean is the caller's test.
     """
     x = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
-    v, _, J = _kernel(P, x, jac=True)
-    residual = float(np.linalg.norm(v))
-    it = 0
-    while it < tol.NEWTON_MAX_ITER and residual >= tol.NEWTON_RESIDUAL:
-        step, *_ = np.linalg.lstsq(J, -v, rcond=None)
-        if not np.all(np.isfinite(step)):
-            break
-        # halve the step up to 20 times while it overshoots
+    X, residual, iterations, J = newton_polish_rows(P, x[None])
+    return PolishResult(X[0], float(residual[0]), int(iterations[0]), J[0])
+
+
+def newton_polish_rows(P, X0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Newton on P(x) = 0 from every row of X0, (n, d), row i on polynomial i.
+
+    P is one ``DAPolynomial`` for every row or a ``stack_tables`` pair with
+    one polynomial per row.  Each row keeps its own rules and count: it
+    stops once its residual |P(x)| is below ``tol.NEWTON_RESIDUAL``, after
+    ``tol.NEWTON_MAX_ITER`` steps, on a non-finite step (a row whose value
+    or Jacobian is non-finite has one), or on a step that, halved up to 20
+    times, cannot lower a residual already below ``tol.NEWTON_STALL``; a
+    step that cannot lower a larger residual is taken at its last halving.
+    The step is the minimum-norm least-squares solution J^+ (-P(x)), read
+    from one batched ``np.linalg.pinv`` of the rows still running with
+    ``lstsq``'s cutoff max(M, N) eps, so a sphere point's singular J is
+    polished onto the root set instead of diverging; every trial point of
+    the running rows is one batched kernel call.  Returns the points, their
+    residuals, each row's steps taken and the Jacobians at the points.
+    """
+    X = np.array(X0, dtype=float)
+    dim = X.shape[-1]
+    V, _, J = _kernel(P, X, jac=True)
+    J = np.array(J)                     # a shared J comes back as a read-only view
+    residual = np.linalg.norm(V, axis=1)
+    iterations = np.zeros(len(X), dtype=int)
+    cutoff = dim * np.finfo(float).eps
+    live = np.flatnonzero((iterations < tol.NEWTON_MAX_ITER)
+                          & (residual >= tol.NEWTON_RESIDUAL))
+    while live.size:
+        tables = take_rows(P, live)
+        x, r, Jl, vl = X[live], residual[live], J[live], V[live]
+        step = np.full(x.shape, np.nan)
+        finite = np.isfinite(vl).all(axis=1) & np.isfinite(Jl).all(axis=(1, 2))
+        if finite.any():
+            with np.errstate(over="ignore", invalid="ignore"):
+                step[finite] = -(np.linalg.pinv(Jl[finite], rcond=cutoff)
+                                 @ vl[finite, :, None])[..., 0]
+        moving = np.isfinite(step).all(axis=1)
+        x_new, v_new, J_new, r_new = x.copy(), vl.copy(), Jl.copy(), r.copy()
+        # halve each row's step up to 20 times while it overshoots
+        trial = np.flatnonzero(moving)
         for _ in range(21):
-            x_new = x + step
-            v_new, _, J_new = _kernel(P, x_new, jac=True)
-            r_new = float(np.linalg.norm(v_new))
-            if r_new <= residual:
+            xt = x[trial] + step[trial]
+            vt, _, Jt = _kernel(take_rows(tables, trial), xt, jac=True)
+            rt = np.linalg.norm(vt, axis=1)
+            x_new[trial], v_new[trial], J_new[trial], r_new[trial] = xt, vt, Jt, rt
+            over = ~(rt <= r[trial])
+            trial = trial[over]
+            if not trial.size:
                 break
-            step *= 0.5
-        if r_new >= residual and residual < 1e-12:
-            break
-        x, v, J, residual = x_new, v_new, J_new, r_new
-        it += 1
-    return PolishResult(x, residual, it, J)
+            step[trial] *= 0.5
+        stalled = (r_new >= r) & (r < tol.NEWTON_STALL)
+        take = moving & ~stalled
+        rows = live[take]
+        X[rows], V[rows], J[rows], residual[rows] = (
+            x_new[take], v_new[take], J_new[take], r_new[take])
+        iterations[rows] += 1
+        live = rows[(iterations[rows] < tol.NEWTON_MAX_ITER)
+                    & (residual[rows] >= tol.NEWTON_RESIDUAL)]
+    return X, residual, iterations, J
 
 
 @dataclass(frozen=True)

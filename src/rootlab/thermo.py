@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import QUATERNIONS
-from .manifolds import root_set, sample_stratum
+from .manifolds import root_sets, sample_stratum
 from .poly import DAPolynomial, Deformation, embed, potential_coords, stack_tables
 
 
@@ -205,19 +205,20 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     n_burn = np.array([int(c.burn_in * c.steps) for c in cells])
     row_burn = np.repeat(n_burn, sizes)
     row_width = np.repeat(widths, sizes)
-    strata = {}
+    # the strata of every distinct polynomial of degree >= 1, in one call
+    rooted = {id(p): p for p in polys if p.degree >= 1}
+    strata = {key: rs.strata for key, rs in zip(rooted, root_sets(rooted.values()))}
     streams, scales = [], []
     x = np.zeros((offsets[-1], d))
     for k, lo, w in zip(order, offsets, widths):
         c, p = cfgs[k], polys[k]
-        if id(p) not in strata:
-            strata[id(p)] = root_set(p).strata if p.degree >= 1 else ()
         seeds = np.random.SeedSequence(c.seed).spawn(c.chains + 1)
         streams.extend(np.random.default_rng(s) for s in seeds[:-1])
         scale = (c.proposal_scale if c.proposal_scale is not None
                  else float(np.sqrt(c.temperature)))
         x[lo:lo + c.chains, :w] = _initial_points(
-            strata[id(p)], w, c.chains, np.random.default_rng(seeds[-1]), max(1.0, scale))
+            strata.get(id(p), ()), w, c.chains, np.random.default_rng(seeds[-1]),
+            max(1.0, scale))
         scales.append(scale)
     scales = np.array(scales)
     wide = {id(p): embed(p, tag) for p in polys}

@@ -18,6 +18,7 @@ ABERTH_RESIDUAL = 1e-13
 ABERTH_MAX_SWEEPS = 500
 NEWTON_RESIDUAL = 1e-14
 NEWTON_MAX_ITER = 50
+NEWTON_STALL = 1e-12               # a step that cannot lower a residual below this ends Newton
 STRATUM_POTENTIAL = 1e-18
 CONJUGATE_PAIR_REL = 1e-8
 
@@ -28,6 +29,7 @@ SUBALGEBRA_RANK_ABS = 1e-10
 
 # root-set geometry and classification
 ORBIT_RESIDUAL = 1e-12
+ORBIT_ROOT_POTENTIAL = 1e-16       # V at the point whose orbit is checked
 RANK_REL_CUTOFF = 1e-8
 ATTRACTOR_DEDUP = 1e-6
 CD_ROTATION_MATCH = 1e-8

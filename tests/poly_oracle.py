@@ -1,18 +1,22 @@
-"""Polynomial value, Jacobian and potential gradient: the reference oracle.
+"""Polynomial value, Jacobian, potential gradient and Newton: the reference oracle.
 
 These are the per-power ``einsum`` evaluation and the product-rule Jacobian
 that ``rootlab.poly`` ran before its single batched kernel, kept verbatim
 apart from building the coefficient tables here from the coefficients.
 Tests pin every public value, gradient and Jacobian entry of ``poly`` to
-them.
+them.  ``newton_polish`` is the per-point ``lstsq`` Newton that ``poly``
+ran before its Newton took a batch of rows, kept verbatim on ``poly``'s
+kernel; tests pin the row-batched Newton's points and iteration counts to
+it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from rootlab.algebra import left_matrix, multiply_coords, right_matrix
-from rootlab.poly import DAPolynomial
+from rootlab import tolerances as tol
+from rootlab.algebra import AlgebraElement, left_matrix, multiply_coords, right_matrix
+from rootlab.poly import DAPolynomial, PolishResult, _kernel
 
 
 def _tables(P: DAPolynomial) -> tuple[np.ndarray, np.ndarray]:
@@ -69,3 +73,36 @@ def gradient_coords(P: DAPolynomial, x: np.ndarray) -> np.ndarray:
     v = evaluate_coords(P, x)
     J = jacobian_coords(P, x)
     return 2.0 * (J.T @ v)
+
+
+def newton_polish(P: DAPolynomial, x0) -> PolishResult:
+    """Newton on the d-dimensional real system P(x) = 0.
+
+    Uses least-squares steps so sphere points (singular Jacobian) are
+    polished onto the root set instead of diverging, and stops once the
+    residual is below ``tol.NEWTON_RESIDUAL``.  ``iterations`` counts the
+    steps taken.  The point's Jacobian comes back with it, so a rank test
+    needs no second evaluation.  Whether the point is clean is the caller's
+    test.
+    """
+    x = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
+    v, _, J = _kernel(P, x, jac=True)
+    residual = float(np.linalg.norm(v))
+    it = 0
+    while it < tol.NEWTON_MAX_ITER and residual >= tol.NEWTON_RESIDUAL:
+        step, *_ = np.linalg.lstsq(J, -v, rcond=None)
+        if not np.all(np.isfinite(step)):
+            break
+        # halve the step up to 20 times while it overshoots
+        for _ in range(21):
+            x_new = x + step
+            v_new, _, J_new = _kernel(P, x_new, jac=True)
+            r_new = float(np.linalg.norm(v_new))
+            if r_new <= residual:
+                break
+            step *= 0.5
+        if r_new >= residual and residual < 1e-12:
+            break
+        x, v, J, residual = x_new, v_new, J_new, r_new
+        it += 1
+    return PolishResult(x, residual, it, J)

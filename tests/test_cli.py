@@ -359,3 +359,17 @@ def test_bad_inputs_exit_2(tmp_path):
         r = run_cli(*args, outdir=tmp_path)
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error:"), r.stderr
+
+
+def test_importing_claims_loads_no_third_party_module_but_numpy():
+    # every benchmark workload's set-up time starts with this import, in a
+    # fresh interpreter; a dependency pulled in here would add to all of them
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import rootlab.claims\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=_ENV, check=True)
+    loaded = {name.split(".")[0] for name in r.stdout.split()}
+    assert {"rootlab", "numpy"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) == {"rootlab", "numpy"}

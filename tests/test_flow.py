@@ -816,7 +816,7 @@ def test_far_starts_end_as_the_oracle_ends_them():
         with np.errstate(over="ignore", invalid="ignore"):
             ends = dp_oracle.integrate_ensemble(P, r * unit, fl.SEARCH_FLOW).points
         for ours, theirs in zip(search.flow.points, ends):
-            a, b = (fl._polished_attractors(P, [x])[0] for x in (ours, theirs))
+            a, b = (fl._polished_attractors([P], [[x]])[0][0] for x in (ours, theirs))
             assert len(a) == len(b) == 1
             assert np.max(np.abs(a[0].coords - b[0].coords)) < 1e-9
 
@@ -880,7 +880,7 @@ def test_search_end_points_polish_as_oracle_end_points(monkeypatch):
     for P, starts, cfg, ours in zip(polys, sets, cfgs, found):
         oracle = dp_oracle.integrate_ensemble(P, starts, cfg)
         for x, y in zip(ours.flow.points, oracle.points):
-            a, b = (fl._polished_attractors(P, [p])[0] for p in (x, y))
+            a, b = (fl._polished_attractors([P], [[p]])[0][0] for p in (x, y))
             assert len(a) == len(b)
             for r, q in zip(a, b):
                 assert np.max(np.abs(r.coords - q.coords)) < 1e-9
