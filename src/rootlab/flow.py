@@ -15,14 +15,16 @@ error with ``tol.FLOW_REL`` and ``tol.FLOW_ABS``.  ``_lockstep`` steps a
 whole start set in lockstep on the same tableau, controller and Lyapunov
 rejection, with one step, clock, W and error test (``tol.LABEL_REL``,
 ``tol.LABEL_ABS``) per row: four batched kernel calls a step.  It runs
-under one polynomial or one per row, and each row leaves the batch on its
-own stop rule: capture by an attractor (basin labels), a gradient stop or
-a time limit (search), or a step that underflows its clock.  Multistart
-attractor search and basin labels run on it: searches that differ in
-polynomial, start set and stop test share one pass (c05's 12-start search
-on x^2 + ix + 1 and its 5-start quadratic searches), and each reports its
-rows' deterministic effort counters and the Newton iterations of its
-polish.  Attractors are isolated full-rank roots, Newton-polished in one
+on one ``poly.stack_tables`` pair, so under one polynomial or one per
+row, and each row leaves the batch on its own stop rule: capture by an
+attractor (basin labels), a gradient stop or a time limit (search), or a
+step that underflows its clock.  Multistart attractor search and basin
+labels run on it: searches that differ in polynomial, start set and stop
+test share one pass (c05's 12-start search on x^2 + ix + 1 and its
+5-start quadratic searches), and each reports its rows' deterministic
+effort counters and the Newton iterations of its polish.  A search stacks
+its rows' tables once, and its flow and polish read them in one row
+order.  Attractors are isolated full-rank roots, Newton-polished in one
 place: multistart search gets its candidates from the flow, while collapse
 times and basins start Newton from the isolated points of
 ``manifolds.root_set``, with no flow and no seed.  Collapse times and
@@ -170,8 +172,7 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     come from one product, as do the step's update and error estimate.  The
     first trial step is the tolerance-scaled estimate of ``_starting_step``,
     which the error test accepts from c08's starts.  On c08's eps = 0.01
-    run an attempt costs about 50 us of CPU (2-core Xeon), against 88 us
-    before the quadratic table of ``poly._kernel`` and this leaner attempt.
+    run an attempt costs about 50 us of CPU (2-core Xeon).
     Stops when the gradient norm drops below ``cfg.stop_grad``, at the
     crossing into ``STOP_RADIUS`` of one of the supplied attractors
     (located on the step's Hermite interpolant), or at ``cfg.max_time``.
@@ -482,7 +483,7 @@ def _w_attempt(gradient, y, f, w_inv, hg):
     return y + dy, e
 
 
-def _lockstep(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleRows:
+def _lockstep(tables, starts, max_time, stop_grad=None, attractors=None) -> EnsembleRows:
     """Gradient flow from every row of ``starts`` in lockstep on ROS34PW2 steps.
 
     The W-method of ``integrate``, one row per start: the same tableau,
@@ -495,10 +496,11 @@ def _lockstep(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleR
     of the step.  An attempt makes three batched stage calls of
     ``gradient_coords_batch`` and one end-point call that returns P,
     grad V and J together; a trial whose error, V, gradient or J is
-    non-finite is a rejection.  P is one ``DAPolynomial`` for every row,
-    or a sequence with one per row: their zero-padded coefficient tables
-    (``poly.stack_tables``) leave the batch with their rows, so many
-    polynomials flow in one pass.
+    non-finite is a rejection.  ``tables`` is a ``poly.stack_tables``
+    pair in the row order of ``starts``: a shared term serves every row,
+    and a per-row term holds one entry per start, which leaves the batch
+    with its row (``poly.take_rows``), so many polynomials flow in one
+    pass; a per-row term of another length is a ``ValueError``.
 
     A row leaves the batch, keeping its last accepted state, on the first
     of: capture within ``STOP_RADIUS`` of an attractor (with
@@ -511,9 +513,8 @@ def _lockstep(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleR
     """
     X = np.array(starts, dtype=float)
     n, dim = X.shape
-    if not isinstance(P, DAPolynomial) and len(P) != n:
+    if any(r.ndim == 2 and len(r) != n for r in tables[0]):
         raise ValueError("need one polynomial per start row")
-    tables = P if isinstance(P, DAPolynomial) else stack_tables(P)
     att = _attractor_coords(attractors)
     labels = np.full(n, -1) if att is None else _capture_rows(X, att, STOP_RADIUS)
     out = SimpleNamespace(ends=np.full(n, _CAPTURED), steps=np.zeros(n, dtype=int),
@@ -610,50 +611,41 @@ def _lockstep(P, starts, max_time, stop_grad=None, attractors=None) -> EnsembleR
                         out.lyapunov_rejections, out.h_min, out.h_max, out.rise)
 
 
-def _polished_attractors(polys, groups) -> list[tuple[list[AlgebraElement], int]]:
+def _polished_attractors(polys, tables, owner, points
+                         ) -> tuple[list[list[AlgebraElement]], np.ndarray]:
     """Newton-polish candidate points; keep clean, full-rank, distinct roots, sorted.
 
-    ``groups`` holds one sequence of candidate points per polynomial of
-    ``polys`` (one algebra).  Every point of every polynomial is polished in
-    one ``newton_polish_rows`` call, each row on its own polynomial, and the
-    rank test reads the Jacobians Newton returns with the points through one
-    batched singular-value call and ``numerical_rank``'s rule.  Clean is
-    relative to rounding: |P(x)| < NEWTON_RESIDUAL max(1, sum_k |a_k| |x|^k).
-    The residual filter, rank filter, dedup and sort then run per
-    polynomial, in that order.  Returns, per polynomial, the roots and the
-    Newton iterations spent on its points.
+    Row i of ``points`` is a candidate of ``polys[owner[i]]`` (one
+    algebra), and ``tables`` is the ``poly.stack_tables`` pair of the rows'
+    polynomials in that row order.  Every row is polished in one
+    ``newton_polish_rows`` call on its own polynomial, and the rank test
+    reads the Jacobians Newton returns with the points through one batched
+    singular-value call and ``numerical_rank``'s rule.  Clean is relative
+    to rounding: |P(x)| < NEWTON_RESIDUAL max(1, sum_k |a_k| |x|^k), the
+    sum taken by Horner on the norms of the tables' coefficient rows.  The
+    dedup and sort then run per polynomial, on its rows that pass both
+    filters, in row order.  Returns each polynomial's roots and each row's
+    Newton iterations.
     """
-    polys = list(polys)
     dim = polys[0].tag.dimension
-    sets = [np.asarray(g, dtype=float).reshape(-1, dim) for g in groups]
-    sizes = [len(x) for x in sets]
-    if not sum(sizes):
-        return [([], 0) for _ in polys]
-    row_polys = [P for P, k in zip(polys, sizes) for _ in range(k)]
-    tables = polys[0] if len(polys) == 1 else stack_tables(row_polys)
-    X, residual, iterations, J = newton_polish_rows(tables, np.concatenate(sets))
-    # sum_k |a_k| |x|^k per row by Horner, each row on its zero-padded norms
-    norms = np.zeros((len(polys), max(len(P._rows) for P in polys)))
-    for i, P in enumerate(polys):
-        norms[i, :len(P._rows)] = np.linalg.norm(P._rows, axis=1)
-    norms = np.repeat(norms, sizes, axis=0)
+    X, residual, iterations, J = newton_polish_rows(tables, np.reshape(points, (-1, dim)))
     radius = np.linalg.norm(X, axis=1)
     bound = np.zeros(len(X))
-    for k in range(norms.shape[1] - 1, -1, -1):
-        bound = bound * radius + norms[:, k]
+    for row in reversed(tables[0]):
+        bound = bound * radius + np.linalg.norm(row, axis=-1)
     keep = residual < tol.NEWTON_RESIDUAL * np.maximum(1.0, bound)
     if keep.any():
         rank, _ = _rank_rule(np.linalg.svd(J[keep], compute_uv=False))
         keep[keep] = rank == dim
-    out = []
-    for P, lo, hi in zip(polys, np.cumsum([0, *sizes]), np.cumsum(sizes)):
+    roots = []
+    for i, P in enumerate(polys):
         found: list[np.ndarray] = []
-        for x in X[lo:hi][keep[lo:hi]]:
+        for x in X[keep & (owner == i)]:
             if all(np.linalg.norm(x - q) > tol.ATTRACTOR_DEDUP for q in found):
                 found.append(x)
         found.sort(key=lambda p: tuple(np.round(p, 9)))
-        out.append(([AlgebraElement(P.tag, p) for p in found], int(iterations[lo:hi].sum())))
-    return out
+        roots.append([AlgebraElement(P.tag, p) for p in found])
+    return roots, iterations
 
 
 @dataclass(frozen=True)
@@ -694,7 +686,9 @@ def attractors_from_starts(polys, starts,
     row with its polynomial's gradient stop and time limit and its own step
     and error control at ``tol.LABEL_REL`` / ``tol.LABEL_ABS``.  Every
     final point, whatever ended its row, is then polished and filtered in
-    one ``_polished_attractors`` pass, each on its own polynomial.  Returns
+    one ``_polished_attractors`` pass, each on its own polynomial.  The
+    rows' tables are stacked once (``poly.stack_tables``), and both passes
+    read them in one row order, polynomial by polynomial.  Returns
     one ``Search`` per polynomial.  The flow only needs to deliver each
     start into a Newton basin, so the default gradient stop
     (``SEARCH_FLOW``) is loose; the residual and full-rank filters on the
@@ -707,18 +701,16 @@ def attractors_from_starts(polys, starts,
     sets = [np.asarray(s, dtype=float).reshape(-1, dim) for s in sets]
     cfgs = _one_per_poly(cfg or SEARCH_FLOW, n, cfg is None or isinstance(cfg, FlowConfig))
     sizes = [len(s) for s in sets]
-
-    def per_row(items) -> list:
-        return [x for x, k in zip(items, sizes) for _ in range(k)]
+    owner = np.repeat(np.arange(n), sizes)
     # a polynomial repeated on every row stacks into shared tables
-    tables = per_row(polys) if sum(sizes) else polys[0]
+    tables = stack_tables([polys[i] for i in owner] or polys[:1])
     rows = _lockstep(tables, np.concatenate(sets),
-                     np.array(per_row([c.max_time for c in cfgs])),
-                     stop_grad=np.array(per_row([c.stop_grad for c in cfgs])))
+                     np.repeat([c.max_time for c in cfgs], sizes),
+                     stop_grad=np.repeat([c.stop_grad for c in cfgs], sizes))
+    roots, iterations = _polished_attractors(polys, tables, owner, rows.points)
     bounds = np.cumsum([0, *sizes])
-    groups = [rows.rows(slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
-    polished = _polished_attractors(polys, [g.points for g in groups])
-    return [Search(*found, flow=g) for found, g in zip(polished, groups)]
+    return [Search(found, int(iterations[a:b].sum()), rows.rows(slice(a, b)))
+            for found, a, b in zip(roots, bounds[:-1], bounds[1:])]
 
 
 def gaussian_starts(tag: AlgebraTag, n_starts: int, seed: int) -> np.ndarray:
@@ -728,8 +720,9 @@ def gaussian_starts(tag: AlgebraTag, n_starts: int, seed: int) -> np.ndarray:
 
 def _located_attractors(P: DAPolynomial) -> list[AlgebraElement]:
     """Attractors without a flow: the polished isolated points of ``root_set``."""
-    return _polished_attractors([P], [[s.point.coords for s in root_set(P).strata
-                                       if isinstance(s, IsolatedPoint)]])[0][0]
+    points = [s.point.coords for s in root_set(P).strata if isinstance(s, IsolatedPoint)]
+    return _polished_attractors([P], stack_tables([P]), np.zeros(len(points), dtype=int),
+                                points)[0][0]
 
 
 def _first_sphere(D: Deformation) -> Sphere:
@@ -749,7 +742,7 @@ def _family_frame(D: Deformation, P: DAPolynomial
     """
     attractors = _located_attractors(P)
     if not attractors:
-        raise RuntimeError("no isolated attractors found")
+        raise ValueError("no isolated attractors found")
     sphere = _first_sphere(D)
     center = np.zeros(P.tag.dimension)
     center[0] = sphere.re
@@ -760,7 +753,7 @@ def _family_frame(D: Deformation, P: DAPolynomial
     u[0] = 0.0
     n = np.linalg.norm(u)
     if n == 0.0:
-        raise RuntimeError("attractor has no imaginary part; no axis defined")
+        raise ValueError("attractor has no imaginary part; no axis defined")
     return attractors, sphere, u / n
 
 
@@ -911,8 +904,8 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors, max_time: f
     The rows flow on ``_lockstep``, the W-method of ``integrate`` with one
     step, clock and error test (``tol.LABEL_REL``, ``tol.LABEL_ABS``) per
     row, until an attractor captures them or ``max_time``.  Labels agree with
-    per-trajectory adaptive integration and with the classical RK4 loop this
-    replaced (checked in tests) at a small fraction of the cost.  A row
+    per-trajectory adaptive integration and with a classical RK4 loop
+    (checked in tests) at a small fraction of the cost.  A row
     whose step underflows its clock, by the guard ``integrate`` also uses,
     leaves the batch unlabelled with its last accepted state, so it does not
     hold the loop open; a non-finite start, by ``integrate``'s rule too,
@@ -924,7 +917,7 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors, max_time: f
     """
     if _attractor_coords(attractors) is None:
         raise ValueError("ensemble_labels needs at least one attractor")
-    rows = _lockstep(P, starts, max_time, attractors=attractors)
+    rows = _lockstep(stack_tables([P]), starts, max_time, attractors=attractors)
     return rows.labels, rows.points, float(np.max(rows.rise, initial=0.0)), rows.effort()
 
 

@@ -5,9 +5,11 @@ A polynomial is a coefficient list indexed by exponent, evaluated as
 by power-associativity).  One batched kernel computes P, and on request the
 gradient of the potential ``V(x) = ||P(x)||^2`` and the exact Jacobian, at
 any leading batch shape, a single point included, for one polynomial or
-for a stack of them with one per batch row (a term equal on every row
-keeps one shared table); the public value, potential, gradient and
-Jacobian functions are thin entries into it.  Every polynomial of degree
+for a stack of them with one per batch row.  Both come in one table form,
+the pair ``stack_tables`` returns, in which a term equal on every row
+keeps one shared table; a polynomial's own tables are that pair with
+every term shared.  The public value, potential, gradient and Jacobian
+functions are thin entries into the kernel.  Every polynomial of degree
 >= 2 carries one quadratic table S_2 (d x d^2), built with it: the
 Jacobian of a_2 x^2 is linear in x, so one product gives it, and one more
 gives a_2 x^2 = 1/2 J_2 x (Euler's identity).  On top of evaluation the
@@ -39,18 +41,22 @@ from .algebra import (
 
 @dataclass(frozen=True)
 class DAPolynomial:
-    """Left-coefficient polynomial over a tagged algebra (index = exponent)."""
+    """Left-coefficient polynomial over a tagged algebra (index = exponent).
+
+    ``_rows`` holds the coefficient rows, (K + 1, d), and ``_tables`` the
+    kernel's tables in the form ``stack_tables`` returns, every term
+    shared: one coefficient row per term, and one matrix per term k >= 1,
+    the transposed matrix of v -> a_k v but for k = 2, whose matrix is the
+    (d, d^2) table S_2 of the quadratic term's Jacobian,
+    J(a_2 x^2)^T = (x @ S_2).reshape(d, d).  Term 0 has no matrix (None).
+    Every array is read-only.
+    """
 
     tag: AlgebraTag
     coefficients: tuple[AlgebraElement, ...]
 
-    # read-only tables of the kernel: coefficient rows, the stacked
-    # matrices of v -> a_k v, transposed to act on row vectors, and for
-    # degree >= 2 the (d, d^2) table S_2 of the quadratic term's Jacobian,
-    # J(a_2 x^2)^T = (x @ S_2).reshape(d, d); None below degree 2
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _left_T: np.ndarray = field(init=False, repr=False, compare=False)
-    _quad: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coeffs = tuple(self.coefficients)
@@ -66,18 +72,17 @@ class DAPolynomial:
         coeffs = coeffs[: last + 1]
         dim = self.tag.dimension
         rows = np.stack([c.coords for c in coeffs])
-        left_T = (rows @ _flat_left(dim)).reshape(-1, dim, dim)
-        quad = None
-        if len(coeffs) > 2:
-            quad = (_flat_right_plus_left(dim).reshape(dim, dim, dim)
-                    @ left_T[2]).reshape(dim, dim * dim)
-            quad.flags.writeable = False
         rows.flags.writeable = False
+        left_T = (rows @ _flat_left(dim)).reshape(-1, dim, dim)
         left_T.flags.writeable = False
+        mats = [None, *left_T[1:]]
+        if len(coeffs) > 2:
+            mats[2] = (_flat_right_plus_left(dim).reshape(dim, dim, dim)
+                       @ left_T[2]).reshape(dim, dim * dim)
+            mats[2].flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_left_T", left_T)
-        object.__setattr__(self, "_quad", quad)
+        object.__setattr__(self, "_tables", (tuple(rows), tuple(mats)))
 
     @classmethod
     def from_coords(cls, tag: AlgebraTag, rows) -> "DAPolynomial":
@@ -87,9 +92,6 @@ class DAPolynomial:
     @classmethod
     def from_real(cls, tag: AlgebraTag, values) -> "DAPolynomial":
         return cls(tag, tuple(real_element(tag, float(v)) for v in values))
-
-    def to_coords(self) -> list[list[float]]:
-        return [list(map(float, c.coords)) for c in self.coefficients]
 
     @property
     def degree(self) -> int:
@@ -147,22 +149,24 @@ def embed(P: DAPolynomial, tag: AlgebraTag) -> DAPolynomial:
     return DAPolynomial.from_coords(tag, rows)
 
 
-def stack_tables(polys) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Coefficient tables of polynomials over one algebra, one per entry.
+def stack_tables(polys) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray | None, ...]]:
+    """The kernel tables of polynomials over one algebra, one per batch row.
 
-    Returns one coefficient row and one kernel table per term k,
-    zero-padded to the largest degree K: the matrix of v -> a_k v,
-    transposed, and for k = 2 the quadratic table S_2 of
-    ``DAPolynomial``, (d, d^2), whose product with x is the transposed
-    Jacobian of a_2 x^2.  A term whose coefficient is equal on every entry
-    (compared by value) keeps one table, a (d,) row and a (d, d) or
-    (d, d^2) table, shared by the whole batch; any other term holds one per
-    entry, (n, d) and (n, d, d) or (n, d, d^2).  Every public evaluation
-    entry takes this pair in place of a polynomial and evaluates entry i of
-    it at batch row i.  One polynomial repeated stacks all shared and gives
-    its own bits; a per-row term gives the bits of the shared product when
-    each of its coefficients is a real multiple of one basis unit (every
-    product is then one exact term), and agrees to rounding otherwise.
+    The one table form of the module, the form ``DAPolynomial._tables``
+    holds: one coefficient row per term k, zero-padded to the largest
+    degree K, and one matrix per term k >= 1, the matrix of v -> a_k v,
+    transposed, but for k = 2 the quadratic table S_2 (d, d^2) of
+    ``DAPolynomial``; term 0 has None.  A term whose coefficient is equal
+    on every entry (compared by value) keeps the first entry's own row and
+    matrix, a (d,) row and a (d, d) or (d, d^2) matrix, shared by the whole
+    batch; any other term holds one per entry, (n, d) and (n, d, d) or
+    (n, d, d^2).  So ``stack_tables([P])`` returns P's own arrays.  Every
+    public evaluation entry takes this pair in place of a polynomial and
+    evaluates entry i of it at batch row i.  One polynomial repeated stacks
+    all shared and gives its own bits; a per-row term gives the bits of the
+    shared product when each of its coefficients is a real multiple of one
+    basis unit (every product is then one exact term), and agrees to
+    rounding otherwise.
     """
     polys = list(polys)
     tag = polys[0].tag
@@ -174,33 +178,27 @@ def stack_tables(polys) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
     for i, p in enumerate(polys):
         rows[i, : len(p._rows)] = p._rows
 
-    def table(p, k):
-        if k >= len(p._rows):
-            return np.zeros((dim, dim * dim if k == 2 else dim))
-        return p._quad if k == 2 else p._left_T[k]
+    def term(p, k):
+        if k < len(p._rows):
+            return p._tables[0][k], p._tables[1][k]
+        return np.zeros(dim), np.zeros((dim, dim * dim if k == 2 else dim))
 
-    out_rows, out_tables = [], []
+    out = []
     for k in range(terms):
         if np.all(rows[:, k] == rows[0, k]):
-            out_rows.append(rows[0, k])
-            out_tables.append(table(polys[0], k))
+            out.append(term(polys[0], k))
         else:
-            out_rows.append(rows[:, k])
-            out_tables.append(np.stack([table(p, k) for p in polys]))
-    return tuple(out_rows), tuple(out_tables)
+            out.append((rows[:, k],
+                        None if k == 0 else np.stack([term(p, k)[1] for p in polys])))
+    return tuple(zip(*out))
 
 
 def take_rows(tables, index):
-    """The tables of the batch rows ``index`` selects; shared terms stay as they are.
-
-    ``tables`` is a ``DAPolynomial``, returned unchanged, or a
-    ``stack_tables`` pair.
-    """
-    if isinstance(tables, DAPolynomial):
-        return tables
-    rows, terms = tables
+    """The ``stack_tables`` pair of the batch rows ``index`` selects; shared
+    terms stay as they are."""
+    rows, mats = tables
     return (tuple(r if r.ndim == 1 else r[index] for r in rows),
-            tuple(m if m.ndim == 2 else m[index] for m in terms))
+            tuple(m if m is None or m.ndim == 2 else m[index] for m in mats))
 
 
 def _vm(a: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -227,29 +225,26 @@ def _kernel(P, X: np.ndarray, grad: bool = False, jac: bool = False):
     therefore keeps its bits.  Only the terms k >= 3 run the power
     recursion, bracketed left to right, x^k = x^(k-1) x: xpow <- xpow R^T
     for the power and J_k^T <- J_k^T R^T + L(x^(k-1))^T for its derivative
-    (``_power_terms``).  P is a ``DAPolynomial`` or a ``stack_tables`` pair
-    for an (n, d) batch, and each term is one of two cases: a table shared
-    by every row (every term of a ``DAPolynomial``) takes one 2-D product
-    over the batch, whose leading axes are flattened to one, and a table
-    held per row takes a batched product, row by row.  A zero-padded term
-    adds an exact zero.  One point, shape (d,), takes the same steps with
-    ``ndarray.dot`` vector products in place of @ (``_vm``), and matches
-    the batch path's (1, d) row to rounding: on c08's quaternion quadratic
-    one (P, grad V, J) call costs 5.3 us of CPU, against 11.7 us with the
-    power recursion for x^2 (2-core Xeon, NumPy 2.4.6 on OpenBLAS 0.3.31).
-    Returns (P, grad V or None, J or None); J of a shared polynomial of
-    degree <= 1 is a read-only view.
+    (``_power_terms``).  P is a ``stack_tables`` pair, or a
+    ``DAPolynomial``, whose own ``_tables`` are that pair with every term
+    shared; this is the one function that takes either.  Each term is one
+    of two cases: a table shared by every row takes one 2-D product over
+    the batch, whose leading axes are flattened to one, and a table held
+    per row takes a batched product, row by row, for an (n, d) batch.  A
+    zero-padded term adds an exact zero.  One point, shape (d,), takes the
+    same steps with ``ndarray.dot`` vector products in place of @
+    (``_vm``), and matches the batch path's (1, d) row to rounding: on
+    c08's quaternion quadratic one (P, grad V, J) call costs 5.3 us of CPU,
+    against 11.7 us with the power recursion for x^2 (2-core Xeon, NumPy
+    2.4.6 on OpenBLAS 0.3.31).  Returns (P, grad V or None, J or None); J
+    of a shared polynomial of degree <= 1 is a read-only view.
     """
     X = np.asarray(X, dtype=float)
     deriv = grad or jac
     shape = X.shape
     if X.ndim > 2:
         X = X.reshape(-1, shape[-1])
-    if isinstance(P, DAPolynomial):
-        rows, terms, quad = P._rows, P._left_T, P._quad
-    else:
-        rows, terms = P
-        quad = terms[2] if len(terms) > 2 else None
+    rows, terms = P._tables if isinstance(P, DAPolynomial) else P
     dim = X.shape[-1]
     mat = X.shape + (dim,)              # (..., d, d)
     if len(rows) == 1:
@@ -259,7 +254,7 @@ def _kernel(P, X: np.ndarray, grad: bool = False, jac: bool = False):
         v = rows[0] + _vm(X, terms[1])
         JT = terms[1]                   # J^T = sum_k J_k^T L(a_k)^T
     if len(rows) > 2:
-        J2T = _vm(X, quad).reshape(mat)
+        J2T = _vm(X, terms[2]).reshape(mat)
         v = v + 0.5 * _vm(X, J2T)
         if deriv:
             JT = JT + J2T
@@ -486,30 +481,31 @@ def newton_polish(P: DAPolynomial, x0) -> PolishResult:
     evaluation.  Whether the point is clean is the caller's test.
     """
     x = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
-    X, residual, iterations, J = newton_polish_rows(P, x[None])
+    X, residual, iterations, J = newton_polish_rows(stack_tables([P]), x[None])
     return PolishResult(X[0], float(residual[0]), int(iterations[0]), J[0])
 
 
-def newton_polish_rows(P, X0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def newton_polish_rows(tables, X0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Newton on P(x) = 0 from every row of X0, (n, d), row i on polynomial i.
 
-    P is one ``DAPolynomial`` for every row or a ``stack_tables`` pair with
-    one polynomial per row.  Each row keeps its own rules and count: it
-    stops once its residual |P(x)| is below ``tol.NEWTON_RESIDUAL``, after
-    ``tol.NEWTON_MAX_ITER`` steps, on a non-finite step (a row whose value
-    or Jacobian is non-finite has one), or on a step that, halved up to 20
-    times, cannot lower a residual already below ``tol.NEWTON_STALL``; a
-    step that cannot lower a larger residual is taken at its last halving.
-    The step is the minimum-norm least-squares solution J^+ (-P(x)), read
-    from one batched ``np.linalg.pinv`` of the rows still running with
-    ``lstsq``'s cutoff max(M, N) eps, so a sphere point's singular J is
-    polished onto the root set instead of diverging; every trial point of
-    the running rows is one batched kernel call.  Returns the points, their
-    residuals, each row's steps taken and the Jacobians at the points.
+    ``tables`` is a ``stack_tables`` pair: a shared term serves every row
+    and a per-row term holds row i's polynomial at entry i.  Each row keeps
+    its own rules and count: it stops once its residual |P(x)| is below
+    ``tol.NEWTON_RESIDUAL``, after ``tol.NEWTON_MAX_ITER`` steps, on a
+    non-finite step (a row whose value or Jacobian is non-finite has one),
+    or on a step that, halved up to 20 times, cannot lower a residual
+    already below ``tol.NEWTON_STALL``; a step that cannot lower a larger
+    residual is taken at its last halving.  The step is the minimum-norm
+    least-squares solution J^+ (-P(x)), read from one batched
+    ``np.linalg.pinv`` of the rows still running with ``lstsq``'s cutoff
+    max(M, N) eps, so a sphere point's singular J is polished onto the root
+    set instead of diverging; every trial point of the running rows is one
+    batched kernel call.  Returns the points, their residuals, each row's
+    steps taken and the Jacobians at the points.
     """
     X = np.array(X0, dtype=float)
     dim = X.shape[-1]
-    V, _, J = _kernel(P, X, jac=True)
+    V, _, J = _kernel(tables, X, jac=True)
     J = np.array(J)                     # a shared J comes back as a read-only view
     residual = np.linalg.norm(V, axis=1)
     iterations = np.zeros(len(X), dtype=int)
@@ -517,7 +513,7 @@ def newton_polish_rows(P, X0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     live = np.flatnonzero((iterations < tol.NEWTON_MAX_ITER)
                           & (residual >= tol.NEWTON_RESIDUAL))
     while live.size:
-        tables = take_rows(P, live)
+        live_tables = take_rows(tables, live)
         x, r, Jl, vl = X[live], residual[live], J[live], V[live]
         step = np.full(x.shape, np.nan)
         finite = np.isfinite(vl).all(axis=1) & np.isfinite(Jl).all(axis=(1, 2))
@@ -531,7 +527,7 @@ def newton_polish_rows(P, X0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
         trial = np.flatnonzero(moving)
         for _ in range(21):
             xt = x[trial] + step[trial]
-            vt, _, Jt = _kernel(take_rows(tables, trial), xt, jac=True)
+            vt, _, Jt = _kernel(take_rows(live_tables, trial), xt, jac=True)
             rt = np.linalg.norm(vt, axis=1)
             x_new[trial], v_new[trial], J_new[trial], r_new[trial] = xt, vt, Jt, rt
             over = ~(rt <= r[trial])

@@ -285,7 +285,7 @@ def integrate_ensemble(P, X0, cfg: FlowConfig | Sequence[FlowConfig] | None = No
     shared = isinstance(P, DAPolynomial)
     if not shared and len(P) != n:
         raise ValueError("need one polynomial per start row")
-    tables = P if shared else stack_tables(P)
+    tables = stack_tables([P] if shared else P)
     pv, G, _ = value_gradient_batch(tables, Y)
     V = np.einsum("ij,ij->i", pv, pv)
     out = SimpleNamespace(

@@ -5,6 +5,7 @@ import inspect
 from pathlib import Path
 from types import SimpleNamespace
 
+from rootlab import algebra, poly
 from rootlab.algebra import QUATERNIONS
 from rootlab.poly import DAPolynomial, Deformation
 
@@ -25,6 +26,19 @@ def test_perfbench_hooked_names_resolve(monkeypatch):
     flow = importlib.import_module("rootlab.flow")
     params = list(inspect.signature(flow.attractors_from_starts).parameters)
     assert params[1] == "starts"
+
+
+def test_kernel_table_runs_on_the_polynomial_entries(monkeypatch):
+    # every traced run times poly's entries directly through the kernel
+    # table; one short loop per cell must give every cell the run reports
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    kernels = importlib.import_module("kernels")
+    run = importlib.import_module("run")
+    monkeypatch.setattr(kernels, "MIN_LOOP_S", 0.0)
+    monkeypatch.setattr(kernels, "REPEATS", 1)
+    table = kernels.kernel_table(algebra, poly, 1)
+    assert set(table) == {k for k in run.per_layer_units()
+                          if k.startswith(("poly.vg_us.", "algebra.mul_ns."))}
 
 
 def test_attractor_note_reads_a_real_search(monkeypatch):

@@ -361,6 +361,15 @@ def test_bad_inputs_exit_2(tmp_path):
         assert r.stderr.startswith("error:"), r.stderr
 
 
+def test_family_without_an_isolated_attractor_exits_2(tmp_path, capsys):
+    # at eps = 0, and along a real direction, the family has no isolated
+    # attractor: an input error, in process and through collapse's pool
+    for args in (("basins", "--eps", "0", "--seed", "1"),
+                 ("collapse", "--direction", "[[1,0,0,0]]", "--seed", "1")):
+        assert cli.main(["--out", str(tmp_path), *args]) == 2, args
+        assert capsys.readouterr().err == "error: no isolated attractors found\n", args
+
+
 def test_importing_claims_loads_no_third_party_module_but_numpy():
     # every benchmark workload's set-up time starts with this import, in a
     # fresh interpreter; a dependency pulled in here would add to all of them

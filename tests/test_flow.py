@@ -56,6 +56,11 @@ def canonical(tag=QUATERNIONS):
     return DAPolynomial.from_coords(tag, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
 
 
+def _polished(P, x):
+    """The roots that one point of P polishes to."""
+    return fl._polished_attractors([P], pl.stack_tables([P]), np.zeros(1, dtype=int), [x])[0][0]
+
+
 def find_attractors(P, n_starts, seed):
     """One polynomial's multistart search from ``n_starts`` Gaussian starts."""
     return fl.attractors_from_starts([P], fl.gaussian_starts(P.tag, n_starts, seed))[0].attractors
@@ -508,7 +513,7 @@ def test_lockstep_matches_integrate_row_by_row(monkeypatch):
     P = D.at(0.3)
     att = fl._located_attractors(P)
     starts = _sphere_and_gaussian_starts(D, 12)
-    rows = fl._lockstep(P, starts, 1e4, attractors=att)
+    rows = fl._lockstep(pl.stack_tables([P]), starts, 1e4, attractors=att)
     accepted = rows.steps - rows.rejected - rows.lyapunov_rejections
     monkeypatch.setattr(fl.tol, "FLOW_REL", tol.LABEL_REL)
     monkeypatch.setattr(fl.tol, "FLOW_ABS", tol.LABEL_ABS)
@@ -525,9 +530,9 @@ def test_label_rows_do_not_depend_on_their_batch():
     D = benchmark()
     P = D.at(0.08)
     att, _, starts, _ = fl._sphere_starts(D, P, 100, np.random.default_rng(3))
-    batch = fl._lockstep(P, starts, 1e4, attractors=att)
+    batch = fl._lockstep(pl.stack_tables([P]), starts, 1e4, attractors=att)
     for i in (0, 17, 50, 99):
-        alone = fl._lockstep(P, starts[i:i + 1], 1e4, attractors=att)
+        alone = fl._lockstep(pl.stack_tables([P]), starts[i:i + 1], 1e4, attractors=att)
         assert alone.labels[0] == batch.labels[i] >= 0
         assert alone.steps[0] == batch.steps[i]
         assert alone.rejected[0] == batch.rejected[i]
@@ -715,13 +720,15 @@ def test_lockstep_row_settings_match_one_setting():
     P = D.at(0.3)
     starts = _sphere_and_gaussian_starts(D, 15)
     n = len(starts)
-    one = fl._lockstep(P, starts, 1e3, stop_grad=1e-5)
-    rows = fl._lockstep([P] * n, starts, np.full(n, 1e3), stop_grad=np.full(n, 1e-5))
+    one = fl._lockstep(pl.stack_tables([P]), starts, 1e3, stop_grad=1e-5)
+    rows = fl._lockstep(pl.stack_tables([P] * n), starts, np.full(n, 1e3),
+                        stop_grad=np.full(n, 1e-5))
     for f in dataclasses.fields(one):
         assert np.array_equal(getattr(rows, f.name), getattr(one, f.name)), f.name
     assert np.all(one.ends == fl.ENDS.index("gradient"))
+    # a per-row term must hold one entry per start
     with pytest.raises(ValueError):
-        fl._lockstep([P] * (n - 1), starts, 1e3)
+        fl._lockstep(pl.stack_tables([P] * (n - 2) + [canonical()]), starts, 1e3)
 
 
 def test_flow_captures_starts_and_never_raises_potential():
@@ -736,7 +743,7 @@ def test_flow_captures_starts_and_never_raises_potential():
     starts = np.vstack([starts, rng.normal(scale=2.0, size=(20, 4))])
     in_band = np.concatenate([in_band, np.zeros(20, dtype=bool)])
     cfg = FlowConfig(max_time=max(1e4, 200.0 / eps ** 2))
-    ens = fl._lockstep(P, starts, cfg.max_time, stop_grad=cfg.stop_grad)
+    ens = fl._lockstep(pl.stack_tables([P]), starts, cfg.max_time, stop_grad=cfg.stop_grad)
     att_coords = np.stack([a.coords for a in att])
     gap = np.linalg.norm(ens.points[:, None] - att_coords, axis=2).min(axis=1)
     hit = (ens.ends == fl.ENDS.index("gradient")) & (gap < fl.STOP_RADIUS)
@@ -816,7 +823,7 @@ def test_far_starts_end_as_the_oracle_ends_them():
         with np.errstate(over="ignore", invalid="ignore"):
             ends = dp_oracle.integrate_ensemble(P, r * unit, fl.SEARCH_FLOW).points
         for ours, theirs in zip(search.flow.points, ends):
-            a, b = (fl._polished_attractors([P], [[x]])[0][0] for x in (ours, theirs))
+            a, b = (_polished(P, x) for x in (ours, theirs))
             assert len(a) == len(b) == 1
             assert np.max(np.abs(a[0].coords - b[0].coords)) < 1e-9
 
@@ -858,7 +865,7 @@ def test_a_nan_start_leaves_at_once():
     P = benchmark().at(0.3)
     starts = np.array([[np.nan, 0.0, 0.0, 0.0], [0.5, 0.4, 0.3, 0.2]])
     with np.errstate(invalid="ignore"):
-        rows = fl._lockstep(P, starts, 1e4, stop_grad=1e-4)
+        rows = fl._lockstep(pl.stack_tables([P]), starts, 1e4, stop_grad=1e-4)
     assert rows.ends.tolist() == [fl.ENDS.index("dropped"), fl.ENDS.index("gradient")]
     assert rows.steps[0] == 0 and rows.labels[0] == -1 and np.isnan(rows.rise[0])
 
@@ -880,7 +887,7 @@ def test_search_end_points_polish_as_oracle_end_points(monkeypatch):
     for P, starts, cfg, ours in zip(polys, sets, cfgs, found):
         oracle = dp_oracle.integrate_ensemble(P, starts, cfg)
         for x, y in zip(ours.flow.points, oracle.points):
-            a, b = (fl._polished_attractors([P], [[p]])[0][0] for p in (x, y))
+            a, b = (_polished(P, p) for p in (x, y))
             assert len(a) == len(b)
             for r, q in zip(a, b):
                 assert np.max(np.abs(r.coords - q.coords)) < 1e-9
@@ -897,5 +904,6 @@ def test_flow_static_at_zero():
     from rootlab.manifolds import sample_stratum
     starts = np.stack([s.coords for s in sample_stratum(fl._first_sphere(D), 30,
                                                         np.random.default_rng(10))])
-    ens = fl._lockstep(D.at(0.0), starts, 10.0, stop_grad=FlowConfig().stop_grad)
+    ens = fl._lockstep(pl.stack_tables([D.at(0.0)]), starts, 10.0,
+                       stop_grad=FlowConfig().stop_grad)
     assert np.max(np.linalg.norm(ens.points - starts, axis=1)) < 1e-6

@@ -212,8 +212,9 @@ def test_stacked_kernel_matches_oracle_row_by_row():
         X = rng.normal(size=(len(polys), d))
         stack = pl.stack_tables(polys)
         assert [r.shape for r in stack[0]] == [(len(polys), d)] * 5
-        assert [m.shape for m in stack[1]] == [(len(polys), d, d * d if k == 2 else d)
-                                               for k in range(5)]
+        assert stack[1][0] is None
+        assert [m.shape for m in stack[1][1:]] == [(len(polys), d, d * d if k == 2 else d)
+                                                   for k in range(1, 5)]
         v, g, J = pl.value_gradient_batch(stack, X)
         assert np.array_equal(J, pl.jacobian_coords(stack, X))
         for i, P in enumerate(polys):
@@ -231,8 +232,9 @@ def test_stacked_kernel_matches_oracle_row_by_row():
 
 
 def test_repeated_polynomial_stacks_to_the_shared_call():
-    # every term of a repeated polynomial is shared, so the stack takes the
-    # DAPolynomial path bit for bit, on the whole batch at once
+    # one polynomial stacks to its own tables; repeated, every term is
+    # shared with the same bits, so the stack takes the DAPolynomial path
+    # bit for bit, on the whole batch at once
     rng = np.random.default_rng(8)
     for tag in (REALS, COMPLEX, QUATERNIONS, OCTONIONS):
         d = tag.dimension
@@ -240,10 +242,17 @@ def test_repeated_polynomial_stacks_to_the_shared_call():
             P = DAPolynomial(tag, tuple(random_element(tag, rng)
                                         for _ in range(degree + 1)))
             X = rng.normal(size=(17, d))
+            own = pl.stack_tables([P])
+            assert len(own[0]) == len(own[1]) == degree + 1
+            assert all(a is b for a, b in zip(own[0] + own[1], P._tables[0] + P._tables[1]))
             stack = pl.stack_tables([P] * len(X))
             assert all(r.shape == (d,) for r in stack[0])
-            assert [m.shape for m in stack[1]] == [(d, d * d if k == 2 else d)
-                                                   for k in range(degree + 1)]
+            assert stack[1][0] is None
+            assert [m.shape for m in stack[1][1:]] == [(d, d * d if k == 2 else d)
+                                                       for k in range(1, degree + 1)]
+            assert len(stack[0]) == len(stack[1]) == degree + 1
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(stack[0] + stack[1][1:], own[0] + own[1][1:]))
             got = pl._kernel(stack, X, grad=True, jac=True)
             want = pl._kernel(P, X, grad=True, jac=True)
             for a, b in zip(got, want):
@@ -266,7 +275,8 @@ def test_c11_stack_matches_shared_calls():
     X = rng.normal(size=(4, 6, 8))
     X[:3, :, 4:] = 0.0                   # the H cells' padded coordinates
     stack = pl.stack_tables([P for P in wide for _ in range(6)])
-    assert [m.ndim for m in stack[1]] == [3, 3, 2]
+    assert [r.ndim for r in stack[0]] == [2, 2, 1]
+    assert [m.ndim for m in stack[1][1:]] == [3, 2]
     got = pl._kernel(stack, X.reshape(-1, 8), grad=True, jac=True)
     for i, P in enumerate(wide):
         want = pl._kernel(P, X[i], grad=True, jac=True)
@@ -282,7 +292,8 @@ def test_stack_shares_a_term_equal_on_every_row():
         [1, 0, 0, 0]]) for _ in range(20)]
     rows, left_T = pl.stack_tables([poly_canonical(), *quads])
     assert [r.shape for r in rows] == [(21, 4), (21, 4), (4,)]
-    assert [m.shape for m in left_T] == [(21, 4, 4), (21, 4, 4), (4, 16)]
+    assert left_T[0] is None
+    assert [m.shape for m in left_T[1:]] == [(21, 4, 4), (4, 16)]
     assert np.array_equal(left_T[2], _flat_right_plus_left(4))     # S_2 of a_2 = 1
     # c12: x^2 + 1 and x^2 + ix + 1 over H, x^2 + 1 over O, embedded in O
     polys = [pl.embed(P, OCTONIONS) for P in
@@ -308,8 +319,10 @@ def test_take_rows_keeps_shared_terms():
     assert kept_rows[0] is rows[0] and kept_left_T[2] is left_T[2]
     assert np.array_equal(kept_rows[1], rows[1][keep])
     assert np.array_equal(kept_left_T[1], left_T[1][keep])
-    P = poly_canonical()
-    assert pl.take_rows(P, keep) is P
+    assert kept_left_T[0] is None
+    shared = pl.stack_tables([poly_canonical()])
+    kept = pl.take_rows(shared, keep)
+    assert all(a is b for a, b in zip(kept[0] + kept[1], shared[0] + shared[1]))
 
 
 def test_value_gradient_closure_is_the_batch_path_bit_for_bit():
@@ -347,13 +360,15 @@ def test_quadratic_keeps_its_bits_in_higher_degree_stacks():
             longer = DAPolynomial(tag, coeffs + tuple(random_element(tag, rng)
                                                       for _ in range(K - 2)))
             stack = pl.stack_tables([Q] * 4 + [longer])
-            assert [m.ndim for m in stack[1]] == [2, 2, 2] + [3] * (K - 2)
+            assert stack[0][0].ndim == 1
+            assert [m.ndim for m in stack[1][1:]] == [2, 2] + [3] * (K - 2)
             got = pl._kernel(stack, X, grad=True, jac=True)
             want = pl._kernel(Q, X[:4], grad=True, jac=True)
             for a, b in zip(got, want):
                 assert np.array_equal(a[:4], b)
             stack = pl.stack_tables(quads + [longer])
-            assert [m.ndim for m in stack[1]] == [3] * (K + 1)
+            assert stack[0][0].ndim == 2
+            assert [m.ndim for m in stack[1][1:]] == [3] * K
             got = pl._kernel(stack, X, grad=True, jac=True)
             want = pl._kernel(pl.stack_tables(quads), X[:4], grad=True, jac=True)
             for a, b in zip(got, want):
@@ -386,13 +401,15 @@ def test_polynomial_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         P.coefficients = P.coefficients[:2]
     before = dict(vars(P))
-    tables = [np.array(a) for a in (P._rows, P._left_T)]
+    arrays = [P._rows, *(a for part in P._tables for a in part if a is not None)]
+    assert len(arrays) == 1 + 3 + 2 and P._tables[1][0] is None
+    tables = [np.array(a) for a in arrays]
     fn = value_gradient_fn(P)
     fn(np.array([0.1, 0.2, -0.3, 0.4]))
     fn(np.ones((3, 4)))
     assert vars(P).keys() == before.keys()
     assert all(vars(P)[k] is before[k] for k in before)
-    for table, copy in zip((P._rows, P._left_T), tables):
+    for table, copy in zip(arrays, tables):
         assert not table.flags.writeable
         assert np.array_equal(table, copy)
 

@@ -23,18 +23,19 @@ from rootlab.poly import DAPolynomial
 
 @pytest.fixture(scope="module")
 def c05_batches():
-    """Per seed 0-24: c05's polish input (polynomials, point groups) with the
-    rows' Newton output, and the auxiliary rows of its ``root_sets`` call."""
+    """Per seed 0-24: c05's polish input (polynomials, each row's owner, the
+    points) with the rows' Newton output, and the auxiliary rows of its
+    ``root_sets`` call."""
     out = []
     with pytest.MonkeyPatch.context() as m:
         polish, newton, roots = fl._polished_attractors, fl.newton_polish_rows, mf._roots_of_rows
 
-        def polished(polys, groups):
-            seen["polish"] = (list(polys), [np.array(g) for g in groups])
-            return polish(polys, groups)
+        def polished(polys, tables, owner, points):
+            seen["polish"] = (list(polys), np.array(owner), np.array(points))
+            return polish(polys, tables, owner, points)
 
-        def rows(P, X0):
-            seen["newton"] = newton(P, X0)
+        def rows(tables, X0):
+            seen["newton"] = newton(tables, X0)
             return seen["newton"]
 
         def aberth(coeff_rows):
@@ -59,11 +60,11 @@ def _same_as_oracle(P, x0, point, iterations):
 def test_newton_rows_match_per_point_lstsq_newton_at_c05_end_points(c05_batches):
     rows = 0
     for seen in c05_batches:
-        polys, groups = seen["polish"]
+        polys, owner, points = seen["polish"]
         X, _, iterations, _ = seen["newton"]
-        row_polys = [P for P, g in zip(polys, groups) for _ in range(len(g))]
+        row_polys = [polys[i] for i in owner]
         assert len(row_polys) == len(X) == 12 + 5 * (len(polys) - 1)
-        for i, (P, x0) in enumerate(zip(row_polys, np.concatenate(groups))):
+        for i, (P, x0) in enumerate(zip(row_polys, points)):
             _same_as_oracle(P, x0, X[i], iterations[i])
         rows += len(X)
     assert rows == 25 * 112
@@ -103,7 +104,7 @@ def test_one_row_newton_equals_its_batch_row():
     P = _polynomial([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
     X0 = np.random.default_rng(3).normal(scale=1.5, size=(20, 4))
     X0[0] = [0.0, 0.6, 0.3, 0.0]
-    X, residual, iterations, J = pl.newton_polish_rows(P, X0)
+    X, residual, iterations, J = pl.newton_polish_rows(pl.stack_tables([P]), X0)
     for i, x0 in enumerate(X0):
         one = pl.newton_polish(P, x0)
         assert np.array_equal(one.point, X[i]) and np.array_equal(one.jacobian, J[i])

@@ -391,7 +391,7 @@ def test_stack_narrows_to_shared_tables_when_cells_leave(monkeypatch):
     kernel = pl._kernel
 
     def spy(P, X, *args, **kwargs):
-        shared.append(all(m.ndim == 2 for m in P[1]))
+        shared.append(all(r.ndim == 1 for r in P[0]))
         return kernel(P, X, *args, **kwargs)
 
     monkeypatch.setattr(pl, "_kernel", spy)
