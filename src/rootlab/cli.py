@@ -35,7 +35,7 @@ from . import dynamics as dyn
 from . import flow as fl
 from . import manifolds as mf
 from . import thermo as th
-from .algebra import law_residuals, parse_tag
+from .algebra import AlgebraElement, law_residuals, parse_tag
 from .poly import DAPolynomial, Deformation, potential_coords
 
 ENV_OUT = "ROOTLAB_OUT"
@@ -146,8 +146,7 @@ def cmd_inflate(cfg: dict, out: Path) -> int:
             entry.update(kind="isolated-point",
                          point=[float(v) for v in s.point.coords])
         entry["worst_sample_potential"] = max(
-            float(potential_coords(P, p.coords))
-            for p in mf.sample_stratum(s, cfg["samples"], rng))
+            float(potential_coords(P, p)) for p in mf.sample_stratum(s, cfg["samples"], rng))
         strata.append(entry)
     emit(out / "inflate.json", cfg,
          {"hausdorff_dimension": rs.hausdorff_dimension, "strata": strata, **rs.effort()})
@@ -205,13 +204,13 @@ def cmd_localize(cfg: dict, out: Path) -> int:
     from .poly import coefficient_subalgebra, localize_isolated_root
     P = parse_poly(cfg["algebra"], cfg["poly"])
     search = fl.attractors_from_starts(
-        [P], fl.gaussian_starts(P.tag, cfg["starts"], cfg["seed"]))[0]
+        [P], [fl.gaussian_starts(P.tag, cfg["starts"], cfg["seed"])])[0]
     dim, _ = coefficient_subalgebra(P)
     entries = []
     for r in search.attractors:
-        loc = localize_isolated_root(P, r)
+        loc = localize_isolated_root(P, AlgebraElement(P.tag, r))
         entries.append({
-            "root": [float(v) for v in r.coords],
+            "root": r.tolist(),
             "spherical": loc.is_spherical,
             "localized": ([float(v) for v in loc.point.coords]
                           if loc.point is not None else None),
@@ -244,7 +243,7 @@ def cmd_basins(cfg: dict, out: Path) -> int:
     columns.update(label=rep.labels, equator_band=rep.band_mask)
     write_csv(out / "basins-labels.csv", cfg, columns)
     emit(out / "basins-summary.json", cfg, {
-        "attractors": [[float(v) for v in a.coords] for a in rep.attractors],
+        "attractors": rep.attractors.tolist(),
         "fractions": {str(k): v for k, v in rep.fractions.items()},
         "max_residual": rep.max_residual,
         "max_rise": rep.max_rise,
@@ -421,7 +420,9 @@ def main(argv=None) -> int:
     out = Path(args.out or os.environ.get(ENV_OUT, "rootlab-out"))
     try:
         return COMMANDS[args.command][0](effective_config(args), out)
-    except (ValueError, KeyError) as exc:         # ConfigError included
+    # ConfigError included; a root finder or sampler that cannot serve the
+    # input is an input error too
+    except (ValueError, KeyError, mf.RootFindingError, th.SamplerDiagnosticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -298,6 +298,11 @@ class PsdResult:
     dt: float
 
 
+def _hann(n: int) -> np.ndarray:
+    """The periodic Hann window of ``psd``, n samples."""
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
+
+
 def psd(series, dt: float) -> PsdResult:
     """One-sided Hann-windowed power spectrum of a uniformly sampled series."""
     x = np.asarray(series, dtype=float)
@@ -306,7 +311,7 @@ def psd(series, dt: float) -> PsdResult:
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = x.size
-    w = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
+    w = _hann(n)
     xw = (x - np.mean(x)) * w
     spec = fft(xw)
     u = float(np.sum(w * w))
@@ -328,6 +333,17 @@ def integrated_power(result: PsdResult) -> float:
     exactly; approximates the plain signal variance for broadband input.
     """
     return float(np.sum(result.power) / result.n)
+
+
+def _parseval_sd(n: int) -> float:
+    """Predicted sd of ``integrated_power`` / variance for n white-noise samples.
+
+    The ratio is the w^2-weighted mean of the squared samples over their
+    plain mean, so to first order its variance is
+    2 (n sum w^4 / (sum w^2)^2 - 1) / n, from the Hann window of ``psd``.
+    """
+    w2 = _hann(n) ** 2
+    return float(np.sqrt(2.0 * (n * np.sum(w2 * w2) / np.sum(w2) ** 2 - 1.0) / n))
 
 
 @dataclass(frozen=True)

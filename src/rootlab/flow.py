@@ -19,13 +19,15 @@ on one ``poly.stack_tables`` pair, so under one polynomial or one per
 row, and each row leaves the batch on its own stop rule: capture by an
 attractor (basin labels), a gradient stop or a time limit (search), or a
 step that underflows its clock.  Multistart attractor search and basin
-labels run on it: searches that differ in polynomial, start set and stop
-test share one pass (c05's 12-start search on x^2 + ix + 1 and its
-5-start quadratic searches), and each reports its rows' deterministic
-effort counters and the Newton iterations of its polish.  A search stacks
-its rows' tables once, and its flow and polish read them in one row
-order.  Attractors are isolated full-rank roots, Newton-polished in one
-place: multistart search gets its candidates from the flow, while collapse
+labels run on it: a search takes one start set and one stop test per
+polynomial, and searches that differ in all three share one pass (c05's
+12-start search on x^2 + ix + 1 and its 5-start quadratic searches); each
+reports its rows' deterministic effort counters and the Newton
+iterations of its polish.  A search stacks its rows' tables once, and its
+flow and polish read them in one row order.  Every start and attractor
+is a coordinate row, and attractors come back as read-only (k, d) rows.
+Attractors are isolated full-rank roots, Newton-polished in one place:
+multistart search gets its candidates from the flow, while collapse
 times and basins start Newton from the isolated points of
 ``manifolds.root_set``, with no flow and no seed.  Collapse times and
 basins read one frame of a deformation family, built in one place: those
@@ -51,7 +53,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import tolerances as tol
-from .algebra import AlgebraElement, AlgebraTag
+from .algebra import AlgebraTag
 from .manifolds import (
     IsolatedPoint,
     Sphere,
@@ -173,9 +175,11 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     first trial step is the tolerance-scaled estimate of ``_starting_step``,
     which the error test accepts from c08's starts.  On c08's eps = 0.01
     run an attempt costs about 50 us of CPU (2-core Xeon).
+    ``x0`` is a coordinate row and ``attractors`` (k, d) coordinate rows,
+    where None or an empty set captures nothing.
     Stops when the gradient norm drops below ``cfg.stop_grad``, at the
-    crossing into ``STOP_RADIUS`` of one of the supplied attractors
-    (located on the step's Hermite interpolant), or at ``cfg.max_time``.
+    crossing into ``STOP_RADIUS`` of one of the attractors (located on the
+    step's Hermite interpolant), or at ``cfg.max_time``.
     Accepted steps keep the potential non-increasing (up to a relative
     slack); a trial whose V is above that or NaN is rejected.
     The run stalls, keeping its last accepted point, when a rejected step
@@ -183,8 +187,9 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     once from a start whose V, gradient or J is non-finite (``_finite``).
     """
     cfg = cfg or FlowConfig()
-    y = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
-    att = _attractor_coords(attractors)
+    y = np.array(x0, dtype=float)
+    att = (np.asarray(attractors, dtype=float)
+           if attractors is not None and len(attractors) else None)
 
     val_grad = value_gradient_fn(P)
     t = 0.0
@@ -314,13 +319,6 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
                       lyapunov_rejections, n_rhs, h_min if accepted else 0.0, h_max)
     return Trajectory(np.asarray(times), np.stack(points), np.asarray(pots), terminal,
                       stats)
-
-
-def _attractor_coords(attractors) -> np.ndarray | None:
-    if not attractors:
-        return None
-    return np.stack([a.coords if isinstance(a, AlgebraElement) else np.asarray(a)
-                     for a in attractors])
 
 
 def _capture_index(y: np.ndarray, att: np.ndarray | None, radius: float):
@@ -504,10 +502,10 @@ def _lockstep(tables, starts, max_time, stop_grad=None, attractors=None) -> Ense
 
     A row leaves the batch, keeping its last accepted state, on the first
     of: capture within ``STOP_RADIUS`` of an attractor (with
-    ``attractors``, also at its start), a gradient norm below its
-    ``stop_grad`` (if given, also at its start), its ``max_time``, or a
-    step that underflows its clock (``_underflow``, shared with
-    ``integrate``).  A start whose V, gradient or J is non-finite
+    ``attractors``, (k, d) coordinate rows, also at its start), a gradient
+    norm below its ``stop_grad`` (if given, also at its start), its
+    ``max_time``, or a step that underflows its clock (``_underflow``,
+    shared with ``integrate``).  A start whose V, gradient or J is non-finite
     (``_finite``, also shared) leaves at once.  ``max_time`` and
     ``stop_grad`` are scalars or one per row.
     """
@@ -515,7 +513,7 @@ def _lockstep(tables, starts, max_time, stop_grad=None, attractors=None) -> Ense
     n, dim = X.shape
     if any(r.ndim == 2 and len(r) != n for r in tables[0]):
         raise ValueError("need one polynomial per start row")
-    att = _attractor_coords(attractors)
+    att = None if attractors is None else np.asarray(attractors, dtype=float)
     labels = np.full(n, -1) if att is None else _capture_rows(X, att, STOP_RADIUS)
     out = SimpleNamespace(ends=np.full(n, _CAPTURED), steps=np.zeros(n, dtype=int),
                           rejected=np.zeros(n, dtype=int),
@@ -612,7 +610,7 @@ def _lockstep(tables, starts, max_time, stop_grad=None, attractors=None) -> Ense
 
 
 def _polished_attractors(polys, tables, owner, points
-                         ) -> tuple[list[list[AlgebraElement]], np.ndarray]:
+                         ) -> tuple[list[np.ndarray], np.ndarray]:
     """Newton-polish candidate points; keep clean, full-rank, distinct roots, sorted.
 
     Row i of ``points`` is a candidate of ``polys[owner[i]]`` (one
@@ -624,8 +622,8 @@ def _polished_attractors(polys, tables, owner, points
     to rounding: |P(x)| < NEWTON_RESIDUAL max(1, sum_k |a_k| |x|^k), the
     sum taken by Horner on the norms of the tables' coefficient rows.  The
     dedup and sort then run per polynomial, on its rows that pass both
-    filters, in row order.  Returns each polynomial's roots and each row's
-    Newton iterations.
+    filters, in row order.  Returns each polynomial's roots, read-only
+    (k, d) coordinate rows, and each row's Newton iterations.
     """
     dim = polys[0].tag.dimension
     X, residual, iterations, J = newton_polish_rows(tables, np.reshape(points, (-1, dim)))
@@ -638,13 +636,15 @@ def _polished_attractors(polys, tables, owner, points
         rank, _ = _rank_rule(np.linalg.svd(J[keep], compute_uv=False))
         keep[keep] = rank == dim
     roots = []
-    for i, P in enumerate(polys):
+    for i in range(len(polys)):
         found: list[np.ndarray] = []
         for x in X[keep & (owner == i)]:
             if all(np.linalg.norm(x - q) > tol.ATTRACTOR_DEDUP for q in found):
                 found.append(x)
         found.sort(key=lambda p: tuple(np.round(p, 9)))
-        roots.append([AlgebraElement(P.tag, p) for p in found])
+        rows = np.array(found).reshape(-1, dim)
+        rows.flags.writeable = False
+        roots.append(rows)
     return roots, iterations
 
 
@@ -652,7 +652,7 @@ def _polished_attractors(polys, tables, owner, points
 class Search:
     """One polynomial's multistart search: its attractors and its rows' flow."""
 
-    attractors: list[AlgebraElement]
+    attractors: np.ndarray         # (k, d) read-only coordinate rows
     newton_iterations: int         # spent polishing the search's final points
     flow: EnsembleRows             # the search's rows of the flow pass
 
@@ -665,26 +665,18 @@ class Search:
 SEARCH_FLOW = FlowConfig(stop_grad=1e-4, max_time=1e4)
 
 
-def _one_per_poly(value, n: int, single: bool) -> list:
-    if single:
-        return [value] * n
-    value = list(value)
-    if len(value) != n:
-        raise ValueError("need one entry per polynomial")
-    return value
-
-
-def attractors_from_starts(polys, starts,
-                           cfg: FlowConfig | Sequence[FlowConfig] | None = None
+def attractors_from_starts(polys, starts, cfg: Sequence[FlowConfig] | None = None
                            ) -> list[Search]:
     """Flow each start to rest, Newton-polish, keep clean isolated roots.
 
-    ``starts`` is one start set, shared by every polynomial of ``polys``
-    (one algebra), or a sequence of start sets with one per polynomial;
-    ``cfg`` is one ``FlowConfig`` or one per polynomial.  Every start of
-    every polynomial flows in one ``_lockstep`` pass of the W-method, each
-    row with its polynomial's gradient stop and time limit and its own step
-    and error control at ``tol.LABEL_REL`` / ``tol.LABEL_ABS``.  Every
+    ``polys`` are over one algebra, and ``starts`` and ``cfg`` hold one
+    entry per polynomial: a start set of coordinate rows (a single row is
+    one start) and a ``FlowConfig``; ``cfg=None`` gives every polynomial
+    ``SEARCH_FLOW``, and a length that is not one per polynomial is a
+    ``ValueError``.  Every start of every polynomial flows in one
+    ``_lockstep`` pass of the W-method, each row with its polynomial's
+    gradient stop and time limit and its own step and error control at
+    ``tol.LABEL_REL`` / ``tol.LABEL_ABS``.  Every
     final point, whatever ended its row, is then polished and filtered in
     one ``_polished_attractors`` pass, each on its own polynomial.  The
     rows' tables are stacked once (``poly.stack_tables``), and both passes
@@ -694,12 +686,13 @@ def attractors_from_starts(polys, starts,
     (``SEARCH_FLOW``) is loose; the residual and full-rank filters on the
     polished points carry the actual guarantee.
     """
-    polys = list(polys)
+    polys, starts = list(polys), list(starts)
     n = len(polys)
+    cfgs = [SEARCH_FLOW] * n if cfg is None else list(cfg)
+    if len(starts) != n or len(cfgs) != n:
+        raise ValueError("need one start set and one FlowConfig per polynomial")
     dim = polys[0].tag.dimension
-    sets = _one_per_poly(starts, n, len(starts) == 0 or np.ndim(starts[0]) < 2)
-    sets = [np.asarray(s, dtype=float).reshape(-1, dim) for s in sets]
-    cfgs = _one_per_poly(cfg or SEARCH_FLOW, n, cfg is None or isinstance(cfg, FlowConfig))
+    sets = [np.asarray(s, dtype=float).reshape(-1, dim) for s in starts]
     sizes = [len(s) for s in sets]
     owner = np.repeat(np.arange(n), sizes)
     # a polynomial repeated on every row stacks into shared tables
@@ -718,8 +711,9 @@ def gaussian_starts(tag: AlgebraTag, n_starts: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).normal(scale=1.5, size=(n_starts, tag.dimension))
 
 
-def _located_attractors(P: DAPolynomial) -> list[AlgebraElement]:
-    """Attractors without a flow: the polished isolated points of ``root_set``."""
+def _located_attractors(P: DAPolynomial) -> np.ndarray:
+    """Attractors without a flow, as (k, d) rows: the polished isolated
+    points of ``root_set``."""
     points = [s.point.coords for s in root_set(P).strata if isinstance(s, IsolatedPoint)]
     return _polished_attractors([P], stack_tables([P]), np.zeros(len(points), dtype=int),
                                 points)[0][0]
@@ -733,23 +727,22 @@ def _first_sphere(D: Deformation) -> Sphere:
 
 
 def _family_frame(D: Deformation, P: DAPolynomial
-                  ) -> tuple[list[AlgebraElement], Sphere, np.ndarray]:
+                  ) -> tuple[np.ndarray, Sphere, np.ndarray]:
     """The frame of P = D.at(eps) that collapse times and basins share.
 
-    Returns the located attractors, the base sphere and the unit imaginary
-    axis of the attractor the sphere collapses onto: the one whose distance
-    from the sphere's center is closest to its radius.
+    Returns the located attractors as (k, d) rows, the base sphere and the
+    unit imaginary axis of the attractor the sphere collapses onto: the one
+    whose distance from the sphere's center is closest to its radius.
     """
     attractors = _located_attractors(P)
-    if not attractors:
+    if not len(attractors):
         raise ValueError("no isolated attractors found")
     sphere = _first_sphere(D)
     center = np.zeros(P.tag.dimension)
     center[0] = sphere.re
     best = min(attractors,
-               key=lambda a: abs(float(np.linalg.norm(a.coords - center))
-                                 - sphere.radius))
-    u = best.coords.copy()
+               key=lambda a: abs(float(np.linalg.norm(a - center)) - sphere.radius))
+    u = best.copy()
     u[0] = 0.0
     n = np.linalg.norm(u)
     if n == 0.0:
@@ -762,7 +755,7 @@ class CollapseSample:
     epsilon: float
     time: float
     censored: bool
-    attractor: AlgebraElement | None
+    attractor: np.ndarray | None   # the capturing attractor's read-only row
     start: np.ndarray
     stats: StepStats
 
@@ -884,7 +877,7 @@ def scaling_fit(epsilons, times) -> tuple[float, float, float]:
 class BasinReport:
     starts: np.ndarray
     labels: np.ndarray             # attractor index, -1 if unconverged
-    attractors: list[AlgebraElement]
+    attractors: np.ndarray         # (k, d) read-only coordinate rows
     axis: np.ndarray               # unit imaginary reference direction
     fractions: dict[int, float]
     band_mask: np.ndarray          # True where |axis component| <= band
@@ -913,9 +906,9 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors, max_time: f
     ``ValueError`` without attractors.  Returns (labels, final points,
     largest V - V(start) at any accepted step of any row, the rows'
     ``EnsembleRows.effort()``); -1 marks rows still free at max_time or
-    dropped.
+    dropped.  ``starts`` and ``attractors`` are coordinate rows.
     """
-    if _attractor_coords(attractors) is None:
+    if attractors is None or not len(attractors):
         raise ValueError("ensemble_labels needs at least one attractor")
     rows = _lockstep(stack_tables([P]), starts, max_time, attractors=attractors)
     return rows.labels, rows.points, float(np.max(rows.rise, initial=0.0)), rows.effort()
@@ -925,7 +918,7 @@ def _sphere_starts(D: Deformation, P: DAPolynomial, n_samples: int,
                    rng: np.random.Generator):
     """Attractors of P = D.at(eps), their axis, base-sphere starts, equator-band mask."""
     attractors, sphere, axis = _family_frame(D, P)
-    X0 = np.stack([s.coords for s in sample_stratum(sphere, n_samples, rng)])
+    X0 = sample_stratum(sphere, n_samples, rng)
     unit = X0 / np.maximum(np.linalg.norm(X0, axis=1, keepdims=True), 1e-300)
     return attractors, axis, X0, np.abs(unit @ axis) <= EQUATOR_BAND
 
@@ -975,7 +968,7 @@ def restricted_potential_scan(D: Deformation, eps: float, n_points: int = 20,
     """
     rng = np.random.default_rng(seed)
     sphere = _first_sphere(D)
-    pts = np.stack([s.coords for s in sample_stratum(sphere, n_points, rng)])
+    pts = sample_stratum(sphere, n_points, rng)
     f1 = potential_coords(D.at(eps), pts)
     if eps == 0.0:
         return RestrictedScan(pts, f1, np.full(n_points, np.nan),

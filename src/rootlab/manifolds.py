@@ -7,10 +7,11 @@ A central polynomial vanishes on all of each sphere, of dimension d - 2;
 any other polynomial has one root on it, found by dividing out the
 sphere's quadratic, unless the quadratic divides it.  The module computes
 the strata (via an Aberth-Ehrlich simultaneous root finder whose roots are
-grouped by multiplicity), samples them, checks the cyclic symmetry of
-lacunary complex polynomials and orbit invariance under automorphisms, and
-scans the Hausdorff dimension of a deformation family across epsilon = 0
-by reading the strata at each epsilon; none of it needs a flow or a seed.
+grouped by multiplicity), samples them as (n, d) coordinate rows, checks
+the cyclic symmetry of lacunary complex polynomials and orbit invariance
+under automorphisms, and scans the Hausdorff dimension of a deformation
+family across epsilon = 0 by reading the strata at each epsilon; none of
+it needs a flow or a seed.
 """
 
 from __future__ import annotations
@@ -51,11 +52,6 @@ class IsolatedReal:
     @property
     def dimension(self) -> int:
         return 0
-
-    def as_element(self) -> AlgebraElement:
-        c = np.zeros(self.tag.dimension)
-        c[0] = self.value
-        return AlgebraElement(self.tag, c)
 
 
 @dataclass(frozen=True)
@@ -328,24 +324,22 @@ def _taylor(aux: np.ndarray, m: complex, n: int) -> list[tuple[complex, float]]:
     return out
 
 
-def sample_stratum(stratum: RootStratum, n: int, seed_or_rng) -> list[AlgebraElement]:
-    """n points of a stratum; spheres are sampled uniformly."""
+def sample_stratum(stratum: RootStratum, n: int, seed_or_rng) -> np.ndarray:
+    """n points of a stratum as coordinate rows, (n, d); spheres are sampled
+    uniformly, and a point stratum repeats its point."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng(seed_or_rng)       # a Generator passes through
+    out = np.zeros((n, stratum.tag.dimension))
     if isinstance(stratum, IsolatedReal):
-        return [stratum.as_element()] * n
-    if isinstance(stratum, IsolatedPoint):
-        return [stratum.point] * n
-    d = stratum.tag.dimension
-    g = rng.normal(size=(n, d - 1))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    out = []
-    for row in g:
-        c = np.zeros(d)
-        c[0] = stratum.re
-        c[1:] = stratum.radius * row
-        out.append(AlgebraElement(stratum.tag, c))
+        out[:, 0] = stratum.value
+    elif isinstance(stratum, IsolatedPoint):
+        out[:] = stratum.point.coords
+    else:
+        g = rng.normal(size=(n, out.shape[1] - 1))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        out[:, 0] = stratum.re
+        out[:, 1:] = stratum.radius * g
     return out
 
 

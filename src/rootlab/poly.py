@@ -360,10 +360,6 @@ class CentralQuadratic:
     def from_element(cls, x0: AlgebraElement) -> "CentralQuadratic":
         return cls(trace=2.0 * x0.real, normterm=x0.norm_sq())
 
-    @property
-    def discriminant(self) -> float:
-        return self.trace * self.trace - 4.0 * self.normterm
-
 
 def right_divide_central(
     P: DAPolynomial, M: CentralQuadratic
@@ -471,7 +467,7 @@ class PolishResult:
 
 
 def newton_polish(P: DAPolynomial, x0) -> PolishResult:
-    """Newton on the d-dimensional real system P(x) = 0 from one point.
+    """Newton on the d-dimensional real system P(x) = 0 from one coordinate row.
 
     The one-row call of ``newton_polish_rows``, whose rules it follows:
     least-squares steps, so sphere points (singular Jacobian) are polished
@@ -480,8 +476,8 @@ def newton_polish(P: DAPolynomial, x0) -> PolishResult:
     The point's Jacobian comes back with it, so a rank test needs no second
     evaluation.  Whether the point is clean is the caller's test.
     """
-    x = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
-    X, residual, iterations, J = newton_polish_rows(stack_tables([P]), x[None])
+    X, residual, iterations, J = newton_polish_rows(stack_tables([P]),
+                                                   np.asarray(x0, dtype=float)[None])
     return PolishResult(X[0], float(residual[0]), int(iterations[0]), J[0])
 
 

@@ -7,7 +7,7 @@ burn-in and then frozen.  Chains run as a vectorized ensemble but each
 consumes its own seeded stream, so results are reproducible chain by
 chain.  One loop, ``sample_gibbs_ladder``, steps any number of cells over
 nested algebras (each a GibbsConfig with its own T, seed, chains, run
-length, burn-in and scale adaptation, and its own P or one shared P) in
+length, burn-in and scale adaptation, and its own P, one per cell) in
 lockstep, in the widest algebra's coordinates; a cell whose steps are done
 leaves the stack, whose coefficient tables are then rebuilt so that a term
 equal on every remaining row is shared, and ``sample_gibbs`` is the
@@ -112,7 +112,7 @@ def _initial_points(strata, d: int, chains: int, rng: np.random.Generator,
     anchors: list[np.ndarray] = []
     per = max(1, (chains + 1) // 2 // max(len(strata), 1))
     for s in strata:
-        anchors.extend(p.coords for p in sample_stratum(s, per, rng))
+        anchors.extend(sample_stratum(s, per, rng))
     points = np.empty((chains, d))
     for c in range(chains):
         if c % 2 == 0 and anchors:
@@ -131,19 +131,20 @@ def sample_gibbs(P: DAPolynomial, cfg: GibbsConfig,
     samples.  Raises SamplerDiagnosticError when the frozen proposal scale
     fails to keep acceptance inside the hard limits.
     """
-    (result,) = sample_gibbs_ladder(P, [cfg], keep_samples)
+    (result,) = sample_gibbs_ladder([P], [cfg], keep_samples)
     if isinstance(result, SamplerDiagnosticError):
         raise result
     return result
 
 
-def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
+def sample_gibbs_ladder(polys: Sequence[DAPolynomial], cfgs,
                         keep_samples: bool = False
                         ) -> list[GibbsResult | SamplerDiagnosticError]:
     """Several cells, each a GibbsConfig, as one Metropolis loop.
 
-    ``P`` is one DAPolynomial shared by every cell, or a sequence of one per
-    cell; the chains evaluate their polynomials through
+    ``polys`` holds one polynomial per cell, of the same length as
+    ``cfgs``; a polynomial that several cells share (``[P] * n``) is rooted
+    and embedded once.  The chains evaluate their polynomials through
     ``poly.stack_tables``, one row each.  The order parameter is read along
     e_1, so every cell is over C, H or O (a cell over R raises ValueError
     before any potential is evaluated).  The algebras of the cells nest (C
@@ -187,7 +188,7 @@ def sample_gibbs_ladder(P: DAPolynomial | Sequence[DAPolynomial], cfgs,
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("need at least one cell")
-    polys = [P] * len(cfgs) if isinstance(P, DAPolynomial) else list(P)
+    polys = list(polys)
     if len(polys) != len(cfgs):
         raise ValueError(f"{len(polys)} polynomials for {len(cfgs)} cells")
     for p in polys:
@@ -547,7 +548,7 @@ def entropy_coefficient(P: DAPolynomial, T_ladder,
                         seed: int = 0) -> EntropyEstimate:
     """Low-temperature entropy slope of P, its whole T-ladder in one loop."""
     temps, cfgs = entropy_cells(T_ladder, cfg_template, seed)
-    return entropy_estimate(temps, sample_gibbs_ladder(P, cfgs, keep_samples=False))
+    return entropy_estimate(temps, sample_gibbs_ladder([P] * len(cfgs), cfgs))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from rootlab.flow import (
     FlowConfig,
     Terminal,
     Trajectory,
-    _attractor_coords,
     _capture_index,
     _hermite_crossing,
 )
@@ -74,7 +73,8 @@ def integrate(P: DAPolynomial, x0, cfg: FlowConfig | None = None,
     """
     cfg = cfg or FlowConfig()
     y = np.array(x0.coords if isinstance(x0, AlgebraElement) else x0, dtype=float)
-    att = _attractor_coords(attractors)
+    att = (np.asarray(attractors, dtype=float)
+           if attractors is not None and len(attractors) else None)
 
     val_grad = value_gradient_fn(P)
 
@@ -218,7 +218,7 @@ def located_collapse_time(D: Deformation, eps: float, seed: int) -> float:
     assert traj.terminal.detail == "captured"
     val_grad = value_gradient_fn(seen["P"])
     (t0, t1), (y0, y1) = traj.times[-2:], traj.points[-2:]
-    a = _attractor_coords(seen["att"])[traj.terminal.attractor_index]
+    a = np.asarray(seen["att"], dtype=float)[traj.terminal.attractor_index]
     theta, _ = _hermite_crossing(y0, -val_grad(y0)[1], y1, -val_grad(y1)[1],
                                  t1 - t0, a, seen["radius"])
     return float(t0 + theta * (t1 - t0))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rootlab.flow import STOP_RADIUS, _attractor_coords, _capture_rows
+from rootlab.flow import STOP_RADIUS, _capture_rows
 from rootlab.poly import (
     DAPolynomial,
     gradient_coords_batch,
@@ -35,7 +35,8 @@ def ensemble_labels(P: DAPolynomial, starts: np.ndarray, attractors,
     marks rows still free at max_time.
     """
     X = np.array(starts, dtype=float)
-    att = _attractor_coords(attractors)
+    att = (np.asarray(attractors, dtype=float)
+           if attractors is not None and len(attractors) else None)
     h = 0.25
     if att is not None:
         sigma = np.linalg.norm(jacobian_coords(P, att), ord=2, axis=(-2, -1))

@@ -15,6 +15,7 @@ within 4 of its reported standard errors of the quadrature value.  It does
 not assert that c11 fails, so a corrected target leaves it green.
 """
 
+import numpy as np
 import pytest
 
 from rootlab import claims as cl
@@ -90,6 +91,17 @@ def test_c06_breathing_consistency():
 
 def test_c07_spectra():
     _run("c07")
+
+
+def test_c07_reports_the_sd_of_its_parseval_ratio():
+    # the predicted sd of the Hann-weighted Parseval ratio of N white-noise
+    # samples, sqrt(2 (N sum w^4 / (sum w^2)^2 - 1) / N), against its 1% window
+    n = 16384
+    w2 = (0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))) ** 2
+    want = np.sqrt(2.0 * (n * np.sum(w2 * w2) / np.sum(w2) ** 2 - 1.0) / n)
+    sd = cl.run_claim("c07", quick=False, seed=SEED).details["parseval_sd"]
+    assert sd == pytest.approx(want, rel=0.0, abs=1e-9)
+    assert round(sd, 6) == 0.010737
 
 
 def test_c08_critical_slowing_down():

@@ -49,12 +49,13 @@ def test_attractor_note_reads_a_real_search(monkeypatch):
     flow = importlib.import_module("rootlab.flow")
     polys = [DAPolynomial.from_coords(QUATERNIONS, [[c, 1, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
              for c in (1.0, 2.0)]
-    starts = flow.gaussian_starts(QUATERNIONS, 3, 0)
+    # one start set per polynomial, so the note counts start sets, as c05's does
+    starts = [flow.gaussian_starts(QUATERNIONS, 3, 0)] * len(polys)
     rec = SimpleNamespace(notes={})
     for args, kwargs in (((polys, starts), {}), ((polys,), {"starts": starts})):
         result = flow.attractors_from_starts(*args, **kwargs)
         spans._note_attractors(rec, 0, args, kwargs, result)
-        assert rec.notes[0] == {"starts": 3, "found": len(polys)}
+        assert rec.notes[0] == {"starts": len(polys), "found": len(polys)}
 
 
 def test_collapse_and_trajectory_notes_read_real_results(monkeypatch):

@@ -1,11 +1,15 @@
 """Command-line driver: artifacts, determinism, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,10 +23,20 @@ from rootlab.cli import ConfigError, parse_range, parse_waveform
 _ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
 
 
-def run_cli(*args, outdir):
+def run_cli_process(*args, outdir):
+    """``python -m rootlab.cli --out outdir *args`` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "rootlab.cli", "--out", str(outdir), *args],
         capture_output=True, text=True, env=_ENV)
+
+
+def run_cli(*args, outdir):
+    """The same command as ``run_cli_process``, through ``cli.main`` in this
+    process: its return code and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--out", str(outdir), *args])
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 def test_parse_range():
@@ -122,10 +136,11 @@ ARTIFACT_RUNS = [
 
 
 def test_outputs_byte_identical_for_same_seed(tmp_path):
+    # each artifact written by two interpreters
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
         for args in ARTIFACT_RUNS:
-            r = run_cli(*args, outdir=d)
+            r = run_cli_process(*args, outdir=d)
             assert r.returncode == 0, (args, r.stderr)
     assert {args[0] for args in ARTIFACT_RUNS} == set(cli.COMMANDS)
     names = sorted(p.name for p in a.iterdir())
@@ -158,7 +173,7 @@ def test_basins_summary_gains_only_the_flow_counters(tmp_path):
     assert effort["steps"] > 0
     assert sum(effort["ended"].values()) == 40
     old = {"config": cfg,
-           "attractors": [[float(v) for v in a.coords] for a in rep.attractors],
+           "attractors": [[float(v) for v in a] for a in rep.attractors],
            "fractions": {str(k): v for k, v in rep.fractions.items()},
            "max_residual": rep.max_residual, "max_rise": rep.max_rise,
            "unconverged": len(rep.unconverged)}
@@ -167,7 +182,8 @@ def test_basins_summary_gains_only_the_flow_counters(tmp_path):
 
 
 def test_seed_required_for_sampling_commands(tmp_path):
-    r = run_cli("inflate", "--algebra", "H",
+    # the exit code as ``python -m rootlab.cli`` returns it to the shell
+    r = run_cli_process("inflate", "--algebra", "H",
                 "--poly", "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]", outdir=tmp_path)
     assert r.returncode == 2
 
@@ -317,10 +333,7 @@ def test_config_file_with_flag_override(tmp_path):
     cfg.write_text(json.dumps({"algebra": "H",
                                "poly": "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]",
                                "samples": 4, "seed": 9}))
-    r = subprocess.run(
-        [sys.executable, "-m", "rootlab.cli", "--out", str(tmp_path),
-         "--config", str(cfg), "inflate", "--seed", "10"],
-        capture_output=True, text=True, env=_ENV)
+    r = run_cli("--config", str(cfg), "inflate", "--seed", "10", outdir=tmp_path)
     assert r.returncode == 0
     data = json.loads((tmp_path / "inflate.json").read_text())
     assert data["config"]["seed"] == 10       # flag wins
@@ -330,11 +343,8 @@ def test_config_file_with_flag_override(tmp_path):
 def test_config_file_supplies_seed(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 9}))
-    r = subprocess.run(
-        [sys.executable, "-m", "rootlab.cli", "--out", str(tmp_path),
-         "--config", str(cfg), "inflate", "--algebra", "H",
-         "--poly", "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]"],
-        capture_output=True, text=True, env=_ENV)
+    r = run_cli("--config", str(cfg), "inflate", "--algebra", "H",
+                "--poly", "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]", outdir=tmp_path)
     assert r.returncode == 0, r.stderr
     data = json.loads((tmp_path / "inflate.json").read_text())
     assert data["config"] == {"algebra": "H", "poly": "[[1,0,0,0],[0,0,0,0],[1,0,0,0]]",
@@ -359,6 +369,34 @@ def test_bad_inputs_exit_2(tmp_path):
         r = run_cli(*args, outdir=tmp_path)
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error:"), r.stderr
+
+
+def test_run_errors_of_the_root_finder_and_sampler_exit_2(tmp_path):
+    # the root finder's RootFindingError and the sampler's
+    # SamplerDiagnosticError are input errors, reported without a traceback
+    cases = ((("inflate", "--algebra", "C", "--poly", "[[1e300,0],[0,0],[1,0]]",
+               "--seed", "1"), "error: no convergence after 500 sweeps"),
+             (("thermo", "--poly", H_CENTRAL, "--temperature", "1e8", "--steps", "20",
+               "--chains", "1", "--seed", "1"), "error: acceptance 0.000 outside"))
+    for args, message in cases:
+        with np.errstate(all="ignore"):
+            r = run_cli(*args, outdir=tmp_path)
+        assert r.returncode == 2, args
+        assert r.stderr.startswith(message), r.stderr
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+def test_main_leaves_the_process_state_as_it_found_it(tmp_path):
+    # in-process runs share one interpreter, so two of them leave the
+    # environment, warning filters and NumPy's error and print settings alone
+    def state():
+        return (dict(os.environ), list(warnings.filters), np.geterr(),
+                np.get_printoptions())
+    before = state()
+    for args in (("collapse", "--eps", "0.05:0.5:log4", "--seed", "2"),
+                 ("thermo", "--poly", H_CENTRAL, "--temperature", "0.05", *GIBBS)):
+        assert run_cli(*args, outdir=tmp_path).returncode == 0, args
+        assert state() == before, args
 
 
 def test_family_without_an_isolated_attractor_exits_2(tmp_path, capsys):

@@ -63,13 +63,14 @@ def _polished(P, x):
 
 def find_attractors(P, n_starts, seed):
     """One polynomial's multistart search from ``n_starts`` Gaussian starts."""
-    return fl.attractors_from_starts([P], fl.gaussian_starts(P.tag, n_starts, seed))[0].attractors
+    starts = fl.gaussian_starts(P.tag, n_starts, seed)
+    return fl.attractors_from_starts([P], [starts])[0].attractors
 
 
 def test_integrate_from_root_stops_immediately():
     P = canonical()
     root = element(QUATERNIONS, [0, BETA, 0, 0])
-    traj = integrate(P, root)
+    traj = integrate(P, root.coords)
     assert traj.terminal.kind == "converged"
     assert traj.times.size == 1
     assert np.allclose(traj.final_point, root.coords)
@@ -79,7 +80,7 @@ def test_real_axis_flow_matches_euler_reduction():
     # on the real axis the flow of x^2 + 1 reduces to xdot = -4 x (x^2 + 1)
     P = DAPolynomial.from_real(QUATERNIONS, [1, 0, 1])
     x0 = 1.5
-    traj = integrate(P, real_element(QUATERNIONS, x0),
+    traj = integrate(P, real_element(QUATERNIONS, x0).coords,
                      FlowConfig(max_time=1.0, stop_grad=1e-16))
     assert np.max(np.abs(traj.points[:, 1:])) < 1e-13
     dt = 1e-5
@@ -99,7 +100,7 @@ def test_real_axis_flow_matches_euler_reduction():
 
 def test_potential_monotone_along_trajectory():
     P = canonical()
-    traj = integrate(P, element(QUATERNIONS, [0.5, -0.8, 1.1, 0.3]),
+    traj = integrate(P, element(QUATERNIONS, [0.5, -0.8, 1.1, 0.3]).coords,
                      FlowConfig(max_time=1e3))
     v0 = traj.potentials[0]
     assert np.all(np.diff(traj.potentials) <= 1e-12 * max(v0, 1.0))
@@ -107,7 +108,7 @@ def test_potential_monotone_along_trajectory():
 
 def test_integrate_max_time_terminal():
     P = DAPolynomial.from_real(QUATERNIONS, [1, 0, 1])
-    traj = integrate(P, real_element(QUATERNIONS, 2.0),
+    traj = integrate(P, real_element(QUATERNIONS, 2.0).coords,
                      FlowConfig(max_time=1e-4, stop_grad=1e-18))
     assert traj.terminal.kind == "max_time"
 
@@ -116,7 +117,7 @@ def test_find_attractors_benchmark():
     D = benchmark()
     att = find_attractors(D.at(0.5), 16, seed=1)
     assert len(att) == 2
-    pts = sorted([a.coords for a in att], key=lambda c: c[1])
+    pts = sorted(att, key=lambda c: c[1])
     assert np.allclose(pts[0], [0, -1.5, 0, 0], atol=1e-8)
     assert np.allclose(pts[1], [0, 1.0, 0, 0], atol=1e-8)
 
@@ -132,7 +133,7 @@ def test_family_locator_matches_flow_search(eps, seed):
     ref = find_attractors(P, 16, seed)
     assert len(got) == len(ref) == 2
     for a, r in zip(got, ref):
-        assert np.max(np.abs(a.coords - r.coords)) < 1e-9
+        assert np.max(np.abs(a - r)) < 1e-9
 
 
 def test_polish_keeps_every_isolated_root():
@@ -157,22 +158,22 @@ def test_family_locator_finds_both_attractors(tag):
         assert len(att) == 2, eps
         want = [-(1.0 + eps) * basis_element(tag, 1), basis_element(tag, 1)]
         for a, w in zip(att, want):
-            assert a.allclose(w, atol=1e-12), eps
+            assert np.allclose(a, w.coords, rtol=0.0, atol=1e-12), eps
 
 
 def test_find_attractors_canonical_roots():
     att = find_attractors(canonical(), 16, seed=2)
     assert len(att) == 2
-    vals = sorted(a.coords[1] for a in att)
+    vals = sorted(a[1] for a in att)
     assert vals[0] == pytest.approx(-(np.sqrt(5) + 1) / 2, abs=1e-9)
     assert vals[1] == pytest.approx(BETA, abs=1e-9)
     for a in att:
-        assert potential(canonical(), a) < 1e-28
+        assert pl.potential_coords(canonical(), a) < 1e-28
 
 
 def test_find_attractors_central_returns_empty():
     P = DAPolynomial.from_real(QUATERNIONS, [1, 0, 1])
-    assert find_attractors(P, 8, seed=3) == []
+    assert find_attractors(P, 8, seed=3).shape == (0, 4)
 
 
 def test_collapse_time_quartering_and_sign_flip():
@@ -185,7 +186,7 @@ def test_collapse_time_quartering_and_sign_flip():
     # timescale (and here the reached attractor) is unchanged
     t3 = collapse_time(Deformation(D.base, _negate(D.direction)), 0.1, seed=3)
     assert t3.time == pytest.approx(t1.time, rel=0.05)
-    assert t3.attractor.coords[1] == pytest.approx(t1.attractor.coords[1], abs=0.05)
+    assert t3.attractor[1] == pytest.approx(t1.attractor[1], abs=0.05)
 
 
 def _negate(P):
@@ -195,10 +196,10 @@ def _negate(P):
 def test_sign_flip_mirrors_roots_of_odd_direction():
     # for a parity-odd perturbation the root set mirrors under the flip
     tag = QUATERNIONS
-    pos = sorted(a.coords[1] for a in find_attractors(
+    pos = sorted(a[1] for a in find_attractors(
         DAPolynomial.from_coords(tag, [[1, 0, 0, 0], [0, 0.5, 0, 0],
                                        [1, 0, 0, 0]]), 12, seed=3))
-    neg = sorted(a.coords[1] for a in find_attractors(
+    neg = sorted(a[1] for a in find_attractors(
         DAPolynomial.from_coords(tag, [[1, 0, 0, 0], [0, -0.5, 0, 0],
                                        [1, 0, 0, 0]]), 12, seed=3))
     assert len(pos) == 2 and len(neg) == 2
@@ -239,7 +240,7 @@ def test_collapse_time_captured_over_octonions():
     D = benchmark(OCTONIONS)
     s = collapse_time(D, 0.005, seed=3)
     assert not s.censored and s.attractor is not None
-    assert s.attractor.allclose(basis_element(OCTONIONS, 1), atol=1e-12)
+    assert np.allclose(s.attractor, basis_element(OCTONIONS, 1).coords, rtol=0.0, atol=1e-12)
     assert s.time == pytest.approx(70832, rel=1e-4)
     assert s.time == pytest.approx(collapse_time(benchmark(), 0.005, seed=3).time,
                                    rel=1e-6)
@@ -252,7 +253,7 @@ def test_collapse_time_censored_without_capture(monkeypatch):
     D = benchmark(OCTONIONS)
     flow_integrate = fl.integrate
     monkeypatch.setattr(fl, "integrate", lambda P, x0, cfg, attractors: flow_integrate(
-        P, x0, cfg, [a for a in attractors if a.coords[1] < 0]))
+        P, x0, cfg, attractors[attractors[:, 1] < 0]))
     s = collapse_time(D, 0.005, seed=3)
     assert s.censored and s.attractor is None
 
@@ -282,7 +283,7 @@ def test_integrate_counters_count(monkeypatch):
     calls = []
     monkeypatch.setattr(fl, "value_gradient_fn", _counting(fl.value_gradient_fn, calls))
     P = canonical()
-    traj = integrate(P, element(QUATERNIONS, [0.5, -0.8, 1.1, 0.3]),
+    traj = integrate(P, element(QUATERNIONS, [0.5, -0.8, 1.1, 0.3]).coords,
                      FlowConfig(max_time=1e3))
     st = traj.stats
     assert st.rhs_evals == len(calls)
@@ -443,7 +444,7 @@ def test_hemisphere_examples_and_equator_flag():
         traj = integrate(P, start, FlowConfig(max_time=1e4), attractors=att)
         idx = traj.terminal.attractor_index
         assert idx is not None
-        assert np.sign(att[idx].coords[1]) == sign
+        assert np.sign(att[idx][1]) == sign
     rep = basin_decomposition(D, eps, 64, seed=7)
     equator_like = np.abs(rep.starts[:, 1]) <= fl.EQUATOR_BAND
     assert np.array_equal(rep.band_mask, equator_like)
@@ -466,7 +467,7 @@ def test_ensemble_labels_agree_with_adaptive_integrator():
     rng = np.random.default_rng(8)
     from rootlab.manifolds import root_set, sample_stratum
     sphere = root_set(D.base).strata[0]
-    starts = np.stack([s.coords for s in sample_stratum(sphere, 12, rng)])
+    starts = sample_stratum(sphere, 12, rng)
     labels, *_ = ensemble_labels(P, starts, att, max_time=1e4)
     for i, s in enumerate(starts):
         traj = dp_oracle.integrate(P, s, FlowConfig(max_time=1e4), attractors=att)
@@ -570,7 +571,7 @@ def _sphere_and_gaussian_starts(D, seed):
     from rootlab.manifolds import root_set, sample_stratum
     rng = np.random.default_rng(seed)
     sphere = root_set(D.base).strata[0]
-    on_sphere = np.stack([s.coords for s in sample_stratum(sphere, 12, rng)])
+    on_sphere = sample_stratum(sphere, 12, rng)
     return np.vstack([on_sphere, rng.normal(scale=1.5, size=(4, 4))])
 
 
@@ -614,10 +615,10 @@ def test_attractors_from_starts_matches_per_start_loop():
         if all(np.linalg.norm(res.point - q) > tol.ATTRACTOR_DEDUP for q in ref):
             ref.append(res.point)
     ref.sort(key=lambda p: tuple(np.round(p, 9)))
-    got = fl.attractors_from_starts([P], starts)[0].attractors
+    got = fl.attractors_from_starts([P], [starts])[0].attractors
     assert len(got) == len(ref) == 2
     for a, r in zip(got, ref):
-        assert np.max(np.abs(a.coords - r)) < 1e-12
+        assert np.max(np.abs(a - r)) < 1e-12
 
 
 def _cubic():
@@ -653,20 +654,20 @@ def test_integrate_ensemble_stack_matches_single_calls():
 def test_attractors_from_starts_stack_matches_find_attractors():
     polys = [benchmark().at(0.3), canonical(), _cubic()]
     starts = fl.gaussian_starts(QUATERNIONS, 8, 5)
-    searches = fl.attractors_from_starts(polys, starts)
+    searches = fl.attractors_from_starts(polys, [starts] * len(polys))
     assert len(searches) == len(polys)
     for P, search in zip(polys, searches):
         ref = find_attractors(P, 8, 5)
         assert len(search.attractors) == len(ref) > 0
         for a, r in zip(search.attractors, ref):
-            assert np.max(np.abs(a.coords - r.coords)) < 1e-12
+            assert np.max(np.abs(a - r)) < 1e-12
         assert search.flow.points.shape == starts.shape
 
 
 def _same_search(a, b) -> None:
     assert len(a.attractors) == len(b.attractors)
     for x, y in zip(a.attractors, b.attractors):
-        assert np.max(np.abs(x.coords - y.coords)) < 1e-12
+        assert np.max(np.abs(x - y)) < 1e-12
     assert a.flow.points.shape == b.flow.points.shape
     assert a.flow.effort()["ended"] == b.flow.effort()["ended"]
 
@@ -687,17 +688,29 @@ def test_mixed_search_matches_separate_searches(seed):
     cfg_a, cfg_b = fl.SEARCH_FLOW, FlowConfig(stop_grad=1e-3, max_time=500.0)
     mixed = fl.attractors_from_starts([P, *quads], [s12, *[s5] * len(quads)],
                                       [cfg_a, *[cfg_b] * len(quads)])
-    alone = fl.attractors_from_starts([P], s12)[0]
-    assert [a.coords.tolist() for a in alone.attractors] == [
-        a.coords.tolist() for a in find_attractors(P, 12, seed)]
-    separate = [alone, *fl.attractors_from_starts(quads, s5, cfg_b)]
+    alone = fl.attractors_from_starts([P], [s12])[0]
+    assert alone.attractors.tolist() == find_attractors(P, 12, seed).tolist()
+    separate = [alone, *fl.attractors_from_starts(quads, [s5] * len(quads),
+                                                  [cfg_b] * len(quads))]
     assert len(mixed) == len(separate)
     for a, b in zip(mixed, separate):
         _same_search(a, b)
     with pytest.raises(ValueError):
-        fl.attractors_from_starts([P, *quads], [s12, s5], cfg_b)
+        fl.attractors_from_starts([P, *quads], [s12, s5], [cfg_b] * (1 + len(quads)))
     with pytest.raises(ValueError):
-        fl.attractors_from_starts([P, *quads], s5, [cfg_a, cfg_b])
+        fl.attractors_from_starts([P, *quads], [s5] * (1 + len(quads)), [cfg_a, cfg_b])
+
+
+def test_one_start_per_polynomial_is_that_polynomial_s_own():
+    # a single 1-D start per polynomial is one start set each, never one
+    # set shared by every polynomial (which flowed 2 rows per polynomial)
+    polys = [canonical(), benchmark().at(0.3)]
+    starts = [np.array([0.1, 0.8, 0.2, 0.0]), np.array([0.0, -1.2, 0.1, 0.3])]
+    searches = fl.attractors_from_starts(polys, starts)
+    assert [len(s.flow.points) for s in searches] == [1, 1]
+    for P, x, search in zip(polys, starts, searches):
+        _same_search(search, fl.attractors_from_starts([P], [x[None]])[0])
+        assert len(search.attractors) == 1
 
 
 def test_integrate_ensemble_row_configs_match_one_config():
@@ -744,8 +757,7 @@ def test_flow_captures_starts_and_never_raises_potential():
     in_band = np.concatenate([in_band, np.zeros(20, dtype=bool)])
     cfg = FlowConfig(max_time=max(1e4, 200.0 / eps ** 2))
     ens = fl._lockstep(pl.stack_tables([P]), starts, cfg.max_time, stop_grad=cfg.stop_grad)
-    att_coords = np.stack([a.coords for a in att])
-    gap = np.linalg.norm(ens.points[:, None] - att_coords, axis=2).min(axis=1)
+    gap = np.linalg.norm(ens.points[:, None] - att, axis=2).min(axis=1)
     hit = (ens.ends == fl.ENDS.index("gradient")) & (gap < fl.STOP_RADIUS)
     assert ens.effort()["lyapunov_rejections"] == 0
     assert np.all(hit | in_band)
@@ -769,8 +781,7 @@ def test_ensemble_labels_match_adaptive_flow_off_manifold():
     labels, _, rise, stats = ensemble_labels(P, starts, att, 1e4)
     ens = dp_oracle.integrate_ensemble(P, starts, FlowConfig(max_time=1e4))
     assert np.all(ens.kinds == "converged")
-    expected = fl._capture_rows(ens.points, np.stack([a.coords for a in att]),
-                                fl.STOP_RADIUS)
+    expected = fl._capture_rows(ens.points, att, fl.STOP_RADIUS)
     assert np.all(expected >= 0)
     assert np.array_equal(labels, expected)
     assert rise <= 1e-10
@@ -818,14 +829,14 @@ def test_far_starts_end_as_the_oracle_ends_them():
         else:
             assert all(t.kind == "stalled" for t in oracle)
             assert np.array_equal(labels, ray)
-        search = fl.attractors_from_starts([P], r * unit)[0]
+        search = fl.attractors_from_starts([P], [r * unit])[0]
         assert search.effort()["ended"]["gradient"] == len(unit)
         with np.errstate(over="ignore", invalid="ignore"):
             ends = dp_oracle.integrate_ensemble(P, r * unit, fl.SEARCH_FLOW).points
         for ours, theirs in zip(search.flow.points, ends):
             a, b = (_polished(P, x) for x in (ours, theirs))
             assert len(a) == len(b) == 1
-            assert np.max(np.abs(a[0].coords - b[0].coords)) < 1e-9
+            assert np.max(np.abs(a[0] - b[0])) < 1e-9
 
 
 def test_integrate_keeps_its_steps_from_far_starts():
@@ -890,7 +901,7 @@ def test_search_end_points_polish_as_oracle_end_points(monkeypatch):
             a, b = (_polished(P, p) for p in (x, y))
             assert len(a) == len(b)
             for r, q in zip(a, b):
-                assert np.max(np.abs(r.coords - q.coords)) < 1e-9
+                assert np.max(np.abs(r - q)) < 1e-9
 
 
 def test_ensemble_labels_need_attractors():
@@ -902,8 +913,7 @@ def test_flow_static_at_zero():
     # at eps = 0 the sphere is already a set of minima: nothing moves
     D = benchmark()
     from rootlab.manifolds import sample_stratum
-    starts = np.stack([s.coords for s in sample_stratum(fl._first_sphere(D), 30,
-                                                        np.random.default_rng(10))])
+    starts = sample_stratum(fl._first_sphere(D), 30, np.random.default_rng(10))
     ens = fl._lockstep(pl.stack_tables([D.at(0.0)]), starts, 10.0,
                        stop_grad=FlowConfig().stop_grad)
     assert np.max(np.linalg.norm(ens.points - starts, axis=1)) < 1e-6

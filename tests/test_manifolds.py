@@ -17,6 +17,7 @@ from rootlab.algebra import (
     automorphism_from_derivation,
     basis_element,
     conjugation_automorphism,
+    element,
     random_element,
     real_element,
 )
@@ -38,6 +39,7 @@ from rootlab.poly import (
     evaluate_coords,
     jacobian_coords,
     potential,
+    potential_coords,
 )
 
 
@@ -220,9 +222,10 @@ def test_sample_stratum_statistics():
     (s,) = root_set(P).strata
     n = 4000
     pts = sample_stratum(s, n, 0)
-    worst = max(potential(P, p) for p in pts)
+    assert pts.shape == (n, 8)
+    worst = max(potential_coords(P, p) for p in pts)
     assert worst < 1e-18
-    imag = np.stack([p.coords[1:] for p in pts])
+    imag = pts[:, 1:]
     bound = 4.0 / np.sqrt(n)
     assert np.max(np.abs(imag.mean(axis=0))) < bound
     msq = (imag ** 2).mean(axis=0)
@@ -232,7 +235,27 @@ def test_sample_stratum_statistics():
 def test_sample_isolated_stratum_repeats():
     s = IsolatedReal(2.0, QUATERNIONS)
     pts = sample_stratum(s, 5, 0)
-    assert all(p.allclose(pts[0]) for p in pts)
+    assert pts.shape == (5, 4)
+    assert all(np.allclose(p, pts[0], rtol=0.0, atol=1e-12) for p in pts)
+
+
+def test_sample_stratum_rows_repeat_with_the_seed():
+    # a sphere, an isolated point and a real point all give (n, d) rows,
+    # equal for equal seeds; the sphere's rows are its normalized normal draws
+    sphere = root_set(DAPolynomial.from_real(OCTONIONS, [1, 0, 1])).strata[0]
+    point = root_set(DAPolynomial.from_coords(
+        QUATERNIONS, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])).strata[0]
+    real = IsolatedReal(2.0, QUATERNIONS)
+    for s in (sphere, point, real):
+        a = sample_stratum(s, 6, 11)
+        assert a.shape == (6, s.tag.dimension)
+        assert np.array_equal(a, sample_stratum(s, 6, np.random.default_rng(11)))
+    g = np.random.default_rng(11).normal(size=(6, 7))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    rows = sample_stratum(sphere, 6, 11)
+    assert np.array_equal(rows[:, 1:], sphere.radius * g) and np.all(rows[:, 0] == sphere.re)
+    assert np.array_equal(sample_stratum(point, 3, 0), np.tile(point.point.coords, (3, 1)))
+    assert np.array_equal(sample_stratum(real, 2, 0), [[2.0, 0, 0, 0]] * 2)
 
 
 def test_cd_symmetry_examples():
@@ -254,21 +277,21 @@ def test_orbit_invariance_octonion_and_quaternion():
     g = automorphism_from_derivation(basis_element(OCTONIONS, 1),
                                      basis_element(OCTONIONS, 2), 0.8)
     for x in sample_stratum(sphere_O, 10, rng):
-        assert orbit_invariance_check(P_O, g, x, rng) < 1e-12
+        assert orbit_invariance_check(P_O, g, element(OCTONIONS, x), rng) < 1e-12
 
     P_H = DAPolynomial.from_real(QUATERNIONS, [1, 0, 1])
     (sphere_H,) = root_set(P_H).strata
     for x in sample_stratum(sphere_H, 10, rng):
         h = random_element(QUATERNIONS, rng)
         gq = conjugation_automorphism(h)
-        assert orbit_invariance_check(P_H, gq, x, rng) < 1e-12
+        assert orbit_invariance_check(P_H, gq, element(QUATERNIONS, x), rng) < 1e-12
 
 
 def test_orbit_invariance_identity_map_is_potential():
     from rootlab.algebra import LinearMap
     P = DAPolynomial.from_real(QUATERNIONS, [1, 0, 1])
     (sphere,) = root_set(P).strata
-    x = sample_stratum(sphere, 1, 3)[0]
+    x = element(QUATERNIONS, sample_stratum(sphere, 1, 3)[0])
     g = LinearMap(QUATERNIONS, np.eye(4))
     assert orbit_invariance_check(P, g, x) == pytest.approx(potential(P, x), abs=1e-18)
 
@@ -279,7 +302,7 @@ def test_numerical_rank_on_strata_and_isolated():
         P = DAPolynomial.from_real(tag, [1, 0, 1])
         (sphere,) = root_set(P).strata
         for x in sample_stratum(sphere, 20, rng):
-            r = numerical_rank(jacobian_coords(P, x.coords))
+            r = numerical_rank(jacobian_coords(P, x))
             assert r.rank == expect and not r.ambiguous
 
 

@@ -526,7 +526,7 @@ def test_newton_polish_counts_steps_taken(monkeypatch):
     # an exact root can never reach residual < 0: the loop leaves early
     with monkeypatch.context() as m:
         m.setattr(tol, "NEWTON_RESIDUAL", 0.0)
-        res = newton_polish(P, i)
+        res = newton_polish(P, i.coords)
     assert res.iterations == 0 and res.residual == 0.0
     assert np.array_equal(res.jacobian, pl.jacobian_coords(P, i.coords))
     res = newton_polish(P, np.array([0.01, 1.02, -0.015, 0.01]))

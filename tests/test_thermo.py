@@ -284,7 +284,7 @@ def test_ladder_matches_separate_runs(keep):
     cfgs = [GibbsConfig(0.01, chains=2, steps=1500, seed=3),
             GibbsConfig(0.05, chains=3, steps=1500, seed=4),
             GibbsConfig(0.2, chains=8, steps=1500, seed=5, proposal_scale=0.05)]
-    ladder = sample_gibbs_ladder(central(), cfgs, keep_samples=keep)
+    ladder = sample_gibbs_ladder([central()] * len(cfgs), cfgs, keep_samples=keep)
     assert len(ladder) == len(cfgs)
     for got, cfg in zip(ladder, cfgs):
         assert_same_result(got, sample_gibbs(central(), cfg, keep_samples=keep))
@@ -333,7 +333,7 @@ def test_ladder_mixes_polynomials_and_run_lengths(keep):
     assert [isinstance(r, SamplerDiagnosticError) for r in ladder] == [
         False, False, True, False, False]
     for got, P, cfg in zip(ladder, polys, cfgs):
-        (want,) = sample_gibbs_ladder(P, [cfg], keep_samples=keep)
+        (want,) = sample_gibbs_ladder([P], [cfg], keep_samples=keep)
         if isinstance(want, SamplerDiagnosticError):
             assert str(got) == str(want)
         else:
@@ -357,7 +357,7 @@ def test_narrower_cells_in_a_wider_loop_match_solo_runs(keep):
     assert [isinstance(r, SamplerDiagnosticError) for r in ladder] == [
         False, False, False, True, False]
     for got, P, cfg in zip(ladder[:4], polys, cfgs):
-        (want,) = sample_gibbs_ladder(P, [cfg], keep_samples=keep)
+        (want,) = sample_gibbs_ladder([P], [cfg], keep_samples=keep)
         if isinstance(want, SamplerDiagnosticError):
             assert str(got) == str(want)
         else:
@@ -367,7 +367,7 @@ def test_narrower_cells_in_a_wider_loop_match_solo_runs(keep):
                 assert got.samples.shape[-1] == P.tag.dimension
     # a C cell takes the same steps: the 8-term kernel sums of the O loop
     # round its 2-term ones otherwise, so V agrees to rounding only
-    got, (want,) = ladder[4], sample_gibbs_ladder(polys[4], [cfgs[4]], keep_samples=keep)
+    got, (want,) = ladder[4], sample_gibbs_ladder([polys[4]], [cfgs[4]], keep_samples=keep)
     assert got.stats.acceptance == want.stats.acceptance
     assert got.proposal_scale == want.proposal_scale
     assert np.array_equal(got.stats.second_moments, want.stats.second_moments)
@@ -457,7 +457,7 @@ def test_ladder_rejects_mixed_cells():
     with pytest.raises(ValueError):
         sample_gibbs_ladder([central(), canonical()], [base])
     with pytest.raises(ValueError):
-        sample_gibbs_ladder(central(), [])
+        sample_gibbs_ladder([], [])
 
 
 def test_streamed_stats_match_returned_samples():
@@ -489,7 +489,7 @@ def test_kept_arrays_are_each_cells_own():
     cfgs = [GibbsConfig(0.01, chains=2, steps=600, seed=3),
             GibbsConfig(0.05, chains=3, steps=600, seed=4),
             GibbsConfig(0.02, chains=1, steps=400, seed=5)]
-    for res in sample_gibbs_ladder(central(), cfgs, keep_samples=True):
+    for res in sample_gibbs_ladder([central()] * len(cfgs), cfgs, keep_samples=True):
         for kept in (res.samples, res.v_samples):
             assert kept.base is None and kept.flags.c_contiguous
         assert res.samples.shape[:2] == res.v_samples.shape
